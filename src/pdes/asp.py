@@ -16,7 +16,7 @@ over that decision layer and checked via the reduct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -24,11 +24,11 @@ from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
                    SchemaError, active_domain)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, relevant_vars, term_vars)
-from .nullsem import eval_builtin_classical, n_answers
+from .nullsem import eval_builtin, n_answers
 from .repair import closer_lt
-from .chase import split_sigma
-from .system import (PdesInstance, PdesSchema, PcaResult, inc_atom,
-                     INC_PREFIX, LESS, SAME)
+from .chase import r_chase, split_sigma
+from .system import (PdesInstance, PdesSchema, PcaResult, core_instance,
+                     inc_atom, INC_PREFIX, LESS, SAME)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
 ANNOTATIONS = (TA, FA, TS, FS, TSS)
@@ -267,7 +267,7 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
     neg: list[Atom] = []
     for item in r.body:
         if isinstance(item, Builtin):
-            if not eval_builtin_classical(item, dict(s)):
+            if not eval_builtin(item, s, classical=True):
                 return None
             continue
         args = tuple(_val(t, s) for t in item.terms)
@@ -421,10 +421,11 @@ def _minimal_models(prog: LogicProgram, system: PdesSchema, p: str,
     non-minimal candidates (e.g. with ref-cycles, or when a deletion
     re-opens an existential obligation)."""
     split = split_sigma(system.sigma_of(p))
+    bound = r_chase(dbar, split).atoms
     full = [_extract_neighborhood(prog, m) for m in models]
     return tuple(m for i, m in enumerate(models)
                  if not any(j != i and closer_lt(full[j], full[i], dbar,
-                                                 split)
+                                                 split, bound)
                             for j in range(len(models))))
 
 
@@ -449,12 +450,7 @@ def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance, q: Query,
                 cap: int = DEFAULT_CAP) -> PcaResult:
     """Certain answers over the stable-model solutions, with neighbor
     cores gathered through the general recursion."""
-    from .system import _solve
-    atoms = set(d.of(p).atoms)
-    memo: dict = {}
-    for nb in sorted(system.strict_neighbors(p)):
-        atoms |= _solve(system, nb, d, cap, memo).core.atoms
-    dbar = Instance(atoms, system.neighborhood_schema(p))
+    dbar = core_instance(system, p, d, cap)
     prog = build_solution_program(system, p, dbar)
     models = stable_models(ground(prog), cap=cap)
     if not models:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import NULL, Atom, Instance, Schema, active_domain
-from .lang import Constraint, Cst, Var, relevant_vars, term_vars
-from .nullsem import (eval_builtin_n, ground_atom, holds_instantiation, join,
+from .lang import Constraint, relevant_vars, term_vars
+from .nullsem import (eval_builtin, ground_atom, holds_instantiation, join,
                       working_universe)
 
 
@@ -90,7 +90,7 @@ def _fire(c: Constraint, s: dict[str, str]) -> set[Atom]:
     out: set[Atom] = set()
     for disj in c.head:
         full = {**s, **{v: NULL for v in disj.exist_vars}}
-        if all(eval_builtin_n(b, full) for b in disj.builtins):
+        if all(eval_builtin(b, full) for b in disj.builtins):
             out |= {ground_atom(a, full) for a in disj.atoms}
     return out
 

@@ -13,22 +13,18 @@ import json
 import os
 import sys
 
-import networkx as nx
-
-from .asp import (asp_solutions, build_solution_program, emit_text,
-                  extract_instance, ground, pca_via_asp, stable_models)
+from .asp import (asp_solutions, build_solution_program, emit_text, ground,
+                  stable_models)
 from .chase import r_chase, split_sigma
-from .core import (DEFAULT_CAP, Atom, CapExceeded, Instance, SchemaError,
+from .core import (DEFAULT_CAP, CapExceeded, Instance, SchemaError,
                    atom_sort_key)
 from .deffile import Definition, load_definition
 from .importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                          restricted_import_solve)
 from .lang import ParseError, parse_query, ref_acyclic
-from .nullsem import n_answers
 from .repair import NULL_BASED, delta_repairs, null_repairs
-from .system import (PdesInstance, PdesSchema, inc_atom,
-                     neighborhood_solutions, peer_consistent_answers,
-                     solutions)
+from .system import (core_instance, inc_atom, neighborhood_solutions,
+                     peer_consistent_answers, solutions)
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -40,10 +36,6 @@ class Refusal(Exception):
     pass
 
 
-def _atom_str(a: Atom) -> str:
-    return str(a)
-
-
 def _instance_lines(inst: Instance) -> list[str]:
     return [str(a) for a in sorted(inst.atoms, key=atom_sort_key)]
 
@@ -53,14 +45,6 @@ def _neighborhood_instance(defn: Definition, p: str) -> Instance:
     atoms = set(defn.instance.of(p).atoms)
     for q in sorted(sysm.strict_neighbors(p)):
         atoms |= defn.instance.of(q).atoms
-    return Instance(atoms, sysm.neighborhood_schema(p))
-
-
-def _core_instance(defn: Definition, p: str, cap: int) -> Instance:
-    sysm = defn.system
-    atoms = set(defn.instance.of(p).atoms)
-    for q in sorted(sysm.strict_neighbors(p)):
-        atoms |= solutions(sysm, q, defn.instance, cap=cap).core.atoms
     return Instance(atoms, sysm.neighborhood_schema(p))
 
 
@@ -94,29 +78,6 @@ def _cmd_check(defn: Definition, args, cap: int) -> int:
                "ref_acyclic": ra, "import_kind": dict(cls.peer_flags)}
     _emit(payload, lines, args.format)
     return EXIT_OK
-
-
-def _cycle_witness(exc: SchemaError, path: str) -> list[str] | None:
-    """Best-effort cycle extraction for the check report."""
-    import re
-    from .lang import parse_constraint
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    g = nx.DiGraph()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("dec "):
-            m = re.match(r"dec\s+(\w+)\s+(\w+)\s*:", line)
-            if m and m.group(1) != m.group(2):
-                g.add_edge(m.group(1), m.group(2))
-    try:
-        cyc = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return [a for a, _ in cyc] + [cyc[0][0]]
 
 
 def _cmd_chase(defn: Definition, args, cap: int) -> int:
@@ -162,7 +123,6 @@ def _cmd_ns(defn: Definition, args, cap: int) -> int:
 
 def _solution_lines(res) -> tuple[dict, list[str]]:
     if res.inconsistent:
-        marker = str(res.core)
         return ({"peer": res.peer, "solutions": [], "core": [],
                  "inconsistent": True},
                 ["inconsistent: %s" % str(inc_atom(res.peer))])
@@ -248,7 +208,7 @@ def _cmd_import_solve(defn: Definition, args, cap: int) -> int:
 
 
 def _cmd_asp(defn: Definition, args, cap: int) -> int:
-    dbar = _core_instance(defn, args.peer, cap)
+    dbar = core_instance(defn.system, args.peer, defn.instance, cap)
     prog = build_solution_program(defn.system, args.peer, dbar)
     if args.asp_action == "emit":
         text = emit_text(prog)
@@ -336,19 +296,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_PARSE
     except SchemaError as e:
-        if args.command == "check" and "cycle" in str(e):
-            witness = _cycle_witness(e, args.file)
-            msg = "cycle: " + " -> ".join(witness) if witness else str(e)
-            print(msg, file=sys.stderr)
-        else:
-            print("error: %s" % e, file=sys.stderr)
+        print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     try:
         return _HANDLERS[args.command](defn, args, cap)
-    except Refusal as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_REFUSED
-    except SchemaError as e:
+    except (Refusal, SchemaError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     except CapExceeded as e:

@@ -6,8 +6,9 @@ role of the SQL NULL. Atoms and instances are immutable values.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 NULL = "null"
 
@@ -157,3 +158,25 @@ def symmetric_difference(d1: Instance, d2: Instance) -> frozenset[Atom]:
 
 def union(d1: Instance, d2: Instance) -> Instance:
     return Instance(d1.atoms | d2.atoms, d1.schema.union(d2.schema))
+
+
+def reach(succ: Callable[[str], Iterable[str]], src: str,
+          dst: str | None = None) -> list[str] | None:
+    """Breadth-first walk from src, visiting successors in sorted order.
+    Without dst: every node reachable from src, src first. With dst: a
+    shortest path [src, ..., dst], or None when dst is unreachable."""
+    parent: dict[str, str | None] = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            path = []
+            while u is not None:
+                path.append(u)
+                u = parent[u]
+            return path[::-1]
+        for v in sorted(succ(u)):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return list(parent) if dst is None else None

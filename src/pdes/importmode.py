@@ -10,17 +10,15 @@ finishes the job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DEFAULT_CAP, NULL, Atom, Instance, SchemaError, restrict
+from .core import DEFAULT_CAP, NULL, Atom, Instance, Schema, SchemaError
 from .lang import Builtin, Constraint, Cst, PredAtom, Var, relevant_vars
-from .nullsem import (eval_builtin_classical, eval_builtin_n, ground_atom,
-                      join)
+from .nullsem import eval_builtin, ground_atom, join
 from .repair import delta_repairs, null_repairs, NULL_BASED
-from .system import (PdesInstance, PdesSchema, SolutionResult, inc_atom,
-                     INC_PREFIX, LESS)
-from .core import Schema
+from .system import (PdesInstance, PdesSchema, SolutionResult, _solve,
+                     inc_atom, LESS)
 
 IUDEC = "iudec"
 IRDEC = "irdec"
@@ -168,9 +166,10 @@ def least_model(program: DatalogProgram) -> Instance:
         for r in program.rules:
             for s in join(cur, r.body, {}):
                 # guards compare against the null constant itself
-                if not all(eval_builtin_classical(b, s) for b in r.guards):
+                if not all(eval_builtin(b, s, classical=True)
+                           for b in r.guards):
                     continue
-                if any(eval_builtin_n(b, s) for b in r.escapes):
+                if any(eval_builtin(b, s) for b in r.escapes):
                     continue
                 new.add(ground_atom(r.head, s))
         new -= cur.atoms
@@ -180,6 +179,26 @@ def least_model(program: DatalogProgram) -> Instance:
 
 
 # ------------------------------------------------------------- solving
+
+def _fixpoint(system: PdesSchema, p: str, dbar: Instance,
+              cap: int) -> tuple[Instance, ...]:
+    """The least model of p's import program over dbar."""
+    return (least_model(import_program(system, p, dbar)),)
+
+
+def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
+                       cap: int) -> tuple[Instance, ...]:
+    """The import fixpoint repaired with respect to p's local constraints,
+    keeping the neighbors' relations and every imported atom fixed."""
+    fix = least_model(import_program(system, p, dbar))
+    frozen_preds = frozenset(
+        r for q in system.strict_neighbors(p)
+        for r in system.schemas[q].preds())
+    repair = null_repairs if system.preorder == NULL_BASED else delta_repairs
+    rs = repair(fix, system.sigma.get((p, p), ()), frozen_preds=frozen_preds,
+                cap=cap, frozen_atoms=fix.atoms - dbar.atoms)
+    return tuple(Instance(r.atoms, fix.schema) for r in rs.repairs)
+
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
@@ -191,68 +210,17 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
         if cls.peer_flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, cls.peer_flags[q]))
-    return _import_solve(system, p, d, {})
-
-
-def _import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                  memo: dict[str, Instance]) -> Instance:
-    if p in memo:
-        return memo[p]
-    others = system.strict_neighbors(p)
-    if not others:
-        memo[p] = d.of(p)
-        return memo[p]
-    atoms = set(d.of(p).atoms)
-    for q in sorted(others):
-        atoms |= _import_solve(system, q, d, memo).atoms
-    dbar = Instance(atoms, system.neighborhood_schema(p))
-    fix = least_model(import_program(system, p, dbar))
-    memo[p] = restrict(fix, system.schemas[p].preds())
-    return memo[p]
+    return _solve(system, p, d, _fixpoint, DEFAULT_CAP, {}).core
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
                             cap: int = DEFAULT_CAP) -> SolutionResult:
     """Import case with local constraints: run the import fixpoint, then
     repair with respect to the local constraints only, keeping the
-    neighbors' relations and every imported atom fixed."""
+    neighbors' relations and every imported atom fixed. Every peer that
+    p reaches must be of the import kind."""
     cls = classify(system)
-    if cls.peer_flags[p] == GENERAL:
-        raise SchemaError("peer %r is not of the import kind" % p)
-    return _restricted_solve(system, p, d, cap, {})
-
-
-def _restricted_solve(system: PdesSchema, p: str, d: PdesInstance, cap: int,
-                      memo: dict[str, SolutionResult]) -> SolutionResult:
-    if p in memo:
-        return memo[p]
-    atoms = set(d.of(p).atoms)
-    for q in sorted(system.strict_neighbors(p)):
-        atoms |= _restricted_solve(system, q, d, cap, memo).core.atoms
-    dbar = Instance(atoms, system.neighborhood_schema(p))
-    fix = least_model(import_program(system, p, dbar))
-    imported = fix.atoms - dbar.atoms
-    local = system.sigma.get((p, p), ())
-    frozen_preds = frozenset(
-        r for q in system.strict_neighbors(p)
-        for r in system.schemas[q].preds())
-    if system.preorder == NULL_BASED:
-        rs = null_repairs(fix, local, frozen_preds=frozen_preds, cap=cap,
-                          frozen_atoms=imported)
-    else:
-        rs = delta_repairs(fix, local, frozen_preds=frozen_preds, cap=cap,
-                           frozen_atoms=imported)
-    own = system.schemas[p].preds()
-    seen = {restrict(Instance(r.atoms, fix.schema), own).atoms
-            for r in rs.repairs}
-    sols = tuple(Instance(a, system.schemas[p]) for a in sorted(
-        seen, key=lambda s: sorted(map(str, s))))
-    if not sols:
-        core = Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
-        res = SolutionResult(p, (), core, True)
-    else:
-        common = frozenset.intersection(*(s.atoms for s in sols))
-        res = SolutionResult(p, sols, Instance(common, system.schemas[p]),
-                             False)
-    memo[p] = res
-    return res
+    for q in sorted(system.accessible(p)):
+        if cls.peer_flags[q] == GENERAL:
+            raise SchemaError("peer %r is not of the import kind" % q)
+    return _solve(system, p, d, _fixpoint_repaired, cap, {})

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .core import NULL
+from .core import NULL, reach
 
 
 class ParseError(ValueError):
@@ -255,20 +255,13 @@ def dependency_graph(sigma) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]
 def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
     """True iff no cycle of the dependency graph goes through a marked
     (existential) edge; otherwise returns one witness cycle."""
-    import networkx as nx
-
     edges, marked = dependency_graph(sigma)
-    g = nx.DiGraph()
-    g.add_edges_from(edges)
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(nx.strongly_connected_components(g)):
-        for n in comp:
-            comp_of[n] = i
-    for (u, v) in sorted(marked):
-        if u == v:
-            return False, [u, u]
-        if comp_of.get(u) is not None and comp_of.get(u) == comp_of.get(v):
-            path = nx.shortest_path(g, v, u)
+    succ: dict[str, set[str]] = {}
+    for (u, v) in edges:
+        succ.setdefault(u, set()).add(v)
+    for (u, v) in sorted(marked):  # (u, v) is on a cycle iff v reaches u
+        path = reach(lambda n: succ.get(n, ()), v, u)
+        if path:
             return False, path + [v]
     return True, None
 

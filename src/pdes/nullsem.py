@@ -13,8 +13,8 @@ from itertools import product
 from typing import Iterable
 
 from .core import NULL, Atom, Instance, active_domain, const_leq
-from .lang import (Builtin, Constraint, Cst, Query, Var,
-                   n_rewrite_constraint, relevant_vars, term_vars)
+from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
+                   relevant_vars)
 
 
 def _term_value(t, s: dict[str, str]) -> str:
@@ -35,9 +35,12 @@ def _order_holds(op: str, v1: str, v2: str) -> bool:
     return const_leq(v2, v1)  # geq
 
 
-def eval_builtin_n(b: Builtin, s: dict[str, str]) -> bool:
-    """Null-semantics truth of a ground builtin: comparisons never hold on
-    a null operand; isnull/isnotnull inspect the value itself."""
+def eval_builtin(b: Builtin, s: dict[str, str],
+                 classical: bool = False) -> bool:
+    """Truth of a ground builtin. isnull/isnotnull inspect the value
+    itself and order comparisons never hold on null (it has no place in
+    the order). Under the null semantics = and != fail on a null operand
+    too; classically they treat null as an ordinary constant."""
     if b.op == "false":
         return False
     if b.op == "isnull":
@@ -45,31 +48,12 @@ def eval_builtin_n(b: Builtin, s: dict[str, str]) -> bool:
     if b.op == "isnotnull":
         return _term_value(b.terms[0], s) != NULL
     v1, v2 = (_term_value(t, s) for t in b.terms)
-    if v1 == NULL or v2 == NULL:
+    if NULL in (v1, v2) and not (classical and b.op in ("eq", "neq")):
         return False
     if b.op == "eq":
         return v1 == v2
     if b.op == "neq":
         return v1 != v2
-    return _order_holds(b.op, v1, v2)
-
-
-def eval_builtin_classical(b: Builtin, s: dict[str, str]) -> bool:
-    """Classical truth with null as an ordinary constant; order comparisons
-    still fail on null (it has no place in the order)."""
-    if b.op == "false":
-        return False
-    if b.op == "isnull":
-        return _term_value(b.terms[0], s) == NULL
-    if b.op == "isnotnull":
-        return _term_value(b.terms[0], s) != NULL
-    v1, v2 = (_term_value(t, s) for t in b.terms)
-    if b.op == "eq":
-        return v1 == v2
-    if b.op == "neq":
-        return v1 != v2
-    if v1 == NULL or v2 == NULL:
-        return False
     return _order_holds(b.op, v1, v2)
 
 
@@ -140,7 +124,7 @@ def _n_satisfies_query(d: Instance, q: Query, s: dict[str, str]) -> bool:
     for combo in product(*ranges):
         full = {**s, **dict(zip(q.exist_vars, combo))}
         if all(_ground_atom(a, full) in d for a in q.atoms) and \
-                all(eval_builtin_n(b, full) for b in q.builtins):
+                all(eval_builtin(b, full) for b in q.builtins):
             return True
     return False
 
@@ -150,7 +134,6 @@ def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
     """Truth of one ground body->head instantiation. Non-classical mode
     restricts relevant existential variables away from null and, for
     relevant universal variables, a null value satisfies vacuously."""
-    ev = eval_builtin_classical if classical else eval_builtin_n
     if not classical and any(s[v] == NULL for v in c.univ_vars if v in rel):
         return True
     if not all(_ground_atom(a, s) in d for a in c.body):
@@ -166,7 +149,8 @@ def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
         for combo in product(*ranges):
             full = {**s, **dict(zip(disj.exist_vars, combo))}
             if all(_ground_atom(a, full) in d for a in disj.atoms) and \
-                    all(ev(b, full) for b in disj.builtins):
+                    all(eval_builtin(b, full, classical)
+                        for b in disj.builtins):
                 return True
     return False
 
@@ -174,11 +158,10 @@ def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
 # ---------------------------------------------------------- query answers
 
 def _answers(d: Instance, q: Query, classical: bool) -> frozenset[tuple[str, ...]]:
-    ev = eval_builtin_classical if classical else eval_builtin_n
     rel = () if classical else relevant_vars(q)
     out = set()
     for s in _join(d, q.atoms, {}):
-        if not all(ev(b, s) for b in q.builtins):
+        if not all(eval_builtin(b, s, classical) for b in q.builtins):
             continue
         if not classical and any(s[v] == NULL for v in rel):
             continue
@@ -234,10 +217,6 @@ def n_holds_direct(d: Instance, c: Constraint) -> bool:
         if not _holds_instantiation(d, c, s, rel, classical=False):
             return False
     return True
-
-
-def n_holds_all(d: Instance, sigma) -> bool:
-    return all(n_holds(d, c) for c in sigma)
 
 
 # Exported names used by the chase and repair machinery.

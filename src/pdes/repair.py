@@ -17,9 +17,8 @@ from typing import Callable, Iterable
 from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
                    atom_sort_key)
 from .lang import Constraint, relevant_vars
-from .nullsem import (classical_holds, eval_builtin_classical, eval_builtin_n,
-                      ground_atom, holds_instantiation, join, n_holds,
-                      working_universe)
+from .nullsem import (eval_builtin, ground_atom, holds_instantiation, join,
+                      n_holds, working_universe)
 from .chase import SigmaSplit, r_chase, split_sigma
 
 NULL_BASED = "null"
@@ -112,13 +111,13 @@ def _insert_options(c: Constraint, s, universe, pool, classical: bool):
     """Atom sets that satisfy one consequent disjunct of the violated
     instantiation, with existentials ranging over the universe and every
     inserted atom drawn from the admissible pool (None = unrestricted)."""
-    ev = eval_builtin_classical if classical else eval_builtin_n
     for disj in c.head:
         if not disj.atoms:
             continue  # builtin-only disjunct cannot be satisfied by inserts
         for combo in product(sorted(universe), repeat=len(disj.exist_vars)):
             full = {**s, **dict(zip(disj.exist_vars, combo))}
-            if not all(ev(b, full) for b in disj.builtins):
+            if not all(eval_builtin(b, full, classical)
+                       for b in disj.builtins):
                 continue
             atoms = frozenset(ground_atom(a, full) for a in disj.atoms)
             if pool is not None and not atoms <= pool:

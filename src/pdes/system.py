@@ -11,13 +11,12 @@ has none, in which case the exchange constraints toward it are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
-import networkx as nx
-
-from .core import DEFAULT_CAP, Atom, Instance, Schema, SchemaError, restrict
+from .core import (DEFAULT_CAP, Atom, Instance, Schema, SchemaError, reach,
+                   restrict)
 from .lang import Constraint, Query
 from .nullsem import classical_answers, n_answers
 from .repair import (NULL_BASED, SYMMETRIC_DELTA, delta_repairs, null_repairs)
@@ -43,13 +42,6 @@ class AccessGraph:
 
     def successors(self, p: str) -> set[str]:
         return {q for (a, q, _) in self.edges if a == p}
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        for a, b, label in self.edges:
-            g.add_edge(a, b, label=label)
-        return g
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,12 @@ class PdesSchema:
                 raise SchemaError("unknown trust kind %r" % t)
             if p == q and t != SAME:
                 raise SchemaError("a peer must trust itself as 'same'")
-        if not nx.is_directed_acyclic_graph(self.graph().to_networkx()):
-            raise SchemaError("accessibility graph has a cycle")
+        g = self.graph()
+        for (p, q, _) in g.edges:  # a cycle through p -> q returns to p
+            path = reach(g.successors, q, p)
+            if path:
+                raise SchemaError("accessibility graph has a cycle: "
+                                  + " -> ".join([p] + path))
 
     # ------------------------------------------------------- graph views
 
@@ -133,8 +129,7 @@ class PdesSchema:
     def accessible(self, p: str) -> set[str]:
         """AC(P): peers reachable from P in the graph, plus P itself."""
         self._check_peer(p)
-        g = self.graph().to_networkx()
-        return set(nx.descendants(g, p)) | {p}
+        return set(reach(self.graph().successors, p))
 
     def _check_peer(self, p: str) -> None:
         if p not in self.peers:
@@ -218,77 +213,68 @@ def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
         if q != p and inc_atom(q) in dbar:
             continue
         sigma.extend(system.sigma.get((p, q), ()))
-    frozen = system.frozen_preds(p)
-    if system.preorder == NULL_BASED:
-        rs = null_repairs(dbar, sigma, frozen_preds=frozen, cap=cap)
-    else:
-        rs = delta_repairs(dbar, sigma, frozen_preds=frozen, cap=cap)
+    repair = null_repairs if system.preorder == NULL_BASED else delta_repairs
+    rs = repair(dbar, sigma, frozen_preds=system.frozen_preds(p), cap=cap)
     # repairs may live over a chase-extended schema; fold back
-    out = tuple(Instance(r.atoms, dbar.schema) for r in rs.repairs)
-    return out
-
-
-def local_core(system: PdesSchema, p: str, dbar: Instance,
-               cap: int = DEFAULT_CAP) -> Instance:
-    """Intersection of the neighborhood solutions for p and dbar,
-    restricted to p's schema; the marker instance when there are none."""
-    ns = neighborhood_solutions(system, p, dbar, cap=cap)
-    if not ns:
-        return Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
-    common = frozenset.intersection(*(s.atoms for s in ns))
-    own = set(system.schemas[p].preds())
-    return Instance({a for a in common if a.pred in own}, system.schemas[p])
+    return tuple(Instance(r.atoms, dbar.schema) for r in rs.repairs)
 
 
 # ------------------------------------------------------------- solutions
 
-def _core_instance(res: SolutionResult) -> Instance:
-    return res.core
+LocalSolver = Callable[[PdesSchema, str, Instance, int], tuple[Instance, ...]]
 
 
 def solutions(system: PdesSchema, p: str, d: PdesInstance,
               cap: int = DEFAULT_CAP) -> SolutionResult:
     """Solution instances for p: its own instance when it has no
-    constraints, repairs of its own instance under local constraints
-    only, or otherwise restrictions to p's schema of the neighborhood
-    solutions over its instance joined with the neighbors' cores."""
+    constraints, otherwise the restrictions to p's schema of the
+    neighborhood solutions over its instance joined with the neighbors'
+    cores."""
     system._check_peer(p)
-    return _solve(system, p, d, cap, {})
+    return _solve(system, p, d, neighborhood_solutions, cap, {})
 
 
-def _solve(system: PdesSchema, p: str, d: PdesInstance, cap: int,
-           memo: dict[str, SolutionResult]) -> SolutionResult:
+def core_instance(system: PdesSchema, p: str, d: PdesInstance,
+                  cap: int = DEFAULT_CAP) -> Instance:
+    """p's neighborhood instance dbar: its own data plus each strict
+    neighbor's core, or that neighbor's marker when it has no solutions."""
+    system._check_peer(p)
+    return _dbar(system, p, d, neighborhood_solutions, cap, {})
+
+
+def _dbar(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
+          cap: int, memo: dict[str, SolutionResult]) -> Instance:
+    atoms = set(d.of(p).atoms)
+    for q in sorted(system.strict_neighbors(p)):
+        atoms |= _solve(system, q, d, local, cap, memo).core.atoms
+    return Instance(atoms, system.neighborhood_schema(p))
+
+
+def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
+           cap: int, memo: dict[str, SolutionResult]) -> SolutionResult:
+    """The one peer recursion. ``local(system, p, dbar, cap)`` solves p's
+    neighborhood instance without recursing; each neighbor is solved
+    once through the shared memo."""
     if p in memo:
         return memo[p]
-    own = d.of(p)
-    others = system.strict_neighbors(p)
     if not system.sigma_of(p):
-        sols: tuple[Instance, ...] = (own,)
-    elif not others:
-        sols = neighborhood_solutions(system, p, own, cap=cap)
+        sols: tuple[Instance, ...] = (d.of(p),)
     else:
-        atoms = set(own.atoms)
-        for q in sorted(others):
-            atoms |= _solve(system, q, d, cap, memo).core.atoms
-        dbar = Instance(atoms, system.neighborhood_schema(p))
-        ns = neighborhood_solutions(system, p, dbar, cap=cap)
-        seen = {restrict(s, system.schemas[p].preds()).atoms for s in ns}
-        sols = tuple(Instance(a, system.schemas[p]) for a in sorted(
-            seen, key=lambda s: sorted(map(str, s))))
-    res = _finish(system, p, sols)
+        dbar = _dbar(system, p, d, local, cap, memo)
+        own = system.schemas[p]
+        seen = {restrict(s, own.preds()).atoms
+                for s in local(system, p, dbar, cap)}
+        sols = tuple(Instance(a, own) for a in sorted(
+            seen, key=lambda a: sorted(map(str, a))))
+    if sols:
+        common = frozenset.intersection(*(s.atoms for s in sols))
+        res = SolutionResult(p, sols, Instance(common, system.schemas[p]),
+                             False)
+    else:
+        marker = Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
+        res = SolutionResult(p, (), marker, True)
     memo[p] = res
     return res
-
-
-def _finish(system: PdesSchema, p: str,
-            sols: tuple[Instance, ...]) -> SolutionResult:
-    if not sols:
-        core = Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
-        return SolutionResult(p, (), core, True)
-    common = frozenset.intersection(*(s.atoms for s in sols))
-    core = Instance(common, system.schemas[p])
-    ordered = tuple(sorted(sols, key=lambda s: sorted(map(str, s.atoms))))
-    return SolutionResult(p, ordered, core, False)
 
 
 # ------------------------------------------------ peer-consistent answers

@@ -72,9 +72,11 @@ class TestExitCodes:
         assert code == 0
 
     def test_cycle_refused_with_witness(self):
-        res = run_cli(["check", "cyclic_graph.pdes"])
-        assert res.returncode == 1
-        assert "cycle" in res.stderr
+        for args in (["check"], ["pca", "--peer", "P1"]):
+            res = run_cli(args + ["cyclic_graph.pdes"])
+            assert res.returncode == 1
+            assert res.stderr == ("error: accessibility graph has a cycle: "
+                                  "P1 -> P2 -> P1\n")
 
     def test_missing_query_refused(self):
         res = run_cli(["pca", "ex_2_2.pdes", "--peer", "P1"])
@@ -117,3 +119,15 @@ class TestDeterminism:
             res = run_cli(args, env_extra={"PYTHONHASHSEED": seed})
             assert res.returncode == 0
             assert res.stdout == expected, seed
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import pdes.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    added = res.stdout.split()
+    foreign = [m for m in added if m.split(".")[0] != "pdes"
+               and m.split(".")[0] not in sys.stdlib_module_names]
+    assert "pdes.cli" in added
+    assert foreign == []

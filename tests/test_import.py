@@ -1,11 +1,20 @@
 """The import case: classification, least-model solving, local repair."""
 
+import os
+
+import pytest
+
+from pdes.core import SchemaError
+from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_program,
                              import_solve, least_model,
                              restricted_import_solve)
 from pdes.system import peer_consistent_answers, solutions
 
-from conftest import load
+from conftest import FIXTURES, load
+
+# every fixture but the one refused at load time for its cycle
+LOADABLE = sorted(n for n in os.listdir(FIXTURES) if n != "cyclic_graph.pdes")
 
 
 def atoms_of(inst) -> set[str]:
@@ -73,6 +82,20 @@ class TestRestrictedImport:
             frozenset({"P0(a,d)", "P0(a,b)"}),
             frozenset({"P0(a,d)", "P0(a,c)"})}
 
+    def test_general_peer_downstream_is_refused(self):
+        # P1 imports from P2, which trusts P3 as much as itself: the
+        # fixpoint would only insert R2(a), where a repair may also
+        # delete R3(a)
+        defn = parse_definition(
+            "peer P1 : R1/1\npeer P2 : R2/1\npeer P3 : R3/1\n"
+            "trust P1 less P2\ntrust P2 same P3\n"
+            "dec P1 P2 : forall x : R2(x) -> R1(x)\n"
+            "dec P2 P3 : forall x : R3(x) -> R2(x)\n"
+            "instance P3 : R3(a)\n")
+        assert classify(defn.system).peer_flags["P1"] == UNRESTRICTED
+        with pytest.raises(SchemaError, match="'P2' is not of the import"):
+            restricted_import_solve(defn.system, "P1", defn.instance)
+
     def test_agrees_with_general_solver(self):
         defn = load("ex_5_13.pdes")
         res = restricted_import_solve(defn.system, "P", defn.instance)
@@ -86,3 +109,27 @@ class TestConsistentAnswersThroughImports:
         res = peer_consistent_answers(defn.system, "P1", defn.instance,
                                       defn.queries["P1"])
         assert res.answers == {("a", "2"), ("d", "5")}
+
+
+@pytest.mark.parametrize("name", LOADABLE)
+def test_import_routes_agree_with_general_solver(name):
+    """Wherever every accessible peer is of the import kind, the import
+    routes and the general solver give the same solutions, including an
+    inc_ marker spread from an inconsistent neighbor."""
+    defn = load(name)
+    sysm, d = defn.system, defn.instance
+    flags = classify(sysm).peer_flags
+    checked = 0
+    for p in sorted(sysm.peers):
+        reached = {flags[q] for q in sysm.accessible(p)}
+        if GENERAL in reached:
+            continue
+        checked += 1
+        general = solutions(sysm, p, d)
+        restricted = restricted_import_solve(sysm, p, d)
+        assert solution_sets(restricted) == solution_sets(general), p
+        assert restricted.inconsistent == general.inconsistent, p
+        if reached == {UNRESTRICTED}:
+            unique = import_solve(sysm, p, d)
+            assert solution_sets(general) == {frozenset(atoms_of(unique))}, p
+    assert checked

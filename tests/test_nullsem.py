@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.lang import Builtin, Cst, Var, parse_constraint, parse_query
-from pdes.nullsem import (classical_answers, eval_builtin_classical,
-                          eval_builtin_n, n_answers, n_holds, n_holds_direct,
-                          n_satisfies)
+from pdes.nullsem import (classical_answers, eval_builtin, n_answers, n_holds,
+                          n_holds_direct, n_satisfies)
 
 
 def inst(schema: dict, atoms) -> Instance:
@@ -21,30 +20,30 @@ class TestBuiltinEvaluation:
     def test_comparisons_fail_on_null(self):
         for op in ("eq", "neq", "lt", "leq", "gt", "geq"):
             b = Builtin(op, (Var("x"), Var("y")))
-            assert not eval_builtin_n(b, {"x": NULL, "y": "1"})
-            assert not eval_builtin_n(b, {"x": "1", "y": NULL})
+            assert not eval_builtin(b, {"x": NULL, "y": "1"})
+            assert not eval_builtin(b, {"x": "1", "y": NULL})
 
     def test_classical_eq_treats_null_as_constant(self):
         eq = Builtin("eq", (Var("x"), Var("y")))
         neq = Builtin("neq", (Var("x"), Var("y")))
-        assert eval_builtin_classical(eq, {"x": NULL, "y": NULL})
-        assert eval_builtin_classical(neq, {"x": NULL, "y": "1"})
+        assert eval_builtin(eq, {"x": NULL, "y": NULL}, classical=True)
+        assert eval_builtin(neq, {"x": NULL, "y": "1"}, classical=True)
 
     def test_classical_order_ops_fail_on_null(self):
         lt = Builtin("lt", (Var("x"), Var("y")))
-        assert not eval_builtin_classical(lt, {"x": NULL, "y": "1"})
+        assert not eval_builtin(lt, {"x": NULL, "y": "1"}, classical=True)
 
     def test_numeric_comparison(self):
         gt = Builtin("gt", (Var("x"), Cst("5")))
-        assert eval_builtin_n(gt, {"x": "7"})
-        assert not eval_builtin_n(gt, {"x": "5"})
+        assert eval_builtin(gt, {"x": "7"})
+        assert not eval_builtin(gt, {"x": "5"})
 
     def test_null_guards(self):
         isnull = Builtin("isnull", (Var("x"),))
         isnotnull = Builtin("isnotnull", (Var("x"),))
-        assert eval_builtin_n(isnull, {"x": NULL})
-        assert not eval_builtin_n(isnull, {"x": "a"})
-        assert eval_builtin_n(isnotnull, {"x": "a"})
+        assert eval_builtin(isnull, {"x": NULL})
+        assert not eval_builtin(isnull, {"x": "a"})
+        assert eval_builtin(isnotnull, {"x": "a"})
 
 
 class TestQueryAnswers:
