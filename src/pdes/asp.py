@@ -483,9 +483,9 @@ def _emit_lit(lit: Lit | Builtin) -> str:
     return "not " + txt if lit.neg else txt
 
 
-def emit_text(prog: LogicProgram, disjunction: str = "|") -> str:
+def emit_text(prog: LogicProgram) -> str:
     """Deterministic solver-ready text: facts first, then rules in
-    generation order; `:-` arrows, `not` negation."""
+    generation order; `|` disjunction, `:-` arrows, `not` negation."""
     lines = []
     for a in sorted(prog.facts, key=lambda a: (a.pred, a.args)):
         if a.args:
@@ -494,7 +494,7 @@ def emit_text(prog: LogicProgram, disjunction: str = "|") -> str:
         else:
             lines.append("%s." % a.pred.lower())
     for r in prog.rules:
-        head = (" %s " % disjunction).join(_emit_lit(h) for h in r.head)
+        head = " | ".join(_emit_lit(h) for h in r.head)
         body = ", ".join(_emit_lit(b) for b in r.body)
         if not r.head:
             lines.append(":- %s." % body)

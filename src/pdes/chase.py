@@ -5,6 +5,8 @@ constraints and existential ones whose existential variables appear in
 no join or builtin) and saturates the instance by firing violated ground
 instantiations in parallel rounds, substituting null for existential
 variables. The result bounds the insertions admissible in repairs.
+`head_options` grounds the consequent of one instantiation; the repair
+search shares it with its own universe and pool.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import NULL, Atom, Instance, Schema, active_domain
+from .core import NULL, Atom, Instance, Schema
 from .lang import Constraint, relevant_vars, term_vars
-from .nullsem import (eval_builtin, ground_atom, holds_instantiation, join,
-                      working_universe)
+from .nullsem import (eval_builtin, ground_atom, holds_instantiation,
+                      instantiations, working_universe)
 
 
 @dataclass(frozen=True)
@@ -71,42 +73,40 @@ def _head_schema(sigma) -> Schema:
     return Schema(arities)
 
 
-def _violated_instantiations(d: Instance, c: Constraint, universe):
-    """Assignments of the universal variables with satisfied antecedent and
-    violated instantiation."""
-    rel = relevant_vars(c)
-    for s in join(d, c.body, {}):
-        missing = [v for v in c.univ_vars if v not in s]
-        for combo in product(sorted(universe), repeat=len(missing)):
-            full = {**s, **dict(zip(missing, combo))}
-            if not holds_instantiation(d, c, full, rel, classical=False):
-                yield full
-
-
-def _fire(c: Constraint, s: dict[str, str]) -> set[Atom]:
-    """Atoms contributed by one violated instantiation: every disjunct's
-    database atoms, existentials replaced by null, builtin-failing
-    disjuncts skipped."""
-    out: set[Atom] = set()
+def head_options(c: Constraint, s: dict[str, str], universe: list[str],
+                 pool: frozenset[Atom] | None = None,
+                 classical: bool = False):
+    """Atom sets that satisfy one consequent disjunct of the ground
+    instantiation s: existentials range over the sorted universe,
+    builtin-failing and builtin-only disjuncts are skipped, and every atom
+    is drawn from the pool (None = unrestricted)."""
     for disj in c.head:
-        full = {**s, **{v: NULL for v in disj.exist_vars}}
-        if all(eval_builtin(b, full) for b in disj.builtins):
-            out |= {ground_atom(a, full) for a in disj.atoms}
-    return out
+        if not disj.atoms:
+            continue
+        for combo in product(universe, repeat=len(disj.exist_vars)):
+            full = {**s, **dict(zip(disj.exist_vars, combo))}
+            if not all(eval_builtin(b, full, classical)
+                       for b in disj.builtins):
+                continue
+            atoms = frozenset(ground_atom(a, full) for a in disj.atoms)
+            if pool is None or atoms <= pool:
+                yield atoms
 
 
 def r_chase(d: Instance, split: SigmaSplit) -> Instance:
     sigma = split.enforced
     schema = d.schema.union(_head_schema(sigma))
     cur = Instance(d.atoms, schema)
-    universe = active_domain(d) | {NULL}
-    for c in sigma:
-        universe |= working_universe(d, c)
+    universe = sorted(working_universe(d, *sigma))
     while True:
         new: set[Atom] = set()
         for c in sigma:
-            for s in _violated_instantiations(cur, c, universe):
-                new |= _fire(c, s)
+            rel = relevant_vars(c)
+            wu = sorted(working_universe(cur, c))
+            for s in instantiations(cur, c, universe):
+                if not holds_instantiation(cur, c, s, rel, False, wu):
+                    for atoms in head_options(c, s, [NULL]):
+                        new |= atoms
         new -= cur.atoms
         if not new:
             return cur

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
-non-import systems passed to import-solve), 2 parse error, 3 candidate
-cap exceeded. The candidate cap comes from --cap or the PDES_CAP
+a bad --query or cap, non-import systems passed to import-solve), 2 parse
+error in the definition file, 3 candidate cap exceeded. The candidate cap comes from --cap or the PDES_CAP
 environment variable. Output is canonically ordered and deterministic.
 """
 
@@ -283,7 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cap = args.cap
     if cap is None:
-        cap = int(os.environ.get("PDES_CAP", DEFAULT_CAP))
+        try:
+            cap = int(os.environ.get("PDES_CAP", DEFAULT_CAP))
+        except ValueError:
+            print("error: PDES_CAP must be an integer, not %r"
+                  % os.environ["PDES_CAP"], file=sys.stderr)
+            return EXIT_REFUSED
     if cap < 1:
         print("error: cap must be >= 1", file=sys.stderr)
         return EXIT_REFUSED

@@ -15,7 +15,7 @@ class ParseError(ValueError):
     pass
 
 
-class SafetyError(ValueError):
+class SafetyError(ParseError):
     pass
 
 

@@ -1,16 +1,23 @@
 """Query evaluation and constraint checking under SQL-null semantics and
 under classical semantics (null as an ordinary constant).
 
-Two independent evaluation routes are provided for cross-checking: a
-direct evaluator that restricts relevant variables away from null, and
-classical evaluation of the rewritten formula produced by
+`instantiations` is the one enumerator of a constraint's ground
+instantiations: it joins the body against the instance and ranges the
+universal variables the body leaves unbound over a universe.
+`holds_instantiation` decides one of them. The restricted chase
+(:mod:`pdes.chase`), the repair search (:mod:`pdes.repair`) and both
+constraint checks here rest on that pair.
+
+Two independent constraint checks are provided for cross-checking:
+`n_holds_direct` restricts relevant variables away from null, and
+`n_holds` evaluates classically the rewritten constraint produced by
 :mod:`pdes.lang`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import NULL, Atom, Instance, active_domain, const_leq
 from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
@@ -69,24 +76,26 @@ def _formula_constants(f: Constraint | Query) -> set[str]:
     return out
 
 
-def working_universe(d: Instance, f: Constraint | Query | None = None) -> set[str]:
+def working_universe(d: Instance, *formulas: Constraint | Query) -> set[str]:
+    """The active domain of d, null and every constant of the formulas."""
     u = active_domain(d) | {NULL}
-    if f is not None:
+    for f in formulas:
         u |= _formula_constants(f)
     return u
 
 
-def _ground_atom(a, s: dict[str, str]) -> Atom:
+def ground_atom(a, s: dict[str, str]) -> Atom:
     return Atom(a.pred, tuple(_term_value(t, s) for t in a.terms))
 
 
-def _join(d: Instance, atoms, s: dict[str, str]) -> Iterable[dict[str, str]]:
+def join(d: Instance, atoms, s: dict[str, str]) -> list[dict[str, str]]:
     """All extensions of assignment s matching every database atom in d."""
     frontier = [s]
     for a in atoms:
+        facts = d.by_pred(a.pred)
         nxt = []
         for cur in frontier:
-            for fact in d.by_pred(a.pred):
+            for fact in facts:
                 ext = dict(cur)
                 ok = True
                 for t, v in zip(a.terms, fact.args):
@@ -103,6 +112,19 @@ def _join(d: Instance, atoms, s: dict[str, str]) -> Iterable[dict[str, str]]:
     return frontier
 
 
+def instantiations(d: Instance, c: Constraint,
+                   universe: Iterable[str]) -> Iterator[dict[str, str]]:
+    """Every assignment of c's universal variables whose body atoms are
+    all in d: the body is joined against d, and the universal variables
+    it leaves unbound (those that occur only in the head) range over the
+    sorted universe."""
+    universe = sorted(universe)
+    for s in join(d, c.body, {}):
+        missing = [v for v in c.univ_vars if v not in s]
+        for combo in product(universe, repeat=len(missing)):
+            yield {**s, **dict(zip(missing, combo))}
+
+
 # ------------------------------------------------------------ n_satisfies
 
 def n_satisfies(d: Instance, f: Query | Constraint, s: dict[str, str]) -> bool:
@@ -111,7 +133,8 @@ def n_satisfies(d: Instance, f: Query | Constraint, s: dict[str, str]) -> bool:
     ground implication is checked."""
     if isinstance(f, Query):
         return _n_satisfies_query(d, f, s)
-    return _holds_instantiation(d, f, s, relevant_vars(f), classical=False)
+    return holds_instantiation(d, f, s, relevant_vars(f), False,
+                               sorted(working_universe(d, f)))
 
 
 def _n_satisfies_query(d: Instance, q: Query, s: dict[str, str]) -> bool:
@@ -123,22 +146,24 @@ def _n_satisfies_query(d: Instance, q: Query, s: dict[str, str]) -> bool:
     ranges = [nonnull if v in rel else universe for v in q.exist_vars]
     for combo in product(*ranges):
         full = {**s, **dict(zip(q.exist_vars, combo))}
-        if all(_ground_atom(a, full) in d for a in q.atoms) and \
+        if all(ground_atom(a, full) in d for a in q.atoms) and \
                 all(eval_builtin(b, full) for b in q.builtins):
             return True
     return False
 
 
-def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
-                         rel: frozenset[str], classical: bool) -> bool:
-    """Truth of one ground body->head instantiation. Non-classical mode
-    restricts relevant existential variables away from null and, for
-    relevant universal variables, a null value satisfies vacuously."""
+def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
+                        rel: frozenset[str], classical: bool,
+                        universe: list[str]) -> bool:
+    """Truth of one ground body->head instantiation, existential variables
+    ranging over universe, the sorted working universe of (d, c).
+    Non-classical mode restricts relevant existential variables away from
+    null and, for relevant universal variables, a null value satisfies
+    vacuously."""
     if not classical and any(s[v] == NULL for v in c.univ_vars if v in rel):
         return True
-    if not all(_ground_atom(a, s) in d for a in c.body):
+    if not all(ground_atom(a, s) in d for a in c.body):
         return True
-    universe = sorted(working_universe(d, c))
     nonnull = [c_ for c_ in universe if c_ != NULL]
     for disj in c.head:
         if classical:
@@ -148,7 +173,7 @@ def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
                       for v in disj.exist_vars]
         for combo in product(*ranges):
             full = {**s, **dict(zip(disj.exist_vars, combo))}
-            if all(_ground_atom(a, full) in d for a in disj.atoms) and \
+            if all(ground_atom(a, full) in d for a in disj.atoms) and \
                     all(eval_builtin(b, full, classical)
                         for b in disj.builtins):
                 return True
@@ -160,7 +185,7 @@ def _holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
 def _answers(d: Instance, q: Query, classical: bool) -> frozenset[tuple[str, ...]]:
     rel = () if classical else relevant_vars(q)
     out = set()
-    for s in _join(d, q.atoms, {}):
+    for s in join(d, q.atoms, {}):
         if not all(eval_builtin(b, s, classical) for b in q.builtins):
             continue
         if not classical and any(s[v] == NULL for v in rel):
@@ -181,45 +206,20 @@ def classical_answers(d: Instance, q: Query) -> frozenset[tuple[str, ...]]:
 
 # ------------------------------------------------------ constraint checks
 
-def classical_holds(d: Instance, c: Constraint) -> bool:
-    """Classical satisfaction of c over d, null an ordinary constant."""
-    rel: frozenset[str] = frozenset()
-    for s in _join(d, c.body, {}):
-        full = dict(s)
-        universe = sorted(working_universe(d, c))
-        for v in c.univ_vars:  # variables not bound by the body cannot
-            full.setdefault(v, None)  # occur elsewhere (safety), but be safe
-        if any(v is None for v in full.values()):
-            missing = [v for v, val in full.items() if val is None]
-            sat = all(
-                _holds_instantiation(d, c, {**s, **dict(zip(missing, combo))},
-                                     rel, classical=True)
-                for combo in product(universe, repeat=len(missing)))
-            if not sat:
-                return False
-            continue
-        if not _holds_instantiation(d, c, full, rel, classical=True):
-            return False
-    return True
+def _holds(d: Instance, c: Constraint, rel: frozenset[str],
+           classical: bool) -> bool:
+    universe = sorted(working_universe(d, c))
+    return all(holds_instantiation(d, c, s, rel, classical, universe)
+               for s in instantiations(d, c, universe))
 
 
 def n_holds(d: Instance, c: Constraint) -> bool:
-    """Null-semantics satisfaction via classical evaluation of the
-    rewritten constraint."""
-    return classical_holds(d, n_rewrite_constraint(c))
+    """Null-semantics satisfaction via classical evaluation (null an
+    ordinary constant) of the rewritten constraint."""
+    return _holds(d, n_rewrite_constraint(c), frozenset(), classical=True)
 
 
 def n_holds_direct(d: Instance, c: Constraint) -> bool:
     """Independent second route: direct evaluation with relevant-variable
     quantifier restriction on the unrewritten constraint."""
-    rel = relevant_vars(c)
-    for s in _join(d, c.body, {}):
-        if not _holds_instantiation(d, c, s, rel, classical=False):
-            return False
-    return True
-
-
-# Exported names used by the chase and repair machinery.
-join = _join
-holds_instantiation = _holds_instantiation
-ground_atom = _ground_atom
+    return _holds(d, c, relevant_vars(c), classical=False)

@@ -11,15 +11,14 @@ are then filtered for global minimality under the active preorder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable
 
 from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
                    atom_sort_key)
 from .lang import Constraint, relevant_vars
-from .nullsem import (eval_builtin, ground_atom, holds_instantiation, join,
+from .nullsem import (ground_atom, holds_instantiation, instantiations,
                       n_holds, working_universe)
-from .chase import SigmaSplit, r_chase, split_sigma
+from .chase import SigmaSplit, head_options, r_chase, split_sigma
 
 NULL_BASED = "null"
 SYMMETRIC_DELTA = "delta"
@@ -96,33 +95,15 @@ def _sorted_instances(instances, base) -> tuple[Instance, ...]:
 
 # ----------------------------------------------------- branch search core
 
-def _violations(d: Instance, sigma, universe, classical: bool):
+def _violation(d: Instance, sigma, universe, classical: bool):
+    """The first violated ground instantiation (c, s) in d, or None."""
     for c in sigma:
         rel = relevant_vars(c)
-        for s in join(d, c.body, {}):
-            missing = [v for v in c.univ_vars if v not in s]
-            for combo in product(sorted(universe), repeat=len(missing)):
-                full = {**s, **dict(zip(missing, combo))}
-                if not holds_instantiation(d, c, full, rel, classical):
-                    yield c, full
-
-
-def _insert_options(c: Constraint, s, universe, pool, classical: bool):
-    """Atom sets that satisfy one consequent disjunct of the violated
-    instantiation, with existentials ranging over the universe and every
-    inserted atom drawn from the admissible pool (None = unrestricted)."""
-    for disj in c.head:
-        if not disj.atoms:
-            continue  # builtin-only disjunct cannot be satisfied by inserts
-        for combo in product(sorted(universe), repeat=len(disj.exist_vars)):
-            full = {**s, **dict(zip(disj.exist_vars, combo))}
-            if not all(eval_builtin(b, full, classical)
-                       for b in disj.builtins):
-                continue
-            atoms = frozenset(ground_atom(a, full) for a in disj.atoms)
-            if pool is not None and not atoms <= pool:
-                continue
-            yield atoms
+        wu = sorted(working_universe(d, c))
+        for s in instantiations(d, c, universe):
+            if not holds_instantiation(d, c, s, rel, classical, wu):
+                return c, s
+    return None
 
 
 def _branch_search(base: Instance, sigma, universe, pool,
@@ -141,7 +122,7 @@ def _branch_search(base: Instance, sigma, universe, pool,
     while stack:
         state = stack.pop()
         inst = Instance(state, schema)
-        viol = next(iter(_violations(inst, sigma, universe, classical)), None)
+        viol = _violation(inst, sigma, universe, classical)
         if viol is None:
             found.append(inst)
             continue
@@ -152,7 +133,7 @@ def _branch_search(base: Instance, sigma, universe, pool,
             if ga.pred not in frozen_preds and ga not in frozen_atoms \
                     and ga in state:
                 nexts.append(state - {ga})
-        for atoms in _insert_options(c, s, universe, pool, classical):
+        for atoms in head_options(c, s, universe, pool, classical):
             if any(a.pred in frozen_preds for a in atoms - state):
                 continue
             if atoms - state:
@@ -188,10 +169,7 @@ def null_repairs(base: Instance, sigma,
     split = split_sigma(sigma)
     chased = r_chase(base, split)
     bound = chased.atoms
-    universe = set()
-    for c in sigma:
-        universe |= working_universe(chased, c)
-    universe |= {NULL}
+    universe = sorted(working_universe(chased, *sigma))
     frozen = frozenset(frozen_preds)
     cands = _branch_search(Instance(base.atoms, chased.schema), sigma,
                            universe, bound, frozen, classical=False, cap=cap,
@@ -202,20 +180,15 @@ def null_repairs(base: Instance, sigma,
 
 def delta_repairs(base: Instance, sigma,
                   frozen_preds: Iterable[str] = (),
-                  classical: bool = True,
-                  universe: Iterable[str] | None = None,
                   cap: int = DEFAULT_CAP,
                   frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Repairs minimal under set inclusion of the symmetric difference;
     insertions range over the working universe."""
     sigma = tuple(sigma)
-    uni = set(universe) if universe is not None else set()
-    if universe is None:
-        for c in sigma:
-            uni |= working_universe(base, c)
+    universe = sorted(working_universe(base, *sigma))
     frozen = frozenset(frozen_preds)
-    cands = _branch_search(base, sigma, uni, None, frozen,
-                           classical=classical, cap=cap,
+    cands = _branch_search(base, sigma, universe, None, frozen,
+                           classical=True, cap=cap,
                            frozen_atoms=frozenset(frozen_atoms))
     minimal = _minimal(cands, lambda c, r: delta_lt(c, r, base))
     return RepairSet(_sorted_instances(minimal, base), base, sigma)

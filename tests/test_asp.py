@@ -148,11 +148,6 @@ class TestEmitAndParse:
         _, _, p2 = program_for("ex_6_2.pdes", "P1")
         assert emit_text(p1) == emit_text(p2)
 
-    def test_alternate_disjunction_symbol(self):
-        _, _, prog = program_for("ex_6_2.pdes", "P1")
-        text = emit_text(prog, disjunction="v")
-        assert " v " in text and " | " not in text
-
 
 class TestAnswersThroughPrograms:
     def test_three_peer_chain(self):

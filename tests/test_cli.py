@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from pdes.cli import main
+from pdes.core import SchemaError
 
-from conftest import GOLDEN, fixture_path
+from conftest import FIXTURES, GOLDEN, fixture_path, load
 
 # (golden file, CLI arguments)
 GOLDEN_CASES = [
@@ -108,6 +109,28 @@ class TestExitCodes:
                       env_extra={"PDES_CAP": "2"})
         assert res.returncode == 3
 
+    def test_bad_cap_in_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("PDES_CAP", "abc")
+        code = main(["check", fixture_path("ex_6_1.pdes")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: PDES_CAP must be an integer, not 'abc'\n"
+
+    def test_unsafe_query_in_file_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "unsafe.pdes"
+        bad.write_text("peer P1 : R/2\nquery P1 : R(x,y), z = x\n")
+        code = main(["check", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("parse error: line 2: variable 'z' not bound")
+
+    def test_unsafe_query_option_is_refused(self, capsys):
+        code = main(["pca", fixture_path("ex_1_1.pdes"), "--peer", "P1",
+                     "--query", "R1(x,y,z), w = x"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad query: variable 'w' not bound")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("golden,args", GOLDEN_CASES[:6],
@@ -131,3 +154,30 @@ def test_cli_imports_only_the_standard_library():
                and m.split(".")[0] not in sys.stdlib_module_names]
     assert "pdes.cli" in added
     assert foreign == []
+
+
+SUBCOMMANDS = (["chase"], ["repairs"], ["ns"], ["solutions"], ["core"],
+               ["pca"], ["import-solve"], ["asp", "emit"], ["asp", "solve"])
+
+
+def test_no_traceback_on_any_fixture(capsys):
+    """Every subcommand on every fixture and peer ends in a documented
+    exit code; no exception escapes main."""
+    bad = []
+    for name in sorted(os.listdir(FIXTURES)):
+        path = fixture_path(name)
+        try:
+            peers = sorted(load(name).system.peers)
+        except SchemaError:  # refused at load time, whatever the peer
+            peers = ["P1"]
+        argvs = [["check", path]] + [cmd + [path, "--peer", p]
+                                     for cmd in SUBCOMMANDS for p in peers]
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except Exception as e:  # any escape is a failure
+                code = "%s: %s" % (type(e).__name__, e)
+            capsys.readouterr()
+            if code not in (0, 1, 2, 3):
+                bad.append((name, argv, code))
+    assert bad == []

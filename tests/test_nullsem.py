@@ -123,6 +123,7 @@ REWRITE_SOUNDNESS_CONSTRAINTS = [
     "forall x,y : R(x,y) -> exists z : R(y,z)",
     "forall x,y : R(x,y), R(y,x) -> false",
     "forall x,y : R(x,y) -> x = y or isnull(x)",
+    "forall x,y : R(x,x) -> R(x,y)",
 ]
 
 
