@@ -109,6 +109,8 @@ class Schema:
 class Instance:
     atoms: frozenset[Atom]
     schema: Schema
+    _by_pred: dict[str, tuple[Atom, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.atoms))
@@ -133,8 +135,13 @@ class Instance:
     def without_atoms(self, gone: Iterable[Atom]) -> "Instance":
         return Instance(self.atoms - set(gone), self.schema)
 
-    def by_pred(self, pred: str) -> list[Atom]:
-        return sorted((a for a in self.atoms if a.pred == pred), key=atom_sort_key)
+    def by_pred(self, pred: str) -> tuple[Atom, ...]:
+        """The atoms of pred, sorted; computed once per predicate."""
+        got = self._by_pred.get(pred)
+        if got is None:
+            got = self._by_pred[pred] = tuple(sorted(
+                (a for a in self.atoms if a.pred == pred), key=atom_sort_key))
+        return got
 
 
 def instance(atoms: Iterable[Atom], schema: Schema) -> Instance:

@@ -164,11 +164,13 @@ def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
         return True
     if not all(ground_atom(a, s) in d for a in c.body):
         return True
-    nonnull = [c_ for c_ in universe if c_ != NULL]
+    nonnull = None
     for disj in c.head:
-        if classical:
+        if classical or rel.isdisjoint(disj.exist_vars):
             ranges = [universe] * len(disj.exist_vars)
         else:
+            if nonnull is None:
+                nonnull = [c_ for c_ in universe if c_ != NULL]
             ranges = [nonnull if v in rel else universe
                       for v in disj.exist_vars]
         for combo in product(*ranges):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from pdes import repair
 from pdes.asp import asp_solutions, build_solution_program, ground, \
     pca_via_asp, stable_models
 from pdes.chase import r_chase, split_sigma
@@ -353,18 +354,22 @@ def test_10_import_solutions_and_scaling():
     assert len(res13.solutions) == 2
 
 
-def _chain_system(n_facts: int):
-    sysm = PdesSchema(
-        peers=frozenset({"P1", "P2"}),
-        schemas={"P1": Schema({"R1": 2}, {"R1": "P1"}),
-                 "P2": Schema({"R2": 2}, {"R2": "P2"})},
-        sigma={("P1", "P2"): (parse_constraint(
-            "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)"),)},
-        trust=frozenset({("P1", "less", "P2")}))
-    facts = {Atom("R2", ("c%d" % i, str(i))) for i in range(n_facts)}
+def _chain_system(n_facts: int, n_peers: int = 2):
+    """P1 -less-> P2 -less-> ... Pk with copy rules and the facts at Pk."""
+    peers = ["P%d" % i for i in range(1, n_peers + 1)]
+    schemas = {p: Schema({"R" + p[1:]: 2}, {"R" + p[1:]: p}) for p in peers}
+    sigma = {(p, q): (parse_constraint(
+        "dec %s %s : forall x,y : R%s(x,y) -> R%s(x,y)"
+        % (p, q, q[1:], p[1:])),) for p, q in zip(peers, peers[1:])}
+    trust = frozenset((p, "less", q) for p, q in zip(peers, peers[1:]))
+    sysm = PdesSchema(peers=frozenset(peers), schemas=schemas, sigma=sigma,
+                      trust=trust)
+    last = peers[-1]
+    facts = {Atom("R" + last[1:], ("c%d" % i, str(i)))
+             for i in range(n_facts)}
     inst = PdesInstance(sysm, {
-        "P1": Instance(set(), sysm.schemas["P1"]),
-        "P2": Instance(facts, sysm.schemas["P2"])})
+        p: Instance(facts if p == last else set(), schemas[p])
+        for p in peers})
     return sysm, inst
 
 
@@ -384,6 +389,34 @@ def test_10_import_fixpoint_scales_at_most_quadratically():
     ratio = times[200] / max(times[10], 1e-4)
     assert ratio < (200 / 10) ** 2 * 4, times
     assert sum(times.values()) < 5.0, times
+
+
+def test_10_copy_chain_checks_grow_linearly(monkeypatch):
+    """On a copy chain every copy is forced, so each peer's repair search
+    inserts them all in one batch and rescans once, not once per copy."""
+    checks = []
+    real = repair.holds_instantiation
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "holds_instantiation", counted)
+    counts = {}
+    for n in (40, 160):
+        sysm, inst = _chain_system(n, n_peers=3)
+        checks.clear()
+        res = solutions(sysm, "P1", inst)
+        assert len(res.solutions) == 1 and len(res.core) == n
+        counts[n] = len(checks)
+    assert counts[160] / counts[40] <= 5, counts
+
+
+def test_10_copy_chain_fits_a_small_cap():
+    # each peer's search holds its start state and one batched child
+    sysm, inst = _chain_system(160, n_peers=3)
+    res = solutions(sysm, "P1", inst, cap=8)
+    assert len(res.solutions) == 1 and len(res.core) == 160
 
 
 # 11 --------------------------------------------------------------------

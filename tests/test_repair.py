@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pdes.core import NULL, Atom, Instance, Schema, atom
+from pdes.core import NULL, Atom, CapExceeded, Instance, Schema, atom
 from pdes.chase import split_sigma
 from pdes.lang import parse_constraint
 from pdes.nullsem import n_holds
@@ -111,18 +111,23 @@ class TestDeltaRepairs:
         assert all(keep in r.atoms for r in rs.repairs)
 
 
-def _random_case(rng):
-    schema = Schema({"T": 2, "S": 2})
+_SHAPES = ("forall x,y,z : T(x,y), T(x,z) -> y = z",
+           "forall x,y : T(x,y), S(x,y) -> false",
+           "forall x,y : T(x,y) -> S(x,y)",
+           "forall x,y : S(x,y) -> exists z : T(x,z)")
+# copies out of U, which the frozen cross-check may freeze
+_COPY_SHAPES = ("forall x,y : U(x,y) -> S(x,y)",
+                "forall x,y : U(x,y) -> exists z : T(x,z)")
+
+
+def _random_case(rng, preds="TS", shapes=_SHAPES):
+    schema = Schema({p: 2 for p in preds})
     dom = ["a", "b", "c", NULL]
-    atoms = {Atom(rng.choice(["T", "S"]),
+    atoms = {Atom(rng.choice(preds),
                   (rng.choice(dom), rng.choice(dom)))
              for _ in range(rng.randint(0, 4))}
-    sigma = tuple(parse_constraint(t) for t in rng.sample((
-        "forall x,y,z : T(x,y), T(x,z) -> y = z",
-        "forall x,y : T(x,y), S(x,y) -> false",
-        "forall x,y : T(x,y) -> S(x,y)",
-        "forall x,y : S(x,y) -> exists z : T(x,z)"),
-        rng.randint(1, 2)))
+    sigma = tuple(parse_constraint(t)
+                  for t in rng.sample(shapes, rng.randint(1, 2)))
     return Instance(atoms, schema), sigma
 
 
@@ -136,6 +141,42 @@ class TestOracleCrossCheck:
             assert {r.atoms for r in got.repairs} == \
                 {r.atoms for r in want.repairs}, \
                 (sorted(map(str, base)), [str(c) for c in sigma])
+
+    def test_branch_search_matches_frozen_aware_oracle(self):
+        rng = random.Random(777)
+        for _ in range(200):
+            base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
+            preds = [p for p in "TSU" if rng.random() < 0.4]
+            pinned = [a for a in base if rng.random() < 0.3]
+            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
+            want = exhaustive_null_repairs(base, sigma, preds,
+                                           frozen_atoms=pinned)
+            assert {r.atoms for r in got.repairs} == \
+                {r.atoms for r in want.repairs}, \
+                (sorted(map(str, base)), [str(c) for c in sigma], preds,
+                 list(map(str, pinned)))
+
+    def test_oracle_keeps_frozen_atoms(self):
+        schema = Schema({"T": 2, "U": 2})
+        base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),
+                         atom("U", "b", "c")}, schema)
+        sigma = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),
+                 parse_constraint("forall x,y : U(x,y) -> T(x,y)"))
+        keep = atom("T", "a", "c")
+        rs = exhaustive_null_repairs(base, sigma, ["U"], frozen_atoms=[keep])
+        assert [r.atoms for r in rs.repairs] == [frozenset({
+            keep, atom("U", "b", "c"), atom("T", "b", "c")})]
+
+
+class TestSearchCap:
+    SIGMA = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),)
+    BASE = Instance({atom("T", k, v) for k in "abcd" for v in "01"},
+                    Schema({"T": 2}))
+
+    def test_fd_over_four_keys_exceeds_a_small_cap(self):
+        with pytest.raises(CapExceeded):
+            null_repairs(self.BASE, self.SIGMA, cap=8)
+        assert len(null_repairs(self.BASE, self.SIGMA).repairs) == 16
 
 
 class TestClosenessPreorder:
