@@ -12,6 +12,14 @@ Grounding partially evaluates the fixed part: plain atoms and the
 ``fs`` rule is never materialized), leaving a small ground program over
 ``ta``/``fa``/aux atoms. Stable models are enumerated by brute force
 over that decision layer and checked via the reduct.
+
+The ``!= null`` guards encode the null semantics, so only systems under
+the null-based preorder get a program. ``asp_solutions`` is a local
+solver of the one peer recursion (``system._solve``): it reads each
+stable model's neighborhood instance, drops those strictly farther from
+dbar under the closeness preorder than another, and restricts the rest
+to the peer's schema. ``pca_via_asp`` solves every peer it reaches
+through that peer's own program.
 """
 
 from __future__ import annotations
@@ -21,13 +29,13 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
-                   SchemaError, active_domain)
+                   SchemaError, active_domain, restrict)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, relevant_vars, term_vars)
-from .nullsem import eval_builtin, n_answers
-from .repair import closer_lt
+from .nullsem import eval_builtin
+from .repair import NULL_BASED, closer_lt
 from .chase import r_chase, split_sigma
-from .system import (PdesInstance, PdesSchema, PcaResult, core_instance,
+from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
                      inc_atom, INC_PREFIX, LESS, SAME)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
@@ -94,8 +102,12 @@ def _guards(vars_: Iterable[str]) -> list[Builtin]:
 def build_solution_program(system: PdesSchema, p: str,
                            dbar: Instance) -> LogicProgram:
     """The solution program for p over a neighborhood instance whose
-    restriction to p's schema is p's local data."""
+    restriction to p's schema is p's local data. Its ``!= null`` guards
+    encode the null-based preorder, so delta systems are refused."""
     system._check_peer(p)
+    if system.preorder != NULL_BASED:
+        raise SchemaError("solution programs encode the null-based "
+                          "preorder, not preorder %s" % system.preorder)
     own = frozenset(system.schemas[p].preds())
     changeable = set(own)
     for q in system.strict_neighbors(p):
@@ -233,14 +245,11 @@ def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
 
 # -------------------------------------------------------------- grounding
 
-def ground(prog: LogicProgram,
-           universe: Iterable[str] | None = None) -> tuple[GroundRule, ...]:
+def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
     """Ground instantiations of the decision-layer rules, with builtins
     and fact-determined literals pre-evaluated away."""
-    uni = sorted(set(universe) if universe is not None
-                 else active_domain(Instance(
-                     {a for a in prog.facts if a.pred != "dom"},
-                     prog.schema)) | {NULL})
+    uni = sorted(active_domain(Instance(
+        {a for a in prog.facts if a.pred != "dom"}, prog.schema)) | {NULL})
     out: list[GroundRule] = []
     seen: set[GroundRule] = set()
     for r in prog.rules:
@@ -365,43 +374,10 @@ def _is_stable(rules, m: frozenset[Atom]) -> bool:
 
 # ------------------------------------------------------------- extraction
 
-def complete_model(prog: LogicProgram,
-                   m: frozenset[Atom]) -> frozenset[Atom]:
-    """Add the derived t*/f*/t** annotations (the closed-world f* facts
-    stay implicit) to a decision-layer stable model."""
-    out = set(m) | set(prog.facts)
-    for a in sorted(prog.facts):
-        if a.pred in prog.changeable:
-            out.add(_nick(a.pred, a.args, TS))
-    for a in m:
-        if not a.pred.endswith("_"):
-            continue
-        base, ann = a.pred[:-1], a.args[-1]
-        if ann == TA:
-            out.add(_nick(base, a.args[:-1], TS))
-        if ann == FA:
-            out.add(_nick(base, a.args[:-1], FS))
-    for a in list(out):
-        if a.pred.endswith("_") and a.args[-1] == TS:
-            base, args = a.pred[:-1], a.args[:-1]
-            if base in prog.own_preds and \
-                    _nick(base, args, FA) not in m:
-                out.add(_nick(base, args, TSS))
-    return frozenset(out)
-
-
-def extract_instance(prog: LogicProgram, m: frozenset[Atom]) -> Instance:
-    """The database instance a stable model assigns to the peer: its own
-    atoms that were or became true and were not deleted."""
-    full = complete_model(prog, m)
-    atoms = {Atom(a.pred[:-1], a.args[:-1])
-             for a in full if a.pred.endswith("_") and a.args[-1] == TSS}
-    own = {p: prog.schema.arity(p) for p in prog.own_preds}
-    return Instance(atoms, Schema(own))
-
-
 def _extract_neighborhood(prog: LogicProgram,
                           m: frozenset[Atom]) -> Instance:
+    """The neighborhood instance a stable model assigns: the facts it
+    does not delete plus the atoms it inserts."""
     atoms = set()
     for a in prog.facts:
         if a.pred == "dom" or a.pred.startswith(INC_PREFIX):
@@ -414,50 +390,42 @@ def _extract_neighborhood(prog: LogicProgram,
     return Instance(atoms, prog.schema)
 
 
-def _minimal_models(prog: LogicProgram, system: PdesSchema, p: str,
-                    dbar: Instance, models) -> tuple:
-    """Drop models whose full-neighborhood extraction is strictly farther
-    from dbar than another model's; the program alone may keep such
-    non-minimal candidates (e.g. with ref-cycles, or when a deletion
-    re-opens an existential obligation)."""
-    split = split_sigma(system.sigma_of(p))
-    bound = r_chase(dbar, split).atoms
-    full = [_extract_neighborhood(prog, m) for m in models]
-    return tuple(m for i, m in enumerate(models)
-                 if not any(j != i and closer_lt(full[j], full[i], dbar,
-                                                 split, bound)
-                            for j in range(len(models))))
+def extract_instance(prog: LogicProgram, m: frozenset[Atom]) -> Instance:
+    """The database instance a stable model assigns to the peer: its own
+    atoms that were or became true and were not deleted."""
+    return restrict(_extract_neighborhood(prog, m), prog.own_preds)
 
 
 def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
-                  cap: int = DEFAULT_CAP,
-                  post_filter: bool = True) -> tuple[Instance, ...]:
-    """Solutions of p computed through the stable models of its program;
-    post_filter re-checks closeness minimality across models."""
+                  cap: int = DEFAULT_CAP) -> tuple[Instance, ...]:
+    """p's local solver through the stable models of its program. The
+    program alone may keep non-minimal candidates (with ref-cycles, or
+    when a deletion re-opens an existential obligation), so extractions
+    strictly farther from dbar than another are dropped before the rest
+    are restricted to p's schema."""
     prog = build_solution_program(system, p, dbar)
-    models = stable_models(ground(prog), cap=cap)
-    if post_filter:
-        models = _minimal_models(prog, system, p, dbar, models)
-    seen: dict[frozenset[Atom], Instance] = {}
-    for m in models:
-        inst = extract_instance(prog, m)
-        seen.setdefault(inst.atoms, inst)
-    return tuple(sorted(seen.values(),
+    full: dict[frozenset[Atom], Instance] = {}
+    for m in stable_models(ground(prog), cap=cap):
+        inst = _extract_neighborhood(prog, m)
+        full.setdefault(inst.atoms, inst)
+    split = split_sigma(system.sigma_of(p))
+    bound = r_chase(dbar, split).atoms
+    cands = list(full.values())
+    kept: dict[frozenset[Atom], Instance] = {}
+    for d in cands:
+        if not any(e is not d and closer_lt(e, d, dbar, split, bound)
+                   for e in cands):
+            inst = restrict(d, prog.own_preds)
+            kept.setdefault(inst.atoms, inst)
+    return tuple(sorted(kept.values(),
                         key=lambda i: sorted(map(str, i.atoms))))
 
 
 def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance, q: Query,
                 cap: int = DEFAULT_CAP) -> PcaResult:
-    """Certain answers over the stable-model solutions, with neighbor
-    cores gathered through the general recursion."""
-    dbar = core_instance(system, p, d, cap)
-    prog = build_solution_program(system, p, dbar)
-    models = stable_models(ground(prog), cap=cap)
-    if not models:
-        return PcaResult(p, frozenset(), True)
-    models = _minimal_models(prog, system, p, dbar, models)
-    per = [n_answers(extract_instance(prog, m), q) for m in models]
-    return PcaResult(p, frozenset.intersection(*per), False)
+    """Certain answers over p's solutions, every peer p reaches solved
+    through its own solution program."""
+    return _certain_answers(system, p, d, q, asp_solutions, cap)
 
 
 # ----------------------------------------------------------------- emitter

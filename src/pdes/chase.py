@@ -30,10 +30,6 @@ class SigmaSplit:
     def enforced(self) -> tuple[Constraint, ...]:
         return self.sigma1 + self.sigma2_minus
 
-    @property
-    def all(self) -> tuple[Constraint, ...]:
-        return self.sigma1 + self.sigma2_minus + self.excluded
-
 
 def has_problematic_existential(c: Constraint) -> bool:
     """True when some existential variable occurs in a join (>= 2 database

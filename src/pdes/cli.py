@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
-a bad --query or cap, non-import systems passed to import-solve), 2 parse
-error in the definition file, 3 candidate cap exceeded. The candidate cap comes from --cap or the PDES_CAP
-environment variable. Output is canonically ordered and deterministic.
+a bad --query or cap, non-import systems passed to import-solve, systems
+or constraints that no solution program encodes), 2 parse error in the
+definition file, 3 candidate cap exceeded. The candidate cap comes from
+--cap or the PDES_CAP environment variable. Output is canonically
+ordered and deterministic.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ class Refusal(Exception):
 
 def _instance_lines(inst: Instance) -> list[str]:
     return [str(a) for a in sorted(inst.atoms, key=atom_sort_key)]
+
+
+def _numbered(label: str, groups: list[list[str]]) -> list[str]:
+    """`label N:` above each group's lines, indented, N from 1."""
+    lines = []
+    for i, g in enumerate(groups, 1):
+        lines.append("%s %d:" % (label, i))
+        lines += ["  " + s for s in g]
+    return lines
 
 
 def _neighborhood_instance(defn: Definition, p: str) -> Instance:
@@ -98,11 +109,8 @@ def _cmd_repairs(defn: Definition, args, cap: int) -> int:
     else:
         rs = delta_repairs(base, local, cap=cap)
     groups = [_instance_lines(r) for r in rs.repairs]
-    lines = []
-    for i, g in enumerate(groups, 1):
-        lines.append("repair %d:" % i)
-        lines += ["  " + s for s in g]
-    _emit({"peer": args.peer, "repairs": groups}, lines, args.format)
+    _emit({"peer": args.peer, "repairs": groups},
+          _numbered("repair", groups), args.format)
     return EXIT_OK
 
 
@@ -110,10 +118,7 @@ def _cmd_ns(defn: Definition, args, cap: int) -> int:
     dbar = _neighborhood_instance(defn, args.peer)
     ns = neighborhood_solutions(defn.system, args.peer, dbar, cap=cap)
     groups = [_instance_lines(s) for s in ns]
-    lines = []
-    for i, g in enumerate(groups, 1):
-        lines.append("neighborhood solution %d:" % i)
-        lines += ["  " + s for s in g]
+    lines = _numbered("neighborhood solution", groups)
     if not groups:
         lines.append("no neighborhood solutions")
     _emit({"peer": args.peer, "neighborhood_solutions": groups}, lines,
@@ -127,13 +132,9 @@ def _solution_lines(res) -> tuple[dict, list[str]]:
                  "inconsistent": True},
                 ["inconsistent: %s" % str(inc_atom(res.peer))])
     groups = [_instance_lines(s) for s in res.solutions]
-    lines = []
-    for i, g in enumerate(groups, 1):
-        lines.append("solution %d:" % i)
-        lines += ["  " + s for s in g]
     return ({"peer": res.peer, "solutions": groups,
              "core": _instance_lines(res.core), "inconsistent": False},
-            lines)
+            _numbered("solution", groups))
 
 
 def _cmd_solutions(defn: Definition, args, cap: int) -> int:
@@ -219,17 +220,11 @@ def _cmd_asp(defn: Definition, args, cap: int) -> int:
     model_groups = [sorted(map(str, m)) for m in models]
     insts = asp_solutions(defn.system, args.peer, dbar, cap=cap)
     sol_groups = [_instance_lines(i) for i in insts]
-    lines = []
-    for w in prog.warnings:
-        lines.append("warning: " + w)
-    for i, g in enumerate(model_groups, 1):
-        lines.append("model %d:" % i)
-        lines += ["  " + s for s in g]
+    lines = ["warning: " + w for w in prog.warnings]
+    lines += _numbered("model", model_groups)
     if not model_groups:
         lines.append("no stable models")
-    for i, g in enumerate(sol_groups, 1):
-        lines.append("solution %d:" % i)
-        lines += ["  " + s for s in g]
+    lines += _numbered("solution", sol_groups)
     _emit({"peer": args.peer, "models": model_groups,
            "solutions": sol_groups, "warnings": list(prog.warnings)},
           lines, args.format)

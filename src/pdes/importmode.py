@@ -112,12 +112,6 @@ class DatalogRule:
     guards: tuple[Builtin, ...]
     escapes: tuple[Builtin, ...]
 
-    def __str__(self) -> str:
-        parts = [str(a) for a in self.body]
-        parts += [str(b) for b in self.guards]
-        parts += ["not %s" % b for b in self.escapes]
-        return "%s <- %s" % (self.head, ", ".join(parts))
-
 
 @dataclass(frozen=True)
 class DatalogProgram:

@@ -176,35 +176,6 @@ def relevant_vars(f: Constraint | Query) -> frozenset[str]:
     return frozenset(v for v, n in counts.items() if n >= 2)
 
 
-def _appearance_order(f) -> list[str]:
-    """All variables in first-appearance order (declaration prefix first)."""
-    seen: list[str] = []
-
-    def note(vs):
-        for v in vs:
-            if v not in seen:
-                seen.append(v)
-
-    if isinstance(f, Query):
-        note(f.free_vars)
-        note(f.exist_vars)
-        for a in f.atoms:
-            note(term_vars(a.terms))
-        for b in f.builtins:
-            note(term_vars(b.terms))
-    else:
-        note(f.univ_vars)
-        for a in f.body:
-            note(term_vars(a.terms))
-        for d in f.head:
-            note(d.exist_vars)
-            for a in d.atoms:
-                note(term_vars(a.terms))
-            for b in d.builtins:
-                note(term_vars(b.terms))
-    return seen
-
-
 # ------------------------------------------------------------- rewriting
 
 def n_rewrite_constraint(c: Constraint) -> Constraint:
@@ -214,10 +185,9 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
     every relevant universal variable, and every existential disjunct
     guards its relevant existential variables with isnotnull."""
     rel = relevant_vars(c)
-    order = _appearance_order(c)
     guards = tuple(
         Disjunct((), (), (Builtin("isnull", (Var(v),)),))
-        for v in order if v in rel and v in c.univ_vars)
+        for v in dict.fromkeys(c.univ_vars) if v in rel)
     new_head = []
     for d in c.head:
         extra = tuple(Builtin("isnotnull", (Var(w),))
@@ -227,11 +197,12 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
 
 
 def n_rewrite_query(q: Query) -> Query:
-    """Append v != null for every relevant variable of the query."""
+    """Append v != null for every relevant variable of the query, in
+    declaration order (free variables first)."""
     rel = relevant_vars(q)
-    order = _appearance_order(q)
     extra = tuple(Builtin("neq", (Var(v), Cst(NULL)))
-                  for v in order if v in rel)
+                  for v in dict.fromkeys(q.free_vars + q.exist_vars)
+                  if v in rel)
     return replace(q, builtins=q.builtins + extra)
 
 

@@ -109,8 +109,6 @@ def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
 @dataclass(frozen=True)
 class RepairSet:
     repairs: tuple[Instance, ...]
-    base: Instance
-    sigma: tuple[Constraint, ...]
 
 
 def _sorted_instances(instances, base) -> tuple[Instance, ...]:
@@ -237,7 +235,7 @@ def null_repairs(base: Instance, sigma,
                            frozen_atoms=frozenset(frozen_atoms))
     minimal = _minimal(cands, lambda d: _closeness_profile(d, base, bound),
                        _profile_lt)
-    return RepairSet(_sorted_instances(minimal, base), base, sigma)
+    return RepairSet(_sorted_instances(minimal, base))
 
 
 def delta_repairs(base: Instance, sigma,
@@ -253,7 +251,7 @@ def delta_repairs(base: Instance, sigma,
                            classical=True, cap=cap,
                            frozen_atoms=frozenset(frozen_atoms))
     minimal = _minimal(cands, lambda d: base.atoms ^ d.atoms, operator.lt)
-    return RepairSet(_sorted_instances(minimal, base), base, sigma)
+    return RepairSet(_sorted_instances(minimal, base))
 
 
 # ------------------------------------------------- exhaustive oracle
@@ -285,4 +283,4 @@ def exhaustive_null_repairs(base: Instance, sigma,
             sat.append(inst)
     minimal = _minimal(sat, lambda d: _closeness_profile(d, base, chased.atoms),
                        _profile_lt)
-    return RepairSet(_sorted_instances(minimal, base), base, sigma)
+    return RepairSet(_sorted_instances(minimal, base))

@@ -298,13 +298,18 @@ def peer_consistent_answers(system: PdesSchema, p: str, d: PdesInstance,
                             cap: int = DEFAULT_CAP) -> PcaResult:
     """Tuples that answer q in every solution instance of p; a Boolean
     query certainly holds iff its empty tuple survives."""
+    return _certain_answers(system, p, d, q, neighborhood_solutions, cap)
+
+
+def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
+                     local: LocalSolver, cap: int) -> PcaResult:
+    """Certain answers to q over p's solutions through ``local``, or p's
+    marker when it has none; q's predicates are checked first."""
     system._check_peer(p)
-    own = set(system.schemas[p].preds())
-    used = {a.pred for a in q.atoms}
-    if not used <= own:
+    if not {a.pred for a in q.atoms} <= set(system.schemas[p].preds()):
         raise SchemaError("query uses predicates outside the schema of %r"
                           % p)
-    res = solutions(system, p, d, cap=cap)
+    res = _solve(system, p, d, local, cap, {})
     if res.inconsistent:
         return PcaResult(p, frozenset(), True)
     eval_q = n_answers if system.preorder == NULL_BASED else classical_answers

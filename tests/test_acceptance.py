@@ -13,16 +13,17 @@ from pdes import repair
 from pdes.asp import asp_solutions, build_solution_program, ground, \
     pca_via_asp, stable_models
 from pdes.chase import r_chase, split_sigma
-from pdes.core import NULL, Atom, Instance, Schema, atom
+from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
+                       SchemaError, atom)
 from pdes.importmode import import_solve, restricted_import_solve
 from pdes.lang import parse_constraint, parse_query
 from pdes.nullsem import n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
-from pdes.system import (PdesInstance, PdesSchema, inc_atom,
+from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import GOLDEN, fixture_path, load
+from conftest import FIXTURES, GOLDEN, fixture_path, load
 
 
 def atoms_of(inst) -> frozenset[str]:
@@ -460,27 +461,47 @@ def _random_system(rng):
     return sysm, PdesInstance(sysm, data)
 
 
+_ASP_UNSUPPORTED = {("ex_5_2.pdes", "P"), ("ex_5_4.pdes", "P"),
+                    ("ex_5_6.pdes", "P1")}
+
+
+def _asp_route(system, p, inst):
+    return _solve(system, p, inst, asp_solutions, DEFAULT_CAP, {})
+
+
 def test_11_programs_agree_with_direct_solver():
-    # The minimality post-filter is part of the pipeline: the programs
-    # alone may admit extra models when a deletion re-opens an
+    # Every peer is solved through its own program, its neighbors too.
+    # The minimality filter in asp_solutions is part of the route: the
+    # programs alone may admit extra models when a deletion re-opens an
     # existential obligation that a null witness then satisfies.
     rng = random.Random(11)
+    compared = refused = 0
     with Stopwatch() as sw:
-        for name, p in (("ex_6_1.pdes", "P1"), ("ex_6_2.pdes", "P1"),
-                        ("ex_6_5.pdes", "P1")):
+        for name in sorted(os.listdir(FIXTURES)):
+            if name == "cyclic_graph.pdes":  # refused at load: a cycle
+                continue
             defn = load(name)
-            dbar = core_neighborhood(defn.system, p, defn.instance)
-            want = solution_sets(
-                solutions(defn.system, p, defn.instance).solutions)
-            have = solution_sets(
-                asp_solutions(defn.system, p, dbar, post_filter=True))
-            assert want == have, name
+            sysm, inst = defn.system, defn.instance
+            for p in sorted(sysm.peers):
+                # unsupported shapes, and the delta preorder, which the
+                # programs' != null guards cannot encode
+                if (name, p) in _ASP_UNSUPPORTED or (
+                        sysm.preorder == "delta" and sysm.sigma_of(p)):
+                    with pytest.raises(SchemaError):
+                        _asp_route(sysm, p, inst)
+                    refused += 1
+                    continue
+                want = solution_sets(solutions(sysm, p, inst).solutions)
+                got = solution_sets(_asp_route(sysm, p, inst).solutions)
+                assert want == got, (name, p)
+                compared += 1
         for trial in range(200):
             sysm, inst = _random_system(rng)
-            res = solutions(sysm, "P1", inst)
-            dbar = core_neighborhood(sysm, "P1", inst)
-            got = asp_solutions(sysm, "P1", dbar, post_filter=True)
-            assert solution_sets(res.solutions) == solution_sets(got), trial
+            for p in sorted(sysm.peers):
+                want = solution_sets(solutions(sysm, p, inst).solutions)
+                got = solution_sets(_asp_route(sysm, p, inst).solutions)
+                assert want == got, (trial, p)
+    assert (compared, refused) == (34, 9)
     assert sw.elapsed < 300.0
 
 
@@ -508,7 +529,7 @@ def test_13_reference_cycles_and_post_filter():
     prog = build_solution_program(defn.system, "P1", dbar)
     assert prog.warnings
     assert len(stable_models(ground(prog))) == 2
-    filtered = asp_solutions(defn.system, "P1", dbar, post_filter=True)
+    filtered = asp_solutions(defn.system, "P1", dbar)
     assert solution_sets(filtered) == {frozenset({"R1(a,b)"})}
 
     defn = load("cyclic_less.pdes")

@@ -2,12 +2,14 @@
 
 import pytest
 
-from pdes.asp import (FA, TA, TSS, asp_solutions, build_solution_program,
-                      complete_model, emit_text, extract_instance, ground,
+from pdes.asp import (TA, asp_solutions, build_solution_program,
+                      emit_text, extract_instance, ground,
                       parse_program_text, pca_via_asp, stable_models)
 from pdes.core import Atom, CapExceeded, Instance, SchemaError, atom
+from pdes.deffile import parse_definition
 from pdes.lang import parse_constraint
-from pdes.system import PdesSchema, inc_atom, solutions
+from pdes.system import (PdesSchema, inc_atom, peer_consistent_answers,
+                         solutions)
 
 from conftest import load
 
@@ -47,12 +49,6 @@ class TestCopyConstraintProgram:
         models = stable_models(ground(self.prog))
         inst = extract_instance(self.prog, models[0])
         assert set(map(str, inst.atoms)) == {"R1(a,2)", "R1(d,5)"}
-
-    def test_completion_adds_definitional_layer(self):
-        models = stable_models(ground(self.prog))
-        full = complete_model(self.prog, models[0])
-        assert Atom("R1_", ("a", "2", TSS)) in full
-        assert Atom("R1_", ("d", "5", TSS)) in full
 
 
 class TestInconsistencyMarker:
@@ -120,8 +116,7 @@ class TestReferenceCycles:
         assert prog.warnings
         models = stable_models(ground(prog))
         assert len(models) == 2
-        raw = solution_sets(
-            asp_solutions(defn.system, "P1", dbar, post_filter=False))
+        raw = solution_sets(extract_instance(prog, m) for m in models)
         assert raw == {frozenset({"R1(a,b)"}), frozenset()}
         filtered = asp_solutions(defn.system, "P1", dbar)
         assert solution_sets(filtered) == {frozenset({"R1(a,b)"})}
@@ -155,3 +150,17 @@ class TestAnswersThroughPrograms:
         res = pca_via_asp(defn.system, "P1", defn.instance,
                           defn.queries["P1"])
         assert res.answers == {("a", "2"), ("d", "5")}
+
+    def test_delta_preorder_refused(self):
+        # the program's != null guards are the null semantics; under the
+        # delta preorder R2(a,null) is copied like any other tuple
+        defn = parse_definition(
+            "peer P1 : R1/2\npeer P2 : R2/2\npreorder delta\n"
+            "trust P1 less P2\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)\n"
+            "instance P2 : R2(a,null), R2(b,c)\nquery P1 : R1(x,y)\n")
+        q = defn.queries["P1"]
+        direct = peer_consistent_answers(defn.system, "P1", defn.instance, q)
+        assert direct.answers == {("a", "null"), ("b", "c")}
+        with pytest.raises(SchemaError):
+            pca_via_asp(defn.system, "P1", defn.instance, q)

@@ -87,6 +87,17 @@ class TestExitCodes:
         res = run_cli(["import-solve", "ex_2_2.pdes", "--peer", "P2"])
         assert res.returncode == 1
 
+    def test_solution_program_refuses_delta_preorder(self, capsys):
+        for name in ("ex_1_1.pdes", "ex_3_2.pdes", "ex_3_4.pdes",
+                     "ex_3_6.pdes"):
+            peer = sorted(load(name).system.peers)[0]
+            for action in ("emit", "solve"):
+                code = main(["asp", action, fixture_path(name),
+                             "--peer", peer])
+                out, err = capsys.readouterr()
+                assert (code, out) == (1, ""), (name, action)
+                assert err.startswith("error: "), (name, action)
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.pdes"
         bad.write_text("peer P : R/1\nnonsense\n")
