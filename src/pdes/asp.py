@@ -33,13 +33,12 @@ from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, relevant_vars, term_vars)
 from .nullsem import eval_builtin
-from .repair import NULL_BASED, closer_lt
+from .repair import NULL_BASED, _minimal, closer_lt
 from .chase import r_chase, split_sigma
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
                      inc_atom, INC_PREFIX, LESS, SAME)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
-ANNOTATIONS = (TA, FA, TS, FS, TSS)
 
 _FLIP = {"eq": "neq", "neq": "eq", "lt": "geq", "geq": "lt",
          "leq": "gt", "gt": "leq", "isnull": "isnotnull",
@@ -410,13 +409,11 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
         full.setdefault(inst.atoms, inst)
     split = split_sigma(system.sigma_of(p))
     bound = r_chase(dbar, split).atoms
-    cands = list(full.values())
     kept: dict[frozenset[Atom], Instance] = {}
-    for d in cands:
-        if not any(e is not d and closer_lt(e, d, dbar, split, bound)
-                   for e in cands):
-            inst = restrict(d, prog.own_preds)
-            kept.setdefault(inst.atoms, inst)
+    for d in _minimal(list(full.values()), lambda d: d,
+                      lambda e, d: closer_lt(e, d, dbar, split, bound)):
+        inst = restrict(d, prog.own_preds)
+        kept.setdefault(inst.atoms, inst)
     return tuple(sorted(kept.values(),
                         key=lambda i: sorted(map(str, i.atoms))))
 
@@ -471,85 +468,3 @@ def emit_text(prog: LogicProgram) -> str:
         else:
             lines.append("%s :- %s." % (head, body))
     return "\n".join(lines) + "\n"
-
-
-# ------------------------------------------------- round-trip text parser
-
-def parse_program_text(text: str):
-    """Parse emitted text back into (facts, rules) of printable shape;
-    used to verify the emitter round-trips."""
-    facts: list[Atom] = []
-    rules: list[Rule] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.endswith("."):
-            raise ValueError("missing terminating period: %r" % line)
-        line = line[:-1]
-        if line.startswith(":-"):
-            rules.append(Rule((), _parse_body(line[2:])))
-        elif ":-" in line:
-            head_txt, body_txt = line.split(":-", 1)
-            head = tuple(_parse_atom_lit(h.strip())
-                         for h in head_txt.split("|"))
-            rules.append(Rule(head, _parse_body(body_txt)))
-        else:
-            a = _parse_atom_lit(line)
-            facts.append(Atom(a.pred, tuple(t.value for t in a.terms)))
-    return facts, rules
-
-
-def _split_args(txt: str) -> list[str]:
-    return [p.strip() for p in txt.split(",")] if txt.strip() else []
-
-
-def _parse_term(tok: str):
-    return Var(tok) if tok[0].isupper() else Cst(tok)
-
-
-def _parse_atom_lit(txt: str) -> Lit:
-    neg = txt.startswith("not ")
-    if neg:
-        txt = txt[4:].strip()
-    if "(" not in txt:
-        return Lit(txt, (), neg=neg)
-    pred, rest = txt.split("(", 1)
-    args = _split_args(rest.rstrip(")"))
-    ann = None
-    if args and args[-1] in ANNOTATIONS:
-        ann = args[-1]
-        args = args[:-1]
-    return Lit(pred, tuple(_parse_term(a) for a in args), ann, neg)
-
-
-def _parse_body(txt: str) -> tuple:
-    from .lang import TEXT_OP
-    items = []
-    depth = 0
-    cur = ""
-    parts: list[str] = []
-    for ch in txt:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur.strip())
-    for part in parts:
-        for sym in sorted(TEXT_OP, key=len, reverse=True):
-            mid = " %s " % sym
-            if mid in part:
-                lhs, rhs = part.split(mid, 1)
-                items.append(Builtin(TEXT_OP[sym],
-                                     (_parse_term(lhs.strip()),
-                                      _parse_term(rhs.strip()))))
-                break
-        else:
-            items.append(_parse_atom_lit(part))
-    return tuple(items)

@@ -26,10 +26,6 @@ class CapExceeded(RuntimeError):
         self.needed = needed
 
 
-def is_null(c: str) -> bool:
-    return c == NULL
-
-
 def _const_sort_key(c: str):
     # numbers before words, numerically; null last for readability
     try:
@@ -69,14 +65,12 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Schema:
-    """Predicate name -> arity, optionally with peer ownership."""
+    """Predicate name -> arity."""
 
     arities: Mapping[str, int]
-    owners: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "arities", dict(self.arities))
-        object.__setattr__(self, "owners", dict(self.owners))
 
     def __contains__(self, pred: str) -> bool:
         return pred in self.arities
@@ -93,16 +87,14 @@ class Schema:
         for p, k in other.arities.items():
             if p in self.arities and self.arities[p] != k:
                 raise SchemaError("arity clash on %r" % p)
-        return Schema({**self.arities, **other.arities},
-                      {**self.owners, **other.owners})
+        return Schema({**self.arities, **other.arities})
 
     def restrict(self, preds: Iterable[str]) -> "Schema":
         preds = set(preds)
         unknown = preds - set(self.arities)
         if unknown:
             raise SchemaError("unknown predicates %s" % sorted(unknown))
-        return Schema({p: k for p, k in self.arities.items() if p in preds},
-                      {p: q for p, q in self.owners.items() if p in preds})
+        return Schema({p: k for p, k in self.arities.items() if p in preds})
 
 
 @dataclass(frozen=True)
@@ -132,9 +124,6 @@ class Instance:
     def with_atoms(self, extra: Iterable[Atom]) -> "Instance":
         return Instance(self.atoms | set(extra), self.schema)
 
-    def without_atoms(self, gone: Iterable[Atom]) -> "Instance":
-        return Instance(self.atoms - set(gone), self.schema)
-
     def by_pred(self, pred: str) -> tuple[Atom, ...]:
         """The atoms of pred, sorted; computed once per predicate."""
         got = self._by_pred.get(pred)
@@ -144,10 +133,6 @@ class Instance:
         return got
 
 
-def instance(atoms: Iterable[Atom], schema: Schema) -> Instance:
-    return Instance(frozenset(atoms), schema)
-
-
 def active_domain(d: Instance) -> set[str]:
     return {c for a in d.atoms for c in a.args}
 
@@ -155,16 +140,6 @@ def active_domain(d: Instance) -> set[str]:
 def restrict(d: Instance, preds: Iterable[str]) -> Instance:
     sub = d.schema.restrict(preds)
     return Instance(frozenset(a for a in d.atoms if a.pred in sub), sub)
-
-
-def symmetric_difference(d1: Instance, d2: Instance) -> frozenset[Atom]:
-    if set(d1.schema.arities) != set(d2.schema.arities):
-        raise SchemaError("schema mismatch in symmetric difference")
-    return d1.atoms ^ d2.atoms
-
-
-def union(d1: Instance, d2: Instance) -> Instance:
-    return Instance(d1.atoms | d2.atoms, d1.schema.union(d2.schema))
 
 
 def reach(succ: Callable[[str], Iterable[str]], src: str,

@@ -138,8 +138,7 @@ def parse_definition(text: str) -> Definition:
         raise ParseError("definition declares no peers")
     system = PdesSchema(
         peers=frozenset(peers),
-        schemas={p: Schema(ar, {r: p for r in ar})
-                 for p, ar in peers.items()},
+        schemas={p: Schema(ar) for p, ar in peers.items()},
         sigma={pq: tuple(cs) for pq, cs in sigma.items()},
         trust=frozenset(trust),
         preorder=preorder)

@@ -35,7 +35,6 @@ class ImportClassification:
 
     dec_tags: Mapping[tuple[str, str, int], str]  # (P, Q, index) -> tag
     peer_flags: Mapping[str, str]
-    notes: tuple[str, ...] = ()
 
     @property
     def import_kind(self) -> bool:
@@ -46,8 +45,7 @@ class ImportClassification:
         return all(f == UNRESTRICTED for f in self.peer_flags.values())
 
 
-def _tag_constraint(c: Constraint, own: set[str], foreign: set[str],
-                    notes: list[str]) -> str:
+def _tag_constraint(c: Constraint, own: set[str], foreign: set[str]) -> str:
     """Import shape: body over the neighbor's schema, exactly one
     database disjunct with a single atom over the importer's schema, and
     any further disjuncts builtin-only."""
@@ -68,17 +66,12 @@ def _tag_constraint(c: Constraint, own: set[str], foreign: set[str],
     for b in target.builtins:
         if any(isinstance(t, Var) and t.name in exist for t in b.terms):
             return NON_IMPORT
-    if target.builtins:
-        notes.append("folded %d builtin condition(s) from the existential "
-                     "disjunct of %s into the escape guard" %
-                     (len(target.builtins), c))
     return IRDEC
 
 
 def classify(system: PdesSchema) -> ImportClassification:
     tags: dict[tuple[str, str, int], str] = {}
     flags: dict[str, str] = {}
-    notes: list[str] = []
     for p in sorted(system.peers):
         own = set(system.schemas[p].preds())
         ok = True
@@ -87,7 +80,7 @@ def classify(system: PdesSchema) -> ImportClassification:
             if system.trust_kind(p, q) != LESS:
                 ok = False
             for i, c in enumerate(system.sigma.get((p, q), ())):
-                t = _tag_constraint(c, own, foreign, notes)
+                t = _tag_constraint(c, own, foreign)
                 tags[(p, q, i)] = t
                 if t == NON_IMPORT:
                     ok = False
@@ -97,7 +90,7 @@ def classify(system: PdesSchema) -> ImportClassification:
             flags[p] = RESTRICTED
         else:
             flags[p] = UNRESTRICTED
-    return ImportClassification(tags, flags, tuple(notes))
+    return ImportClassification(tags, flags)
 
 
 # ------------------------------------------------------- Datalog program

@@ -90,23 +90,12 @@ class Disjunct:
         return body
 
 
-UDEC = "UDEC"
-RDEC = "RDEC"
-LOCAL_IC = "LocalIC"
-
-
 @dataclass(frozen=True)
 class Constraint:
     univ_vars: tuple[str, ...]
     body: tuple[PredAtom, ...]
     head: tuple[Disjunct, ...]
     owner: tuple[str, str] | None = None
-
-    @property
-    def kind(self) -> str:
-        if self.owner and self.owner[0] == self.owner[1]:
-            return LOCAL_IC
-        return RDEC if self.is_existential else UDEC
 
     @property
     def is_existential(self) -> bool:
@@ -288,6 +277,9 @@ def _varlist(cur: _Cursor) -> tuple[str, ...]:
     while cur.peek() == ",":
         cur.next()
         out.append(cur.next())
+    for v in out:
+        if out.count(v) > 1:
+            raise ParseError("variable %r declared twice%s" % (v, cur.where))
     return tuple(out)
 
 

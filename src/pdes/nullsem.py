@@ -64,23 +64,15 @@ def eval_builtin(b: Builtin, s: dict[str, str],
     return _order_holds(b.op, v1, v2)
 
 
-def _formula_constants(f: Constraint | Query) -> set[str]:
-    out: set[str] = set()
-    if isinstance(f, Query):
-        groups = [(f.atoms, f.builtins)]
-    else:
-        groups = [(f.body, ())] + [(d.atoms, d.builtins) for d in f.head]
-    for atoms, builtins in groups:
-        for item in (*atoms, *builtins):
-            out |= {t.value for t in item.terms if isinstance(t, Cst)}
-    return out
-
-
-def working_universe(d: Instance, *formulas: Constraint | Query) -> set[str]:
-    """The active domain of d, null and every constant of the formulas."""
+def working_universe(d: Instance, *sigma: Constraint) -> set[str]:
+    """The active domain of d, null and every constant of the constraints."""
     u = active_domain(d) | {NULL}
-    for f in formulas:
-        u |= _formula_constants(f)
+    for c in sigma:
+        items = list(c.body)
+        for disj in c.head:
+            items += [*disj.atoms, *disj.builtins]
+        for item in items:
+            u |= {t.value for t in item.terms if isinstance(t, Cst)}
     return u
 
 
@@ -123,33 +115,6 @@ def instantiations(d: Instance, c: Constraint,
         missing = [v for v in c.univ_vars if v not in s]
         for combo in product(universe, repeat=len(missing)):
             yield {**s, **dict(zip(missing, combo))}
-
-
-# ------------------------------------------------------------ n_satisfies
-
-def n_satisfies(d: Instance, f: Query | Constraint, s: dict[str, str]) -> bool:
-    """Direct null-semantics satisfaction. For a query, s assigns the free
-    variables; for a constraint, s assigns the universal variables and the
-    ground implication is checked."""
-    if isinstance(f, Query):
-        return _n_satisfies_query(d, f, s)
-    return holds_instantiation(d, f, s, relevant_vars(f), False,
-                               sorted(working_universe(d, f)))
-
-
-def _n_satisfies_query(d: Instance, q: Query, s: dict[str, str]) -> bool:
-    rel = relevant_vars(q)
-    if any(s[v] == NULL for v in q.free_vars if v in rel):
-        return False
-    universe = sorted(working_universe(d, q))
-    nonnull = [c for c in universe if c != NULL]
-    ranges = [nonnull if v in rel else universe for v in q.exist_vars]
-    for combo in product(*ranges):
-        full = {**s, **dict(zip(q.exist_vars, combo))}
-        if all(ground_atom(a, full) in d for a in q.atoms) and \
-                all(eval_builtin(b, full) for b in q.builtins):
-            return True
-    return False
 
 
 def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],

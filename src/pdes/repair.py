@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
+from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
                    atom_sort_key)
 from .lang import Constraint, relevant_vars
 from .nullsem import (ground_atom, holds_instantiation, instantiations,
@@ -38,10 +38,6 @@ def info_leq(s1, s2) -> bool:
     if len(s1) != len(s2):
         raise ValueError("length mismatch in information order")
     return all(c == NULL or c == d for c, d in zip(s1, s2))
-
-
-def info_lt(s1, s2) -> bool:
-    return info_leq(s1, s2) and tuple(s1) != tuple(s2)
 
 
 # ----------------------------------------------------- closeness preorder
@@ -96,10 +92,6 @@ def closer_lt(d1: Instance, d2: Instance, base: Instance,
         bound = r_chase(base, split).atoms
     return _profile_lt(_closeness_profile(d1, base, bound),
                        _closeness_profile(d2, base, bound))
-
-
-def delta_leq(d1: Instance, d2: Instance, base: Instance) -> bool:
-    return (base.atoms ^ d1.atoms) <= (base.atoms ^ d2.atoms)
 
 
 def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
@@ -158,7 +150,8 @@ def _branch_search(base: Instance, sigma, universe, pool,
                    frozen_preds: frozenset[str], classical: bool,
                    cap: int,
                    frozen_atoms: frozenset[Atom] = frozenset()) -> list[Instance]:
-    """All satisfying instances reachable by repairing moves.
+    """All satisfying instances reachable by repairing moves. Every state
+    is read over base's schema, which must cover the pool's atoms.
 
     A state whose first violation has several moves branches on them. A
     state whose first violation is forced gets one child instead: the
@@ -168,10 +161,6 @@ def _branch_search(base: Instance, sigma, universe, pool,
     can only become true through a pool grounding whose missing atoms
     some move inserts, and its one insert is the only such grounding. So
     every satisfying leaf below the state contains that insert."""
-    schema = base.schema
-    if pool is not None:
-        arities = {a.pred: len(a.args) for a in pool}
-        schema = schema.union(Schema(arities))
     moves = (universe, pool, frozen_preds, frozen_atoms, classical)
     start = frozenset(base.atoms)
     seen = {start}
@@ -179,7 +168,7 @@ def _branch_search(base: Instance, sigma, universe, pool,
     found: list[Instance] = []
     while stack:
         state = stack.pop()
-        inst = Instance(state, schema)
+        inst = Instance(state, base.schema)
         viols = _violations(inst, sigma, universe, classical)
         first = next(viols, None)
         if first is None:

@@ -37,7 +37,6 @@ class AccessGraph:
     """Directed peer graph: an edge P -> Q for each nonempty constraint
     set between distinct peers, labeled with the trust kind."""
 
-    vertices: frozenset[str]
     edges: tuple[tuple[str, str, str], ...]  # (P, Q, less|same)
 
     def successors(self, p: str) -> set[str]:
@@ -116,7 +115,7 @@ class PdesSchema:
         edges = tuple(sorted(
             (p, q, trust_pairs[(p, q)])
             for (p, q) in self.sigma if p != q))
-        return AccessGraph(frozenset(self.peers), edges)
+        return AccessGraph(edges)
 
     def neighbors(self, p: str) -> set[str]:
         """N(P): the targets of P's constraint sets, plus P itself."""

@@ -358,7 +358,7 @@ def test_10_import_solutions_and_scaling():
 def _chain_system(n_facts: int, n_peers: int = 2):
     """P1 -less-> P2 -less-> ... Pk with copy rules and the facts at Pk."""
     peers = ["P%d" % i for i in range(1, n_peers + 1)]
-    schemas = {p: Schema({"R" + p[1:]: 2}, {"R" + p[1:]: p}) for p in peers}
+    schemas = {p: Schema({"R" + p[1:]: 2}) for p in peers}
     sigma = {(p, q): (parse_constraint(
         "dec %s %s : forall x,y : R%s(x,y) -> R%s(x,y)"
         % (p, q, q[1:], p[1:])),) for p, q in zip(peers, peers[1:])}
@@ -434,8 +434,7 @@ _LOCAL_FD = "forall x,y,z : {r}(x,y), {r}(x,z) -> y = z"
 def _random_system(rng):
     n = rng.choice([2, 2, 3])
     peers = ["P%d" % i for i in range(1, n + 1)]
-    schemas = {p: Schema({"R%d" % i: 2}, {"R%d" % i: p})
-               for i, p in enumerate(peers, 1)}
+    schemas = {p: Schema({"R%d" % i: 2}) for i, p in enumerate(peers, 1)}
     edges = [("P1", "P2")]
     if n == 3:
         edges.append(rng.choice([("P2", "P3"), ("P1", "P3")]))

@@ -135,6 +135,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("parse error: line 2: variable 'z' not bound")
 
+    def test_variable_declared_twice_is_a_parse_error(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "twice.pdes"
+        bad.write_text("peer P1 : R/2, S/1\n"
+                       "dec P1 P1 : forall x,x : R(x,x) -> S(x)\n")
+        code = main(["check", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("parse error: line 2: variable 'x' declared "
+                              "twice")
+
     def test_unsafe_query_option_is_refused(self, capsys):
         code = main(["pca", fixture_path("ex_1_1.pdes"), "--peer", "P1",
                      "--query", "R1(x,y,z), w = x"])

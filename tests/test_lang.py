@@ -75,6 +75,14 @@ class TestParseConstraint:
         with pytest.raises(ParseError):
             parse_constraint("forall x : R(x) ->")
 
+    def test_universal_declared_twice_rejected(self):
+        with pytest.raises(ParseError, match="variable 'x' declared twice"):
+            parse_constraint("forall x,x : R(x,x), R(x,y) -> S(x)")
+
+    def test_existential_declared_twice_rejected(self):
+        with pytest.raises(ParseError, match="variable 'y' declared twice"):
+            parse_constraint("forall x : R(x) -> exists y,y : S(x,y)")
+
 
 class TestParseQuery:
     def test_free_and_existential_vars(self):
@@ -94,6 +102,10 @@ class TestParseQuery:
     def test_unsafe_builtin_rejected(self):
         with pytest.raises(SafetyError):
             parse_query("exists y : R(x,y), w > 5")
+
+    def test_existential_declared_twice_rejected(self):
+        with pytest.raises(ParseError, match="variable 'y' declared twice"):
+            parse_query("exists y,y : R(x,y), S(y)")
 
     def test_sql_safe_flags_null_comparisons(self):
         assert parse_query("R(x,y)").sql_safe

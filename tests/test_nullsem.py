@@ -1,15 +1,17 @@
 """Query answering and constraint satisfaction under SQL-style nulls."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.lang import Builtin, Cst, Var, parse_constraint, parse_query
+from pdes.lang import (Builtin, Cst, Var, n_rewrite_query, parse_constraint,
+                       parse_query)
 from pdes.nullsem import (classical_answers, eval_builtin, n_answers, n_holds,
-                          n_holds_direct, n_satisfies)
+                          n_holds_direct)
 
 
 def inst(schema: dict, atoms) -> Instance:
@@ -154,4 +156,58 @@ class TestSatisfactionProperties:
         d = inst({"R": 2}, [Atom("R", t) for t in tuples])
         q = parse_query("exists x,y : R(x,y), x = y")
         expected = any(t[0] == t[1] and NULL not in t for t in tuples)
-        assert n_satisfies(d, q, {}) is expected
+        assert (n_answers(d, q) == {()}) is expected
+
+
+SQL_SAFE_QUERIES = [
+    "R(x,y)",
+    "R(x,x)",
+    "R(x,1)",
+    "R(x,y), S(y,z)",
+    "exists y : R(x,y), S(y,z)",
+    "exists y : R(x,y), R(y,x)",
+    "exists x,y : R(x,y), S(y,x)",
+    "R(x,y), x = y",
+    "R(x,y), x != y",
+    "R(x,y), x < y",
+    "R(x,y), y = 1",
+    "R(x,y), S(x,z), y <= z",
+    "exists y,z : R(x,y), S(y,z), z > 1",
+    "R(x,y), isnull(y)",
+    "exists y : R(x,y), isnotnull(y), S(x,w)",
+]
+
+
+def _random_instance(rng, schema):
+    tuples = list(itertools.product(["a", "b", "1", "2", NULL], repeat=2))
+    return Instance({Atom(p, t) for p in schema
+                     for t in rng.sample(tuples, rng.randint(0, 5))},
+                    Schema(schema))
+
+
+class TestQueryRewritingRoute:
+    """Classical evaluation of the rewritten query is a second route to
+    the null-semantics answers, for queries that never compare a term
+    with null directly."""
+
+    @pytest.mark.parametrize("text", SQL_SAFE_QUERIES)
+    def test_rewritten_classical_matches_direct(self, text):
+        q = parse_query(text)
+        assert q.sql_safe
+        rewritten = n_rewrite_query(q)
+        rng = random.Random(text)
+        for _ in range(400):
+            d = _random_instance(rng, {"R": 2, "S": 2})
+            assert classical_answers(d, rewritten) == n_answers(d, q), \
+                sorted(map(str, d))
+
+    @pytest.mark.parametrize("text,fact", [
+        ("R(x,y), y = null", ("a", NULL)),
+        ("R(x,y), y != null", ("a", "b")),
+    ])
+    def test_null_comparisons_diverge(self, text, fact):
+        q = parse_query(text)
+        assert not q.sql_safe
+        d = inst({"R": 2}, [Atom("R", fact)])
+        assert n_answers(d, q) == frozenset()
+        assert classical_answers(d, n_rewrite_query(q)) == {fact}
