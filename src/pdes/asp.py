@@ -34,9 +34,9 @@ from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, relevant_vars, term_vars)
 from .nullsem import eval_builtin
 from .repair import NULL_BASED, _minimal, closer_lt
-from .chase import r_chase, split_sigma
+from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
-                     inc_atom, INC_PREFIX, LESS, SAME)
+                     inc_atom, INC_PREFIX, SAME)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
 
@@ -55,15 +55,11 @@ class Lit:
     ann: str | None = None
     neg: bool = False
 
-    def vars(self) -> tuple[str, ...]:
-        return term_vars(self.terms)
-
 
 @dataclass(frozen=True)
 class Rule:
     head: tuple[Lit, ...]
     body: tuple[Lit | Builtin, ...]
-    tag: str = ""
     derived: bool = False  # definitional layer, resolved lazily
 
 
@@ -147,20 +143,17 @@ def build_solution_program(system: PdesSchema, p: str,
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
         rules.append(Rule((Lit(r, xs, FS),),
                           tuple(Lit("dom", (x,)) for x in xs)
-                          + (Lit(r, xs, neg=True),), tag="6", derived=True))
-        rules.append(Rule((Lit(r, xs, FS),), (Lit(r, xs, FA),),
-                          tag="6", derived=True))
-        rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs),),
-                          tag="6", derived=True))
-        rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs, TA),),
-                          tag="6", derived=True))
-        rules.append(Rule((), (Lit(r, xs, TA), Lit(r, xs, FA)), tag="7"))
+                          + (Lit(r, xs, neg=True),), derived=True))
+        rules.append(Rule((Lit(r, xs, FS),), (Lit(r, xs, FA),), derived=True))
+        rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs),), derived=True))
+        rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs, TA),), derived=True))
+        rules.append(Rule((), (Lit(r, xs, TA), Lit(r, xs, FA))))
     for r in sorted(own):
         arity = system.schemas[p].arity(r)
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
         rules.append(Rule((Lit(r, xs, TSS),),
                           (Lit(r, xs, TS), Lit(r, xs, FA, neg=True)),
-                          tag="8", derived=True))
+                          derived=True))
     facts = set(dbar.atoms)
     facts |= {Atom("dom", (c,)) for c in active_domain(dbar) | {NULL}}
     return LogicProgram(p, frozenset(facts), tuple(rules), dbar.schema,
@@ -199,7 +192,7 @@ def _udec_rule(c: Constraint, trust: str, own: frozenset[str],
             body.append(Builtin(_FLIP[b.op], b.terms))
     body += inc_guard
     body += _guards(v for v in c.univ_vars if v in rel)
-    return Rule(tuple(head), tuple(body), tag="2" if trust == LESS else "3")
+    return Rule(tuple(head), tuple(body))
 
 
 def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
@@ -223,22 +216,21 @@ def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
         head.append(Lit(body_atom.pred, body_atom.terms, FA))
     if trust == SAME or target.pred in own:
         head.append(Lit(target.pred, null_head, TA))
-    tag = "4" if trust == SAME else "5"
-    rules = [Rule(tuple(head), main_body, tag=tag)]
+    rules = [Rule(tuple(head), main_body)]
     qpred = target.pred
     # aux holds when the consequent is already witnessed and kept
     neg_fa = [] if qpred not in changeable else \
         [Lit(qpred, null_head, FA, neg=True)]
     rules.append(Rule((Lit(aux, xprime),),
                       (Lit(qpred, null_head),) + tuple(neg_fa)
-                      + tuple(_guards(xp_vars)), tag=tag))
+                      + tuple(_guards(xp_vars))))
     for y in disj.exist_vars:
         neg_fa2 = [] if qpred not in changeable else \
             [Lit(qpred, target.terms, FA, neg=True)]
         rules.append(Rule(
             (Lit(aux, xprime),),
             (_body_lit(target, changeable, TS),) + tuple(neg_fa2)
-            + tuple(_guards(xp_vars + [y])), tag=tag))
+            + tuple(_guards(xp_vars + [y]))))
     return rules
 
 
@@ -407,11 +399,10 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
     for m in stable_models(ground(prog), cap=cap):
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
-    split = split_sigma(system.sigma_of(p))
-    bound = r_chase(dbar, split).atoms
+    bound = r_chase(dbar, system.sigma_of(p)).atoms
     kept: dict[frozenset[Atom], Instance] = {}
     for d in _minimal(list(full.values()), lambda d: d,
-                      lambda e, d: closer_lt(e, d, dbar, split, bound)):
+                      lambda e, d: closer_lt(e, d, dbar, bound)):
         inst = restrict(d, prog.own_preds)
         kept.setdefault(inst.atoms, inst)
     return tuple(sorted(kept.values(),

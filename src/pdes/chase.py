@@ -1,63 +1,34 @@
 """Restricted null-propagating chase.
 
-Splits a constraint set into the part it may enforce (universal
-constraints and existential ones whose existential variables appear in
-no join or builtin) and saturates the instance by firing violated ground
+Enforces the constraints it can (universal ones and existential ones
+whose existential variables appear in no join or builtin; the others are
+dropped) and saturates the instance by firing violated ground
 instantiations in parallel rounds, substituting null for existential
 variables. The result bounds the insertions admissible in repairs.
-`head_options` grounds the consequent of one instantiation; the repair
-search shares it with its own universe and pool.
+`head_options` grounds the consequent of one instantiation through
+`nullsem.extensions`: against a pool instance when one is given, every
+existential over the universe otherwise; the repair search shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from collections import Counter
 
 from .core import NULL, Atom, Instance, Schema
 from .lang import Constraint, relevant_vars, term_vars
-from .nullsem import (eval_builtin, ground_atom, holds_instantiation,
-                      instantiations, working_universe)
-
-
-@dataclass(frozen=True)
-class SigmaSplit:
-    sigma1: tuple[Constraint, ...]
-    sigma2_minus: tuple[Constraint, ...]
-    excluded: tuple[Constraint, ...]
-
-    @property
-    def enforced(self) -> tuple[Constraint, ...]:
-        return self.sigma1 + self.sigma2_minus
+from .nullsem import (eval_builtin, extensions, ground_atom,
+                      holds_instantiation, instantiations, working_universe)
 
 
 def has_problematic_existential(c: Constraint) -> bool:
     """True when some existential variable occurs in a join (>= 2 database
     atom occurrences) or inside a builtin atom."""
     for d in c.head:
-        if not d.exist_vars:
-            continue
-        counts: dict[str, int] = {}
-        for a in d.atoms:
-            for v in term_vars(a.terms):
-                counts[v] = counts.get(v, 0) + 1
+        counts = Counter(v for a in d.atoms for v in term_vars(a.terms))
         builtin_vars = {v for b in d.builtins for v in term_vars(b.terms)}
-        for v in d.exist_vars:
-            if counts.get(v, 0) >= 2 or v in builtin_vars:
-                return True
+        if any(counts[v] >= 2 or v in builtin_vars for v in d.exist_vars):
+            return True
     return False
-
-
-def split_sigma(sigma) -> SigmaSplit:
-    s1, s2, out = [], [], []
-    for c in sigma:
-        if not c.is_existential:
-            s1.append(c)
-        elif has_problematic_existential(c):
-            out.append(c)
-        else:
-            s2.append(c)
-    return SigmaSplit(tuple(s1), tuple(s2), tuple(out))
 
 
 def _head_schema(sigma) -> Schema:
@@ -70,27 +41,25 @@ def _head_schema(sigma) -> Schema:
 
 
 def head_options(c: Constraint, s: dict[str, str], universe: list[str],
-                 pool: frozenset[Atom] | None = None,
+                 pool: Instance | None = None,
                  classical: bool = False):
     """Atom sets that satisfy one consequent disjunct of the ground
-    instantiation s: existentials range over the sorted universe,
-    builtin-failing and builtin-only disjuncts are skipped, and every atom
-    is drawn from the pool (None = unrestricted)."""
+    instantiation s: with a pool, the disjunct's atoms are joined against
+    it; without one, every existential ranges over the sorted universe.
+    Builtin-failing and builtin-only disjuncts are skipped."""
     for disj in c.head:
         if not disj.atoms:
             continue
-        for combo in product(universe, repeat=len(disj.exist_vars)):
-            full = {**s, **dict(zip(disj.exist_vars, combo))}
-            if not all(eval_builtin(b, full, classical)
-                       for b in disj.builtins):
-                continue
-            atoms = frozenset(ground_atom(a, full) for a in disj.atoms)
-            if pool is None or atoms <= pool:
-                yield atoms
+        atoms = disj.atoms if pool is not None else ()
+        for full in extensions(pool, atoms, s, disj.exist_vars, universe):
+            if all(eval_builtin(b, full, classical) for b in disj.builtins):
+                yield frozenset(ground_atom(a, full) for a in disj.atoms)
 
 
-def r_chase(d: Instance, split: SigmaSplit) -> Instance:
-    sigma = split.enforced
+def r_chase(d: Instance, sigma) -> Instance:
+    """The restricted chase of d under the constraints of sigma that have
+    no problematic existential."""
+    sigma = [c for c in sigma if not has_problematic_existential(c)]
     schema = d.schema.union(_head_schema(sigma))
     cur = Instance(d.atoms, schema)
     universe = sorted(working_universe(d, *sigma))

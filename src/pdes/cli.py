@@ -17,7 +17,7 @@ import sys
 
 from .asp import (asp_solutions, build_solution_program, emit_text, ground,
                   stable_models)
-from .chase import r_chase, split_sigma
+from .chase import r_chase
 from .core import (DEFAULT_CAP, CapExceeded, Instance, SchemaError,
                    atom_sort_key)
 from .deffile import Definition, load_definition
@@ -93,8 +93,7 @@ def _cmd_check(defn: Definition, args, cap: int) -> int:
 
 def _cmd_chase(defn: Definition, args, cap: int) -> int:
     dbar = _neighborhood_instance(defn, args.peer)
-    split = split_sigma(defn.system.sigma_of(args.peer))
-    out = r_chase(dbar, split)
+    out = r_chase(dbar, defn.system.sigma_of(args.peer))
     lines = _instance_lines(out)
     _emit({"peer": args.peer, "chase": lines}, lines, args.format)
     return EXIT_OK

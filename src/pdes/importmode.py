@@ -98,12 +98,14 @@ def classify(system: PdesSchema) -> ImportClassification:
 @dataclass(frozen=True)
 class DatalogRule:
     """head <- body, guards, not any(escapes). Guards must hold and every
-    escape builtin must fail for the rule to fire."""
+    escape builtin must fail for the rule to fire. The head's ``exist``
+    variables are filled with null when it fires."""
 
     head: PredAtom
     body: tuple[PredAtom, ...]
     guards: tuple[Builtin, ...]
     escapes: tuple[Builtin, ...]
+    exist: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,17 @@ class DatalogProgram:
 def _rule_for(c: Constraint) -> DatalogRule:
     rel = relevant_vars(c)
     target = next(d for d in c.head if d.atoms)
-    atom = target.atoms[0]
-    subst = {v: Cst(NULL) for v in target.exist_vars}
-    head = PredAtom(atom.pred, tuple(
-        subst.get(t.name, t) if isinstance(t, Var) else t
-        for t in atom.terms))
     guards = tuple(Builtin("neq", (Var(v), Cst(NULL)))
                    for v in c.univ_vars if v in rel)
     escapes = tuple(b for d in c.head for b in d.builtins)
-    return DatalogRule(head, c.body, guards, escapes)
+    return DatalogRule(target.atoms[0], c.body, guards, escapes,
+                       target.exist_vars)
 
 
 def import_program(system: PdesSchema, p: str,
                    dbar: Instance) -> DatalogProgram:
     """Facts from the neighborhood instance plus one single-head rule per
-    import constraint; existential positions are filled with null."""
+    import constraint."""
     cls = classify(system)
     rules: list[DatalogRule] = []
     for q in sorted(system.strict_neighbors(p)):
@@ -146,10 +144,14 @@ def import_program(system: PdesSchema, p: str,
 
 def least_model(program: DatalogProgram) -> Instance:
     """Bottom-up fixpoint; guards must hold and escapes must all fail
-    under the null-aware builtin semantics."""
+    under the null-aware builtin semantics. Each step adds the new atoms
+    of the rules without existentials first; only when those are
+    saturated does it add null atoms, and only for firings whose head no
+    atom witnesses yet, fewest nulls first (a witness of a head is never
+    less informative than the null atom it makes unnecessary)."""
     cur = Instance(program.facts, program.schema)
     while True:
-        new: set[Atom] = set()
+        new: dict[int, set[Atom]] = {}
         for r in program.rules:
             for s in join(cur, r.body, {}):
                 # guards compare against the null constant itself
@@ -158,11 +160,15 @@ def least_model(program: DatalogProgram) -> Instance:
                     continue
                 if any(eval_builtin(b, s) for b in r.escapes):
                     continue
-                new.add(ground_atom(r.head, s))
-        new -= cur.atoms
+                if r.exist and join(cur, (r.head,), s):
+                    continue
+                a = ground_atom(r.head, {**s, **dict.fromkeys(r.exist, NULL)})
+                if a not in cur:
+                    rank = a.args.count(NULL) if r.exist else -1
+                    new.setdefault(rank, set()).add(a)
         if not new:
             return cur
-        cur = cur.with_atoms(new)
+        cur = cur.with_atoms(new[min(new)])
 
 
 # ------------------------------------------------------------- solving

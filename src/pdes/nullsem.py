@@ -1,12 +1,15 @@
 """Query evaluation and constraint checking under SQL-null semantics and
 under classical semantics (null as an ordinary constant).
 
-`instantiations` is the one enumerator of a constraint's ground
-instantiations: it joins the body against the instance and ranges the
-universal variables the body leaves unbound over a universe.
-`holds_instantiation` decides one of them. The restricted chase
-(:mod:`pdes.chase`), the repair search (:mod:`pdes.repair`) and both
-constraint checks here rest on that pair.
+`extensions` is the one enumerator behind every quantifier: it joins
+atoms against an instance from a partial assignment and ranges the
+variables the join leaves unbound over a sorted universe.
+`instantiations` is its use on a constraint's body (the ground
+instantiations), `holds_instantiation` its use on each head disjunct
+(the existential witnesses), and the chase's insert options
+(:mod:`pdes.chase`) its use on a head against a pool instance. The
+restricted chase, the repair search (:mod:`pdes.repair`) and both
+constraint checks here rest on these.
 
 Two independent constraint checks are provided for cross-checking:
 `n_holds_direct` restricts relevant variables away from null, and
@@ -81,9 +84,15 @@ def ground_atom(a, s: dict[str, str]) -> Atom:
 
 
 def join(d: Instance, atoms, s: dict[str, str]) -> list[dict[str, str]]:
-    """All extensions of assignment s matching every database atom in d."""
+    """All extensions of assignment s matching every database atom in d.
+    An atom the assignment already grounds costs one lookup."""
     frontier = [s]
     for a in atoms:
+        # every assignment in the frontier binds the same variables
+        if frontier and all(isinstance(t, Cst) or t.name in frontier[0]
+                            for t in a.terms):
+            frontier = [cur for cur in frontier if ground_atom(a, cur) in d]
+            continue
         facts = d.by_pred(a.pred)
         nxt = []
         for cur in frontier:
@@ -104,45 +113,42 @@ def join(d: Instance, atoms, s: dict[str, str]) -> list[dict[str, str]]:
     return frontier
 
 
+def extensions(d: Instance | None, atoms, s: dict[str, str], free,
+               universe: list[str]) -> Iterator[dict[str, str]]:
+    """Every extension of assignment s that puts all atoms in d (joined
+    in order), with the free variables the join leaves unbound ranging
+    over the sorted universe. With no atoms, d is not read."""
+    for t in join(d, atoms, s):
+        missing = [v for v in free if v not in t]
+        for combo in product(universe, repeat=len(missing)):
+            yield {**t, **dict(zip(missing, combo))}
+
+
 def instantiations(d: Instance, c: Constraint,
                    universe: Iterable[str]) -> Iterator[dict[str, str]]:
     """Every assignment of c's universal variables whose body atoms are
-    all in d: the body is joined against d, and the universal variables
-    it leaves unbound (those that occur only in the head) range over the
-    sorted universe."""
-    universe = sorted(universe)
-    for s in join(d, c.body, {}):
-        missing = [v for v in c.univ_vars if v not in s]
-        for combo in product(universe, repeat=len(missing)):
-            yield {**s, **dict(zip(missing, combo))}
+    all in d: the extensions of the empty assignment by c's body."""
+    return extensions(d, c.body, {}, c.univ_vars, sorted(universe))
 
 
 def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
                         rel: frozenset[str], classical: bool,
                         universe: list[str]) -> bool:
-    """Truth of one ground body->head instantiation, existential variables
-    ranging over universe, the sorted working universe of (d, c).
-    Non-classical mode restricts relevant existential variables away from
-    null and, for relevant universal variables, a null value satisfies
-    vacuously."""
-    if not classical and any(s[v] == NULL for v in c.univ_vars if v in rel):
+    """Truth of one instantiation s of c drawn from `instantiations` over
+    d (so its body is in d): some head disjunct extends s into d, its
+    existential variables ranging over universe, the sorted working
+    universe of (d, c). Non-classical mode restricts relevant existential
+    variables away from null and, for relevant universal variables, a
+    null value satisfies vacuously."""
+    if classical:
+        rel = frozenset()
+    if any(s[v] == NULL for v in c.univ_vars if v in rel):
         return True
-    if not all(ground_atom(a, s) in d for a in c.body):
-        return True
-    nonnull = None
     for disj in c.head:
-        if classical or rel.isdisjoint(disj.exist_vars):
-            ranges = [universe] * len(disj.exist_vars)
-        else:
-            if nonnull is None:
-                nonnull = [c_ for c_ in universe if c_ != NULL]
-            ranges = [nonnull if v in rel else universe
-                      for v in disj.exist_vars]
-        for combo in product(*ranges):
-            full = {**s, **dict(zip(disj.exist_vars, combo))}
-            if all(ground_atom(a, full) in d for a in disj.atoms) and \
-                    all(eval_builtin(b, full, classical)
-                        for b in disj.builtins):
+        for full in extensions(d, disj.atoms, s, disj.exist_vars, universe):
+            if all(full[v] != NULL for v in disj.exist_vars if v in rel) \
+                    and all(eval_builtin(b, full, classical)
+                            for b in disj.builtins):
                 return True
     return False
 

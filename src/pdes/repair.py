@@ -22,7 +22,7 @@ from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
 from .lang import Constraint, relevant_vars
 from .nullsem import (ground_atom, holds_instantiation, instantiations,
                       n_holds, working_universe)
-from .chase import SigmaSplit, head_options, r_chase, split_sigma
+from .chase import head_options, r_chase
 
 NULL_BASED = "null"
 SYMMETRIC_DELTA = "delta"
@@ -75,21 +75,17 @@ def _profile_lt(p1, p2) -> bool:
 
 
 def closer_leq(d1: Instance, d2: Instance, base: Instance,
-               split: SigmaSplit, bound: frozenset[Atom] | None = None) -> bool:
+               bound: frozenset[Atom]) -> bool:
     """d1 is at least as close to base as d2: either d2 escapes the chase
-    bound, or every change in d1 is matched by an at-least-as-informative
-    change in d2 that (when strictly more informative) is not itself a
-    change of d1."""
-    if bound is None:
-        bound = r_chase(base, split).atoms
+    bound (the atoms of base's restricted chase), or every change in d1
+    is matched by an at-least-as-informative change in d2 that (when
+    strictly more informative) is not itself a change of d1."""
     return _profile_leq(_closeness_profile(d1, base, bound),
                         _closeness_profile(d2, base, bound))
 
 
 def closer_lt(d1: Instance, d2: Instance, base: Instance,
-              split: SigmaSplit, bound: frozenset[Atom] | None = None) -> bool:
-    if bound is None:
-        bound = r_chase(base, split).atoms
+              bound: frozenset[Atom]) -> bool:
     return _profile_lt(_closeness_profile(d1, base, bound),
                        _closeness_profile(d2, base, bound))
 
@@ -150,8 +146,13 @@ def _branch_search(base: Instance, sigma, universe, pool,
                    frozen_preds: frozenset[str], classical: bool,
                    cap: int,
                    frozen_atoms: frozenset[Atom] = frozenset()) -> list[Instance]:
-    """All satisfying instances reachable by repairing moves. Every state
-    is read over base's schema, which must cover the pool's atoms.
+    """All satisfying instances reachable by repairing moves. Violations
+    come from `nullsem.instantiations` and `holds_instantiation`; insert
+    moves from `head_options`, whose head atoms are joined against the
+    pool instance (the restricted chase of base, for null repairs) or,
+    when the pool is None (delta repairs), whose existentials range over
+    the universe. Every state is read over base's schema, which must
+    cover the pool's atoms.
 
     A state whose first violation has several moves branches on them. A
     state whose first violation is forced gets one child instead: the
@@ -214,13 +215,12 @@ def null_repairs(base: Instance, sigma,
     """Null-semantics repairs minimal under the chase-bounded closeness
     preorder; insertions are confined to restricted-chase atoms."""
     sigma = tuple(sigma)
-    split = split_sigma(sigma)
-    chased = r_chase(base, split)
+    chased = r_chase(base, sigma)
     bound = chased.atoms
     universe = sorted(working_universe(chased, *sigma))
     frozen = frozenset(frozen_preds)
     cands = _branch_search(Instance(base.atoms, chased.schema), sigma,
-                           universe, bound, frozen, classical=False, cap=cap,
+                           universe, chased, frozen, classical=False, cap=cap,
                            frozen_atoms=frozenset(frozen_atoms))
     minimal = _minimal(cands, lambda d: _closeness_profile(d, base, bound),
                        _profile_lt)
@@ -254,8 +254,7 @@ def exhaustive_null_repairs(base: Instance, sigma,
     other atom of a frozen predicate; exponential, for cross-checking
     only."""
     sigma = tuple(sigma)
-    split = split_sigma(sigma)
-    chased = r_chase(base, split)
+    chased = r_chase(base, sigma)
     frozen, pinned = frozenset(frozen_preds), frozenset(frozen_atoms)
     kept = frozenset(a for a in base.atoms
                      if a.pred in frozen or a in pinned)

@@ -12,10 +12,11 @@ import pytest
 from pdes import repair
 from pdes.asp import asp_solutions, build_solution_program, ground, \
     pca_via_asp, stable_models
-from pdes.chase import r_chase, split_sigma
+from pdes.chase import r_chase
 from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
                        SchemaError, atom)
-from pdes.importmode import import_solve, restricted_import_solve
+from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
+                             restricted_import_solve)
 from pdes.lang import parse_constraint, parse_query
 from pdes.nullsem import n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
@@ -217,12 +218,10 @@ def test_06_rewriting_soundness_exhaustive():
 def test_07_chase_behaviors_and_laws():
     defn = load("ex_5_2.pdes")
     sigma = defn.system.sigma_of("P")
-    split = split_sigma(sigma)
     schema = defn.system.schemas["P"]
 
-    def chase(atoms, cs=None):
-        return r_chase(Instance(set(atoms), schema),
-                       split if cs is None else split_sigma(cs))
+    def chase(atoms, cs=sigma):
+        return r_chase(Instance(set(atoms), schema), cs)
 
     with Stopwatch() as sw:
         # a null in a relevant position does not propagate
@@ -257,9 +256,9 @@ def test_07_chase_behaviors_and_laws():
                 atoms.add(Atom(pred, tuple(rng.choice(dom)
                                            for _ in range(k))))
             d = Instance(atoms, schema)
-            out = r_chase(d, split)
+            out = r_chase(d, sigma)
             assert d.atoms <= out.atoms
-            assert r_chase(out, split).atoms == out.atoms
+            assert r_chase(out, sigma).atoms == out.atoms
             for c in generating:
                 assert n_holds(out, c)
     assert sw.elapsed < 30.0
@@ -502,6 +501,28 @@ def test_11_programs_agree_with_direct_solver():
                 assert want == got, (trial, p)
     assert (compared, refused) == (34, 9)
     assert sw.elapsed < 300.0
+
+
+def test_11_import_routes_agree_on_random_systems():
+    # the random systems of test_11: wherever every peer a peer reaches is
+    # of the import kind, the import routes give the general solutions
+    rng = random.Random(11)
+    checked = disagree = 0
+    for trial in range(200):
+        sysm, inst = _random_system(rng)
+        flags = classify(sysm).peer_flags
+        for p in sorted(sysm.peers):
+            reached = {flags[q] for q in sysm.accessible(p)}
+            if GENERAL in reached:
+                continue
+            checked += 1
+            want = solution_sets(solutions(sysm, p, inst).solutions)
+            routes = [solution_sets(
+                restricted_import_solve(sysm, p, inst).solutions)]
+            if reached == {UNRESTRICTED}:
+                routes.append({atoms_of(import_solve(sysm, p, inst))})
+            disagree += any(r != want for r in routes)
+    assert (checked, disagree) == (302, 0)
 
 
 # 12 --------------------------------------------------------------------

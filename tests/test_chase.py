@@ -3,7 +3,7 @@
 import random
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.chase import has_problematic_existential, r_chase, split_sigma
+from pdes.chase import has_problematic_existential, r_chase
 from pdes.lang import parse_constraint
 from pdes.nullsem import n_holds
 
@@ -21,20 +21,19 @@ SCHEMA = Schema({"T": 2, "R": 2, "S": 2, "Q": 3})
 
 
 def chase(atoms, sigma=SIGMA):
-    return r_chase(Instance(set(atoms), SCHEMA), split_sigma(sigma))
+    return r_chase(Instance(set(atoms), SCHEMA), sigma)
 
 
 class TestSplit:
     def test_non_existential_constraints_kept(self):
-        split = split_sigma(SIGMA)
-        assert set(split.sigma1) == set(SIGMA[:5])
-        assert set(split.sigma2_minus) == set(SIGMA[5:])
-        assert split.excluded == ()
+        assert [c.is_existential for c in SIGMA] == [False] * 5 + [True] * 2
+        assert not any(has_problematic_existential(c) for c in SIGMA)
 
     def test_problematic_existential_detection(self):
         c = parse_constraint("forall x : R0(x) -> exists y : T(x,y), S0(y)")
         assert has_problematic_existential(c)
-        assert split_sigma((c,)).enforced == ()
+        d = Instance({atom("R0", "a")}, Schema({"R0": 1, "T": 2, "S0": 1}))
+        assert r_chase(d, (c,)).atoms == d.atoms
         simple = parse_constraint("forall x,y : R(x,y) -> exists z : Q(x,y,z)")
         assert not has_problematic_existential(simple)
 
@@ -91,14 +90,13 @@ class TestChaseLaws:
 
     def test_laws_on_random_instances(self):
         rng = random.Random(20240817)
-        split = split_sigma(SIGMA)
         for _ in range(200):
             d = random_instance(rng)
-            out = r_chase(d, split)
+            out = r_chase(d, SIGMA)
             # inflationary
             assert d.atoms <= out.atoms
             # fixpoint: a second pass adds nothing
-            assert r_chase(out, split).atoms == out.atoms
+            assert r_chase(out, SIGMA).atoms == out.atoms
             # generating constraints hold in the result
             for c in self.GENERATING:
                 assert n_holds(out, c), (sorted(map(str, d)), str(c))

@@ -1,5 +1,8 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -203,3 +206,53 @@ def test_no_traceback_on_any_fixture(capsys):
             if code not in (0, 1, 2, 3):
                 bad.append((name, argv, code))
     assert bad == []
+
+
+# One line per run of every subcommand x fixture x peer x format, in
+# process from the fixtures directory: the sha256 of (exit code, stdout,
+# stderr), then the arguments.  Regenerate only when an output is meant to
+# change: PYTHONPATH=src python tests/test_cli.py
+SWEEP = os.path.join(GOLDEN, "sweep.sha256")
+
+
+def _sweep_argvs():
+    for name in sorted(os.listdir(FIXTURES)):
+        try:
+            peers = sorted(load(name).system.peers)
+        except SchemaError:
+            peers = ["P1"]
+        for fmt in ("text", "json"):
+            yield ["check", name, "--format", fmt]
+            for cmd in SUBCOMMANDS:
+                for p in peers:
+                    yield cmd + [name, "--peer", p, "--format", fmt]
+
+
+def _sweep_lines() -> list[str]:
+    lines = []
+    for argv in _sweep_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        run = json.dumps([code, out.getvalue(), err.getvalue()])
+        lines.append("%s  %s" % (hashlib.sha256(run.encode()).hexdigest(),
+                                 " ".join(argv)))
+    return lines
+
+
+def test_sweep_matches_digest(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.delenv("PDES_CAP", raising=False)
+    with open(SWEEP, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    got = _sweep_lines()
+    changed = [g.split("  ", 1)[1] for g in got if g not in expected]
+    assert changed == []
+    assert got == expected
+
+
+if __name__ == "__main__":
+    os.chdir(FIXTURES)
+    os.environ.pop("PDES_CAP", None)
+    with open(SWEEP, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(_sweep_lines()) + "\n")

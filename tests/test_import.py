@@ -4,12 +4,13 @@ import os
 
 import pytest
 
-from pdes.core import SchemaError
+from pdes.asp import asp_solutions
+from pdes.core import DEFAULT_CAP, SchemaError
 from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_program,
                              import_solve, least_model,
                              restricted_import_solve)
-from pdes.system import peer_consistent_answers, solutions
+from pdes.system import _solve, peer_consistent_answers, solutions
 
 from conftest import FIXTURES, load
 
@@ -67,6 +68,34 @@ class TestUnrestrictedImport:
         assert atoms_of(fixpoint) >= {"R1(a,2)", "R1(d,5)"}
 
 
+class TestExistentialImport:
+    def test_null_witness_only_where_no_atom_witnesses(self):
+        # R1(a,b) already witnesses the head for a; only c needs a null
+        defn = parse_definition(
+            "peer P1 : R1/2\npeer P2 : R2/1\ntrust P1 less P2\n"
+            "dec P1 P2 : forall x : R2(x) -> exists z : R1(x,z)\n"
+            "instance P1 : R1(a,b)\ninstance P2 : R2(a), R2(c)\n")
+        sysm, d = defn.system, defn.instance
+        want = {frozenset({"R1(a,b)", "R1(c,null)"})}
+        assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
+        assert solution_sets(solutions(sysm, "P1", d)) == want
+        assert solution_sets(
+            _solve(sysm, "P1", d, asp_solutions, DEFAULT_CAP, {})) == want
+
+    def test_more_informative_null_atom_witnesses_first(self):
+        # R1(a,null,b) witnesses both heads, R1(a,null,null) only one
+        defn = parse_definition(
+            "peer P1 : R1/3\npeer P2 : S/1\npeer P3 : T/1\n"
+            "trust P1 less P2\ntrust P1 less P3\n"
+            "dec P1 P2 : forall x : S(x) -> exists z : R1(x,z,b)\n"
+            "dec P1 P3 : forall x : T(x) -> exists z,w : R1(x,z,w)\n"
+            "instance P2 : S(a)\ninstance P3 : T(a)\n")
+        sysm, d = defn.system, defn.instance
+        want = {frozenset({"R1(a,null,b)"})}
+        assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
+        assert solution_sets(solutions(sysm, "P1", d)) == want
+
+
 class TestRestrictedImport:
     def test_conflicting_imports_leave_no_solution(self):
         defn = load("ex_5_12.pdes")
@@ -101,6 +130,42 @@ class TestRestrictedImport:
         res = restricted_import_solve(defn.system, "P", defn.instance)
         general = solutions(defn.system, "P", defn.instance)
         assert solution_sets(res) == solution_sets(general)
+
+
+class TestInconsistentNeighbor:
+    # P1 is ex_5_12's P1, whose two imports conflict under its local FD,
+    # so P0 drops its exchange constraint toward P1
+    TEXT = ("preorder %s\npeer P0 : S0/2\npeer P1 : R1/2\npeer P2 : R2/2\n"
+            "peer P3 : R3/2\n"
+            "trust P0 less P1\ntrust P1 less P2\ntrust P1 less P3\n"
+            "dec P0 P1 : %s\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)\n"
+            "dec P1 P3 : forall x,y : R3(x,y) -> R1(x,y)\n"
+            "dec P1 P1 : forall x,y,z : R1(x,y), R1(x,z) -> y = z\n"
+            "instance P0 : S0(k,l)\ninstance P2 : R2(a,b)\n"
+            "instance P3 : R3(a,c)\n")
+    COPY = "forall x,y : R1(x,y) -> S0(x,y)"
+    # kept, this one would delete S0(k,l): R1(k,l) cannot be inserted
+    GENERAL = "forall x,y : S0(x,y) -> R1(x,y)"
+
+    @pytest.mark.parametrize("preorder", ["null", "delta"])
+    @pytest.mark.parametrize("dec", [COPY, GENERAL], ids=["copy", "general"])
+    def test_routes_agree_and_the_exchange_is_dropped(self, preorder, dec):
+        defn = parse_definition(self.TEXT % (preorder, dec))
+        sysm, d = defn.system, defn.instance
+        assert solutions(sysm, "P1", d).inconsistent
+        assert restricted_import_solve(sysm, "P1", d).inconsistent
+        general = solutions(sysm, "P0", d)
+        assert solution_sets(general) == {frozenset({"S0(k,l)"})}
+        assert not general.inconsistent
+        if dec == self.COPY:
+            assert solution_sets(restricted_import_solve(sysm, "P0", d)) \
+                == solution_sets(general)
+        if preorder == "null":
+            via_asp = _solve(sysm, "P0", d, asp_solutions, DEFAULT_CAP, {})
+            assert solution_sets(via_asp) == solution_sets(general)
+            assert _solve(sysm, "P1", d, asp_solutions, DEFAULT_CAP,
+                          {}).inconsistent
 
 
 class TestConsistentAnswersThroughImports:

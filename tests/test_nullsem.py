@@ -40,6 +40,20 @@ class TestBuiltinEvaluation:
         assert eval_builtin(gt, {"x": "7"})
         assert not eval_builtin(gt, {"x": "5"})
 
+    def test_geq_numeric(self):
+        geq = Builtin("geq", (Var("x"), Var("y")))
+        assert eval_builtin(geq, {"x": "10", "y": "9"})  # not "10" < "9"
+        assert eval_builtin(geq, {"x": "5", "y": "5"})
+        assert not eval_builtin(geq, {"x": "9", "y": "10"})
+        assert eval_builtin(geq, {"x": "7", "y": "5"}, classical=True)
+
+    def test_geq_lexicographic(self):
+        geq = Builtin("geq", (Var("x"), Cst("b")))
+        assert eval_builtin(geq, {"x": "c"})
+        assert eval_builtin(geq, {"x": "b"})
+        assert not eval_builtin(geq, {"x": "a"})
+        assert not eval_builtin(geq, {"x": "10"})  # "10" < "b"
+
     def test_null_guards(self):
         isnull = Builtin("isnull", (Var("x"),))
         isnotnull = Builtin("isnotnull", (Var("x"),))
