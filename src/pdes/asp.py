@@ -238,9 +238,12 @@ def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
 
 def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
     """Ground instantiations of the decision-layer rules, with builtins
-    and fact-determined literals pre-evaluated away."""
+    and fact-determined literals pre-evaluated away. Variables range over
+    the facts' active domain, null and the constants of the rules."""
     uni = sorted(active_domain(Instance(
-        {a for a in prog.facts if a.pred != "dom"}, prog.schema)) | {NULL})
+        {a for a in prog.facts if a.pred != "dom"}, prog.schema)) | {NULL}
+        | {t.value for r in prog.rules for item in (*r.head, *r.body)
+           for t in item.terms if isinstance(t, Cst)})
     out: list[GroundRule] = []
     seen: set[GroundRule] = set()
     for r in prog.rules:

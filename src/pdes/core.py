@@ -112,6 +112,16 @@ class Instance:
             if len(a.args) != self.schema.arity(a.pred):
                 raise SchemaError("arity mismatch in %s" % (a,))
 
+    @classmethod
+    def _trusted(cls, atoms: frozenset[Atom], schema: Schema) -> "Instance":
+        """An instance of atoms already checked against schema (a subset
+        of a checked instance's atoms); the check is not repeated."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "atoms", atoms)
+        object.__setattr__(inst, "schema", schema)
+        object.__setattr__(inst, "_by_pred", {})
+        return inst
+
     def __contains__(self, a: Atom) -> bool:
         return a in self.atoms
 

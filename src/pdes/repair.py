@@ -7,19 +7,29 @@ instance, a state's first violated ground instantiation branches into
 deleting one antecedent atom or inserting one consequent disjunct, unless
 it is forced (its body frozen, one insert its only move): then the
 inserts of every forced violation of the state are applied as one batch,
-as the restricted chase fires a round. Satisfying leaves are then
-filtered for global minimality under the active preorder.
+as the restricted chase fires a round. At its first state that is not
+forced, the search splits into the conflict parts of the restricted
+chase (pool atoms that some ground instantiation joins, through its body
+or a grounding of its head) and searches each violated part alone. The
+candidates are the unsplit atoms plus one satisfying state of every
+part. Under the null preorder each part's states are minimised alone
+when no atom of one part is below an atom of another in the information
+order, and the minimal repairs are their products; otherwise, and under
+the delta preorder (whose inserts range over the universe, so the search
+keeps one part), the candidates are filtered as a whole.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Callable, Iterable
 
 from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
                    atom_sort_key)
-from .lang import Constraint, relevant_vars
+from .lang import Constraint, relevant_vars, term_vars
 from .nullsem import (ground_atom, holds_instantiation, instantiations,
                       n_holds, working_universe)
 from .chase import head_options, r_chase
@@ -42,15 +52,16 @@ def info_leq(s1, s2) -> bool:
 
 # ----------------------------------------------------- closeness preorder
 
-def _closeness_profile(d: Instance, base: Instance, bound: frozenset[Atom]):
-    """What the closeness preorder reads of d: whether d lies inside the
-    chase bound, its changes against base, and those changes grouped by
-    (predicate, arity)."""
-    delta = base.atoms ^ d.atoms
+def _closeness_profile(d: frozenset[Atom], base: frozenset[Atom],
+                       bound: frozenset[Atom]):
+    """What the closeness preorder reads of the atoms d: whether they lie
+    inside the chase bound, their changes against base, and those changes
+    grouped by (predicate, arity)."""
+    delta = base ^ d
     groups: dict[tuple[str, int], list[Atom]] = {}
     for a in delta:
         groups.setdefault((a.pred, len(a.args)), []).append(a)
-    return d.atoms <= bound, delta, groups
+    return d <= bound, delta, groups
 
 
 def _profile_leq(p1, p2) -> bool:
@@ -80,14 +91,14 @@ def closer_leq(d1: Instance, d2: Instance, base: Instance,
     bound (the atoms of base's restricted chase), or every change in d1
     is matched by an at-least-as-informative change in d2 that (when
     strictly more informative) is not itself a change of d1."""
-    return _profile_leq(_closeness_profile(d1, base, bound),
-                        _closeness_profile(d2, base, bound))
+    return _profile_leq(_closeness_profile(d1.atoms, base.atoms, bound),
+                        _closeness_profile(d2.atoms, base.atoms, bound))
 
 
 def closer_lt(d1: Instance, d2: Instance, base: Instance,
               bound: frozenset[Atom]) -> bool:
-    return _profile_lt(_closeness_profile(d1, base, bound),
-                       _closeness_profile(d2, base, bound))
+    return _profile_lt(_closeness_profile(d1.atoms, base.atoms, bound),
+                       _closeness_profile(d2.atoms, base.atoms, bound))
 
 
 def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
@@ -99,40 +110,17 @@ class RepairSet:
     repairs: tuple[Instance, ...]
 
 
-def _sorted_instances(instances, base) -> tuple[Instance, ...]:
-    def key(inst):
-        delta = base.atoms ^ inst.atoms
-        return (len(delta), tuple(sorted(map(atom_sort_key, inst.atoms))))
-    return tuple(sorted(instances, key=key))
+def _repair_set(candidates, base: Instance, schema) -> RepairSet:
+    """The candidate atom sets as instances over schema, fewest changes
+    against base first."""
+    def key(atoms):
+        return (len(base.atoms ^ atoms),
+                tuple(sorted(map(atom_sort_key, atoms))))
+    return RepairSet(tuple(Instance._trusted(a, schema)
+                           for a in sorted(candidates, key=key)))
 
 
 # ----------------------------------------------------- branch search core
-
-def _violations(d: Instance, sigma, universe, classical: bool):
-    """The violated ground instantiations (c, s) of d, in search order."""
-    for c in sigma:
-        rel = relevant_vars(c)
-        wu = sorted(working_universe(d, c))
-        for s in instantiations(d, c, universe):
-            if not holds_instantiation(d, c, s, rel, classical, wu):
-                yield c, s
-
-
-def _children(state: frozenset[Atom], c: Constraint, s, universe, pool,
-              frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
-              classical: bool) -> list[frozenset[Atom]]:
-    """The states one move away from state that may repair the violated
-    instantiation s of c: one per deletable body atom, then one per head
-    option that adds atoms, none of a frozen predicate. A violation's
-    body atoms are all in state."""
-    out = [state - {ga} for ga in (ground_atom(a, s) for a in c.body)
-           if ga.pred not in frozen_preds and ga not in frozen_atoms]
-    for atoms in head_options(c, s, universe, pool, classical):
-        new = atoms - state
-        if new and not any(a.pred in frozen_preds for a in new):
-            out.append(state | new)
-    return out
-
 
 def _forced(state: frozenset[Atom], children) -> frozenset[Atom] | None:
     """The atoms a violation forces into state: those of its one child,
@@ -142,17 +130,140 @@ def _forced(state: frozenset[Atom], children) -> frozenset[Atom] | None:
     return None
 
 
-def _branch_search(base: Instance, sigma, universe, pool,
-                   frozen_preds: frozenset[str], classical: bool,
-                   cap: int,
-                   frozen_atoms: frozenset[Atom] = frozenset()) -> list[Instance]:
-    """All satisfying instances reachable by repairing moves. Violations
-    come from `nullsem.instantiations` and `holds_instantiation`; insert
-    moves from `head_options`, whose head atoms are joined against the
-    pool instance (the restricted chase of base, for null repairs) or,
-    when the pool is None (delta repairs), whose existentials range over
-    the universe. Every state is read over base's schema, which must
-    cover the pool's atoms.
+def _splits(c: Constraint) -> bool:
+    """Whether every instantiation of c is anchored by a body atom and
+    reads no value outside its own atoms: its body is not empty and each
+    existential variable occurs in an atom of its disjunct."""
+    return bool(c.body) and all(
+        v in {x for a in d.atoms for x in term_vars(a.terms)}
+        for d in c.head for v in d.exist_vars)
+
+
+class _Search:
+    """One repair search over states (atom sets read over schema, which
+    must cover the pool's atoms): the moves they allow and the one cap
+    charged with every state of every part and with the product
+    candidates."""
+
+    def __init__(self, schema, sigma, universe, pool: Instance | None,
+                 frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
+                 classical: bool, cap: int):
+        self.schema, self.universe, self.pool = schema, universe, pool
+        self.rules = tuple((c, relevant_vars(c)) for c in sigma)
+        self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
+        self.classical, self.cap, self.used = classical, cap, 0
+
+    def charge(self, n: int) -> None:
+        if self.used + n > self.cap:
+            raise CapExceeded(self.cap, self.used + n)
+        self.used += n
+
+    def violations(self, state: frozenset[Atom]):
+        """The violated ground instantiations (c, s) of state, in search
+        order."""
+        if self.pool is None:  # inserts range over the universe
+            d = Instance(state, self.schema)
+        else:  # base and pool atoms, checked already
+            d = Instance._trusted(state, self.schema)
+        for c, rel in self.rules:
+            wu = sorted(working_universe(d, c))
+            for s in instantiations(d, c, self.universe):
+                if not holds_instantiation(d, c, s, rel, self.classical, wu):
+                    yield c, s
+
+    def children(self, state: frozenset[Atom], c: Constraint,
+                 s) -> list[frozenset[Atom]]:
+        """The states one move away from state that may repair the
+        violated instantiation s of c: one per deletable body atom, then
+        one per head option that adds atoms, none of a frozen predicate.
+        A violation's body atoms are all in state."""
+        out = [state - {ga} for ga in (ground_atom(a, s) for a in c.body)
+               if ga.pred not in self.frozen_preds
+               and ga not in self.frozen_atoms]
+        for atoms in head_options(c, s, self.universe, self.pool,
+                                  self.classical):
+            new = atoms - state
+            if new and not any(a.pred in self.frozen_preds for a in new):
+                out.append(state | new)
+        return out
+
+    def step(self, state: frozenset[Atom]):
+        """None when state satisfies every constraint. Otherwise the
+        moves of its first violation and False, or, when that violation
+        is forced, the one child that adds the inserts of every forced
+        violation of state and True."""
+        viols = self.violations(state)
+        first = next(viols, None)
+        if first is None:
+            return None
+        nexts = self.children(state, *first)
+        batch = _forced(state, nexts)
+        if batch is None:
+            return nexts, False
+        for viol in viols:
+            more = _forced(state, self.children(state, *viol))
+            if more is not None:
+                batch |= more
+        return [state | batch], True
+
+    def explore(self, start: frozenset[Atom]) -> list[frozenset[Atom]]:
+        """Every satisfying state reachable from start, depth first."""
+        self.charge(1)
+        seen = {start}
+        stack = [start]
+        found = []
+        while stack:
+            state = stack.pop()
+            got = self.step(state)
+            if got is None:
+                found.append(state)
+                continue
+            for n in got[0]:
+                if n not in seen:
+                    self.charge(1)
+                    seen.add(n)
+                    stack.append(n)
+        return found
+
+    def parts(self, state: frozenset[Atom]) -> list[frozenset[Atom]]:
+        """The parts of the pool that hold a violation of state, ordered
+        by their least atom. Two pool atoms share a part when one ground
+        instantiation over the pool holds both, in its body or in any
+        grounding of its head against the pool. Without a pool, or when
+        some constraint does not split, one part holds all of state."""
+        if self.pool is None or not all(_splits(c) for c, _ in self.rules):
+            return [state]
+        parent: dict[Atom, Atom] = {}
+
+        def find(a: Atom) -> Atom:
+            while parent.get(a, a) != a:
+                parent[a] = a = parent.get(parent[a], parent[a])
+            return a
+
+        for c, _ in self.rules:
+            for s in instantiations(self.pool, c, self.universe):
+                atoms = [ground_atom(a, s) for a in c.body]
+                for option in head_options(c, s, self.universe, self.pool,
+                                           self.classical):
+                    atoms.extend(option)
+                root = find(atoms[0])
+                for a in atoms[1:]:
+                    parent[find(a)] = root
+        violated = {find(ground_atom(c.body[0], s))
+                    for c, s in self.violations(state)}
+        members: dict[Atom, list[Atom]] = {}
+        for a in self.pool:  # sorted, so the parts come in a fixed order
+            root = find(a)
+            if root in violated:
+                members.setdefault(root, []).append(a)
+        return [frozenset(m) for m in members.values()]
+
+
+def _branch_search(search: _Search, start: frozenset[Atom]):
+    """The satisfying states reachable from start by repairing moves, as
+    the atoms they all share and, for each searched part, the part and
+    its satisfying states. Every candidate is the shared atoms plus one
+    state of each part.
 
     A state whose first violation has several moves branches on them. A
     state whose first violation is forced gets one child instead: the
@@ -161,49 +272,60 @@ def _branch_search(base: Instance, sigma, universe, pool,
     in every descendant and must be satisfied by its head there. Its head
     can only become true through a pool grounding whose missing atoms
     some move inserts, and its one insert is the only such grounding. So
-    every satisfying leaf below the state contains that insert."""
-    moves = (universe, pool, frozen_preds, frozen_atoms, classical)
-    start = frozenset(base.atoms)
-    seen = {start}
-    stack = [start]
-    found: list[Instance] = []
-    while stack:
-        state = stack.pop()
-        inst = Instance(state, base.schema)
-        viols = _violations(inst, sigma, universe, classical)
-        first = next(viols, None)
-        if first is None:
-            found.append(inst)
-            continue
-        nexts = _children(state, *first, *moves)
-        batch = _forced(state, nexts)
-        if batch is not None:
-            for viol in viols:
-                more = _forced(state, _children(state, *viol, *moves))
-                if more is not None:
-                    batch |= more
-            nexts = [state | batch]
-        for n in nexts:
-            if n not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(cap, len(seen) + 1)
-                seen.add(n)
-                stack.append(n)
-    return found
+    every satisfying leaf below the state contains that insert.
+
+    Forced batches run on the whole state. At the first state that is
+    not forced, the search splits it into the parts of `_Search.parts`
+    and searches each violated part alone. A move inserts or deletes
+    atoms of its violation's part, and whether an instantiation holds
+    depends only on the atoms of its part, so the reachable satisfying
+    states are the products of each part's, and parts without a
+    violation stay as they are."""
+    state = start
+    search.charge(1)
+    while True:
+        got = search.step(state)
+        if got is None:
+            return state, []
+        nexts, forced = got
+        if not forced:
+            break
+        state = nexts[0]
+        search.charge(1)
+    parts = search.parts(state)
+    return (state.difference(*parts),
+            [(part, search.explore(state & part)) for part in parts])
 
 
-def _minimal(candidates, profile: Callable, beats: Callable) -> list[Instance]:
+def _candidates(search: _Search, shared, parts) -> list[frozenset[Atom]]:
+    """shared plus one state of every part, in every combination; the
+    number of combinations is charged to the search's cap."""
+    search.charge(prod(len(states) for _, states in parts))
+    return [shared.union(*combo)
+            for combo in product(*(states for _, states in parts))]
+
+
+def _crossing(parts) -> bool:
+    """Whether an atom of one part is below an atom of another part of
+    the same (predicate, arity) in the information order. Only an atom
+    with a null is below an atom other than itself."""
+    groups: dict[tuple[str, int], list[tuple[int, Atom]]] = {}
+    for i, part in enumerate(parts):
+        for a in part:
+            groups.setdefault((a.pred, len(a.args)), []).append((i, a))
+    return any(i != j and info_leq(a.args, b.args)
+               for group in groups.values()
+               for i, a in group if NULL in a.args
+               for j, b in group)
+
+
+def _minimal(candidates, profile: Callable, beats: Callable) -> list:
     """The candidates that no other candidate beats; profile is computed
-    once per candidate and beats compares two profiles."""
+    once per candidate and beats compares two profiles strictly."""
     profiles = [profile(c) for c in candidates]
-    out = []
-    for r, pr in zip(candidates, profiles):
-        if not any(c.atoms != r.atoms and beats(pc, pr)
-                   for c, pc in zip(candidates, profiles)):
-            out.append(r)
-    # collapse duplicates
-    uniq = {c.atoms: c for c in out}
-    return list(uniq.values())
+    return [r for i, (r, pr) in enumerate(zip(candidates, profiles))
+            if not any(j != i and beats(pc, pr)
+                       for j, pc in enumerate(profiles))]
 
 
 # --------------------------------------------------------- entry points
@@ -213,18 +335,36 @@ def null_repairs(base: Instance, sigma,
                  cap: int = DEFAULT_CAP,
                  frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Null-semantics repairs minimal under the chase-bounded closeness
-    preorder; insertions are confined to restricted-chase atoms."""
+    preorder; insertions are confined to restricted-chase atoms.
+
+    Every candidate lies inside the chase bound, so the preorder compares
+    changes only. Each part's candidates share the changes of the other
+    parts, and a shared change matches itself. So when no atom of one
+    searched part is below an atom of another in the information order,
+    a change can only be matched within its own part, and d1 <= d2 holds
+    iff it holds part by part. If e beats d, then e <= d in every part
+    and not d <= e in some part, where e's state beats d's. So d is
+    minimal iff each of its part states is minimal in its part, and the
+    minimal candidates are the products of each part's minimal states.
+    Otherwise the product is filtered as a whole."""
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
     bound = chased.atoms
     universe = sorted(working_universe(chased, *sigma))
-    frozen = frozenset(frozen_preds)
-    cands = _branch_search(Instance(base.atoms, chased.schema), sigma,
-                           universe, chased, frozen, classical=False, cap=cap,
-                           frozen_atoms=frozenset(frozen_atoms))
-    minimal = _minimal(cands, lambda d: _closeness_profile(d, base, bound),
-                       _profile_lt)
-    return RepairSet(_sorted_instances(minimal, base))
+    search = _Search(chased.schema, sigma, universe, chased,
+                     frozenset(frozen_preds), frozenset(frozen_atoms),
+                     False, cap)
+    shared, parts = _branch_search(search, base.atoms)
+    if len(parts) > 1 and _crossing([part for part, _ in parts]):
+        minimal = _minimal(
+            _candidates(search, shared, parts),
+            lambda d: _closeness_profile(d, base.atoms, bound), _profile_lt)
+    else:
+        minimal = _candidates(search, shared, [
+            (part, _minimal(states, lambda d, b=base.atoms & part:
+                            _closeness_profile(d, b, bound), _profile_lt))
+            for part, states in parts])
+    return _repair_set(minimal, base, chased.schema)
 
 
 def delta_repairs(base: Instance, sigma,
@@ -232,15 +372,17 @@ def delta_repairs(base: Instance, sigma,
                   cap: int = DEFAULT_CAP,
                   frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Repairs minimal under set inclusion of the symmetric difference;
-    insertions range over the working universe."""
+    insertions range over the working universe, so the search has no
+    pool to split and keeps one part."""
     sigma = tuple(sigma)
     universe = sorted(working_universe(base, *sigma))
-    frozen = frozenset(frozen_preds)
-    cands = _branch_search(base, sigma, universe, None, frozen,
-                           classical=True, cap=cap,
-                           frozen_atoms=frozenset(frozen_atoms))
-    minimal = _minimal(cands, lambda d: base.atoms ^ d.atoms, operator.lt)
-    return RepairSet(_sorted_instances(minimal, base))
+    search = _Search(base.schema, sigma, universe, None,
+                     frozenset(frozen_preds), frozenset(frozen_atoms),
+                     True, cap)
+    shared, parts = _branch_search(search, base.atoms)
+    minimal = _minimal(_candidates(search, shared, parts),
+                       lambda d: base.atoms ^ d, operator.lt)
+    return _repair_set(minimal, base, base.schema)
 
 
 # ------------------------------------------------- exhaustive oracle
@@ -268,7 +410,7 @@ def exhaustive_null_repairs(base: Instance, sigma,
         atoms = kept | {a for i, a in enumerate(free) if mask >> i & 1}
         inst = Instance(atoms, chased.schema)
         if all(n_holds(inst, c) for c in sigma):
-            sat.append(inst)
-    minimal = _minimal(sat, lambda d: _closeness_profile(d, base, chased.atoms),
-                       _profile_lt)
-    return RepairSet(_sorted_instances(minimal, base))
+            sat.append(inst.atoms)
+    minimal = _minimal(sat, lambda d: _closeness_profile(
+        d, base.atoms, chased.atoms), _profile_lt)
+    return _repair_set(minimal, base, chased.schema)

@@ -5,11 +5,13 @@ import pytest
 from pdes.asp import (TA, asp_solutions, build_solution_program,
                       emit_text, extract_instance, ground, pca_via_asp,
                       stable_models)
-from pdes.core import Atom, CapExceeded, Instance, SchemaError, atom
+from pdes.core import (DEFAULT_CAP, Atom, CapExceeded, Instance,
+                       SchemaError, atom)
 from pdes.deffile import parse_definition
+from pdes.importmode import import_solve
 from pdes.lang import parse_constraint
-from pdes.system import (PdesSchema, inc_atom, peer_consistent_answers,
-                         solutions)
+from pdes.system import (PdesSchema, _solve, inc_atom,
+                         peer_consistent_answers, solutions)
 
 from conftest import load
 
@@ -155,3 +157,21 @@ class TestAnswersThroughPrograms:
         assert direct.answers == {("a", "null"), ("b", "c")}
         with pytest.raises(SchemaError):
             pca_via_asp(defn.system, "P1", defn.instance, q)
+
+
+class TestRuleConstants:
+    def test_constant_only_in_a_rule_is_grounded(self):
+        # b occurs in no fact, only in the rule for S's head; grounding
+        # over the facts alone lost the witness R1(a,null,b)
+        defn = parse_definition(
+            "peer P1 : R1/3\npeer P2 : S/1\npeer P3 : T/1\n"
+            "trust P1 less P2\ntrust P1 less P3\n"
+            "dec P1 P2 : forall x : S(x) -> exists z : R1(x,z,b)\n"
+            "dec P1 P3 : forall x : T(x) -> exists z,w : R1(x,z,w)\n"
+            "instance P2 : S(a)\ninstance P3 : T(a)\n")
+        sysm, d = defn.system, defn.instance
+        want = {frozenset({"R1(a,null,b)"})}
+        assert solution_sets(solutions(sysm, "P1", d).solutions) == want
+        assert solution_sets([import_solve(sysm, "P1", d)]) == want
+        assert solution_sets(_solve(sysm, "P1", d, asp_solutions,
+                                    DEFAULT_CAP, {}).solutions) == want

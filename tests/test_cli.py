@@ -169,6 +169,26 @@ class TestDeterminism:
             assert res.stdout == expected, seed
 
 
+    def test_hash_seed_does_not_change_multi_part_solutions(self, tmp_path):
+        # three FD keys and two null witnesses: five conflict parts
+        path = tmp_path / "parts.pdes"
+        path.write_text(
+            "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 same P2\n"
+            "dec P1 P1 : forall x,y,z : R1(x,y), R1(x,z) -> y = z\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> exists z : R1(x,z)\n"
+            "instance P1 : R1(k1,a), R1(k1,b), R1(k2,c), R1(k2,d), "
+            "R1(k3,e), R1(k3,f), R1(k4,g)\n"
+            "instance P2 : R2(w1,h), R2(w2,i)\n")
+        outs = set()
+        for seed in ("1", "2", "3"):
+            res = run_cli(["solutions", str(path), "--peer", "P1"],
+                          env_extra={"PYTHONHASHSEED": seed})
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.count("solution ") == 2 ** 5
+            outs.add(res.stdout)
+        assert len(outs) == 1
+
+
 def test_cli_imports_only_the_standard_library():
     code = ("import sys; before = set(sys.modules); import pdes.cli; "
             "print(*sorted(set(sys.modules) - before))")

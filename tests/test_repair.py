@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pdes import repair
 from pdes.core import NULL, Atom, CapExceeded, Instance, Schema, atom
 from pdes.chase import r_chase
 from pdes.lang import parse_constraint
@@ -165,6 +166,87 @@ class TestOracleCrossCheck:
         rs = exhaustive_null_repairs(base, sigma, ["U"], frozen_atoms=[keep])
         assert [r.atoms for r in rs.repairs] == [frozenset({
             keep, atom("U", "b", "c"), atom("T", "b", "c")})]
+
+
+def _multi_part_case(rng):
+    """Several keys, each a conflict of its own under the key-joined
+    shapes, with nulls in the data."""
+    schema = Schema({"T": 2, "S": 2, "U": 2})
+    atoms = {Atom(rng.choice("TSU"), (rng.choice("123"),
+                                     rng.choice(["a", "b", NULL])))
+             for _ in range(rng.randint(3, 6))}
+    sigma = tuple(parse_constraint(t) for t in
+                  rng.sample(_SHAPES + _COPY_SHAPES, rng.randint(1, 3)))
+    return Instance(atoms, schema), sigma
+
+
+def _spy_crossing(monkeypatch):
+    """Record (number of parts, crossing) for every split search."""
+    seen = []
+    real = repair._crossing
+
+    def spy(parts):
+        seen.append((len(parts), real(parts)))
+        return seen[-1][1]
+    monkeypatch.setattr(repair, "_crossing", spy)
+    return seen
+
+
+class TestConflictParts:
+    def test_multi_part_cases_match_frozen_aware_oracle(self, monkeypatch):
+        seen = _spy_crossing(monkeypatch)
+        rng = random.Random(2024)
+        for _ in range(150):
+            base, sigma = _multi_part_case(rng)
+            preds = [p for p in "TSU" if rng.random() < 0.3]
+            pinned = [a for a in base if rng.random() < 0.3]
+            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
+            want = exhaustive_null_repairs(base, sigma, preds,
+                                           frozen_atoms=pinned)
+            assert {r.atoms for r in got.repairs} == \
+                {r.atoms for r in want.repairs}, \
+                (sorted(map(str, base)), [str(c) for c in sigma], preds,
+                 list(map(str, pinned)))
+        assert sum(n >= 2 for n, _ in seen) >= 30, seen
+        assert any(n >= 3 for n, _ in seen), seen
+
+    def test_comparable_atoms_across_parts_filter_as_a_whole(
+            self, monkeypatch):
+        # T(null,null) witnesses the chased U(1,null) in one part; the
+        # chase's T(null,2) witnesses U(null,2) in the other, and
+        # T(null,null) is below T(null,2) in the information order
+        seen = _spy_crossing(monkeypatch)
+        schema = Schema({"T": 2, "U": 2, "V": 2})
+        base = Instance({atom("T", NULL, NULL), atom("U", NULL, "2"),
+                         atom("V", "1", "2")}, schema)
+        sigma = tuple(parse_constraint(t) for t in (
+            "forall x,y : U(x,y) -> exists z : T(z,y)",
+            "forall x,y : V(x,y) -> exists z : U(x,z)"))
+        got = null_repairs(base, sigma)
+        assert seen == [(2, True)]
+        want = exhaustive_null_repairs(base, sigma)
+        assert [r.atoms for r in got.repairs] == \
+            [r.atoms for r in want.repairs]
+        assert len(got.repairs) == 4
+
+    def test_independent_keys_cost_linear_checks(self, monkeypatch):
+        checks = []
+        real = repair.holds_instantiation
+
+        def counted(*args):
+            checks.append(1)
+            return real(*args)
+        monkeypatch.setattr(repair, "holds_instantiation", counted)
+        sigma = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),)
+        counts = {}
+        for k in (4, 8):
+            base = Instance({atom("T", "k%d" % i, v)
+                             for i in range(k) for v in "01"},
+                            Schema({"T": 2}))
+            checks.clear()
+            assert len(null_repairs(base, sigma).repairs) == 2 ** k
+            counts[k] = len(checks)
+        assert counts[8] <= 2.5 * counts[4], counts
 
 
 class TestSearchCap:
