@@ -10,20 +10,19 @@ inserts of every forced violation of the state are applied as one batch,
 as the restricted chase fires a round. At its first state that is not
 forced, the search splits into the conflict parts of the restricted
 chase (pool atoms that some ground instantiation joins, through its body
-or a grounding of its head) and searches each violated part alone. The
-candidates are the unsplit atoms plus one satisfying state of every
-part. Under the null preorder each part's states are minimised alone
-when no atom of one part is below an atom of another in the information
-order, and the minimal repairs are their products; otherwise, and under
-the delta preorder (whose inserts range over the universe, so the search
-keeps one part), the candidates are filtered as a whole.
+or a grounding of its head, or that lie in violated parts with one below
+the other in the information order) and searches each violated part
+alone. Each part's satisfying states are minimised alone, and the
+minimal repairs are the unsplit atoms plus one minimal state of every
+part. The delta preorder's inserts range over the universe, so its
+search keeps one part.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 from math import prod
 from typing import Callable, Iterable
 
@@ -142,8 +141,8 @@ def _splits(c: Constraint) -> bool:
 class _Search:
     """One repair search over states (atom sets read over schema, which
     must cover the pool's atoms): the moves they allow and the one cap
-    charged with every state of every part and with the product
-    candidates."""
+    charged with every state of every part and, when there are several
+    parts, with the product candidates."""
 
     def __init__(self, schema, sigma, universe, pool: Instance | None,
                  frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
@@ -189,9 +188,10 @@ class _Search:
 
     def step(self, state: frozenset[Atom]):
         """None when state satisfies every constraint. Otherwise the
-        moves of its first violation and False, or, when that violation
-        is forced, the one child that adds the inserts of every forced
-        violation of state and True."""
+        moves of its first violation and its violations from the first
+        on, not yet read; or, when that violation is forced, the one
+        child that adds the inserts of every forced violation of state,
+        and None."""
         viols = self.violations(state)
         first = next(viols, None)
         if first is None:
@@ -199,38 +199,45 @@ class _Search:
         nexts = self.children(state, *first)
         batch = _forced(state, nexts)
         if batch is None:
-            return nexts, False
+            return nexts, chain([first], viols)
         for viol in viols:
             more = _forced(state, self.children(state, *viol))
             if more is not None:
                 batch |= more
-        return [state | batch], True
+        return [state | batch], None
 
-    def explore(self, start: frozenset[Atom]) -> list[frozenset[Atom]]:
-        """Every satisfying state reachable from start, depth first."""
-        self.charge(1)
-        seen = {start}
-        stack = [start]
+    def explore(self, start: frozenset[Atom], nexts=None,
+                seen: Iterable[frozenset[Atom]] = ()):
+        """Every satisfying state reachable from start, depth first,
+        charging each state reached but start and the states seen before;
+        nexts, when given, are start's moves."""
+        seen = {start, *seen}
+        stack = [(start, nexts)]
         found = []
         while stack:
-            state = stack.pop()
-            got = self.step(state)
-            if got is None:
-                found.append(state)
-                continue
-            for n in got[0]:
+            state, nexts = stack.pop()
+            if nexts is None:
+                got = self.step(state)
+                if got is None:
+                    found.append(state)
+                    continue
+                nexts = got[0]
+            for n in nexts:
                 if n not in seen:
                     self.charge(1)
                     seen.add(n)
-                    stack.append(n)
+                    stack.append((n, None))
         return found
 
-    def parts(self, state: frozenset[Atom]) -> list[frozenset[Atom]]:
-        """The parts of the pool that hold a violation of state, ordered
-        by their least atom. Two pool atoms share a part when one ground
-        instantiation over the pool holds both, in its body or in any
-        grounding of its head against the pool. Without a pool, or when
-        some constraint does not split, one part holds all of state."""
+    def parts(self, state: frozenset[Atom], viols) -> list[frozenset[Atom]]:
+        """The parts of the pool that hold one of viols, the violations
+        of state, ordered by their least atom. Two pool atoms share a part
+        when one ground instantiation over the pool holds both, in its
+        body or in any grounding of its head against the pool, or when
+        both lie in such parts and the first is below the second in the
+        information order. One part, all of state, when there is no pool,
+        when some constraint does not split, or when the pool is one part
+        or one part holds every violation."""
         if self.pool is None or not all(_splits(c) for c, _ in self.rules):
             return [state]
         parent: dict[Atom, Atom] = {}
@@ -240,22 +247,34 @@ class _Search:
                 parent[a] = a = parent.get(parent[a], parent[a])
             return a
 
+        def join(atoms) -> None:
+            root = find(atoms[0])
+            for a in atoms[1:]:
+                parent[find(a)] = root
+
         for c, _ in self.rules:
             for s in instantiations(self.pool, c, self.universe):
                 atoms = [ground_atom(a, s) for a in c.body]
                 for option in head_options(c, s, self.universe, self.pool,
                                            self.classical):
                     atoms.extend(option)
-                root = find(atoms[0])
-                for a in atoms[1:]:
-                    parent[find(a)] = root
-        violated = {find(ground_atom(c.body[0], s))
-                    for c, s in self.violations(state)}
+                join(atoms)
+        if len({find(a) for a in self.pool}) == 1:
+            return [state]  # no violation to list
+        violated = {find(ground_atom(c.body[0], s)) for c, s in viols}
+        hot = [a for a in self.pool if find(a) in violated]  # sorted
+        groups: dict[tuple[str, int], list[Atom]] = {}
+        for a in hot:
+            groups.setdefault((a.pred, len(a.args)), []).append(a)
+        for group in groups.values():
+            for a in group:
+                if NULL in a.args:  # only then below another atom
+                    join([a, *(b for b in group if info_leq(a.args, b.args))])
         members: dict[Atom, list[Atom]] = {}
-        for a in self.pool:  # sorted, so the parts come in a fixed order
-            root = find(a)
-            if root in violated:
-                members.setdefault(root, []).append(a)
+        for a in hot:
+            members.setdefault(find(a), []).append(a)
+        if len(members) == 1:
+            return [state]
         return [frozenset(m) for m in members.values()]
 
 
@@ -280,43 +299,26 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     atoms of its violation's part, and whether an instantiation holds
     depends only on the atoms of its part, so the reachable satisfying
     states are the products of each part's, and parts without a
-    violation stay as they are."""
+    violation stay as they are. With one part the search goes on from
+    the moves already found, over the whole state."""
     state = start
+    seen = {start}
     search.charge(1)
     while True:
         got = search.step(state)
         if got is None:
             return state, []
-        nexts, forced = got
-        if not forced:
+        nexts, viols = got
+        if viols is not None:
             break
         state = nexts[0]
+        seen.add(state)
         search.charge(1)
-    parts = search.parts(state)
+    parts = search.parts(state, viols)
+    if len(parts) == 1:
+        return frozenset(), [(state, search.explore(state, nexts, seen))]
     return (state.difference(*parts),
             [(part, search.explore(state & part)) for part in parts])
-
-
-def _candidates(search: _Search, shared, parts) -> list[frozenset[Atom]]:
-    """shared plus one state of every part, in every combination; the
-    number of combinations is charged to the search's cap."""
-    search.charge(prod(len(states) for _, states in parts))
-    return [shared.union(*combo)
-            for combo in product(*(states for _, states in parts))]
-
-
-def _crossing(parts) -> bool:
-    """Whether an atom of one part is below an atom of another part of
-    the same (predicate, arity) in the information order. Only an atom
-    with a null is below an atom other than itself."""
-    groups: dict[tuple[str, int], list[tuple[int, Atom]]] = {}
-    for i, part in enumerate(parts):
-        for a in part:
-            groups.setdefault((a.pred, len(a.args)), []).append((i, a))
-    return any(i != j and info_leq(a.args, b.args)
-               for group in groups.values()
-               for i, a in group if NULL in a.args
-               for j, b in group)
 
 
 def _minimal(candidates, profile: Callable, beats: Callable) -> list:
@@ -326,6 +328,22 @@ def _minimal(candidates, profile: Callable, beats: Callable) -> list:
     return [r for i, (r, pr) in enumerate(zip(candidates, profiles))
             if not any(j != i and beats(pc, pr)
                        for j, pc in enumerate(profiles))]
+
+
+def _minimal_products(search: _Search, base: frozenset[Atom], shared, parts,
+                      profile: Callable, beats: Callable):
+    """shared plus one minimal state of every part, in every combination.
+    Each part's states are minimised alone, profile(d, b) reading a state
+    d against b, the atoms of base in the part; with several parts the
+    number of combinations is charged to the search's cap."""
+    minimal = [_minimal(states, lambda d, b=base & part: profile(d, b),
+                        beats) for part, states in parts]
+    if len(parts) > 1:
+        search.charge(prod(map(len, minimal)))
+    out = [shared]
+    for states in minimal:
+        out = [d | s for d in out for s in states]
+    return out
 
 
 # --------------------------------------------------------- entry points
@@ -339,14 +357,14 @@ def null_repairs(base: Instance, sigma,
 
     Every candidate lies inside the chase bound, so the preorder compares
     changes only. Each part's candidates share the changes of the other
-    parts, and a shared change matches itself. So when no atom of one
-    searched part is below an atom of another in the information order,
-    a change can only be matched within its own part, and d1 <= d2 holds
-    iff it holds part by part. If e beats d, then e <= d in every part
-    and not d <= e in some part, where e's state beats d's. So d is
-    minimal iff each of its part states is minimal in its part, and the
-    minimal candidates are the products of each part's minimal states.
-    Otherwise the product is filtered as a whole."""
+    parts, and a shared change matches itself. No atom of one searched
+    part is below an atom of another in the information order
+    (`_Search.parts` joins such parts), so a change can only be matched
+    within its own part, and d1 <= d2 holds iff it holds part by part.
+    If e beats d, then e <= d in every part and not d <= e in some part,
+    where e's state beats d's. So d is minimal iff each of its part
+    states is minimal in its part, and the minimal candidates are the
+    products of each part's minimal states."""
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
     bound = chased.atoms
@@ -355,15 +373,9 @@ def null_repairs(base: Instance, sigma,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      False, cap)
     shared, parts = _branch_search(search, base.atoms)
-    if len(parts) > 1 and _crossing([part for part, _ in parts]):
-        minimal = _minimal(
-            _candidates(search, shared, parts),
-            lambda d: _closeness_profile(d, base.atoms, bound), _profile_lt)
-    else:
-        minimal = _candidates(search, shared, [
-            (part, _minimal(states, lambda d, b=base.atoms & part:
-                            _closeness_profile(d, b, bound), _profile_lt))
-            for part, states in parts])
+    minimal = _minimal_products(
+        search, base.atoms, shared, parts,
+        lambda d, b: _closeness_profile(d, b, bound), _profile_lt)
     return _repair_set(minimal, base, chased.schema)
 
 
@@ -380,8 +392,8 @@ def delta_repairs(base: Instance, sigma,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      True, cap)
     shared, parts = _branch_search(search, base.atoms)
-    minimal = _minimal(_candidates(search, shared, parts),
-                       lambda d: base.atoms ^ d, operator.lt)
+    minimal = _minimal_products(search, base.atoms, shared, parts,
+                                lambda d, b: b ^ d, operator.lt)
     return _repair_set(minimal, base, base.schema)
 
 

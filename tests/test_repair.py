@@ -180,21 +180,22 @@ def _multi_part_case(rng):
     return Instance(atoms, schema), sigma
 
 
-def _spy_crossing(monkeypatch):
-    """Record (number of parts, crossing) for every split search."""
+def _spy_parts(monkeypatch):
+    """Record the number of parts of every split search."""
     seen = []
-    real = repair._crossing
+    real = repair._Search.parts
 
-    def spy(parts):
-        seen.append((len(parts), real(parts)))
-        return seen[-1][1]
-    monkeypatch.setattr(repair, "_crossing", spy)
+    def spy(self, state, viols):
+        parts = real(self, state, viols)
+        seen.append(len(parts))
+        return parts
+    monkeypatch.setattr(repair._Search, "parts", spy)
     return seen
 
 
 class TestConflictParts:
     def test_multi_part_cases_match_frozen_aware_oracle(self, monkeypatch):
-        seen = _spy_crossing(monkeypatch)
+        seen = _spy_parts(monkeypatch)
         rng = random.Random(2024)
         for _ in range(150):
             base, sigma = _multi_part_case(rng)
@@ -207,15 +208,15 @@ class TestConflictParts:
                 {r.atoms for r in want.repairs}, \
                 (sorted(map(str, base)), [str(c) for c in sigma], preds,
                  list(map(str, pinned)))
-        assert sum(n >= 2 for n, _ in seen) >= 30, seen
-        assert any(n >= 3 for n, _ in seen), seen
+        assert sum(n >= 2 for n in seen) >= 30, seen
+        assert any(n >= 3 for n in seen), seen
 
-    def test_comparable_atoms_across_parts_filter_as_a_whole(
-            self, monkeypatch):
-        # T(null,null) witnesses the chased U(1,null) in one part; the
-        # chase's T(null,2) witnesses U(null,2) in the other, and
-        # T(null,null) is below T(null,2) in the information order
-        seen = _spy_crossing(monkeypatch)
+    def test_comparable_atoms_across_parts_share_one_part(self, monkeypatch):
+        # T(null,null) witnesses the chased U(1,null) in one instantiation
+        # part; the chase's T(null,2) witnesses U(null,2) in the other,
+        # and T(null,null) is below T(null,2) in the information order,
+        # so the two are searched and minimised as one part
+        seen = _spy_parts(monkeypatch)
         schema = Schema({"T": 2, "U": 2, "V": 2})
         base = Instance({atom("T", NULL, NULL), atom("U", NULL, "2"),
                          atom("V", "1", "2")}, schema)
@@ -223,7 +224,7 @@ class TestConflictParts:
             "forall x,y : U(x,y) -> exists z : T(z,y)",
             "forall x,y : V(x,y) -> exists z : U(x,z)"))
         got = null_repairs(base, sigma)
-        assert seen == [(2, True)]
+        assert seen == [1]
         want = exhaustive_null_repairs(base, sigma)
         assert [r.atoms for r in got.repairs] == \
             [r.atoms for r in want.repairs]
@@ -258,6 +259,17 @@ class TestSearchCap:
         with pytest.raises(CapExceeded):
             null_repairs(self.BASE, self.SIGMA, cap=8)
         assert len(null_repairs(self.BASE, self.SIGMA).repairs) == 16
+
+    def test_one_part_search_charges_each_state_once(self):
+        # the delta search keeps one part: its 13 states fit a cap of 13,
+        # with no charge for a split state or for the candidates
+        base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),
+                         atom("S", "b", "c")}, Schema({"T": 2, "S": 2}))
+        sigma = self.SIGMA + (
+            parse_constraint("forall x,y : S(x,y) -> exists z : T(x,z)"),)
+        assert len(delta_repairs(base, sigma, cap=13).repairs) == 10
+        with pytest.raises(CapExceeded):
+            delta_repairs(base, sigma, cap=12)
 
 
 class TestClosenessPreorder:
