@@ -36,7 +36,7 @@ from .nullsem import eval_builtin
 from .repair import NULL_BASED, _minimal, closer_lt
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
-                     inc_atom, INC_PREFIX, SAME)
+                     inc_atom, solution_form, INC_PREFIX, SAME)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
 
@@ -403,13 +403,9 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
     bound = r_chase(dbar, system.sigma_of(p)).atoms
-    kept: dict[frozenset[Atom], Instance] = {}
-    for d in _minimal(list(full.values()), lambda d: d,
-                      lambda e, d: closer_lt(e, d, dbar, bound)):
-        inst = restrict(d, prog.own_preds)
-        kept.setdefault(inst.atoms, inst)
-    return tuple(sorted(kept.values(),
-                        key=lambda i: sorted(map(str, i.atoms))))
+    return solution_form(system, p, _minimal(
+        list(full.values()), lambda d: d,
+        lambda e, d: closer_lt(e, d, dbar, bound)))
 
 
 def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance, q: Query,

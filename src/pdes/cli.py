@@ -24,7 +24,7 @@ from .deffile import Definition, load_definition
 from .importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                          restricted_import_solve)
 from .lang import ParseError, parse_query, ref_acyclic
-from .repair import NULL_BASED, delta_repairs, null_repairs
+from .repair import preorder_repairs
 from .system import (core_instance, inc_atom, neighborhood_solutions,
                      peer_consistent_answers, solutions)
 
@@ -67,15 +67,13 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
-# ------------------------------------------------------------ subcommands
+# -------------------------------------- subcommands: (payload, text lines)
 
-def _cmd_check(defn: Definition, args, cap: int) -> int:
+def _cmd_check(defn: Definition, args, cap: int):
     sysm = defn.system
-    cls = classify(sysm)
+    flags = classify(sysm)
     lines = ["peers: " + ", ".join(sorted(sysm.peers))]
-    edges = []
-    for (p, q, t) in sysm.graph().edges:
-        edges.append("%s -[%s]-> %s" % (p, t, q))
+    edges = ["%s -[%s]-> %s" % (p, t, q) for (p, q, t) in sysm.graph()]
     lines += ["edge: " + e for e in edges]
     ra = {}
     for p in sorted(sysm.peers):
@@ -84,76 +82,62 @@ def _cmd_check(defn: Definition, args, cap: int) -> int:
         lines.append("ref-acyclic %s: %s" % (p, "yes" if ok else
                                              "no (%s)" % " -> ".join(witness)))
     for p in sorted(sysm.peers):
-        lines.append("import-kind %s: %s" % (p, cls.peer_flags[p]))
-    payload = {"peers": sorted(sysm.peers), "edges": edges,
-               "ref_acyclic": ra, "import_kind": dict(cls.peer_flags)}
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+        lines.append("import-kind %s: %s" % (p, flags[p]))
+    return ({"peers": sorted(sysm.peers), "edges": edges, "ref_acyclic": ra,
+             "import_kind": flags}, lines)
 
 
-def _cmd_chase(defn: Definition, args, cap: int) -> int:
+def _cmd_chase(defn: Definition, args, cap: int):
     dbar = _neighborhood_instance(defn, args.peer)
-    out = r_chase(dbar, defn.system.sigma_of(args.peer))
-    lines = _instance_lines(out)
-    _emit({"peer": args.peer, "chase": lines}, lines, args.format)
-    return EXIT_OK
+    lines = _instance_lines(r_chase(dbar, defn.system.sigma_of(args.peer)))
+    return {"peer": args.peer, "chase": lines}, lines
 
 
-def _cmd_repairs(defn: Definition, args, cap: int) -> int:
-    sysm = defn.system
-    local = sysm.sigma.get((args.peer, args.peer), ())
-    base = defn.instance.of(args.peer)
-    if sysm.preorder == NULL_BASED:
-        rs = null_repairs(base, local, cap=cap)
-    else:
-        rs = delta_repairs(base, local, cap=cap)
+def _cmd_repairs(defn: Definition, args, cap: int):
+    rs = preorder_repairs(defn.system.preorder, defn.instance.of(args.peer),
+                          defn.system.sigma.get((args.peer, args.peer), ()),
+                          cap=cap)
     groups = [_instance_lines(r) for r in rs.repairs]
-    _emit({"peer": args.peer, "repairs": groups},
-          _numbered("repair", groups), args.format)
-    return EXIT_OK
+    return ({"peer": args.peer, "repairs": groups},
+            _numbered("repair", groups))
 
 
-def _cmd_ns(defn: Definition, args, cap: int) -> int:
+def _cmd_ns(defn: Definition, args, cap: int):
     dbar = _neighborhood_instance(defn, args.peer)
     ns = neighborhood_solutions(defn.system, args.peer, dbar, cap=cap)
     groups = [_instance_lines(s) for s in ns]
     lines = _numbered("neighborhood solution", groups)
     if not groups:
         lines.append("no neighborhood solutions")
-    _emit({"peer": args.peer, "neighborhood_solutions": groups}, lines,
-          args.format)
-    return EXIT_OK
+    return {"peer": args.peer, "neighborhood_solutions": groups}, lines
 
 
-def _solution_lines(res) -> tuple[dict, list[str]]:
+def _inconsistent(peer: str, key: str):
+    return ({"peer": peer, key: [], "inconsistent": True},
+            ["inconsistent: %s" % str(inc_atom(peer))])
+
+
+def _solution_lines(res):
     if res.inconsistent:
-        return ({"peer": res.peer, "solutions": [], "core": [],
-                 "inconsistent": True},
-                ["inconsistent: %s" % str(inc_atom(res.peer))])
+        payload, lines = _inconsistent(res.peer, "solutions")
+        return {**payload, "core": []}, lines
     groups = [_instance_lines(s) for s in res.solutions]
     return ({"peer": res.peer, "solutions": groups,
              "core": _instance_lines(res.core), "inconsistent": False},
             _numbered("solution", groups))
 
 
-def _cmd_solutions(defn: Definition, args, cap: int) -> int:
-    res = solutions(defn.system, args.peer, defn.instance, cap=cap)
-    payload, lines = _solution_lines(res)
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+def _cmd_solutions(defn: Definition, args, cap: int):
+    return _solution_lines(solutions(defn.system, args.peer, defn.instance,
+                                     cap=cap))
 
 
-def _cmd_core(defn: Definition, args, cap: int) -> int:
+def _cmd_core(defn: Definition, args, cap: int):
     res = solutions(defn.system, args.peer, defn.instance, cap=cap)
     if res.inconsistent:
-        lines = ["inconsistent: %s" % str(inc_atom(args.peer))]
-        _emit({"peer": args.peer, "core": [], "inconsistent": True},
-              lines, args.format)
-    else:
-        lines = _instance_lines(res.core)
-        _emit({"peer": args.peer, "core": lines, "inconsistent": False},
-              lines, args.format)
-    return EXIT_OK
+        return _inconsistent(args.peer, "core")
+    lines = _instance_lines(res.core)
+    return {"peer": args.peer, "core": lines, "inconsistent": False}, lines
 
 
 def _get_query(defn: Definition, args):
@@ -173,48 +157,37 @@ def _answers_lines(ans: frozenset[tuple[str, ...]]) -> list[str]:
     return ["<%s>" % ",".join(t) for t in sorted(ans)]
 
 
-def _cmd_pca(defn: Definition, args, cap: int) -> int:
+def _cmd_pca(defn: Definition, args, cap: int):
     q = _get_query(defn, args)
     res = peer_consistent_answers(defn.system, args.peer, defn.instance, q,
                                   cap=cap)
     if res.inconsistent:
-        lines = ["inconsistent: %s" % str(res.marker)]
-        _emit({"peer": args.peer, "pca": [], "inconsistent": True},
-              lines, args.format)
-    else:
-        lines = _answers_lines(res.answers)
-        _emit({"peer": args.peer, "pca": sorted(list(t) for t in res.answers),
-               "inconsistent": False}, lines, args.format)
-    return EXIT_OK
+        return _inconsistent(args.peer, "pca")
+    return ({"peer": args.peer, "pca": sorted(list(t) for t in res.answers),
+             "inconsistent": False}, _answers_lines(res.answers))
 
 
-def _cmd_import_solve(defn: Definition, args, cap: int) -> int:
+def _cmd_import_solve(defn: Definition, args, cap: int):
     sysm = defn.system
-    cls = classify(sysm)
-    flags = {q: cls.peer_flags[q] for q in sysm.accessible(args.peer)}
-    if any(f == GENERAL for f in flags.values()):
+    reached = sysm.accessible(args.peer)
+    flags = {f for q, f in classify(sysm).items() if q in reached}
+    if GENERAL in flags:
         raise Refusal("system is not of the import kind for peer %r"
                       % args.peer)
-    if all(f == UNRESTRICTED for f in flags.values()):
-        inst = import_solve(sysm, args.peer, defn.instance)
-        lines = _instance_lines(inst)
-        _emit({"peer": args.peer, "solutions": [lines], "unique": True},
-              lines, args.format)
-        return EXIT_OK
-    res = restricted_import_solve(sysm, args.peer, defn.instance, cap=cap)
-    payload, lines = _solution_lines(res)
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    if flags == {UNRESTRICTED}:
+        lines = _instance_lines(import_solve(sysm, args.peer, defn.instance))
+        return {"peer": args.peer, "solutions": [lines], "unique": True}, lines
+    return _solution_lines(restricted_import_solve(sysm, args.peer,
+                                                   defn.instance, cap=cap))
 
 
-def _cmd_asp(defn: Definition, args, cap: int) -> int:
+def _cmd_asp(defn: Definition, args, cap: int):
     dbar = core_instance(defn.system, args.peer, defn.instance, cap)
     prog = build_solution_program(defn.system, args.peer, dbar)
     if args.asp_action == "emit":
         text = emit_text(prog)
-        _emit({"peer": args.peer, "program": text.splitlines()},
-              [text.rstrip("\n")], args.format)
-        return EXIT_OK
+        return ({"peer": args.peer, "program": text.splitlines()},
+                [text.rstrip("\n")])
     models = stable_models(ground(prog), cap=cap)
     model_groups = [sorted(map(str, m)) for m in models]
     insts = asp_solutions(defn.system, args.peer, dbar, cap=cap)
@@ -224,10 +197,9 @@ def _cmd_asp(defn: Definition, args, cap: int) -> int:
     if not model_groups:
         lines.append("no stable models")
     lines += _numbered("solution", sol_groups)
-    _emit({"peer": args.peer, "models": model_groups,
-           "solutions": sol_groups, "warnings": list(prog.warnings)},
-          lines, args.format)
-    return EXIT_OK
+    return ({"peer": args.peer, "models": model_groups,
+             "solutions": sol_groups, "warnings": list(prog.warnings)},
+            lines)
 
 
 # ------------------------------------------------------------------ main
@@ -298,13 +270,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     try:
-        return _HANDLERS[args.command](defn, args, cap)
+        payload, lines = _HANDLERS[args.command](defn, args, cap)
     except (Refusal, SchemaError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     except CapExceeded as e:
         print("cap exceeded: %s" % e, file=sys.stderr)
         return EXIT_CAP
+    _emit(payload, lines, args.format)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ class CapExceeded(RuntimeError):
 
 
 def _const_sort_key(c: str):
-    # numbers before words, numerically; null last for readability
+    # numbers before words, numerically; null last for readability; the
+    # text breaks ties such as 1 and 01, which int() reads alike
     try:
-        return (0, int(c), "")
+        return (0, int(c), c)
     except ValueError:
         return (2, 0, c) if c == NULL else (1, 0, c)
 

@@ -11,86 +11,54 @@ finishes the job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import DEFAULT_CAP, NULL, Atom, Instance, Schema, SchemaError
-from .lang import Builtin, Constraint, Cst, PredAtom, Var, relevant_vars
+from .lang import (Builtin, Constraint, Cst, PredAtom, Var, relevant_vars,
+                   term_vars)
 from .nullsem import eval_builtin, ground_atom, join
-from .repair import delta_repairs, null_repairs, NULL_BASED
+from .repair import preorder_repairs
 from .system import (PdesInstance, PdesSchema, SolutionResult, _solve,
                      inc_atom, LESS)
-
-IUDEC = "iudec"
-IRDEC = "irdec"
-NON_IMPORT = "non-import"
 
 UNRESTRICTED = "unrestricted_import"
 RESTRICTED = "restricted_import"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class ImportClassification:
-    """Per-constraint import tags and per-peer import flags."""
-
-    dec_tags: Mapping[tuple[str, str, int], str]  # (P, Q, index) -> tag
-    peer_flags: Mapping[str, str]
-
-    @property
-    def import_kind(self) -> bool:
-        return all(f != GENERAL for f in self.peer_flags.values())
-
-    @property
-    def unrestricted(self) -> bool:
-        return all(f == UNRESTRICTED for f in self.peer_flags.values())
-
-
-def _tag_constraint(c: Constraint, own: set[str], foreign: set[str]) -> str:
-    """Import shape: body over the neighbor's schema, exactly one
-    database disjunct with a single atom over the importer's schema, and
-    any further disjuncts builtin-only."""
-    if not all(a.pred in foreign for a in c.body):
-        return NON_IMPORT
+def _is_import(c: Constraint, own: Schema, foreign: Schema) -> bool:
+    """Import shape: a body over the neighbor's schema that binds every
+    head variable but the existentials; one database disjunct, a single
+    atom over the importer's schema whose builtins (none without
+    existentials) do not read them; other disjuncts builtin-only."""
     db_disjs = [d for d in c.head if d.atoms]
-    if len(db_disjs) != 1:
-        return NON_IMPORT
+    if not all(a.pred in foreign for a in c.body) or len(db_disjs) != 1:
+        return False
     target = db_disjs[0]
-    if len(target.atoms) != 1 or target.atoms[0].pred not in own:
-        return NON_IMPORT
-    for d in c.head:
-        if not d.atoms and d.exist_vars:
-            return NON_IMPORT
-    if not target.exist_vars:
-        return IUDEC if not target.builtins else NON_IMPORT
     exist = set(target.exist_vars)
-    for b in target.builtins:
-        if any(isinstance(t, Var) and t.name in exist for t in b.terms):
-            return NON_IMPORT
-    return IRDEC
+    body = {v for a in c.body for v in term_vars(a.terms)}
+    read = {v for d in c.head for x in (*d.atoms, *d.builtins)
+            for v in term_vars(x.terms)}
+    return (len(target.atoms) == 1 and target.atoms[0].pred in own
+            and not any(not d.atoms and d.exist_vars for d in c.head)
+            and read - exist <= body
+            and not any(not exist or exist & set(term_vars(b.terms))
+                        for b in target.builtins))
 
 
-def classify(system: PdesSchema) -> ImportClassification:
-    tags: dict[tuple[str, str, int], str] = {}
+def classify(system: PdesSchema) -> dict[str, str]:
+    """Each peer's import flag."""
     flags: dict[str, str] = {}
     for p in sorted(system.peers):
-        own = set(system.schemas[p].preds())
-        ok = True
-        for q in sorted(system.strict_neighbors(p)):
-            foreign = set(system.schemas[q].preds())
-            if system.trust_kind(p, q) != LESS:
-                ok = False
-            for i, c in enumerate(system.sigma.get((p, q), ())):
-                t = _tag_constraint(c, own, foreign)
-                tags[(p, q, i)] = t
-                if t == NON_IMPORT:
-                    ok = False
-        if not ok:
+        if not all(system.trust_kind(p, q) == LESS and all(
+                _is_import(c, system.schemas[p], system.schemas[q])
+                for c in system.sigma.get((p, q), ()))
+                for q in system.strict_neighbors(p)):
             flags[p] = GENERAL
         elif system.sigma.get((p, p)):
             flags[p] = RESTRICTED
         else:
             flags[p] = UNRESTRICTED
-    return ImportClassification(tags, flags)
+    return flags
 
 
 # ------------------------------------------------------- Datalog program
@@ -129,13 +97,12 @@ def import_program(system: PdesSchema, p: str,
                    dbar: Instance) -> DatalogProgram:
     """Facts from the neighborhood instance plus one single-head rule per
     import constraint."""
-    cls = classify(system)
     rules: list[DatalogRule] = []
     for q in sorted(system.strict_neighbors(p)):
         if inc_atom(q) in dbar:
             continue
-        for i, c in enumerate(system.sigma.get((p, q), ())):
-            if cls.dec_tags[(p, q, i)] == NON_IMPORT:
+        for c in system.sigma.get((p, q), ()):
+            if not _is_import(c, system.schemas[p], system.schemas[q]):
                 raise SchemaError("constraint %s is not of the import kind"
                                   % c)
             rules.append(_rule_for(c))
@@ -187,10 +154,10 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
     frozen_preds = frozenset(
         r for q in system.strict_neighbors(p)
         for r in system.schemas[q].preds())
-    repair = null_repairs if system.preorder == NULL_BASED else delta_repairs
-    rs = repair(fix, system.sigma.get((p, p), ()), frozen_preds=frozen_preds,
-                cap=cap, frozen_atoms=fix.atoms - dbar.atoms)
-    return tuple(Instance(r.atoms, fix.schema) for r in rs.repairs)
+    return preorder_repairs(
+        system.preorder, fix, system.sigma.get((p, p), ()),
+        frozen_preds=frozen_preds, cap=cap,
+        frozen_atoms=fix.atoms - dbar.atoms).repairs
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
@@ -198,11 +165,11 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
     sinks keep their instance, others take the least model of their
     import program over their instance plus the neighbor solutions,
     restricted to their own schema."""
-    cls = classify(system)
+    flags = classify(system)
     for q in sorted(system.accessible(p)):
-        if cls.peer_flags[q] != UNRESTRICTED:
+        if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
-                              "kind (%s)" % (q, cls.peer_flags[q]))
+                              "kind (%s)" % (q, flags[q]))
     return _solve(system, p, d, _fixpoint, DEFAULT_CAP, {}).core
 
 
@@ -212,8 +179,8 @@ def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
     repair with respect to the local constraints only, keeping the
     neighbors' relations and every imported atom fixed. Every peer that
     p reaches must be of the import kind."""
-    cls = classify(system)
+    flags = classify(system)
     for q in sorted(system.accessible(p)):
-        if cls.peer_flags[q] == GENERAL:
+        if flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)
     return _solve(system, p, d, _fixpoint_repaired, cap, {})

@@ -397,6 +397,15 @@ def delta_repairs(base: Instance, sigma,
     return _repair_set(minimal, base, base.schema)
 
 
+def preorder_repairs(preorder: str, base: Instance, sigma,
+                     frozen_preds: Iterable[str] = (), cap: int = DEFAULT_CAP,
+                     frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
+    """The repairs of base under the named preorder: `null_repairs` for
+    the null-based one, `delta_repairs` otherwise."""
+    route = null_repairs if preorder == NULL_BASED else delta_repairs
+    return route(base, sigma, frozen_preds, cap, frozen_atoms)
+
+
 # ------------------------------------------------- exhaustive oracle
 
 def exhaustive_null_repairs(base: Instance, sigma,

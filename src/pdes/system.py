@@ -11,15 +11,14 @@ has none, in which case the exchange constraints toward it are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Mapping
 
-from .core import (DEFAULT_CAP, Atom, Instance, Schema, SchemaError, reach,
-                   restrict)
+from .core import DEFAULT_CAP, Atom, Instance, Schema, SchemaError, reach
 from .lang import Constraint, Query
 from .nullsem import classical_answers, n_answers
-from .repair import (NULL_BASED, SYMMETRIC_DELTA, delta_repairs, null_repairs)
+from .repair import NULL_BASED, SYMMETRIC_DELTA, preorder_repairs
 
 LESS = "less"
 SAME = "same"
@@ -33,26 +32,21 @@ def inc_atom(peer: str) -> Atom:
 
 
 @dataclass(frozen=True)
-class AccessGraph:
-    """Directed peer graph: an edge P -> Q for each nonempty constraint
-    set between distinct peers, labeled with the trust kind."""
-
-    edges: tuple[tuple[str, str, str], ...]  # (P, Q, less|same)
-
-    def successors(self, p: str) -> set[str]:
-        return {q for (a, q, _) in self.edges if a == p}
-
-
-@dataclass(frozen=True)
 class PdesSchema:
     """Peer ids, per-peer schemas with pairwise disjoint predicates, the
-    exchange constraints indexed by ordered peer pairs, and trust."""
+    exchange constraints indexed by ordered peer pairs, and trust. The
+    accessibility graph has an edge P -> Q for each nonempty constraint
+    set between distinct peers, labeled with the trust kind."""
 
     peers: frozenset[str]
     schemas: Mapping[str, Schema]
     sigma: Mapping[tuple[str, str], tuple[Constraint, ...]]
     trust: frozenset[tuple[str, str, str]]
     preorder: str = NULL_BASED
+    _succ: Mapping[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False)
+    _kind: Mapping[tuple[str, str], str] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "peers", frozenset(self.peers))
@@ -66,6 +60,11 @@ class PdesSchema:
             if p == q:
                 trust.add((p, SAME, p))
         object.__setattr__(self, "trust", frozenset(trust))
+        object.__setattr__(self, "_succ", {
+            p: frozenset(q for (a, q) in self.sigma if a == p != q)
+            for p in self.peers})
+        object.__setattr__(self, "_kind",
+                           {(p, q): t for (p, t, q) in sorted(trust)})
         self._validate()
 
     def _validate(self) -> None:
@@ -76,17 +75,20 @@ class PdesSchema:
         seen: dict[str, str] = {}
         for p in sorted(self.peers):
             for r in self.schemas[p].preds():
+                if r == "dom" or r.startswith(("aux", INC_PREFIX)):
+                    raise SchemaError(  # the solvers generate these names
+                        "predicate %r of %r is reserved: dom and names "
+                        "starting with aux or inc_ are generated" % (r, p))
                 if r in seen:
                     raise SchemaError(
                         "predicate %r owned by both %r and %r"
                         % (r, seen[r], p))
                 seen[r] = p
-        trust_pairs = {(p, q): t for (p, t, q) in self.trust}
         for (p, q), cs in self.sigma.items():
             if p not in self.peers or q not in self.peers:
                 raise SchemaError("constraint set for unknown peer pair "
                                   "(%r, %r)" % (p, q))
-            if (p, q) not in trust_pairs:
+            if (p, q) not in self._kind:
                 raise SchemaError("no trust relationship for (%r, %r)"
                                   % (p, q))
             allowed = set(self.schemas[p].preds()) | \
@@ -96,39 +98,38 @@ class PdesSchema:
                     raise SchemaError(
                         "constraint %s uses predicates outside the "
                         "schemas of %r and %r" % (c, p, q))
-        for (p, t, q) in self.trust:
+        for (p, t, q) in sorted(self.trust):
             if t not in (LESS, SAME):
                 raise SchemaError("unknown trust kind %r" % t)
             if p == q and t != SAME:
                 raise SchemaError("a peer must trust itself as 'same'")
-        g = self.graph()
-        for (p, q, _) in g.edges:  # a cycle through p -> q returns to p
-            path = reach(g.successors, q, p)
+            if self._kind[p, q] != t:
+                raise SchemaError("two trust kinds for (%r, %r)" % (p, q))
+        for (p, q, _) in self.graph():  # a cycle through p -> q returns to p
+            path = reach(self._succ.__getitem__, q, p)
             if path:
                 raise SchemaError("accessibility graph has a cycle: "
                                   + " -> ".join([p] + path))
 
     # ------------------------------------------------------- graph views
 
-    def graph(self) -> AccessGraph:
-        trust_pairs = {(p, q): t for (p, t, q) in self.trust}
-        edges = tuple(sorted(
-            (p, q, trust_pairs[(p, q)])
-            for (p, q) in self.sigma if p != q))
-        return AccessGraph(edges)
+    def graph(self) -> tuple[tuple[str, str, str], ...]:
+        """The accessibility graph's edges (P, Q, less|same), sorted."""
+        return tuple(sorted((p, q, self._kind[p, q])
+                            for p, qs in self._succ.items() for q in qs))
 
-    def neighbors(self, p: str) -> set[str]:
+    def neighbors(self, p: str) -> frozenset[str]:
         """N(P): the targets of P's constraint sets, plus P itself."""
-        self._check_peer(p)
-        return self.graph().successors(p) | {p}
+        return self.strict_neighbors(p) | {p}
 
-    def strict_neighbors(self, p: str) -> set[str]:
-        return self.neighbors(p) - {p}
+    def strict_neighbors(self, p: str) -> frozenset[str]:
+        self._check_peer(p)
+        return self._succ[p]
 
     def accessible(self, p: str) -> set[str]:
         """AC(P): peers reachable from P in the graph, plus P itself."""
         self._check_peer(p)
-        return set(reach(self.graph().successors, p))
+        return set(reach(self._succ.__getitem__, p))
 
     def _check_peer(self, p: str) -> None:
         if p not in self.peers:
@@ -144,10 +145,7 @@ class PdesSchema:
         return tuple(out)
 
     def trust_kind(self, p: str, q: str) -> str | None:
-        for (a, t, b) in self.trust:
-            if (a, b) == (p, q):
-                return t
-        return None
+        return self._kind.get((p, q))
 
     def frozen_preds(self, p: str) -> frozenset[str]:
         """Predicates of more-trusted neighbors, which neighborhood
@@ -212,15 +210,25 @@ def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
         if q != p and inc_atom(q) in dbar:
             continue
         sigma.extend(system.sigma.get((p, q), ()))
-    repair = null_repairs if system.preorder == NULL_BASED else delta_repairs
-    rs = repair(dbar, sigma, frozen_preds=system.frozen_preds(p), cap=cap)
-    # repairs may live over a chase-extended schema; fold back
-    return tuple(Instance(r.atoms, dbar.schema) for r in rs.repairs)
+    return preorder_repairs(system.preorder, dbar, sigma,
+                            frozen_preds=system.frozen_preds(p),
+                            cap=cap).repairs
 
 
 # ------------------------------------------------------------- solutions
 
 LocalSolver = Callable[[PdesSchema, str, Instance, int], tuple[Instance, ...]]
+
+
+def solution_form(system: PdesSchema, p: str,
+                  instances) -> tuple[Instance, ...]:
+    """The instances restricted to p's schema, without duplicates, in the
+    order of their sorted atom texts."""
+    own = system.schemas[p]
+    seen = {frozenset(a for a in s.atoms if a.pred in own)
+            for s in instances}
+    return tuple(Instance(a, own)
+                 for a in sorted(seen, key=lambda a: sorted(map(str, a))))
 
 
 def solutions(system: PdesSchema, p: str, d: PdesInstance,
@@ -260,11 +268,7 @@ def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
         sols: tuple[Instance, ...] = (d.of(p),)
     else:
         dbar = _dbar(system, p, d, local, cap, memo)
-        own = system.schemas[p]
-        seen = {restrict(s, own.preds()).atoms
-                for s in local(system, p, dbar, cap)}
-        sols = tuple(Instance(a, own) for a in sorted(
-            seen, key=lambda a: sorted(map(str, a))))
+        sols = solution_form(system, p, local(system, p, dbar, cap))
     if sols:
         common = frozenset.intersection(*(s.atoms for s in sols))
         res = SolutionResult(p, sols, Instance(common, system.schemas[p]),

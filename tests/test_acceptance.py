@@ -510,7 +510,7 @@ def test_11_import_routes_agree_on_random_systems():
     checked = disagree = 0
     for trial in range(200):
         sysm, inst = _random_system(rng)
-        flags = classify(sysm).peer_flags
+        flags = classify(sysm)
         for p in sorted(sysm.peers):
             reached = {flags[q] for q in sysm.accessible(p)}
             if GENERAL in reached:

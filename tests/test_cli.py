@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdes.cli import main
 from pdes.core import SchemaError
@@ -156,6 +159,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: bad query: variable 'w' not bound")
 
+    # Each file names a predicate the solvers generate: before they were
+    # refused, `pca_via_asp` and `asp solve` lost the import of aux1(a),
+    # `asp solve` dropped dom(z), and `pca` read inc_P2() as P2's marker
+    # and answered nothing instead of <a>.
+    @pytest.mark.parametrize("pred,text", [
+        ("aux1", "peer P1 : R1/1\npeer P2 : aux1/1\n"
+                 "dec P1 P2 : forall x : aux1(x) -> R1(x)\n"
+                 "instance P2 : aux1(a)\n"),
+        ("dom", "peer P1 : R1/1, dom/1\npeer P2 : R2/1\n"
+                "dec P1 P2 : forall x : R2(x) -> R1(x)\n"
+                "instance P1 : dom(z)\ninstance P2 : R2(a)\n"),
+        ("inc_P2", "peer P1 : R1/1, inc_P2/0\npeer P2 : R2/1\n"
+                   "dec P1 P2 : forall x : R2(x) -> R1(x)\n"
+                   "instance P1 : inc_P2()\ninstance P2 : R2(a)\n"),
+    ], ids=["aux1", "dom", "inc_P2"])
+    def test_generated_predicate_names_are_refused(self, tmp_path, capsys,
+                                                   pred, text):
+        path = tmp_path / "reserved.pdes"
+        path.write_text(text + "trust P1 less P2\nquery P1 : R1(x)\n")
+        for argv in (["pca"], ["solutions"], ["asp", "solve"]):
+            code = main(argv + [str(path), "--peer", "P1"])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: predicate %r of " % pred), err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("golden,args", GOLDEN_CASES[:6],
@@ -179,14 +207,32 @@ class TestDeterminism:
             "instance P1 : R1(k1,a), R1(k1,b), R1(k2,c), R1(k2,d), "
             "R1(k3,e), R1(k3,f), R1(k4,g)\n"
             "instance P2 : R2(w1,h), R2(w2,i)\n")
-        outs = set()
-        for seed in ("1", "2", "3"):
-            res = run_cli(["solutions", str(path), "--peer", "P1"],
-                          env_extra={"PYTHONHASHSEED": seed})
-            assert res.returncode == 0, res.stderr
-            assert res.stdout.count("solution ") == 2 ** 5
-            outs.add(res.stdout)
-        assert len(outs) == 1
+        out = _one_output_under_seeds(["solutions", str(path), "--peer", "P1"])
+        assert out.count("solution ") == 2 ** 5
+
+    def test_hash_seed_does_not_change_equal_numbers(self, tmp_path):
+        # int() reads 1 and 01, and 10 and 1_0, alike; their text orders them
+        path = tmp_path / "numbers.pdes"
+        path.write_text("peer P : R/1, S/1\n"
+                        "dec P P : forall x : R(x) -> S(x)\n"
+                        "instance P : R(1), R(01), R(1_0), R(10)\n")
+        out = _one_output_under_seeds(["chase", str(path), "--peer", "P"])
+        assert out == ("R(01)\nR(1)\nR(10)\nR(1_0)\n"
+                       "S(01)\nS(1)\nS(10)\nS(1_0)\n")
+        out = _one_output_under_seeds(["solutions", str(path), "--peer", "P"])
+        assert out.count("solution ") == 2 ** 4
+
+
+def _one_output_under_seeds(argv) -> str:
+    """The stdout of a successful CLI run, the same under PYTHONHASHSEED
+    1, 2 and 3."""
+    outs = set()
+    for seed in ("1", "2", "3"):
+        res = run_cli(argv, env_extra={"PYTHONHASHSEED": seed})
+        assert res.returncode == 0, res.stderr
+        outs.add(res.stdout)
+    assert len(outs) == 1, argv
+    return outs.pop()
 
 
 def test_cli_imports_only_the_standard_library():
@@ -226,6 +272,49 @@ def test_no_traceback_on_any_fixture(capsys):
             if code not in (0, 1, 2, 3):
                 bad.append((name, argv, code))
     assert bad == []
+
+
+FUZZ_COMMANDS = (["check"], ["pca"], ["solutions"], ["chase"],
+                 ["import-solve"], ["asp", "solve"])
+FUZZ_TOKENS = ("", "\n", " ", ",", ":", "(", ")", "->", "|", "=", "!=",
+               "#", "x", "y", "null", "exists x :", "forall x :", "P1", "P9",
+               "R1", "less", "same", "peer", "dec", "instance", "/0", "/9")
+
+FIXTURE_TEXTS = [open(fixture_path(n), encoding="utf-8").read()
+                 for n in sorted(os.listdir(FIXTURES))]
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture's text with a few slices each replaced by nothing, a
+    token, the slice twice, or another line of the text."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 16)))
+        new = draw(st.sampled_from(
+            FUZZ_TOKENS + (text[i:j] * 2,) + tuple(text.splitlines(True))))
+        text = text[:i] + new + text[j:]
+    return text
+
+
+@given(mutated_fixture())
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+def test_mutated_definition_files_end_in_documented_exit_codes(tmp_path,
+                                                                text):
+    path = tmp_path / "mutated.pdes"
+    path.write_text(text, encoding="utf-8")
+    peers = re.findall(r"^\s*peer\s+(\w+)", text, re.M) or ["P1"]
+    for cmd in FUZZ_COMMANDS:
+        argv = ["--cap", "64"] + cmd + [str(path)]
+        if cmd != ["check"]:
+            argv += ["--peer", peers[0]]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
 
 
 # One line per run of every subcommand x fixture x peer x format, in

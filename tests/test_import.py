@@ -7,8 +7,8 @@ import pytest
 from pdes.asp import asp_solutions
 from pdes.core import DEFAULT_CAP, SchemaError
 from pdes.deffile import parse_definition
-from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_program,
-                             import_solve, least_model,
+from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
+                             import_program, import_solve, least_model,
                              restricted_import_solve)
 from pdes.system import _solve, peer_consistent_answers, solutions
 
@@ -28,20 +28,27 @@ def solution_sets(res) -> set[frozenset[str]]:
 
 class TestClassification:
     def test_copy_constraint_is_unrestricted(self):
-        cls = classify(load("ex_6_1.pdes").system)
-        assert cls.peer_flags["P1"] == UNRESTRICTED
-        assert cls.unrestricted
+        flags = classify(load("ex_6_1.pdes").system)
+        assert set(flags.values()) == {UNRESTRICTED}
 
     def test_local_constraints_make_it_restricted(self):
-        cls = classify(load("ex_5_12.pdes").system)
-        assert cls.peer_flags["P1"] != UNRESTRICTED
-        assert cls.peer_flags["P1"] != GENERAL
-        assert cls.import_kind
+        flags = classify(load("ex_5_12.pdes").system)
+        assert flags["P1"] == RESTRICTED
+        assert GENERAL not in flags.values()
 
     def test_denial_between_peers_is_general(self):
-        cls = classify(load("ex_2_2.pdes").system)
-        assert cls.peer_flags["P2"] == GENERAL
-        assert not cls.import_kind
+        assert classify(load("ex_2_2.pdes").system)["P2"] == GENERAL
+
+    def test_head_variable_the_body_does_not_bind_is_general(self):
+        # x occurs only in the head: no Datalog rule can bind it, and the
+        # import fixpoint used to raise on it
+        defn = parse_definition(
+            "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 less P2\n"
+            "dec P1 P2 : forall x,y : R2(a,y) -> R1(x,y)\n"
+            "instance P2 : R2(a,b)\n")
+        assert classify(defn.system)["P1"] == GENERAL
+        with pytest.raises(SchemaError):
+            import_solve(defn.system, "P1", defn.instance)
 
 
 class TestUnrestrictedImport:
@@ -121,7 +128,7 @@ class TestRestrictedImport:
             "dec P1 P2 : forall x : R2(x) -> R1(x)\n"
             "dec P2 P3 : forall x : R3(x) -> R2(x)\n"
             "instance P3 : R3(a)\n")
-        assert classify(defn.system).peer_flags["P1"] == UNRESTRICTED
+        assert classify(defn.system)["P1"] == UNRESTRICTED
         with pytest.raises(SchemaError, match="'P2' is not of the import"):
             restricted_import_solve(defn.system, "P1", defn.instance)
 
@@ -183,7 +190,7 @@ def test_import_routes_agree_with_general_solver(name):
     inc_ marker spread from an inconsistent neighbor."""
     defn = load(name)
     sysm, d = defn.system, defn.instance
-    flags = classify(sysm).peer_flags
+    flags = classify(sysm)
     checked = 0
     for p in sorted(sysm.peers):
         reached = {flags[q] for q in sysm.accessible(p)}

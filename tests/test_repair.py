@@ -156,6 +156,23 @@ class TestOracleCrossCheck:
                 (sorted(map(str, base)), [str(c) for c in sigma], preds,
                  list(map(str, pinned)))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="y occurs only in the head, so the search ranges it over "
+        "the chase's universe {1, 2, null}; the oracle reads each candidate "
+        "over its own active domain and also keeps {T(1,1), U(1,1)}, which "
+        "needs V(2,2) deleted, and no move deletes an atom that only "
+        "widens the domain")
+    def test_head_only_universal_matches_oracle(self):
+        base = Instance({atom("T", "1", "1"), atom("V", "2", "2")},
+                        Schema({"T": 2, "U": 2, "V": 2}))
+        sigma = (parse_constraint("forall x,y : T(x,1) -> U(y,y)"),)
+        got = {r.atoms for r in null_repairs(base, sigma).repairs}
+        want = {r.atoms for r in exhaustive_null_repairs(base, sigma).repairs}
+        assert len(got) == 2
+        assert frozenset({atom("T", "1", "1"), atom("U", "1", "1")}) in want
+        assert got == want
+
     def test_oracle_keeps_frozen_atoms(self):
         schema = Schema({"T": 2, "U": 2})
         base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),

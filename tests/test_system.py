@@ -2,7 +2,7 @@
 
 import pytest
 
-from pdes.core import Instance, SchemaError, atom
+from pdes.core import Instance, Schema, SchemaError, atom
 from pdes.lang import parse_constraint, parse_query
 from pdes.system import (PdesSchema, inc_atom, neighborhood_solutions,
                          peer_consistent_answers, solutions)
@@ -27,6 +27,20 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             PdesSchema(peers=frozenset({"P", "Q"}),
                        schemas={}, sigma={}, trust=frozenset())
+
+    @pytest.mark.parametrize("pred", ["dom", "aux", "aux1", "inc_Q"])
+    def test_generated_predicate_names_rejected(self, pred):
+        with pytest.raises(SchemaError, match="predicate %r of 'P'" % pred):
+            PdesSchema(peers=frozenset({"P"}),
+                       schemas={"P": Schema({pred: 1})}, sigma={},
+                       trust=frozenset())
+
+    def test_two_trust_kinds_for_one_pair_rejected(self):
+        with pytest.raises(SchemaError, match="two trust kinds"):
+            PdesSchema(peers=frozenset({"P", "Q"}),
+                       schemas={"P": Schema({"R": 1}), "Q": Schema({"S": 1})},
+                       sigma={}, trust=frozenset({("P", "less", "Q"),
+                                                  ("P", "same", "Q")}))
 
 
 class TestTopology:
