@@ -65,12 +65,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class LogicProgram:
-    peer: str
     facts: frozenset[Atom]
     rules: tuple[Rule, ...]
     schema: Schema
     own_preds: frozenset[str]
-    changeable: frozenset[str]
     warnings: tuple[str, ...] = ()
 
 
@@ -119,25 +117,20 @@ def build_solution_program(system: PdesSchema, p: str,
     rules: list[Rule] = []
     aux_n = 0
     for q in sorted(system.neighbors(p)):
-        cs = system.sigma.get((p, q), ())
-        if not cs:
-            continue
-        trust = SAME if q == p else system.trust_kind(p, q)
         inc_guard: list[Lit] = []
         if q != p and inc_atom(q) in dbar:
             inc_guard = [Lit(INC_PREFIX + q, (), neg=True)]
-        for c in cs:
+        for c in system.sigma.get((p, q), ()):
             if c.is_existential:
                 if not _simple_rdec(c):
                     raise SchemaError(
                         "existential constraint %s is not of the supported "
                         "single-atom form" % c)
                 aux_n += 1
-                rules += _rdec_rules(c, trust, own, changeable,
-                                     "aux%d" % aux_n, inc_guard)
+                rules += _rdec_rules(c, changeable, "aux%d" % aux_n,
+                                     inc_guard)
             else:
-                rules.append(_udec_rule(c, trust, own, changeable,
-                                        inc_guard))
+                rules.append(_udec_rule(c, changeable, inc_guard))
     for r in sorted(changeable):
         arity = system.neighborhood_schema(p).arity(r)
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
@@ -156,8 +149,8 @@ def build_solution_program(system: PdesSchema, p: str,
                           derived=True))
     facts = set(dbar.atoms)
     facts |= {Atom("dom", (c,)) for c in active_domain(dbar) | {NULL}}
-    return LogicProgram(p, frozenset(facts), tuple(rules), dbar.schema,
-                        own, frozenset(changeable), tuple(warnings))
+    return LogicProgram(frozenset(facts), tuple(rules), dbar.schema, own,
+                        tuple(warnings))
 
 
 def _body_lit(a: PredAtom, changeable: frozenset[str], ann: str) -> Lit:
@@ -167,8 +160,8 @@ def _body_lit(a: PredAtom, changeable: frozenset[str], ann: str) -> Lit:
     return Lit(a.pred, a.terms, neg=(ann == FS))
 
 
-def _udec_rule(c: Constraint, trust: str, own: frozenset[str],
-               changeable: frozenset[str], inc_guard: list[Lit]) -> Rule:
+def _udec_rule(c: Constraint, changeable: frozenset[str],
+               inc_guard: list[Lit]) -> Rule:
     for d in c.head:
         if len(d.atoms) > 1:
             raise SchemaError(
@@ -177,13 +170,13 @@ def _udec_rule(c: Constraint, trust: str, own: frozenset[str],
     rel = relevant_vars(c)
     head: list[Lit] = []
     for a in c.body:
-        if trust == SAME or a.pred in own:
+        if a.pred in changeable:
             head.append(Lit(a.pred, a.terms, FA))
     body: list[Lit | Builtin] = [
         _body_lit(a, changeable, TS) for a in c.body]
     for d in c.head:
         for a in d.atoms:
-            if trust == SAME or a.pred in own:
+            if a.pred in changeable:
                 head.append(Lit(a.pred, a.terms, TA))
             body.append(_body_lit(a, changeable, FS))
         for b in d.builtins:
@@ -195,8 +188,7 @@ def _udec_rule(c: Constraint, trust: str, own: frozenset[str],
     return Rule(tuple(head), tuple(body))
 
 
-def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
-                changeable: frozenset[str], aux: str,
+def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
                 inc_guard: list[Lit]) -> list[Rule]:
     body_atom = c.body[0]
     disj = c.head[0]
@@ -212,9 +204,9 @@ def _rdec_rules(c: Constraint, trust: str, own: frozenset[str],
         Lit(aux, xprime, neg=True),
         *inc_guard, *_guards(xp_vars))
     head: list[Lit] = []
-    if trust == SAME or body_atom.pred in own:
+    if body_atom.pred in changeable:
         head.append(Lit(body_atom.pred, body_atom.terms, FA))
-    if trust == SAME or target.pred in own:
+    if target.pred in changeable:
         head.append(Lit(target.pred, null_head, TA))
     rules = [Rule(tuple(head), main_body)]
     qpred = target.pred
@@ -240,10 +232,9 @@ def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
     """Ground instantiations of the decision-layer rules, with builtins
     and fact-determined literals pre-evaluated away. Variables range over
     the facts' active domain, null and the constants of the rules."""
-    uni = sorted(active_domain(Instance(
-        {a for a in prog.facts if a.pred != "dom"}, prog.schema)) | {NULL}
-        | {t.value for r in prog.rules for item in (*r.head, *r.body)
-           for t in item.terms if isinstance(t, Cst)})
+    uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
+                 | {t.value for r in prog.rules for item in (*r.head, *r.body)
+                    for t in item.terms if isinstance(t, Cst)})
     out: list[GroundRule] = []
     seen: set[GroundRule] = set()
     for r in prog.rules:

@@ -2,9 +2,10 @@
 
 Enforces the constraints it can (universal ones and existential ones
 whose existential variables appear in no join or builtin; the others are
-dropped) and saturates the instance by firing violated ground
-instantiations in parallel rounds, substituting null for existential
-variables. The result bounds the insertions admissible in repairs.
+dropped) and saturates the instance over its own schema, which every
+constraint must fit, by firing violated ground instantiations in
+parallel rounds, substituting null for existential variables. The
+result bounds the insertions admissible in repairs.
 `head_options` grounds the consequent of one instantiation through
 `nullsem.extensions`: against a pool instance when one is given, every
 existential over the universe otherwise; the repair search shares it.
@@ -31,13 +32,11 @@ def has_problematic_existential(c: Constraint) -> bool:
     return False
 
 
-def _head_schema(sigma) -> Schema:
-    arities: dict[str, int] = {}
+def check_fit(schema: Schema, sigma) -> None:
+    """Raise SchemaError unless every constraint of sigma fits schema."""
     for c in sigma:
-        for d in c.head:
-            for a in d.atoms:
-                arities[a.pred] = len(a.terms)
-    return Schema(arities)
+        for a in c.atoms():
+            schema.check(a.pred, len(a.terms), c)
 
 
 def head_options(c: Constraint, s: dict[str, str], universe: list[str],
@@ -57,11 +56,11 @@ def head_options(c: Constraint, s: dict[str, str], universe: list[str],
 
 
 def r_chase(d: Instance, sigma) -> Instance:
-    """The restricted chase of d under the constraints of sigma that have
-    no problematic existential."""
+    """The restricted chase of d over its schema, which every constraint
+    of sigma must fit, under those without a problematic existential."""
+    check_fit(d.schema, sigma)
     sigma = [c for c in sigma if not has_problematic_existential(c)]
-    schema = d.schema.union(_head_schema(sigma))
-    cur = Instance(d.atoms, schema)
+    cur = d
     universe = sorted(working_universe(d, *sigma))
     while True:
         new: set[Atom] = set()
@@ -75,4 +74,4 @@ def r_chase(d: Instance, sigma) -> Instance:
         new -= cur.atoms
         if not new:
             return cur
-        cur = cur.with_atoms(new)
+        cur = Instance._trusted(cur.atoms | new, d.schema)

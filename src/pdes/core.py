@@ -36,12 +36,10 @@ def _const_sort_key(c: str):
 
 
 def const_leq(c1: str, c2: str) -> bool:
-    """Total order used by <,<=,>,>= builtins: numeric when both sides are
-    integers, lexicographic otherwise. Callers must exclude null."""
-    try:
-        return int(c1) <= int(c2)
-    except ValueError:
-        return c1 <= c2
+    """The one total order of constants, for the <,<=,>,>= builtins and
+    for output: integers numerically, then words (9 < 10a), the text
+    breaking ties (1 before 01). Callers must exclude null."""
+    return _const_sort_key(c1) <= _const_sort_key(c2)
 
 
 class Atom(NamedTuple):
@@ -76,6 +74,15 @@ class Schema:
     def __contains__(self, pred: str) -> bool:
         return pred in self.arities
 
+    def check(self, pred: str, arity: int, where) -> None:
+        """Raise SchemaError unless pred is a predicate of the schema with
+        this arity; where names the atom, formula or instance using it."""
+        if pred not in self.arities:
+            raise SchemaError("unknown predicate %r in %s" % (pred, where))
+        if self.arities[pred] != arity:
+            raise SchemaError("%r has arity %d, not %d, in %s"
+                              % (pred, self.arities[pred], arity, where))
+
     def arity(self, pred: str) -> int:
         if pred not in self.arities:
             raise SchemaError("unknown predicate %r" % pred)
@@ -108,10 +115,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.atoms))
         for a in self.atoms:
-            if a.pred not in self.schema:
-                raise SchemaError("atom %s not in schema" % (a,))
-            if len(a.args) != self.schema.arity(a.pred):
-                raise SchemaError("arity mismatch in %s" % (a,))
+            self.schema.check(a.pred, len(a.args), a)
 
     @classmethod
     def _trusted(cls, atoms: frozenset[Atom], schema: Schema) -> "Instance":

@@ -101,11 +101,9 @@ class Constraint:
     def is_existential(self) -> bool:
         return any(d.exist_vars for d in self.head)
 
-    def preds(self) -> set[str]:
-        out = {a.pred for a in self.body}
-        for d in self.head:
-            out |= {a.pred for a in d.atoms}
-        return out
+    def atoms(self) -> tuple[PredAtom, ...]:
+        """The database atoms of the body, then of each head disjunct."""
+        return self.body + tuple(a for d in self.head for a in d.atoms)
 
     def __str__(self):
         body = ", ".join(str(a) for a in self.body)
@@ -267,9 +265,6 @@ class _Cursor:
 
     def done(self) -> bool:
         return self.i >= len(self.toks)
-
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_']*$|[0-9][A-Za-z0-9_.'-]*$")
 
 
 def _varlist(cur: _Cursor) -> tuple[str, ...]:

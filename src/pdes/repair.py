@@ -31,7 +31,7 @@ from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
 from .lang import Constraint, relevant_vars, term_vars
 from .nullsem import (ground_atom, holds_instantiation, instantiations,
                       n_holds, working_universe)
-from .chase import head_options, r_chase
+from .chase import check_fit, head_options, r_chase
 
 NULL_BASED = "null"
 SYMMETRIC_DELTA = "delta"
@@ -140,13 +140,14 @@ def _splits(c: Constraint) -> bool:
 
 class _Search:
     """One repair search over states (atom sets read over schema, which
-    must cover the pool's atoms): the moves they allow and the one cap
+    every constraint must fit): the moves they allow and the one cap
     charged with every state of every part and, when there are several
     parts, with the product candidates."""
 
     def __init__(self, schema, sigma, universe, pool: Instance | None,
                  frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
                  classical: bool, cap: int):
+        check_fit(schema, sigma)
         self.schema, self.universe, self.pool = schema, universe, pool
         self.rules = tuple((c, relevant_vars(c)) for c in sigma)
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
@@ -160,10 +161,7 @@ class _Search:
     def violations(self, state: frozenset[Atom]):
         """The violated ground instantiations (c, s) of state, in search
         order."""
-        if self.pool is None:  # inserts range over the universe
-            d = Instance(state, self.schema)
-        else:  # base and pool atoms, checked already
-            d = Instance._trusted(state, self.schema)
+        d = Instance._trusted(state, self.schema)
         for c, rel in self.rules:
             wu = sorted(working_universe(d, c))
             for s in instantiations(d, c, self.universe):

@@ -91,13 +91,11 @@ class PdesSchema:
             if (p, q) not in self._kind:
                 raise SchemaError("no trust relationship for (%r, %r)"
                                   % (p, q))
-            allowed = set(self.schemas[p].preds()) | \
-                set(self.schemas[q].preds())
+            schema = self.schemas[p].union(self.schemas[q])
             for c in cs:
-                if not set(c.preds()) <= allowed:
-                    raise SchemaError(
-                        "constraint %s uses predicates outside the "
-                        "schemas of %r and %r" % (c, p, q))
+                where = "dec %s %s : %s" % (p, q, c)
+                for a in c.atoms():
+                    schema.check(a.pred, len(a.terms), where)
         for (p, t, q) in sorted(self.trust):
             if t not in (LESS, SAME):
                 raise SchemaError("unknown trust kind %r" % t)
@@ -177,11 +175,9 @@ class PdesInstance:
         for p in self.system.peers:
             if p not in self.data:
                 raise SchemaError("missing instance for peer %r" % p)
-            inst = self.data[p]
-            own = set(self.system.schemas[p].preds())
-            if not {a.pred for a in inst.atoms} <= own:
-                raise SchemaError("instance of %r uses foreign predicates"
-                                  % p)
+            own, where = self.system.schemas[p], "the instance of %r" % p
+            for a in self.data[p].atoms:
+                own.check(a.pred, len(a.args), where)
 
     def of(self, p: str) -> Instance:
         self.system._check_peer(p)
@@ -307,11 +303,11 @@ def peer_consistent_answers(system: PdesSchema, p: str, d: PdesInstance,
 def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
                      local: LocalSolver, cap: int) -> PcaResult:
     """Certain answers to q over p's solutions through ``local``, or p's
-    marker when it has none; q's predicates are checked first."""
+    marker when it has none; q's atoms must fit p's schema."""
     system._check_peer(p)
-    if not {a.pred for a in q.atoms} <= set(system.schemas[p].preds()):
-        raise SchemaError("query uses predicates outside the schema of %r"
-                          % p)
+    own, where = system.schemas[p], "query %s : %s" % (p, q)
+    for a in q.atoms:
+        own.check(a.pred, len(a.terms), where)
     res = _solve(system, p, d, local, cap, {})
     if res.inconsistent:
         return PcaResult(p, frozenset(), True)

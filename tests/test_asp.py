@@ -9,7 +9,7 @@ from pdes.core import (DEFAULT_CAP, Atom, CapExceeded, Instance,
                        SchemaError, atom)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
-from pdes.lang import parse_constraint
+from pdes.lang import parse_constraint, parse_query
 from pdes.system import (PdesSchema, _solve, inc_atom,
                          peer_consistent_answers, solutions)
 
@@ -157,6 +157,23 @@ class TestAnswersThroughPrograms:
         assert direct.answers == {("a", "null"), ("b", "c")}
         with pytest.raises(SchemaError):
             pca_via_asp(defn.system, "P1", defn.instance, q)
+
+
+    # an atom of the wrong arity prefix-matched facts, or ended in a
+    # KeyError when longer than the predicate
+    @pytest.mark.parametrize("text,msg", [
+        ("R1(x)", "'R1' has arity 2, not 1"),
+        ("R1(x,y,z)", "'R1' has arity 2, not 3"),
+        ("R2(x,y)", "unknown predicate 'R2'")])
+    def test_query_atoms_must_fit_the_peer_schema(self, text, msg):
+        defn = parse_definition(
+            "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 less P2\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)\n"
+            "instance P2 : R2(a,b)\n")
+        q = parse_query(text, "P1")
+        for route in (peer_consistent_answers, pca_via_asp):
+            with pytest.raises(SchemaError, match=msg + ",? in query P1 : "):
+                route(defn.system, "P1", defn.instance, q)
 
 
 class TestRuleConstants:

@@ -184,6 +184,40 @@ class TestExitCodes:
             assert (code, out) == (1, ""), argv
             assert err.startswith("error: predicate %r of " % pred), err
 
+    # Before atoms were checked for arity, check accepted both files; with
+    # the body mismatch, solutions and import-solve read R(x) as a prefix
+    # of R(a,b) and added S(a), while asp solve did not; the head mismatch
+    # failed late, with a different message on each route.
+    @pytest.mark.parametrize("dec,err", [
+        ("forall x : R(x) -> S(x)",
+         "'R' has arity 2, not 1, in dec P P : forall x: R(x) -> S(x)"),
+        ("forall x,y : R(x,y) -> S(x,y)",
+         "'S' has arity 1, not 2, in dec P P : forall x,y: R(x,y) -> S(x,y)"),
+    ], ids=["body", "head"])
+    def test_constraint_atom_of_wrong_arity_is_refused(self, tmp_path,
+                                                       capsys, dec, err):
+        path = tmp_path / "arity.pdes"
+        path.write_text("peer P : R/2, S/1\ninstance P : R(a,b)\n"
+                        "dec P P : %s\nquery P : S(x)\n" % dec)
+        for argv in (["check"], ["pca", "--peer", "P"],
+                     ["solutions", "--peer", "P"],
+                     ["import-solve", "--peer", "P"],
+                     ["asp", "solve", "--peer", "P"]):
+            code = main(argv + [str(path)])
+            assert (code, *capsys.readouterr()) == \
+                (1, "", "error: %s\n" % err), argv
+
+    # S(x,y) on S/1 ended in a KeyError traceback; R(x) on R/2 answered <a>
+    @pytest.mark.parametrize("query,err", [
+        ("S(x,y)", "'S' has arity 1, not 2, in query P : S(x,y)"),
+        ("R(x)", "'R' has arity 2, not 1, in query P : R(x)")])
+    def test_query_atom_of_wrong_arity_is_refused(self, tmp_path, capsys,
+                                                  query, err):
+        path = tmp_path / "query.pdes"
+        path.write_text("peer P : R/2, S/1\ninstance P : R(a,b)\n")
+        code = main(["pca", str(path), "--peer", "P", "--query", query])
+        assert (code, *capsys.readouterr()) == (1, "", "error: %s\n" % err)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("golden,args", GOLDEN_CASES[:6],

@@ -1,5 +1,7 @@
 """Atoms, schemas, instances, and the information order on constants."""
 
+from itertools import product
+
 import pytest
 
 from pdes.core import (NULL, CapExceeded, Instance, Schema, SchemaError,
@@ -32,6 +34,22 @@ class TestConstOrder:
         for c in ("a", "7"):
             assert const_leq(c, c)
 
+    # int() reads 1 and 01 alike, and 10 and 1_0; and numbers compared
+    # numerically but words by text gave the cycle 10 < 1a < 9 < 10
+    @pytest.mark.parametrize("lo,hi", [("01", "1"), ("10", "1_0"),
+                                       ("9", "10"), ("9", "1a"),
+                                       ("10", "1a"), ("9", "10a")])
+    def test_distinct_constants_are_strictly_ordered(self, lo, hi):
+        assert const_leq(lo, hi) and not const_leq(hi, lo)
+
+    def test_strict_order_is_transitive(self):
+        cs = ("10", "1_0", "01", "1", "9", "1a")
+
+        def lt(a, b):
+            return const_leq(a, b) and a != b
+        for a, b, c in product(cs, repeat=3):
+            assert not (lt(a, b) and lt(b, c)) or lt(a, c), (a, b, c)
+
 
 class TestSchema:
     def test_arity_lookup(self):
@@ -42,6 +60,15 @@ class TestSchema:
     def test_unknown_pred_raises(self):
         with pytest.raises(SchemaError):
             Schema({"R": 2}).arity("T")
+
+    def test_check_names_predicate_arity_and_place(self):
+        s = Schema({"R": 2})
+        s.check("R", 2, "here")
+        with pytest.raises(SchemaError, match="unknown predicate 'T' in here"):
+            s.check("T", 2, "here")
+        with pytest.raises(SchemaError,
+                           match="'R' has arity 2, not 1, in here"):
+            s.check("R", 1, "here")
 
     def test_union_conflict_raises(self):
         with pytest.raises(SchemaError):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from pdes import repair
-from pdes.core import NULL, Atom, CapExceeded, Instance, Schema, atom
+from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema, SchemaError,
+                       atom)
 from pdes.chase import r_chase
 from pdes.lang import parse_constraint
 from pdes.nullsem import n_holds
@@ -109,6 +110,16 @@ class TestDeltaRepairs:
         keep = atom("T", "a", "c")
         rs = delta_repairs(base, sigma, frozen_atoms=[keep])
         assert all(keep in r.atoms for r in rs.repairs)
+
+
+# null_repairs and r_chase widened the schema by R, delta_repairs refused
+# it through the per-state instance check
+@pytest.mark.parametrize("route", [null_repairs, delta_repairs, r_chase])
+def test_constraint_outside_the_base_schema_is_refused(route):
+    base = Instance({atom("T", "a", "b")}, Schema({"T": 2}))
+    sigma = (parse_constraint("forall x,y : T(x,y) -> R(x,y)"),)
+    with pytest.raises(SchemaError, match="unknown predicate 'R' in forall"):
+        route(base, sigma)
 
 
 _SHAPES = ("forall x,y,z : T(x,y), T(x,z) -> y = z",

@@ -4,8 +4,9 @@ import pytest
 
 from pdes.core import Instance, Schema, SchemaError, atom
 from pdes.lang import parse_constraint, parse_query
-from pdes.system import (PdesSchema, inc_atom, neighborhood_solutions,
-                         peer_consistent_answers, solutions)
+from pdes.system import (PdesInstance, PdesSchema, inc_atom,
+                         neighborhood_solutions, peer_consistent_answers,
+                         solutions)
 
 from conftest import load
 
@@ -34,6 +35,28 @@ class TestSchemaValidation:
             PdesSchema(peers=frozenset({"P"}),
                        schemas={"P": Schema({pred: 1})}, sigma={},
                        trust=frozenset())
+
+    @pytest.mark.parametrize("text,msg", [
+        ("forall x : R(x) -> S(x)", "'R' has arity 2, not 1, in dec P P"),
+        ("forall x,y : R(x,y) -> S(x,y)",
+         "'S' has arity 1, not 2, in dec P P"),
+        ("forall x,y : R(x,y) -> T(x,y)", "unknown predicate 'T' in dec P P"),
+    ], ids=["body", "head", "unknown"])
+    def test_constraint_atoms_must_fit_the_schemas(self, text, msg):
+        c = parse_constraint(text)
+        with pytest.raises(SchemaError, match=msg):
+            PdesSchema(peers=frozenset({"P"}),
+                       schemas={"P": Schema({"R": 2, "S": 1})},
+                       sigma={("P", "P"): (c,)}, trust=frozenset())
+
+    def test_instance_atoms_must_fit_the_peer_schema(self):
+        sysm = PdesSchema(peers=frozenset({"P"}),
+                          schemas={"P": Schema({"R": 2})}, sigma={},
+                          trust=frozenset())
+        inst = Instance({atom("R", "a")}, Schema({"R": 1}))
+        with pytest.raises(SchemaError, match="'R' has arity 2, not 1, in "
+                           "the instance of 'P'"):
+            PdesInstance(sysm, {"P": inst})
 
     def test_two_trust_kinds_for_one_pair_rejected(self):
         with pytest.raises(SchemaError, match="two trust kinds"):
