@@ -94,9 +94,9 @@ def _guards(vars_: Iterable[str]) -> list[Builtin]:
 
 def build_solution_program(system: PdesSchema, p: str,
                            dbar: Instance) -> LogicProgram:
-    """The solution program for p over a neighborhood instance whose
-    restriction to p's schema is p's local data. Its ``!= null`` guards
-    encode the null-based preorder, so delta systems are refused."""
+    """The solution program for p over an instance of p's neighborhood
+    schema whose restriction to p's schema is p's local data. Its ``!= null``
+    guards encode the null-based preorder, so delta systems are refused."""
     system._check_peer(p)
     if system.preorder != NULL_BASED:
         raise SchemaError("solution programs encode the null-based "
@@ -132,7 +132,7 @@ def build_solution_program(system: PdesSchema, p: str,
             else:
                 rules.append(_udec_rule(c, changeable, inc_guard))
     for r in sorted(changeable):
-        arity = system.neighborhood_schema(p).arity(r)
+        arity = dbar.schema.arity(r)
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
         rules.append(Rule((Lit(r, xs, FS),),
                           tuple(Lit("dom", (x,)) for x in xs)
@@ -303,7 +303,7 @@ def stable_models(rules: Iterable[GroundRule],
                   cap: int = DEFAULT_CAP) -> tuple[frozenset[Atom], ...]:
     """Exhaustive enumeration over the derivable atoms, checking each
     candidate to be a minimal model of its reduct that passes every
-    program constraint."""
+    program constraint, in enumeration order (unsorted)."""
     rules = tuple(rules)
     # least fixpoint of derivability ignoring negation: anything outside
     # it is false in every stable model
@@ -331,7 +331,7 @@ def stable_models(rules: Iterable[GroundRule],
         m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
         if _is_stable(trimmed, m):
             models.append(m)
-    return tuple(sorted(models, key=lambda m: (len(m), sorted(m))))
+    return tuple(models)
 
 
 def _reduct(rules, m):

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
 a bad --query or cap, non-import systems passed to import-solve, systems
 or constraints that no solution program encodes), 2 parse error in the
 definition file, 3 candidate cap exceeded. The candidate cap comes from
---cap or the PDES_CAP environment variable. Output is canonically
-ordered and deterministic.
+--cap or the PDES_CAP environment variable. The library returns search
+order; this module alone orders what it lists, canonically.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ class Refusal(Exception):
 
 def _instance_lines(inst: Instance) -> list[str]:
     return [str(a) for a in sorted(inst.atoms, key=atom_sort_key)]
+
+
+def _closest_first(insts, base: Instance) -> list[list[str]]:
+    """Fewest changes against base first, then by the atoms' sort keys."""
+    return [_instance_lines(r) for r in sorted(insts, key=lambda r: (
+        len(base.atoms ^ r.atoms), sorted(map(atom_sort_key, r.atoms))))]
 
 
 def _numbered(label: str, groups: list[list[str]]) -> list[str]:
@@ -94,10 +100,11 @@ def _cmd_chase(defn: Definition, args, cap: int):
 
 
 def _cmd_repairs(defn: Definition, args, cap: int):
-    rs = preorder_repairs(defn.system.preorder, defn.instance.of(args.peer),
+    base = defn.instance.of(args.peer)
+    rs = preorder_repairs(defn.system.preorder, base,
                           defn.system.sigma.get((args.peer, args.peer), ()),
                           cap=cap)
-    groups = [_instance_lines(r) for r in rs.repairs]
+    groups = _closest_first(rs.repairs, base)
     return ({"peer": args.peer, "repairs": groups},
             _numbered("repair", groups))
 
@@ -105,7 +112,7 @@ def _cmd_repairs(defn: Definition, args, cap: int):
 def _cmd_ns(defn: Definition, args, cap: int):
     dbar = _neighborhood_instance(defn, args.peer)
     ns = neighborhood_solutions(defn.system, args.peer, dbar, cap=cap)
-    groups = [_instance_lines(s) for s in ns]
+    groups = _closest_first(ns, dbar)
     lines = _numbered("neighborhood solution", groups)
     if not groups:
         lines.append("no neighborhood solutions")
@@ -121,7 +128,7 @@ def _solution_lines(res):
     if res.inconsistent:
         payload, lines = _inconsistent(res.peer, "solutions")
         return {**payload, "core": []}, lines
-    groups = [_instance_lines(s) for s in res.solutions]
+    groups = sorted(map(_instance_lines, res.solutions), key=sorted)
     return ({"peer": res.peer, "solutions": groups,
              "core": _instance_lines(res.core), "inconsistent": False},
             _numbered("solution", groups))
@@ -188,10 +195,11 @@ def _cmd_asp(defn: Definition, args, cap: int):
         text = emit_text(prog)
         return ({"peer": args.peer, "program": text.splitlines()},
                 [text.rstrip("\n")])
-    models = stable_models(ground(prog), cap=cap)
+    models = sorted(stable_models(ground(prog), cap=cap),
+                    key=lambda m: (len(m), sorted(m)))
     model_groups = [sorted(map(str, m)) for m in models]
     insts = asp_solutions(defn.system, args.peer, dbar, cap=cap)
-    sol_groups = [_instance_lines(i) for i in insts]
+    sol_groups = sorted(map(_instance_lines, insts), key=sorted)
     lines = ["warning: " + w for w in prog.warnings]
     lines += _numbered("model", model_groups)
     if not model_groups:

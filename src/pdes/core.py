@@ -119,8 +119,9 @@ class Instance:
 
     @classmethod
     def _trusted(cls, atoms: frozenset[Atom], schema: Schema) -> "Instance":
-        """An instance of atoms already checked against schema (a subset
-        of a checked instance's atoms); the check is not repeated."""
+        """An instance of atoms over schema, unchecked: callers pass a
+        frozenset of atoms of checked instances whose schemas agree with
+        schema on the atoms' predicates, all of which schema declares."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "atoms", atoms)
         object.__setattr__(inst, "schema", schema)

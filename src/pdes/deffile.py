@@ -96,6 +96,8 @@ def parse_definition(text: str) -> Definition:
                 if not slash or not _NAME.match(pred) or \
                         not ar.strip().isdigit():
                     raise _fail(lineno, "expected Pred/arity, got %r" % item)
+                if pred in arities:
+                    raise _fail(lineno, "predicate %r declared twice" % pred)
                 arities[pred] = int(ar)
             peers[name] = arities
             atoms.setdefault(name, set())

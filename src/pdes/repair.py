@@ -106,28 +106,12 @@ def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
 
 @dataclass(frozen=True)
 class RepairSet:
+    """Repairs in search order; a caller that lists them orders them."""
+
     repairs: tuple[Instance, ...]
 
 
-def _repair_set(candidates, base: Instance, schema) -> RepairSet:
-    """The candidate atom sets as instances over schema, fewest changes
-    against base first."""
-    def key(atoms):
-        return (len(base.atoms ^ atoms),
-                tuple(sorted(map(atom_sort_key, atoms))))
-    return RepairSet(tuple(Instance._trusted(a, schema)
-                           for a in sorted(candidates, key=key)))
-
-
 # ----------------------------------------------------- branch search core
-
-def _forced(state: frozenset[Atom], children) -> frozenset[Atom] | None:
-    """The atoms a violation forces into state: those of its one child,
-    when that child is an insert; otherwise None."""
-    if len(set(children)) == 1 and children[0] > state:
-        return children[0] - state
-    return None
-
 
 def _splits(c: Constraint) -> bool:
     """Whether every instantiation of c is anchored by a body atom and
@@ -168,40 +152,37 @@ class _Search:
                 if not holds_instantiation(d, c, s, rel, self.classical, wu):
                     yield c, s
 
-    def children(self, state: frozenset[Atom], c: Constraint,
-                 s) -> list[frozenset[Atom]]:
-        """The states one move away from state that may repair the
-        violated instantiation s of c: one per deletable body atom, then
-        one per head option that adds atoms, none of a frozen predicate.
-        A violation's body atoms are all in state."""
-        out = [state - {ga} for ga in (ground_atom(a, s) for a in c.body)
-               if ga.pred not in self.frozen_preds
-               and ga not in self.frozen_atoms]
-        for atoms in head_options(c, s, self.universe, self.pool,
-                                  self.classical):
-            new = atoms - state
-            if new and not any(a.pred in self.frozen_preds for a in new):
-                out.append(state | new)
-        return out
+    def moves(self, state: frozenset[Atom], c: Constraint, s):
+        """The moves that may repair the violated instantiation s of c in
+        state, as deltas: its deletable body atoms, all in state, and the
+        nonempty atom sets head options add, none of a frozen predicate."""
+        dels = [ga for ga in (ground_atom(a, s) for a in c.body)
+                if ga.pred not in self.frozen_preds
+                and ga not in self.frozen_atoms]
+        adds = [new for new in (atoms - state for atoms in head_options(
+                    c, s, self.universe, self.pool, self.classical))
+                if new and not any(a.pred in self.frozen_preds for a in new)]
+        return dels, adds
 
     def step(self, state: frozenset[Atom]):
         """None when state satisfies every constraint. Otherwise the
-        moves of its first violation and its violations from the first
-        on, not yet read; or, when that violation is forced, the one
-        child that adds the inserts of every forced violation of state,
-        and None."""
+        child states of its first violation and its violations from the
+        first on, not yet read; or, when that violation is forced (no
+        deletion, one distinct insert), the one child that adds the
+        inserts of every forced violation of state, and None."""
         viols = self.violations(state)
         first = next(viols, None)
         if first is None:
             return None
-        nexts = self.children(state, *first)
-        batch = _forced(state, nexts)
-        if batch is None:
-            return nexts, chain([first], viols)
+        dels, adds = self.moves(state, *first)
+        if dels or len(set(adds)) != 1:
+            return ([state - {a} for a in dels] + [state | a for a in adds],
+                    chain([first], viols))
+        batch = set(adds[0])
         for viol in viols:
-            more = _forced(state, self.children(state, *viol))
-            if more is not None:
-                batch |= more
+            dels, adds = self.moves(state, *viol)
+            if not dels and len(set(adds)) == 1:
+                batch |= adds[0]
         return [state | batch], None
 
     def explore(self, start: frozenset[Atom], nexts=None,
@@ -283,13 +264,14 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     state of each part.
 
     A state whose first violation has several moves branches on them. A
-    state whose first violation is forced gets one child instead: the
-    state plus the inserts of every forced violation it has. This loses
-    no satisfying leaf. A forced violation's body is frozen, so it stays
-    in every descendant and must be satisfied by its head there. Its head
-    can only become true through a pool grounding whose missing atoms
-    some move inserts, and its one insert is the only such grounding. So
-    every satisfying leaf below the state contains that insert.
+    state whose first violation is forced (no deletion, one distinct
+    insert) gets one child instead: the state plus the inserts of every
+    forced violation it has. This loses no satisfying leaf. A forced
+    violation's body is frozen, so it stays in every descendant and must
+    be satisfied by its head there. Its head can only become true through
+    a pool grounding whose missing atoms some move inserts, and its one
+    insert is the only such grounding. So every satisfying leaf below the
+    state contains that insert.
 
     Forced batches run on the whole state. At the first state that is
     not forced, the search splits it into the parts of `_Search.parts`
@@ -374,7 +356,8 @@ def null_repairs(base: Instance, sigma,
     minimal = _minimal_products(
         search, base.atoms, shared, parts,
         lambda d, b: _closeness_profile(d, b, bound), _profile_lt)
-    return _repair_set(minimal, base, chased.schema)
+    return RepairSet(tuple(Instance._trusted(a, chased.schema)
+                           for a in minimal))
 
 
 def delta_repairs(base: Instance, sigma,
@@ -392,7 +375,8 @@ def delta_repairs(base: Instance, sigma,
     shared, parts = _branch_search(search, base.atoms)
     minimal = _minimal_products(search, base.atoms, shared, parts,
                                 lambda d, b: b ^ d, operator.lt)
-    return _repair_set(minimal, base, base.schema)
+    return RepairSet(tuple(Instance._trusted(a, base.schema)
+                           for a in minimal))
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,
@@ -432,4 +416,5 @@ def exhaustive_null_repairs(base: Instance, sigma,
             sat.append(inst.atoms)
     minimal = _minimal(sat, lambda d: _closeness_profile(
         d, base.atoms, chased.atoms), _profile_lt)
-    return _repair_set(minimal, base, chased.schema)
+    return RepairSet(tuple(Instance._trusted(a, chased.schema)
+                           for a in minimal))

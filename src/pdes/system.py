@@ -11,7 +11,7 @@ has none, in which case the exchange constraints toward it are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping
 
@@ -84,10 +84,11 @@ class PdesSchema:
                         "predicate %r owned by both %r and %r"
                         % (r, seen[r], p))
                 seen[r] = p
-        for (p, q), cs in self.sigma.items():
+        for (p, q) in sorted({*self.sigma, *self._kind}):
             if p not in self.peers or q not in self.peers:
-                raise SchemaError("constraint set for unknown peer pair "
-                                  "(%r, %r)" % (p, q))
+                raise SchemaError("constraint set or trust for unknown "
+                                  "peer pair (%r, %r)" % (p, q))
+        for (p, q), cs in self.sigma.items():
             if (p, q) not in self._kind:
                 raise SchemaError("no trust relationship for (%r, %r)"
                                   % (p, q))
@@ -219,12 +220,11 @@ LocalSolver = Callable[[PdesSchema, str, Instance, int], tuple[Instance, ...]]
 def solution_form(system: PdesSchema, p: str,
                   instances) -> tuple[Instance, ...]:
     """The instances restricted to p's schema, without duplicates, in the
-    order of their sorted atom texts."""
+    order first seen; over schemas agreeing with p's, so not re-checked."""
     own = system.schemas[p]
-    seen = {frozenset(a for a in s.atoms if a.pred in own)
-            for s in instances}
-    return tuple(Instance(a, own)
-                 for a in sorted(seen, key=lambda a: sorted(map(str, a))))
+    seen = dict.fromkeys(frozenset(a for a in s.atoms if a.pred in own)
+                         for s in instances)
+    return tuple(Instance._trusted(a, own) for a in seen)
 
 
 def solutions(system: PdesSchema, p: str, d: PdesInstance,
@@ -232,9 +232,11 @@ def solutions(system: PdesSchema, p: str, d: PdesInstance,
     """Solution instances for p: its own instance when it has no
     constraints, otherwise the restrictions to p's schema of the
     neighborhood solutions over its instance joined with the neighbors'
-    cores."""
+    cores, in the order of their sorted atom texts (perfbench reads it)."""
     system._check_peer(p)
-    return _solve(system, p, d, neighborhood_solutions, cap, {})
+    res = _solve(system, p, d, neighborhood_solutions, cap, {})
+    return replace(res, solutions=tuple(sorted(
+        res.solutions, key=lambda s: sorted(map(str, s.atoms)))))
 
 
 def core_instance(system: PdesSchema, p: str, d: PdesInstance,
@@ -250,7 +252,7 @@ def _dbar(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
     atoms = set(d.of(p).atoms)
     for q in sorted(system.strict_neighbors(p)):
         atoms |= _solve(system, q, d, local, cap, memo).core.atoms
-    return Instance(atoms, system.neighborhood_schema(p))
+    return Instance._trusted(frozenset(atoms), system.neighborhood_schema(p))
 
 
 def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
@@ -267,8 +269,8 @@ def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
         sols = solution_form(system, p, local(system, p, dbar, cap))
     if sols:
         common = frozenset.intersection(*(s.atoms for s in sols))
-        res = SolutionResult(p, sols, Instance(common, system.schemas[p]),
-                             False)
+        core = Instance._trusted(common, system.schemas[p])
+        res = SolutionResult(p, sols, core, False)
     else:
         marker = Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
         res = SolutionResult(p, (), marker, True)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from pdes.cli import main
 from pdes.core import SchemaError
+from pdes.repair import RepairSet
 
 from conftest import FIXTURES, GOLDEN, fixture_path, load
 
@@ -65,6 +67,31 @@ class TestGolden:
         code, out = run_inprocess(args, capsys)
         assert code == 0
         assert out == expected
+
+    def test_cli_orders_what_it_lists(self, monkeypatch, capsys):
+        # the library returns repairs, solutions and models in search
+        # order; handed over reversed, they are still listed as before
+        import pdes.cli as cli
+
+        def flip(items):
+            return tuple(reversed(items))
+        flips = {
+            "preorder_repairs": lambda r: RepairSet(flip(r.repairs)),
+            "neighborhood_solutions": flip,
+            "solutions": lambda r: replace(r, solutions=flip(r.solutions)),
+            "stable_models": flip,
+            "asp_solutions": flip,
+        }
+        for name, after in flips.items():
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, after=after,
+                                **k: after(real(*a, **k)))
+        for golden in ("repairs_5_5.txt", "ns_3_2.txt", "solutions_3_6.json",
+                       "asp_solve_cyclic_same.txt"):
+            with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+                expected = fh.read()
+            assert run_inprocess(dict(GOLDEN_CASES)[golden], capsys) == \
+                (0, expected), golden
 
     def test_json_outputs_are_valid_json(self, capsys):
         for golden, args in GOLDEN_CASES:

@@ -53,6 +53,11 @@ class TestErrors:
     def test_duplicate_peer(self):
         assert "twice" in self.error("peer P : R/1\npeer P : S/1\n")
 
+    def test_predicate_declared_twice_in_one_peer_line(self):
+        # the second declaration used to replace the first silently
+        assert self.error("peer P1 : R/1, R/2\n") == \
+            "line 1: predicate 'R' declared twice"
+
     def test_instance_for_undeclared_peer(self):
         self.error("peer P : R/1\ninstance Q : R(a)\n")
 

@@ -1,5 +1,9 @@
 """Peer systems: neighborhoods, recursive solutions, consistent answers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from pdes.core import Instance, Schema, SchemaError, atom
@@ -64,6 +68,14 @@ class TestSchemaValidation:
                        schemas={"P": Schema({"R": 1}), "Q": Schema({"S": 1})},
                        sigma={}, trust=frozenset({("P", "less", "Q"),
                                                   ("P", "same", "Q")}))
+
+    def test_trust_toward_undeclared_peer_rejected(self):
+        # it used to be accepted, and read nowhere
+        with pytest.raises(SchemaError, match="trust for unknown peer pair "
+                           r"\('P', 'Q'\)"):
+            PdesSchema(peers=frozenset({"P"}),
+                       schemas={"P": Schema({"R": 1})}, sigma={},
+                       trust=frozenset({("P", "less", "Q")}))
 
 
 class TestTopology:
@@ -182,3 +194,37 @@ class TestNullPreorderSolutions:
         res4 = solutions(defn.system, "P4", defn.instance)
         assert solution_sets(res4) == {
             frozenset({"R4(d,5,1)", "R4(c,4,null)"})}
+
+
+# three FD keys and two null witnesses: five conflict parts
+PARTS = (
+    "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 same P2\n"
+    "dec P1 P1 : forall x,y,z : R1(x,y), R1(x,z) -> y = z\n"
+    "dec P1 P2 : forall x,y : R2(x,y) -> exists z : R1(x,z)\n"
+    "instance P1 : R1(k1,a), R1(k1,b), R1(k2,c), R1(k2,d), R1(k3,e), "
+    "R1(k3,f), R1(k4,g)\n"
+    "instance P2 : R2(w1,h), R2(w2,i)\n")
+
+_ORDERS = """
+import sys
+from pdes.deffile import load_definition
+from pdes.system import core_instance, neighborhood_solutions, solutions
+d = load_definition(sys.argv[1])
+dbar = core_instance(d.system, "P1", d.instance)
+for insts in (neighborhood_solutions(d.system, "P1", dbar),
+              solutions(d.system, "P1", d.instance).solutions):
+    print([sorted(map(str, s.atoms)) for s in insts])
+"""
+
+
+def test_library_order_is_the_same_under_any_hash_seed(tmp_path):
+    # the library lists in search order, which reads no set's order
+    path = tmp_path / "parts.pdes"
+    path.write_text(PARTS)
+    outs = {subprocess.run(
+        [sys.executable, "-c", _ORDERS, str(path)], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2", "3")}
+    assert len(outs) == 1
+    assert outs.pop().count("R1(k4,g)") == 2 * 2 ** 5
