@@ -10,8 +10,11 @@ head atoms survive.
 Grounding partially evaluates the fixed part: plain atoms and the
 ``ts``/``fs`` literals are resolved against the facts (the closed-world
 ``fs`` rule is never materialized), leaving a small ground program over
-``ta``/``fa``/aux atoms. Stable models are enumerated by brute force
-over that decision layer and checked via the reduct.
+``ta``/``fa``/aux atoms. It joins rule bodies against the facts and the
+atoms derived so far, so only rules that can fire are grounded. Stable
+models are found by a backtracking search over that decision layer, each
+checked by a search for a smaller model of its reduct. The candidate cap
+bounds both, and the grounding products of variables no body atom binds.
 
 The ``!= null`` guards encode the null semantics, so only systems under
 the null-based preorder get a program. ``asp_solutions`` is a local
@@ -24,6 +27,7 @@ through that peer's own program.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
@@ -228,27 +232,86 @@ def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
 
 # -------------------------------------------------------------- grounding
 
-def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
-    """Ground instantiations of the decision-layer rules, with builtins
-    and fact-determined literals pre-evaluated away. Variables range over
-    the facts' active domain, null and the constants of the rules."""
+class _Budget:
+    """The candidate cap, charged as a search goes."""
+
+    def __init__(self, cap: int):
+        self.cap, self.used = cap, 0
+
+    def charge(self, n: int = 1) -> None:
+        if self.used + n > self.cap:
+            raise CapExceeded(self.cap, self.used + n)
+        self.used += n
+
+
+def ground(prog: LogicProgram,
+           cap: int = DEFAULT_CAP) -> tuple[GroundRule, ...]:
+    """The ground instantiations of the decision-layer rules whose
+    positive atoms are derivable, with builtins and fact-determined
+    literals pre-evaluated away. Positive body literals are joined, to a
+    fixpoint, against the facts (``ts`` and plain literals) and the head
+    atoms grounded so far (``ts``, ``ta``, ``fa`` and aux literals). A
+    variable that no positive literal binds ranges over the facts' active
+    domain, null and the constants of the rules; that product is charged
+    to cap in each round."""
     uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
                  | {t.value for r in prog.rules for item in (*r.head, *r.body)
                     for t in item.terms if isinstance(t, Cst)})
-    out: list[GroundRule] = []
-    seen: set[GroundRule] = set()
-    for r in prog.rules:
-        if r.derived:
-            continue
-        vs = sorted({v for lit in (*r.head, *r.body)
-                     for v in (term_vars(lit.terms))})
-        for combo in product(uni, repeat=len(vs)):
-            s = dict(zip(vs, combo))
-            g = _ground_rule(r, s, prog.facts)
-            if g is not None and g not in seen:
-                seen.add(g)
-                out.append(g)
+    rules = [(r, [b for b in r.body if isinstance(b, Lit) and not b.neg
+                  and b.ann != FS],
+              sorted({v for item in (*r.head, *r.body)
+                      for v in term_vars(item.terms)}))
+             for r in prog.rules if not r.derived]
+    rows: dict[tuple, set] = defaultdict(set)  # (pred, ann) -> arguments
+    for a in prog.facts:
+        rows[a.pred, None].add(a.args)
+        rows[a.pred, TS].add(a.args)
+    budget = _Budget(cap)
+    out: dict[GroundRule, None] = {}  # in grounding order
+    derived: set[Atom] = set()
+    grew = True
+    while grew:
+        grew, index = False, {}
+        for r, lits, vs in rules:
+            for s in _join(lits, rows, index, {}):
+                free = [v for v in vs if v not in s]
+                if free:
+                    budget.charge(len(uni) ** len(free))
+                for combo in product(uni, repeat=len(free)):
+                    g = _ground_rule(r, {**s, **dict(zip(free, combo))},
+                                     prog.facts)
+                    if g is None or g in out or not derived >= set(g.pos):
+                        continue
+                    out[g] = None
+                    grew |= not derived >= set(g.head)
+                    derived.update(g.head)
+                    for h, a in zip(r.head, g.head):
+                        args = a.args if h.ann is None else a.args[:-1]
+                        rows[h.pred, h.ann].add(args)
+                        if h.ann == TA:
+                            rows[h.pred, TS].add(args)
     return tuple(out)
+
+
+def _join(lits: list[Lit], rows, index, s: dict):
+    """The extensions of s that match every literal in lits to a row of
+    its (pred, ann) source; index caches rows by their bound positions."""
+    if not lits:
+        yield s
+        return
+    lit = lits[0]
+    bound = tuple(i for i, t in enumerate(lit.terms)
+                  if isinstance(t, Cst) or t.name in s)
+    ix = index.get((lit.pred, lit.ann, bound))
+    if ix is None:
+        ix = index[lit.pred, lit.ann, bound] = {}
+        for args in sorted(rows.get((lit.pred, lit.ann), ())):
+            ix.setdefault(tuple(args[i] for i in bound), []).append(args)
+    for args in ix.get(tuple(_val(lit.terms[i], s) for i in bound), ()):
+        ext = dict(s)
+        if all(ext.setdefault(t.name, c) == c
+               for t, c in zip(lit.terms, args) if isinstance(t, Var)):
+            yield from _join(lits[1:], rows, index, ext)
 
 
 def _val(t, s) -> str:
@@ -301,60 +364,76 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
 
 def stable_models(rules: Iterable[GroundRule],
                   cap: int = DEFAULT_CAP) -> tuple[frozenset[Atom], ...]:
-    """Exhaustive enumeration over the derivable atoms, checking each
-    candidate to be a minimal model of its reduct that passes every
-    program constraint, in enumeration order (unsorted)."""
+    """The stable models, in search order (unsorted). A backtracking
+    search decides the head atoms in sorted order (an atom in no head is
+    false in every stable model) and checks each rule once all its atoms
+    are decided. Each model of the program it reaches is kept when no
+    smaller model of its reduct lies inside it. Every search node, here
+    and in those minimality checks, is charged to cap."""
     rules = tuple(rules)
-    # least fixpoint of derivability ignoring negation: anything outside
-    # it is false in every stable model
-    derivable: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if set(r.pos) <= derivable and \
-                    not set(r.head) <= derivable:
-                derivable |= set(r.head)
-                changed = True
-    # literals over underivable atoms are decided now
-    trimmed: list[GroundRule] = []
+    atoms = sorted({a for r in rules for a in r.head})
+    at = {a: i for i, a in enumerate(atoms)}
+    # checks[d]: the rules, as atom indices, decided once d atoms are
+    checks: list[list] = [[] for _ in range(len(atoms) + 1)]
     for r in rules:
-        if any(a not in derivable for a in r.pos):
-            continue
-        neg = tuple(a for a in r.neg if a in derivable)
-        trimmed.append(GroundRule(r.head, r.pos, neg))
-    atoms = sorted(derivable)
-    if 2 ** len(atoms) > cap:
-        raise CapExceeded(cap, 2 ** len(atoms))
+        if all(a in at for a in r.pos):
+            lits = ([at[a] for a in r.pos], [at[a] for a in r.neg if a in at],
+                    [at[a] for a in r.head])
+            checks[max(max(ix, default=-1) for ix in lits) + 1].append(lits)
+    budget = _Budget(cap)
+    val = [False] * len(atoms)
+
+    def broken(d: int) -> bool:
+        return any(all(val[i] for i in pos) and not any(val[i] for i in neg)
+                   and not any(val[i] for i in head)
+                   for pos, neg, head in checks[d])
+
     models: list[frozenset[Atom]] = []
-    for mask in range(2 ** len(atoms)):
-        m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        if _is_stable(trimmed, m):
-            models.append(m)
+    # (atoms decided, value of the last one), pushed only when consistent
+    stack = [] if broken(0) else [(0, False)]
+    while stack:
+        d, v = stack.pop()
+        budget.charge()
+        if d:
+            val[d - 1] = v
+        if d == len(atoms):
+            m = frozenset(a for a, x in zip(atoms, val) if x)
+            if not _has_smaller_model(rules, m, budget):
+                models.append(m)
+            continue
+        for v in (True, False):
+            val[d] = v
+            if not broken(d + 1):
+                stack.append((d + 1, v))
     return tuple(models)
 
 
-def _reduct(rules, m):
-    return [r for r in rules if not (set(r.neg) & m)]
-
-
-def _satisfies(rules, m: frozenset[Atom]) -> bool:
-    for r in rules:
-        if set(r.pos) <= m and not (set(r.head) & m):
-            return False
-    return True
-
-
-def _is_stable(rules, m: frozenset[Atom]) -> bool:
-    red = _reduct(rules, m)
-    if not _satisfies(red, m):
-        return False
-    elems = sorted(m)
-    for mask in range(2 ** len(elems) - 1):
-        sub = frozenset(a for i, a in enumerate(elems) if mask >> i & 1)
-        if _satisfies(red, sub):
-            return False
-    return True
+def _has_smaller_model(rules: tuple[GroundRule, ...], m: frozenset[Atom],
+                       budget: _Budget) -> bool:
+    """Whether the reduct of rules by the model m has a model strictly
+    inside m: chain forward from the empty set and branch on each
+    disjunctive head; m is stable iff every branch ends at m."""
+    red = [(frozenset(r.pos), m.intersection(r.head)) for r in rules
+           if m.issuperset(r.pos) and m.isdisjoint(r.neg)]
+    stack = [frozenset()]
+    while stack:
+        budget.charge()
+        n, grew = set(stack.pop()), True
+        while grew:
+            grew, branch = False, None
+            for pos, head in red:
+                if pos <= n and n.isdisjoint(head):
+                    if len(head) == 1:
+                        n |= head
+                        grew = True
+                    elif branch is None:
+                        branch = head
+        if branch is None:
+            if len(n) < len(m):
+                return True
+        else:
+            stack += [frozenset(n | {a}) for a in sorted(branch)]
+    return False
 
 
 # ------------------------------------------------------------- extraction
@@ -390,7 +469,7 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
     are restricted to p's schema."""
     prog = build_solution_program(system, p, dbar)
     full: dict[frozenset[Atom], Instance] = {}
-    for m in stable_models(ground(prog), cap=cap):
+    for m in stable_models(ground(prog, cap), cap=cap):
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
     bound = r_chase(dbar, system.sigma_of(p)).atoms

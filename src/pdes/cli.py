@@ -195,7 +195,7 @@ def _cmd_asp(defn: Definition, args, cap: int):
         text = emit_text(prog)
         return ({"peer": args.peer, "program": text.splitlines()},
                 [text.rstrip("\n")])
-    models = sorted(stable_models(ground(prog), cap=cap),
+    models = sorted(stable_models(ground(prog, cap), cap=cap),
                     key=lambda m: (len(m), sorted(m)))
     model_groups = [sorted(map(str, m)) for m in models]
     insts = asp_solutions(defn.system, args.peer, dbar, cap=cap)

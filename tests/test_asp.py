@@ -1,19 +1,32 @@
 """Disjunctive logic programs whose stable models are the solutions."""
 
-import pytest
+import contextlib
+import io
+import json
+import os
+import sys
+from itertools import product
 
-from pdes.asp import (TA, asp_solutions, build_solution_program,
-                      emit_text, extract_instance, ground, pca_via_asp,
-                      stable_models)
-from pdes.core import (DEFAULT_CAP, Atom, CapExceeded, Instance,
-                       SchemaError, atom)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdes.asp import (TA, GroundRule, _ground_rule, asp_solutions,
+                      build_solution_program, emit_text, extract_instance,
+                      ground, pca_via_asp, stable_models)
+from pdes.cli import main
+from pdes.core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
+                       Schema, SchemaError, atom, atom_sort_key)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
-from pdes.lang import parse_constraint, parse_query
+from pdes.lang import Cst, parse_constraint, parse_query, term_vars
 from pdes.system import (PdesSchema, _solve, inc_atom,
                          peer_consistent_answers, solutions)
 
-from conftest import load
+from conftest import FIXTURES, HERE, load
+
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+import families  # noqa: E402
 
 
 def neighborhood(defn, p):
@@ -192,3 +205,143 @@ class TestRuleConstants:
         assert solution_sets([import_solve(sysm, "P1", d)]) == want
         assert solution_sets(_solve(sysm, "P1", d, asp_solutions,
                                     DEFAULT_CAP, {}).solutions) == want
+
+
+# ----------------------------------------------------- reference pipeline
+# The product grounder, the derivability trim, the 2^|atoms| mask loop and
+# the all-subsets minimality check, kept as oracles for ground and
+# stable_models.
+
+def reference_ground(prog):
+    uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
+                 | {t.value for r in prog.rules for item in (*r.head, *r.body)
+                    for t in item.terms if isinstance(t, Cst)})
+    out = {}
+    for r in prog.rules:
+        if r.derived:
+            continue
+        vs = sorted({v for lit in (*r.head, *r.body)
+                     for v in term_vars(lit.terms)})
+        for combo in product(uni, repeat=len(vs)):
+            g = _ground_rule(r, dict(zip(vs, combo)), prog.facts)
+            if g is not None:
+                out.setdefault(g)
+    return tuple(out)
+
+
+def _satisfies(rules, m):
+    return all(not set(r.pos) <= m or set(r.head) & m for r in rules)
+
+
+def _is_stable(rules, m):
+    red = [r for r in rules if not set(r.neg) & m]
+    if not _satisfies(red, m):
+        return False
+    elems = sorted(m)
+    return not any(
+        _satisfies(red, frozenset(a for i, a in enumerate(elems)
+                                  if mask >> i & 1))
+        for mask in range(2 ** len(elems) - 1))
+
+
+def reference_stable_models(rules):
+    derivable, changed = set(), True
+    while changed:
+        changed = False
+        for r in rules:
+            if set(r.pos) <= derivable and not set(r.head) <= derivable:
+                derivable |= set(r.head)
+                changed = True
+    trimmed = [GroundRule(r.head, r.pos,
+                          tuple(a for a in r.neg if a in derivable))
+               for r in rules if set(r.pos) <= derivable]
+    atoms = sorted(derivable)
+    subsets = (frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+               for mask in range(2 ** len(atoms)))
+    return {m for m in subsets if _is_stable(trimmed, m)}
+
+
+def _fixture_programs():
+    for name in sorted(os.listdir(FIXTURES)):
+        try:
+            defn = load(name)
+        except SchemaError:
+            continue
+        for p in sorted(defn.system.peers):
+            try:
+                yield name, p, build_solution_program(
+                    defn.system, p, neighborhood(defn, p))
+            except SchemaError:
+                continue
+
+
+class TestAgainstReferencePipeline:
+    def test_every_fixture_program(self):
+        seen = 0
+        for name, p, prog in _fixture_programs():
+            got = stable_models(ground(prog))
+            assert len(set(got)) == len(got), (name, p)
+            assert set(got) == reference_stable_models(
+                reference_ground(prog)), (name, p)
+            seen += 1
+        assert seen >= 20
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_small_ground_programs(self, data):
+        pool = [atom("a", str(i)) for i in
+                range(data.draw(st.integers(1, 8), label="atoms"))]
+        part = st.lists(st.sampled_from(pool), max_size=3, unique=True)
+        rules = data.draw(st.lists(st.builds(
+            lambda h, p, n: GroundRule(tuple(h), tuple(p), tuple(n)),
+            part, part, part), max_size=10), label="rules")
+        got = stable_models(rules)
+        assert len(set(got)) == len(got)
+        assert set(got) == reference_stable_models(rules)
+
+
+class TestSearchScale:
+    def test_long_copy_chain_solves(self, tmp_path):
+        # one ta atom per tuple: the search and the minimality check are
+        # as deep as the atom count
+        fam = families.copy_chain(3, n=1200)
+        path = tmp_path / "chain.pdes"
+        path.write_text(fam.text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["asp", "solve", "--peer", "P1", str(path),
+                         "--format", "json"])
+        assert (code, err.getvalue()) == (0, "")
+        defn = parse_definition(fam.text)
+        want = import_solve(defn.system, "P1", defn.instance)
+        assert len(want.atoms) == 1200
+        assert json.loads(out.getvalue())["solutions"] == [
+            [str(a) for a in sorted(want.atoms, key=atom_sort_key)]]
+
+    def test_cap_counts_search_nodes(self):
+        fam = families.conflicts(1, k=3, m=2, c=0)
+        defn = parse_definition(fam.text)
+        sysm, d = defn.system, defn.instance
+        dbar = Instance(d.of("P1").atoms | d.of("P2").atoms,
+                        sysm.neighborhood_schema("P1"))
+        rules = ground(build_solution_program(sysm, "P1", dbar))
+        n = len({a for r in rules for a in r.head})
+        assert n == 13
+        assert len(stable_models(rules, cap=2 ** (n - 1))) == 32
+        res = pca_via_asp(sysm, "P1", d, defn.queries["P1"])
+        assert res.answers == {(a,) for a in fam.answers}
+
+    def test_grounding_charges_unbound_variables(self):
+        # y and z occur only in the head: each S fact leaves a product
+        # over the whole universe, which the cap refuses
+        sysm = PdesSchema(
+            peers=frozenset({"P", "Q"}),
+            schemas={"P": Schema({"R": 2}), "Q": Schema({"S": 1})},
+            sigma={("P", "Q"): (parse_constraint(
+                "forall x,y,z : S(x) -> R(y,z)", ("P", "Q")),)},
+            trust=frozenset({("P", "less", "Q")}))
+        dbar = Instance({atom("S", "c%d" % i) for i in range(40)},
+                        sysm.neighborhood_schema("P"))
+        prog = build_solution_program(sysm, "P", dbar)
+        with pytest.raises(CapExceeded):
+            ground(prog, cap=1000)
