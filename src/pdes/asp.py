@@ -17,12 +17,12 @@ checked by a search for a smaller model of its reduct. The candidate cap
 bounds both, and the grounding products of variables no body atom binds.
 
 The ``!= null`` guards encode the null semantics, so only systems under
-the null-based preorder get a program. ``asp_solutions`` is a local
-solver of the one peer recursion (``system._solve``): it reads each
+the null-based preorder get a program. ``asp_solutions`` reads each
 stable model's neighborhood instance, drops those strictly farther from
 dbar under the closeness preorder than another, and restricts the rest
-to the peer's schema. ``pca_via_asp`` solves every peer it reaches
-through that peer's own program.
+to the peer's schema. ``asp_parts`` hands that list to the one peer
+recursion (``system._factored``) as one part, so ``pca_via_asp`` solves
+every peer it reaches through that peer's own program.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance, Schema,
+from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
                    SchemaError, active_domain, restrict)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, relevant_vars, term_vars)
 from .nullsem import eval_builtin
-from .repair import NULL_BASED, _minimal, closer_lt
+from .repair import NULL_BASED, RepairSet, _minimal, closer_lt, one_part
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
                      inc_atom, solution_form, INC_PREFIX, SAME)
@@ -232,28 +232,22 @@ def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
 
 # -------------------------------------------------------------- grounding
 
-class _Budget:
-    """The candidate cap, charged as a search goes."""
-
-    def __init__(self, cap: int):
-        self.cap, self.used = cap, 0
-
-    def charge(self, n: int = 1) -> None:
-        if self.used + n > self.cap:
-            raise CapExceeded(self.cap, self.used + n)
-        self.used += n
-
-
 def ground(prog: LogicProgram,
            cap: int = DEFAULT_CAP) -> tuple[GroundRule, ...]:
     """The ground instantiations of the decision-layer rules whose
     positive atoms are derivable, with builtins and fact-determined
     literals pre-evaluated away. Positive body literals are joined, to a
     fixpoint, against the facts (``ts`` and plain literals) and the head
-    atoms grounded so far (``ts``, ``ta``, ``fa`` and aux literals). A
-    variable that no positive literal binds ranges over the facts' active
-    domain, null and the constants of the rules; that product is charged
-    to cap in each round."""
+    atoms grounded so far (``ts``, ``ta``, ``fa`` and aux literals).
+
+    The join is semi-naive: each round joins only the bindings that use a
+    row the previous round derived, at the first literal that reads one,
+    so every binding is found once. A rule ground before all its positive
+    atoms are derived (an ``fs`` literal over a fact reads an ``fa`` atom
+    that no join supplies) waits for the atom it lacks. A variable that no
+    positive literal binds ranges over the facts' active domain, null and
+    the constants of the rules; that product is charged to cap once per
+    binding."""
     uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
                  | {t.value for r in prog.rules for item in (*r.head, *r.body)
                     for t in item.terms if isinstance(t, Cst)})
@@ -262,56 +256,100 @@ def ground(prog: LogicProgram,
               sorted({v for item in (*r.head, *r.body)
                       for v in term_vars(item.terms)}))
              for r in prog.rules if not r.derived]
-    rows: dict[tuple, set] = defaultdict(set)  # (pred, ann) -> arguments
+    # (pred, ann) -> arguments: every row so far, and the last round's
+    every: dict[tuple, set] = defaultdict(set)
+    new: dict[tuple, set] = defaultdict(set)
     for a in prog.facts:
-        rows[a.pred, None].add(a.args)
-        rows[a.pred, TS].add(a.args)
-    budget = _Budget(cap)
+        new[a.pred, None].add(a.args)
+        new[a.pred, TS].add(a.args)
+    budget = Budget(cap)
     out: dict[GroundRule, None] = {}  # in grounding order
     derived: set[Atom] = set()
-    grew = True
-    while grew:
-        grew, index = False, {}
+    waiting: dict[Atom, list] = defaultdict(list)
+
+    def settle(r: Rule, g: GroundRule, fresh) -> None:
+        """Emit g, and every waiting rule its heads complete, or hold it
+        back until its first underived positive atom is derived."""
+        pending = [(r, g)]
+        while pending:
+            r, g = pending.pop()
+            if g in out:
+                continue
+            lack = next((a for a in g.pos if a not in derived), None)
+            if lack is not None:
+                waiting[lack].append((r, g))
+                continue
+            out[g] = None
+            for h, a in zip(r.head, g.head):
+                if a not in derived:
+                    derived.add(a)
+                    args = a.args if h.ann is None else a.args[:-1]
+                    fresh[h.pred, h.ann].add(args)
+                    if h.ann == TA:
+                        fresh[h.pred, TS].add(args)
+                    pending += waiting.pop(a, ())
+
+    def rows(version: str, key: tuple) -> set:
+        if version == "new":
+            return new.get(key, set())
+        got = every.get(key, set())
+        return got if version == "all" else got - new.get(key, set())
+
+    first = True
+    while first or new:
+        for key, args in new.items():
+            every[key] |= args
+        fresh: dict[tuple, set] = defaultdict(set)
+        index: dict = {}
         for r, lits, vs in rules:
-            for s in _join(lits, rows, index, {}):
+            for s in _delta_join(lits, rows, index, first):
                 free = [v for v in vs if v not in s]
                 if free:
                     budget.charge(len(uni) ** len(free))
                 for combo in product(uni, repeat=len(free)):
                     g = _ground_rule(r, {**s, **dict(zip(free, combo))},
                                      prog.facts)
-                    if g is None or g in out or not derived >= set(g.pos):
-                        continue
-                    out[g] = None
-                    grew |= not derived >= set(g.head)
-                    derived.update(g.head)
-                    for h, a in zip(r.head, g.head):
-                        args = a.args if h.ann is None else a.args[:-1]
-                        rows[h.pred, h.ann].add(args)
-                        if h.ann == TA:
-                            rows[h.pred, TS].add(args)
+                    if g is not None:
+                        settle(r, g, fresh)
+        new = {k: fresh[k] - every[k] for k in fresh if fresh[k] - every[k]}
+        first = False
     return tuple(out)
 
 
-def _join(lits: list[Lit], rows, index, s: dict):
+def _delta_join(lits: list[Lit], rows, index, first: bool):
+    """The bindings of lits that use a row of the last round: for each
+    literal j that has one, literal j reads the new rows, those before it
+    the older rows and those after it all rows. A rule with no positive
+    literal binds once, in the first round."""
+    if not lits and first:
+        yield {}
+    for j, lit in enumerate(lits):
+        if rows("new", (lit.pred, lit.ann)):
+            yield from _join(lits, ["old"] * j + ["new"]
+                             + ["all"] * (len(lits) - j - 1), rows, index, {})
+
+
+def _join(lits: list[Lit], versions: list[str], rows, index, s: dict):
     """The extensions of s that match every literal in lits to a row of
-    its (pred, ann) source; index caches rows by their bound positions."""
+    its (pred, ann) source, in the matching version of rows; index caches
+    rows by their bound positions."""
     if not lits:
         yield s
         return
     lit = lits[0]
     bound = tuple(i for i, t in enumerate(lit.terms)
                   if isinstance(t, Cst) or t.name in s)
-    ix = index.get((lit.pred, lit.ann, bound))
+    key = (versions[0], lit.pred, lit.ann, bound)
+    ix = index.get(key)
     if ix is None:
-        ix = index[lit.pred, lit.ann, bound] = {}
-        for args in sorted(rows.get((lit.pred, lit.ann), ())):
+        ix = index[key] = {}
+        for args in sorted(rows(versions[0], (lit.pred, lit.ann))):
             ix.setdefault(tuple(args[i] for i in bound), []).append(args)
     for args in ix.get(tuple(_val(lit.terms[i], s) for i in bound), ()):
         ext = dict(s)
         if all(ext.setdefault(t.name, c) == c
                for t, c in zip(lit.terms, args) if isinstance(t, Var)):
-            yield from _join(lits[1:], rows, index, ext)
+            yield from _join(lits[1:], versions[1:], rows, index, ext)
 
 
 def _val(t, s) -> str:
@@ -380,7 +418,7 @@ def stable_models(rules: Iterable[GroundRule],
             lits = ([at[a] for a in r.pos], [at[a] for a in r.neg if a in at],
                     [at[a] for a in r.head])
             checks[max(max(ix, default=-1) for ix in lits) + 1].append(lits)
-    budget = _Budget(cap)
+    budget = Budget(cap)
     val = [False] * len(atoms)
 
     def broken(d: int) -> bool:
@@ -409,7 +447,7 @@ def stable_models(rules: Iterable[GroundRule],
 
 
 def _has_smaller_model(rules: tuple[GroundRule, ...], m: frozenset[Atom],
-                       budget: _Budget) -> bool:
+                       budget: Budget) -> bool:
     """Whether the reduct of rules by the model m has a model strictly
     inside m: chain forward from the empty set and branch on each
     disjunctive head; m is stable iff every branch ends at m."""
@@ -478,11 +516,19 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
         lambda e, d: closer_lt(e, d, dbar, bound)))
 
 
+def asp_parts(system: PdesSchema, p: str, dbar: Instance,
+              cap: int = DEFAULT_CAP) -> RepairSet:
+    """`asp_solutions` as the one part of a factored set: the local
+    solver that the peer recursion takes."""
+    return one_part((s.atoms for s in asp_solutions(system, p, dbar, cap)),
+                    system.schemas[p], cap)
+
+
 def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance, q: Query,
                 cap: int = DEFAULT_CAP) -> PcaResult:
     """Certain answers over p's solutions, every peer p reaches solved
     through its own solution program."""
-    return _certain_answers(system, p, d, q, asp_solutions, cap)
+    return _certain_answers(system, p, d, q, asp_parts, cap)
 
 
 # ----------------------------------------------------------------- emitter

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .asp import (asp_solutions, build_solution_program, emit_text, ground,
                   stable_models)
@@ -26,7 +27,7 @@ from .importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
 from .lang import ParseError, parse_query, ref_acyclic
 from .repair import preorder_repairs
 from .system import (core_instance, inc_atom, neighborhood_solutions,
-                     peer_consistent_answers, solutions)
+                     peer_consistent_answers, solution_core, solutions)
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -140,10 +141,10 @@ def _cmd_solutions(defn: Definition, args, cap: int):
 
 
 def _cmd_core(defn: Definition, args, cap: int):
-    res = solutions(defn.system, args.peer, defn.instance, cap=cap)
-    if res.inconsistent:
+    core = solution_core(defn.system, args.peer, defn.instance, cap=cap)
+    if inc_atom(args.peer) in core:
         return _inconsistent(args.peer, "core")
-    lines = _instance_lines(res.core)
+    lines = _instance_lines(core)
     return {"peer": args.peer, "core": lines, "inconsistent": False}, lines
 
 
@@ -212,6 +213,7 @@ def _cmd_asp(defn: Definition, args, cap: int):
 
 # ------------------------------------------------------------------ main
 
+@cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pdes",

@@ -26,6 +26,18 @@ class CapExceeded(RuntimeError):
         self.needed = needed
 
 
+class Budget:
+    """The candidate cap, charged as a search goes."""
+
+    def __init__(self, cap: int):
+        self.cap, self.used = cap, 0
+
+    def charge(self, n: int = 1) -> None:
+        if self.used + n > self.cap:
+            raise CapExceeded(self.cap, self.used + n)
+        self.used += n
+
+
 def _const_sort_key(c: str):
     # numbers before words, numerically; null last for readability; the
     # text breaks ties such as 1 and 01, which int() reads alike

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_CAP, NULL, Atom, Instance, Schema, SchemaError
+from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
+                   SchemaError)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Var, relevant_vars,
                    term_vars)
 from .nullsem import eval_builtin, ground_atom, join
-from .repair import preorder_repairs
-from .system import (PdesInstance, PdesSchema, SolutionResult, _solve,
-                     inc_atom, LESS)
+from .repair import RepairSet, preorder_repairs
+from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
+                     _solve, inc_atom, LESS)
 
 UNRESTRICTED = "unrestricted_import"
 RESTRICTED = "restricted_import"
@@ -141,13 +142,15 @@ def least_model(program: DatalogProgram) -> Instance:
 # ------------------------------------------------------------- solving
 
 def _fixpoint(system: PdesSchema, p: str, dbar: Instance,
-              cap: int) -> tuple[Instance, ...]:
-    """The least model of p's import program over dbar."""
-    return (least_model(import_program(system, p, dbar)),)
+              cap: int) -> RepairSet:
+    """The least model of p's import program over dbar, the one
+    solution."""
+    fix = least_model(import_program(system, p, dbar))
+    return RepairSet(fix.atoms, (), fix.schema, Budget(cap))
 
 
 def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
-                       cap: int) -> tuple[Instance, ...]:
+                       cap: int) -> RepairSet:
     """The import fixpoint repaired with respect to p's local constraints,
     keeping the neighbors' relations and every imported atom fixed."""
     fix = least_model(import_program(system, p, dbar))
@@ -157,7 +160,7 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
     return preorder_repairs(
         system.preorder, fix, system.sigma.get((p, p), ()),
         frozen_preds=frozen_preds, cap=cap,
-        frozen_atoms=fix.atoms - dbar.atoms).repairs
+        frozen_atoms=fix.atoms - dbar.atoms)
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
@@ -170,7 +173,7 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
         if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, flags[q]))
-    return _solve(system, p, d, _fixpoint, DEFAULT_CAP, {}).core
+    return _factored(system, p, d, _fixpoint, DEFAULT_CAP, {}).repairs[0]
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,

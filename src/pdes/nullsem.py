@@ -155,7 +155,11 @@ def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
 
 # ---------------------------------------------------------- query answers
 
-def _answers(d: Instance, q: Query, classical: bool) -> frozenset[tuple[str, ...]]:
+Matches = dict[tuple[str, ...], set[frozenset[Atom]]]
+
+
+def _answers(d: Instance, q: Query, classical: bool,
+             matches: Matches | None) -> frozenset[tuple[str, ...]]:
     rel = () if classical else relevant_vars(q)
     out = set()
     for s in join(d, q.atoms, {}):
@@ -163,18 +167,26 @@ def _answers(d: Instance, q: Query, classical: bool) -> frozenset[tuple[str, ...
             continue
         if not classical and any(s[v] == NULL for v in rel):
             continue
-        out.add(tuple(s[v] for v in q.free_vars))
+        t = tuple(s[v] for v in q.free_vars)
+        out.add(t)
+        if matches is not None:
+            matches.setdefault(t, set()).add(
+                frozenset(ground_atom(a, s) for a in q.atoms))
     return frozenset(out)
 
 
-def n_answers(d: Instance, q: Query) -> frozenset[tuple[str, ...]]:
+def n_answers(d: Instance, q: Query,
+              matches: Matches | None = None) -> frozenset[tuple[str, ...]]:
     """All null-semantics answer tuples; a Boolean (closed) query answers
-    {()} for yes and the empty set for no."""
-    return _answers(d, q, classical=False)
+    {()} for yes and the empty set for no. When matches is given, the
+    atoms of d that each match of an answer uses are added to
+    matches[answer], one set per match."""
+    return _answers(d, q, False, matches)
 
 
-def classical_answers(d: Instance, q: Query) -> frozenset[tuple[str, ...]]:
-    return _answers(d, q, classical=True)
+def classical_answers(d: Instance, q: Query, matches: Matches | None = None
+                      ) -> frozenset[tuple[str, ...]]:
+    return _answers(d, q, True, matches)
 
 
 # ------------------------------------------------------ constraint checks

@@ -13,21 +13,24 @@ chase (pool atoms that some ground instantiation joins, through its body
 or a grounding of its head, or that lie in violated parts with one below
 the other in the information order) and searches each violated part
 alone. Each part's satisfying states are minimised alone, and the
-minimal repairs are the unsplit atoms plus one minimal state of every
-part. The delta preorder's inserts range over the universe, so its
-search keeps one part.
+minimal repairs come back factored (`RepairSet`): the unsplit atoms plus
+one minimal state of every part. The product is built only where
+`RepairSet.repairs` is read, which lists the repairs; certain answers and
+cores (:mod:`pdes.system`) work on the parts. The delta preorder's
+inserts range over the universe, so its search keeps one part.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import prod
 from typing import Callable, Iterable
 
-from .core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
-                   atom_sort_key)
+from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
+                   Schema, atom_sort_key)
 from .lang import Constraint, relevant_vars, term_vars
 from .nullsem import (ground_atom, holds_instantiation, instantiations,
                       n_holds, working_universe)
@@ -106,9 +109,33 @@ def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
 
 @dataclass(frozen=True)
 class RepairSet:
-    """Repairs in search order; a caller that lists them orders them."""
+    """Repairs in factored form: each is the shared atoms plus one state
+    of every part. No two of shared and the parts' states hold a common
+    atom, so distinct choices give distinct repairs. ``budget`` is the
+    cap of the search that found them, which multiplying out two parts or
+    more is charged to."""
 
-    repairs: tuple[Instance, ...]
+    shared: frozenset[Atom]
+    parts: tuple[tuple[frozenset[Atom], ...], ...]
+    schema: Schema
+    budget: Budget = field(compare=False, repr=False)
+
+    @cached_property
+    def repairs(self) -> tuple[Instance, ...]:
+        """The product, in search order; a caller that lists it orders
+        it."""
+        if len(self.parts) > 1:
+            self.budget.charge(prod(map(len, self.parts)))
+        out = [self.shared]
+        for states in self.parts:
+            out = [d | s for d in out for s in states]
+        return tuple(Instance._trusted(a, self.schema) for a in out)
+
+
+def one_part(states: Iterable[frozenset[Atom]], schema: Schema,
+             cap: int) -> RepairSet:
+    """The atom sets states as the one part of a factored set."""
+    return RepairSet(frozenset(), (tuple(states),), schema, Budget(cap))
 
 
 # ----------------------------------------------------- branch search core
@@ -124,9 +151,9 @@ def _splits(c: Constraint) -> bool:
 
 class _Search:
     """One repair search over states (atom sets read over schema, which
-    every constraint must fit): the moves they allow and the one cap
-    charged with every state of every part and, when there are several
-    parts, with the product candidates."""
+    every constraint must fit): the moves they allow and the one budget
+    charged with every state of every part and with every product of
+    parts later built from its result."""
 
     def __init__(self, schema, sigma, universe, pool: Instance | None,
                  frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
@@ -135,12 +162,7 @@ class _Search:
         self.schema, self.universe, self.pool = schema, universe, pool
         self.rules = tuple((c, relevant_vars(c)) for c in sigma)
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
-        self.classical, self.cap, self.used = classical, cap, 0
-
-    def charge(self, n: int) -> None:
-        if self.used + n > self.cap:
-            raise CapExceeded(self.cap, self.used + n)
-        self.used += n
+        self.classical, self.budget = classical, Budget(cap)
 
     def violations(self, state: frozenset[Atom]):
         """The violated ground instantiations (c, s) of state, in search
@@ -203,7 +225,7 @@ class _Search:
                 nexts = got[0]
             for n in nexts:
                 if n not in seen:
-                    self.charge(1)
+                    self.budget.charge()
                     seen.add(n)
                     stack.append((n, None))
         return found
@@ -283,7 +305,7 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     the moves already found, over the whole state."""
     state = start
     seen = {start}
-    search.charge(1)
+    search.budget.charge()
     while True:
         got = search.step(state)
         if got is None:
@@ -293,7 +315,7 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
             break
         state = nexts[0]
         seen.add(state)
-        search.charge(1)
+        search.budget.charge()
     parts = search.parts(state, viols)
     if len(parts) == 1:
         return frozenset(), [(state, search.explore(state, nexts, seen))]
@@ -310,20 +332,17 @@ def _minimal(candidates, profile: Callable, beats: Callable) -> list:
                        for j, pc in enumerate(profiles))]
 
 
-def _minimal_products(search: _Search, base: frozenset[Atom], shared, parts,
-                      profile: Callable, beats: Callable):
-    """shared plus one minimal state of every part, in every combination.
-    Each part's states are minimised alone, profile(d, b) reading a state
-    d against b, the atoms of base in the part; with several parts the
-    number of combinations is charged to the search's cap."""
-    minimal = [_minimal(states, lambda d, b=base & part: profile(d, b),
-                        beats) for part, states in parts]
-    if len(parts) > 1:
-        search.charge(prod(map(len, minimal)))
-    out = [shared]
-    for states in minimal:
-        out = [d | s for d in out for s in states]
-    return out
+def _minimal_repairs(search: _Search, base: frozenset[Atom],
+                     profile: Callable, beats: Callable) -> RepairSet:
+    """The minimal satisfying states reachable from base, factored: the
+    shared atoms, and each part's states that no other state of the part
+    beats, profile(d, b) reading a state d against b, the atoms of base
+    in the part."""
+    shared, parts = _branch_search(search, base)
+    return RepairSet(shared, tuple(
+        tuple(_minimal(states, lambda d, b=base & part: profile(d, b),
+                       beats)) for part, states in parts),
+        search.schema, search.budget)
 
 
 # --------------------------------------------------------- entry points
@@ -344,7 +363,7 @@ def null_repairs(base: Instance, sigma,
     If e beats d, then e <= d in every part and not d <= e in some part,
     where e's state beats d's. So d is minimal iff each of its part
     states is minimal in its part, and the minimal candidates are the
-    products of each part's minimal states."""
+    products of each part's minimal states: the factored form returned."""
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
     bound = chased.atoms
@@ -352,12 +371,9 @@ def null_repairs(base: Instance, sigma,
     search = _Search(chased.schema, sigma, universe, chased,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      False, cap)
-    shared, parts = _branch_search(search, base.atoms)
-    minimal = _minimal_products(
-        search, base.atoms, shared, parts,
+    return _minimal_repairs(
+        search, base.atoms,
         lambda d, b: _closeness_profile(d, b, bound), _profile_lt)
-    return RepairSet(tuple(Instance._trusted(a, chased.schema)
-                           for a in minimal))
 
 
 def delta_repairs(base: Instance, sigma,
@@ -372,11 +388,8 @@ def delta_repairs(base: Instance, sigma,
     search = _Search(base.schema, sigma, universe, None,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      True, cap)
-    shared, parts = _branch_search(search, base.atoms)
-    minimal = _minimal_products(search, base.atoms, shared, parts,
-                                lambda d, b: b ^ d, operator.lt)
-    return RepairSet(tuple(Instance._trusted(a, base.schema)
-                           for a in minimal))
+    return _minimal_repairs(search, base.atoms, lambda d, b: b ^ d,
+                            operator.lt)
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,
@@ -414,7 +427,5 @@ def exhaustive_null_repairs(base: Instance, sigma,
         inst = Instance(atoms, chased.schema)
         if all(n_holds(inst, c) for c in sigma):
             sat.append(inst.atoms)
-    minimal = _minimal(sat, lambda d: _closeness_profile(
-        d, base.atoms, chased.atoms), _profile_lt)
-    return RepairSet(tuple(Instance._trusted(a, chased.schema)
-                           for a in minimal))
+    return one_part(_minimal(sat, lambda d: _closeness_profile(
+        d, base.atoms, chased.atoms), _profile_lt), chased.schema, cap)

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import product
+from math import prod
 from typing import Callable, Mapping
 
-from .core import DEFAULT_CAP, Atom, Instance, Schema, SchemaError, reach
+from .core import (DEFAULT_CAP, Atom, Budget, Instance, Schema, SchemaError,
+                   reach)
 from .lang import Constraint, Query
 from .nullsem import classical_answers, n_answers
-from .repair import NULL_BASED, SYMMETRIC_DELTA, preorder_repairs
+from .repair import NULL_BASED, SYMMETRIC_DELTA, RepairSet, preorder_repairs
 
 LESS = "less"
 SAME = "same"
@@ -195,12 +198,9 @@ class SolutionResult:
 
 # ------------------------------------------------- neighborhood solutions
 
-def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
-                           cap: int = DEFAULT_CAP) -> tuple[Instance, ...]:
-    """Repairs of the neighborhood instance dbar with respect to p's
-    constraints, minimal under the system's preorder, leaving the
-    relations of more-trusted neighbors fixed. Constraint sets toward a
-    neighbor whose inconsistency marker appears in dbar are dropped."""
+def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
+                          cap: int) -> RepairSet:
+    """`neighborhood_solutions` in factored form."""
     system._check_peer(p)
     sigma: list[Constraint] = []
     for q in sorted(system.neighbors(p)):
@@ -208,13 +208,21 @@ def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
             continue
         sigma.extend(system.sigma.get((p, q), ()))
     return preorder_repairs(system.preorder, dbar, sigma,
-                            frozen_preds=system.frozen_preds(p),
-                            cap=cap).repairs
+                            frozen_preds=system.frozen_preds(p), cap=cap)
+
+
+def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
+                           cap: int = DEFAULT_CAP) -> tuple[Instance, ...]:
+    """Repairs of the neighborhood instance dbar with respect to p's
+    constraints, minimal under the system's preorder, leaving the
+    relations of more-trusted neighbors fixed. Constraint sets toward a
+    neighbor whose inconsistency marker appears in dbar are dropped."""
+    return _neighborhood_repairs(system, p, dbar, cap).repairs
 
 
 # ------------------------------------------------------------- solutions
 
-LocalSolver = Callable[[PdesSchema, str, Instance, int], tuple[Instance, ...]]
+LocalSolver = Callable[[PdesSchema, str, Instance, int], RepairSet]
 
 
 def solution_form(system: PdesSchema, p: str,
@@ -222,9 +230,15 @@ def solution_form(system: PdesSchema, p: str,
     """The instances restricted to p's schema, without duplicates, in the
     order first seen; over schemas agreeing with p's, so not re-checked."""
     own = system.schemas[p]
-    seen = dict.fromkeys(frozenset(a for a in s.atoms if a.pred in own)
-                         for s in instances)
-    return tuple(Instance._trusted(a, own) for a in seen)
+    return tuple(Instance._trusted(a, own)
+                 for a in _restricted((s.atoms for s in instances), own))
+
+
+def _restricted(states, own: Schema) -> tuple[frozenset[Atom], ...]:
+    """The atom sets states restricted to the schema own, without
+    duplicates, in the order first seen."""
+    return tuple(dict.fromkeys(frozenset(a for a in s if a.pred in own)
+                               for s in states))
 
 
 def solutions(system: PdesSchema, p: str, d: PdesInstance,
@@ -234,9 +248,17 @@ def solutions(system: PdesSchema, p: str, d: PdesInstance,
     neighborhood solutions over its instance joined with the neighbors'
     cores, in the order of their sorted atom texts (perfbench reads it)."""
     system._check_peer(p)
-    res = _solve(system, p, d, neighborhood_solutions, cap, {})
+    res = _solve(system, p, d, _neighborhood_repairs, cap, {})
     return replace(res, solutions=tuple(sorted(
         res.solutions, key=lambda s: sorted(map(str, s.atoms)))))
+
+
+def solution_core(system: PdesSchema, p: str, d: PdesInstance,
+                  cap: int = DEFAULT_CAP) -> Instance:
+    """The atoms every solution of p holds, or p's marker when it has
+    none; the solutions are never multiplied out."""
+    system._check_peer(p)
+    return _core(p, _factored(system, p, d, _neighborhood_repairs, cap, {}))
 
 
 def core_instance(system: PdesSchema, p: str, d: PdesInstance,
@@ -244,38 +266,60 @@ def core_instance(system: PdesSchema, p: str, d: PdesInstance,
     """p's neighborhood instance dbar: its own data plus each strict
     neighbor's core, or that neighbor's marker when it has no solutions."""
     system._check_peer(p)
-    return _dbar(system, p, d, neighborhood_solutions, cap, {})
+    return _dbar(system, p, d, _neighborhood_repairs, cap, {})
 
 
 def _dbar(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-          cap: int, memo: dict[str, SolutionResult]) -> Instance:
+          cap: int, memo: dict[str, RepairSet]) -> Instance:
     atoms = set(d.of(p).atoms)
     for q in sorted(system.strict_neighbors(p)):
-        atoms |= _solve(system, q, d, local, cap, memo).core.atoms
+        atoms |= _core(q, _factored(system, q, d, local, cap, memo)).atoms
     return Instance._trusted(frozenset(atoms), system.neighborhood_schema(p))
 
 
+def _core(p: str, sols: RepairSet) -> Instance:
+    """The atoms all of p's solutions sols hold (intersection distributes
+    over the product), or p's marker when a part of sols has no state."""
+    if not all(sols.parts):
+        return Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
+    return Instance._trusted(sols.shared.union(
+        *(frozenset.intersection(*states) for states in sols.parts)),
+        sols.schema)
+
+
 def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-           cap: int, memo: dict[str, SolutionResult]) -> SolutionResult:
+           cap: int, memo: dict[str, RepairSet]) -> SolutionResult:
+    """p's solutions through ``local``, listed: the product of their
+    factored form, charged to the cap of p's own search when it
+    multiplies two parts or more. The neighbors contribute their cores
+    and are never listed."""
+    sols = _factored(system, p, d, local, cap, memo)
+    return SolutionResult(p, sols.repairs, _core(p, sols),
+                          not all(sols.parts))
+
+
+def _factored(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
+              cap: int, memo: dict[str, RepairSet]) -> RepairSet:
     """The one peer recursion. ``local(system, p, dbar, cap)`` solves p's
     neighborhood instance without recursing; each neighbor is solved
-    once through the shared memo."""
+    once through the shared memo. p's solutions come back factored over
+    p's schema: the shared atoms and each part's states restricted to it,
+    deduplicated per part. Parts stay disjoint, so the product still has
+    no duplicates, and a part left with no state means p has no
+    solution."""
     if p in memo:
         return memo[p]
+    own = system.schemas[p]
     if not system.sigma_of(p):
-        sols: tuple[Instance, ...] = (d.of(p),)
+        sols = RepairSet(d.of(p).atoms, (), own, Budget(cap))
     else:
-        dbar = _dbar(system, p, d, local, cap, memo)
-        sols = solution_form(system, p, local(system, p, dbar, cap))
-    if sols:
-        common = frozenset.intersection(*(s.atoms for s in sols))
-        core = Instance._trusted(common, system.schemas[p])
-        res = SolutionResult(p, sols, core, False)
-    else:
-        marker = Instance({inc_atom(p)}, Schema({INC_PREFIX + p: 0}))
-        res = SolutionResult(p, (), marker, True)
-    memo[p] = res
-    return res
+        found = local(system, p, _dbar(system, p, d, local, cap, memo), cap)
+        sols = RepairSet(frozenset(a for a in found.shared if a.pred in own),
+                         tuple(_restricted(states, own)
+                               for states in found.parts),
+                         own, found.budget)
+    memo[p] = sols
+    return sols
 
 
 # ------------------------------------------------ peer-consistent answers
@@ -299,20 +343,64 @@ def peer_consistent_answers(system: PdesSchema, p: str, d: PdesInstance,
                             cap: int = DEFAULT_CAP) -> PcaResult:
     """Tuples that answer q in every solution instance of p; a Boolean
     query certainly holds iff its empty tuple survives."""
-    return _certain_answers(system, p, d, q, neighborhood_solutions, cap)
+    return _certain_answers(system, p, d, q, _neighborhood_repairs, cap)
 
 
 def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
                      local: LocalSolver, cap: int) -> PcaResult:
     """Certain answers to q over p's solutions through ``local``, or p's
-    marker when it has none; q's atoms must fit p's schema."""
+    marker when it has none; q's atoms must fit p's schema.
+
+    q is monotone in the atoms, so it is evaluated once, over the shared
+    atoms plus every state of every part, keeping the atoms of each
+    answer's matches. A tuple answers q in every solution iff every
+    choice of one state per part keeps one of its matches. Its matches
+    link the parts they touch into groups, and distinct groups choose
+    independently. So the tuple is certain iff one of its matches lies in
+    the shared atoms, or some group has no choice of states that keeps
+    none of the group's matches."""
     system._check_peer(p)
     own, where = system.schemas[p], "query %s : %s" % (p, q)
     for a in q.atoms:
         own.check(a.pred, len(a.terms), where)
-    res = _solve(system, p, d, local, cap, {})
-    if res.inconsistent:
+    sols = _factored(system, p, d, local, cap, {})
+    if not all(sols.parts):
         return PcaResult(p, frozenset(), True)
+    part_of = {a: i for i, states in enumerate(sols.parts)
+               for s in states for a in s}
+    matches: dict[tuple[str, ...], set[frozenset[Atom]]] = {}
     eval_q = n_answers if system.preorder == NULL_BASED else classical_answers
-    per = [eval_q(s, q) for s in res.solutions]
-    return PcaResult(p, frozenset.intersection(*per), False)
+    eval_q(Instance._trusted(sols.shared.union(part_of), own), q, matches)
+    return PcaResult(p, frozenset(
+        t for t, ms in matches.items() if _certain(ms, sols, part_of)), False)
+
+
+def _certain(matches, sols: RepairSet, part_of: dict[Atom, int]) -> bool:
+    """Whether every choice of one state per part of sols keeps one of
+    matches, atom sets over the shared atoms and the parts' states."""
+    groups: list[tuple[set[int], list[frozenset[Atom]]]] = []
+    for m in matches:
+        inside = frozenset(a for a in m if a in part_of)
+        if not inside:
+            return True
+        ids, ms = {part_of[a] for a in inside}, [inside]
+        for g in [g for g in groups if g[0] & ids]:
+            groups.remove(g)
+            ids |= g[0]
+            ms += g[1]
+        groups.append((ids, ms))
+    return any(not _avoidable(ms, [sols.parts[i] for i in sorted(ids)],
+                              sols.budget) for ids, ms in groups)
+
+
+def _avoidable(matches: list[frozenset[Atom]], parts, budget: Budget) -> bool:
+    """Whether some choice of one state of each of parts holds none of
+    matches: a scan of one part's states, or over several parts their
+    product, charged to budget."""
+    if len(parts) > 1:
+        budget.charge(prod(map(len, parts)))
+    for chosen in product(*parts):
+        atoms = frozenset().union(*chosen)
+        if not any(m <= atoms for m in matches):
+            return True
+    return False

@@ -1,30 +1,38 @@
 """End-to-end acceptance checks over the bundled example systems."""
 
+import contextlib
+import io
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 from pdes import repair
-from pdes.asp import asp_solutions, build_solution_program, ground, \
-    pca_via_asp, stable_models
+from pdes.asp import asp_parts, asp_solutions, build_solution_program, \
+    ground, pca_via_asp, stable_models
 from pdes.chase import r_chase
+from pdes.cli import main
 from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
                        SchemaError, atom)
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                              restricted_import_solve)
+from pdes.deffile import parse_definition
 from pdes.lang import parse_constraint, parse_query
-from pdes.nullsem import n_answers, n_holds, n_holds_direct
+from pdes.nullsem import classical_answers, n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
 from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import FIXTURES, GOLDEN, fixture_path, load
+from conftest import FIXTURES, GOLDEN, HERE, fixture_path, load
+
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+import families  # noqa: E402
 
 
 def atoms_of(inst) -> frozenset[str]:
@@ -464,7 +472,7 @@ _ASP_UNSUPPORTED = {("ex_5_2.pdes", "P"), ("ex_5_4.pdes", "P"),
 
 
 def _asp_route(system, p, inst):
-    return _solve(system, p, inst, asp_solutions, DEFAULT_CAP, {})
+    return _solve(system, p, inst, asp_parts, DEFAULT_CAP, {})
 
 
 def test_11_programs_agree_with_direct_solver():
@@ -591,3 +599,173 @@ def test_14_cli_output_is_byte_identical_across_runs(golden, args):
                              capture_output=True, env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout == expected, env_extra
+
+
+# 15 --------------------------------------------------------------------
+# Certain answers from the factored solutions, against the intersection of
+# the query over the listed product.
+
+def _queries(system, p, declared):
+    """The declared query, and per predicate of p of arity k >= 2: the
+    atom, its projection on the first argument, a self-join on the last
+    argument and the Boolean form of that join with distinct firsts. The
+    joins can match atoms of two conflict parts."""
+    qs = [declared] if declared is not None else []
+    own = system.schemas[p]
+    for r in own.preds():
+        k = own.arity(r)
+        if k < 2:
+            continue
+        xs = ["x%d" % i for i in range(k)]
+        zs = ["z%d" % i for i in range(k - 1)]
+        first = "%s(%s)" % (r, ",".join(xs))
+        other = "%s(%s)" % (r, ",".join(zs + xs[-1:]))
+        qs += [parse_query(first),
+               parse_query("exists %s : %s" % (",".join(xs[1:]), first)),
+               parse_query("%s, %s" % (first, other)),
+               parse_query("exists %s : %s, %s, x0 != z0"
+                           % (",".join(xs + zs), first, other))]
+    return qs
+
+
+def _over_product(system, p, inst, q):
+    res = solutions(system, p, inst)
+    if res.inconsistent:
+        return None
+    ev = n_answers if system.preorder == "null" else classical_answers
+    return frozenset.intersection(*(ev(s, q) for s in res.solutions))
+
+
+def _fd_system(keys, preorder="null"):
+    """P1 holds R1(key, 0) and R1(key, 1) for each key under an FD, and
+    a copy rule from the more trusted P2 adds R1(e, 2) to every
+    solution."""
+    sysm = PdesSchema(
+        peers=frozenset({"P1", "P2"}),
+        schemas={"P1": Schema({"R1": 2}), "P2": Schema({"R2": 2})},
+        sigma={("P1", "P1"): (parse_constraint(
+                   "dec P1 P1 : " + _LOCAL_FD.format(r="R1")),),
+               ("P1", "P2"): (parse_constraint(
+                   "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)"),)},
+        trust=frozenset({("P1", "less", "P2")}), preorder=preorder)
+    return sysm, PdesInstance(sysm, {
+        "P1": Instance({atom("R1", k, v) for k in keys for v in "01"},
+                       sysm.schemas["P1"]),
+        "P2": Instance({atom("R2", "e", "2")}, sysm.schemas["P2"])})
+
+
+def test_15_factored_answers_equal_the_product(monkeypatch):
+    import pdes.system as system_mod
+    spans = []
+    real = system_mod._avoidable
+
+    def spy(matches, parts, budget):
+        spans.append(len(parts) > 1)
+        return real(matches, parts, budget)
+
+    monkeypatch.setattr(system_mod, "_avoidable", spy)
+    # the fixtures under their own preorder (the delta search on ex_5_2's
+    # universe-wide inserts runs for minutes), the rest under both
+    cases = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name == "cyclic_graph.pdes":  # refused at load: a cycle
+            continue
+        defn = load(name)
+        cases.append((name, defn.system, defn.instance, defn.queries))
+    rng = random.Random(15)
+    drawn = [(t, *_random_system(rng)) for t in range(200)]
+    drawn += [("fd%d" % n, *_fd_system("abcd"[:n])) for n in (2, 3, 4)]
+    for label, sysm, inst in drawn:
+        for preorder in ("null", "delta"):
+            other = replace(sysm, preorder=preorder)
+            cases.append(((label, preorder), other,
+                          PdesInstance(other, inst.data), {}))
+    compared = 0
+    for label, sysm, inst, declared in cases:
+        for p in sorted(sysm.peers):
+            for q in _queries(sysm, p, declared.get(p)):
+                got = peer_consistent_answers(sysm, p, inst, q)
+                want = _over_product(sysm, p, inst, q)
+                assert (None if got.inconsistent else got.answers) == want, \
+                    (label, p, str(q))
+                compared += 1
+    assert compared > 2000
+    assert sum(spans) >= 10
+
+
+def test_15_restricted_states_dedupe_per_part():
+    # deleting either R2 atom keeps R1(a,a): two neighborhood states of
+    # one part restrict to one solution state, so 3 x 2 repairs give
+    # 2 x 2 solutions, each listed once
+    defn = parse_definition(
+        "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 same P2\n"
+        "dec P1 P1 : " + _LOCAL_FD.format(r="R1") + "\n"
+        "dec P1 P2 : forall x,y,z : R2(x,y), R2(x,z), R1(x,x) -> y = z\n"
+        "instance P1 : R1(a,a), R1(b,0), R1(b,1)\n"
+        "instance P2 : R2(a,1), R2(a,2)\n")
+    sysm, d = defn.system, defn.instance
+    ns = neighborhood_solutions(sysm, "P1", neighborhood(defn, "P1"))
+    assert len(ns) == 6
+    res = solutions(sysm, "P1", d)
+    assert len(res.solutions) == len(solution_sets(res.solutions)) == 4
+    assert atoms_of(res.core) == set()
+
+
+def test_15_matches_across_parts():
+    # three keys with two values each: any choice repeats a value, so the
+    # Boolean join holds in every solution; with two keys it need not
+    q = parse_query("exists x,y,z : R1(x,y), R1(z,y), x != z")
+    for keys, want in (("ab", set()), ("abc", {()})):
+        sysm, inst = _fd_system(keys)
+        assert peer_consistent_answers(sysm, "P1", inst, q).answers == want
+    pairs = parse_query("R1(x,y), R1(z,y)")
+    assert peer_consistent_answers(sysm, "P1", inst, pairs).answers == {
+        ("e", "2", "e")}
+
+
+def _family_pca(fam, tmp_path, *extra):
+    path = tmp_path / "family.pdes"
+    path.write_text(fam.text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*extra, fam.args[0], str(path), *fam.args[1:]])
+    return code, out.getvalue()
+
+
+def test_15_conflicts_closed_form_at_2_to_the_24(tmp_path):
+    fam = families.conflicts(1, k=24, m=0, c=4)
+    assert fam.n_solutions == 2 ** 24
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+
+
+def test_15_one_more_conflict_key_doubles_the_solutions():
+    fam = families.conflicts(2, k=3, m=1, c=2)
+    defn = parse_definition(fam.text)
+    sysm, d = defn.system, defn.instance
+    extra = {atom("R1", "knew", v) for v in ("vnew0", "vnew1")}
+    grown = PdesInstance(sysm, {**d.data, "P1": d.of("P1").with_atoms(
+        extra)})
+    q = defn.queries["P1"]
+    before = peer_consistent_answers(sysm, "P1", d, q).answers
+    after = peer_consistent_answers(sysm, "P1", grown, q).answers
+    assert after == before | {("knew",)} and ("knew",) not in before
+    assert len(solutions(sysm, "P1", grown).solutions) == \
+        2 * len(solutions(sysm, "P1", d).solutions) == 2 * fam.n_solutions
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_15_pca_evaluates_the_query_once(k, tmp_path, monkeypatch):
+    import pdes.system as system_mod
+    calls = []
+    real = system_mod.n_answers
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(system_mod, "n_answers", counted)
+    fam = families.conflicts(1, k=k, m=0, c=4)
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+    assert len(calls) == 1

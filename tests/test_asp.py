@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdes.asp import (TA, GroundRule, _ground_rule, asp_solutions,
+from pdes.asp import (TA, GroundRule, _ground_rule, asp_parts, asp_solutions,
                       build_solution_program, emit_text, extract_instance,
                       ground, pca_via_asp, stable_models)
 from pdes.cli import main
@@ -20,7 +20,7 @@ from pdes.core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
 from pdes.lang import Cst, parse_constraint, parse_query, term_vars
-from pdes.system import (PdesSchema, _solve, inc_atom,
+from pdes.system import (PdesSchema, _solve, core_instance, inc_atom,
                          peer_consistent_answers, solutions)
 
 from conftest import FIXTURES, HERE, load
@@ -203,7 +203,7 @@ class TestRuleConstants:
         want = {frozenset({"R1(a,null,b)"})}
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
         assert solution_sets([import_solve(sysm, "P1", d)]) == want
-        assert solution_sets(_solve(sysm, "P1", d, asp_solutions,
+        assert solution_sets(_solve(sysm, "P1", d, asp_parts,
                                     DEFAULT_CAP, {}).solutions) == want
 
 
@@ -244,7 +244,7 @@ def _is_stable(rules, m):
         for mask in range(2 ** len(elems) - 1))
 
 
-def reference_stable_models(rules):
+def _derivable(rules):
     derivable, changed = set(), True
     while changed:
         changed = False
@@ -252,6 +252,11 @@ def reference_stable_models(rules):
             if set(r.pos) <= derivable and not set(r.head) <= derivable:
                 derivable |= set(r.head)
                 changed = True
+    return derivable
+
+
+def reference_stable_models(rules):
+    derivable = _derivable(rules)
     trimmed = [GroundRule(r.head, r.pos,
                           tuple(a for a in r.neg if a in derivable))
                for r in rules if set(r.pos) <= derivable]
@@ -286,6 +291,24 @@ class TestAgainstReferencePipeline:
             seen += 1
         assert seen >= 20
 
+    def test_ground_keeps_exactly_the_derivable_rules(self):
+        # the copy rule is ground first and needs fa S(a,b), which only
+        # the denial after it derives: it waits for that atom
+        defn = parse_definition(
+            "peer P : T/2, S/2, U/2\n"
+            "dec P P : forall x,y : T(x,y) -> S(x,y)\n"
+            "dec P P : forall x,y : S(x,y), U(x,y) -> false\n"
+            "instance P : T(a,b), S(a,b), U(a,b)\n")
+        programs = [("waits", "P", build_solution_program(
+            defn.system, "P", neighborhood(defn, "P")))]
+        for name, p, prog in [*programs, *_fixture_programs()]:
+            ref = reference_ground(prog)
+            derivable = _derivable(ref)
+            got = ground(prog)
+            assert len(set(got)) == len(got), (name, p)
+            assert set(got) == {r for r in ref
+                                if set(r.pos) <= derivable}, (name, p)
+
     @given(st.data())
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_small_ground_programs(self, data):
@@ -317,6 +340,25 @@ class TestSearchScale:
         assert len(want.atoms) == 1200
         assert json.loads(out.getvalue())["solutions"] == [
             [str(a) for a in sorted(want.atoms, key=atom_sort_key)]]
+
+    def test_grounding_joins_each_binding_once(self, monkeypatch):
+        # semi-naive rounds: each of the chain's 1,200 ground rules comes
+        # from one binding, and the last round, which derives nothing,
+        # grounds nothing
+        import pdes.asp as asp_mod
+        calls = []
+        real = asp_mod._ground_rule
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(asp_mod, "_ground_rule", counted)
+        defn = parse_definition(families.copy_chain(3, n=1200).text)
+        dbar = core_instance(defn.system, "P1", defn.instance)
+        rules = ground(build_solution_program(defn.system, "P1", dbar))
+        assert len(rules) == 1200
+        assert len(calls) <= 1.05 * len(rules)
 
     def test_cap_counts_search_nodes(self):
         fam = families.conflicts(1, k=3, m=2, c=0)

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdes.cli import main
+from pdes.cli import _build_parser, main
 from pdes.core import SchemaError
-from pdes.repair import RepairSet
 
-from conftest import FIXTURES, GOLDEN, fixture_path, load
+from conftest import FIXTURES, GOLDEN, HERE, fixture_path, load
+
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+import families  # noqa: E402
 
 # (golden file, CLI arguments)
 GOLDEN_CASES = [
@@ -76,7 +78,9 @@ class TestGolden:
         def flip(items):
             return tuple(reversed(items))
         flips = {
-            "preorder_repairs": lambda r: RepairSet(flip(r.repairs)),
+            # each part's states reversed reverse the whole product
+            "preorder_repairs": lambda r: replace(
+                r, parts=tuple(map(flip, r.parts))),
             "neighborhood_solutions": flip,
             "solutions": lambda r: replace(r, solutions=flip(r.solutions)),
             "stable_models": flip,
@@ -147,6 +151,22 @@ class TestExitCodes:
                        "--peer", "P1"])
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+    def test_pca_and_core_never_charge_the_product(self, tmp_path, capsys):
+        # an FD over six two-valued keys: its search reaches 13 states,
+        # which fit a cap of 32; listing its 64 solutions does not
+        fam = families.conflicts(1, k=6, m=0, c=0)
+        path = tmp_path / "fd6.pdes"
+        path.write_text(fam.text, encoding="utf-8")
+        runs = {}
+        for cmd in ("pca", "core", "solutions"):
+            code = main(["--cap", "32", cmd, str(path), "--peer", "P1"])
+            runs[cmd] = (code, *capsys.readouterr())
+        assert runs["pca"] == (0, families.answers_text(fam.answers), "")
+        assert runs["core"] == (0, "", "")
+        assert runs["solutions"] == (
+            3, "", "cap exceeded: search space of 77 candidates exceeds "
+            "cap 32\n")
 
     def test_cap_from_environment(self):
         res = run_cli(["asp", "solve", "ex_6_2.pdes", "--peer", "P1"],
@@ -294,6 +314,26 @@ def _one_output_under_seeds(argv) -> str:
         outs.add(res.stdout)
     assert len(outs) == 1, argv
     return outs.pop()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a call refused by it (exit 2)
+    # leaves it as it was for the next one, as in a fresh process
+    assert _build_parser() is _build_parser()
+    good = ["pca", fixture_path("ex_1_1.pdes"), "--peer", "P1"]
+    bad = good + ["--format", "xml"]
+    got = []
+    for argv in (bad, good):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        got.append((code, out, err))
+    want = [(r.returncode, r.stdout, r.stderr)
+            for r in (run_cli(bad), run_cli(good))]
+    assert got == want
+    assert [code for code, _, _ in got] == [2, 0]
 
 
 def test_cli_imports_only_the_standard_library():

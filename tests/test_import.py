@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from pdes.asp import asp_solutions
+from pdes.asp import asp_parts
 from pdes.core import DEFAULT_CAP, SchemaError
 from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
@@ -87,7 +87,7 @@ class TestExistentialImport:
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
         assert solution_sets(solutions(sysm, "P1", d)) == want
         assert solution_sets(
-            _solve(sysm, "P1", d, asp_solutions, DEFAULT_CAP, {})) == want
+            _solve(sysm, "P1", d, asp_parts, DEFAULT_CAP, {})) == want
 
     def test_more_informative_null_atom_witnesses_first(self):
         # R1(a,null,b) witnesses both heads, R1(a,null,null) only one
@@ -169,9 +169,9 @@ class TestInconsistentNeighbor:
             assert solution_sets(restricted_import_solve(sysm, "P0", d)) \
                 == solution_sets(general)
         if preorder == "null":
-            via_asp = _solve(sysm, "P0", d, asp_solutions, DEFAULT_CAP, {})
+            via_asp = _solve(sysm, "P0", d, asp_parts, DEFAULT_CAP, {})
             assert solution_sets(via_asp) == solution_sets(general)
-            assert _solve(sysm, "P1", d, asp_solutions, DEFAULT_CAP,
+            assert _solve(sysm, "P1", d, asp_parts, DEFAULT_CAP,
                           {}).inconsistent
 
 
