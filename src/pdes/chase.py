@@ -5,7 +5,10 @@ whose existential variables appear in no join or builtin; the others are
 dropped) and saturates the instance over its own schema, which every
 constraint must fit, by firing violated ground instantiations in
 parallel rounds, substituting null for existential variables. The
-result bounds the insertions admissible in repairs.
+result bounds the insertions admissible in repairs. Rounds after the
+first check only the instantiations touching the atoms the round before
+added: any other held then and still holds, or already fired its
+atoms, which depend on the instantiation alone.
 `head_options` grounds the consequent of one instantiation through
 `nullsem.extensions`: against a pool instance when one is given, every
 existential over the universe otherwise; the repair search shares it.
@@ -60,18 +63,18 @@ def r_chase(d: Instance, sigma) -> Instance:
     of sigma must fit, under those without a problematic existential."""
     check_fit(d.schema, sigma)
     sigma = [c for c in sigma if not has_problematic_existential(c)]
-    cur = d
+    cur, added = d, None
     universe = sorted(working_universe(d, *sigma))
     while True:
         new: set[Atom] = set()
         for c in sigma:
             rel = relevant_vars(c)
             wu = sorted(working_universe(cur, c))
-            for s in instantiations(cur, c, universe):
+            for s in instantiations(cur, c, universe, added):
                 if not holds_instantiation(cur, c, s, rel, False, wu):
                     for atoms in head_options(c, s, [NULL]):
                         new |= atoms
         new -= cur.atoms
         if not new:
             return cur
-        cur = Instance._trusted(cur.atoms | new, d.schema)
+        cur, added = Instance._trusted(cur.atoms | new, d.schema), new

@@ -177,16 +177,17 @@ def _cmd_pca(defn: Definition, args, cap: int):
 
 def _cmd_import_solve(defn: Definition, args, cap: int):
     sysm = defn.system
-    reached = sysm.accessible(args.peer)
-    flags = {f for q, f in classify(sysm).items() if q in reached}
-    if GENERAL in flags:
+    flags = classify(sysm)
+    reached = {flags[q] for q in sysm.accessible(args.peer)}
+    if GENERAL in reached:
         raise Refusal("system is not of the import kind for peer %r"
                       % args.peer)
-    if flags == {UNRESTRICTED}:
-        lines = _instance_lines(import_solve(sysm, args.peer, defn.instance))
+    if reached == {UNRESTRICTED}:
+        lines = _instance_lines(import_solve(sysm, args.peer, defn.instance,
+                                             flags))
         return {"peer": args.peer, "solutions": [lines], "unique": True}, lines
-    return _solution_lines(restricted_import_solve(sysm, args.peer,
-                                                   defn.instance, cap=cap))
+    return _solution_lines(restricted_import_solve(
+        sysm, args.peer, defn.instance, cap, flags))
 
 
 def _cmd_asp(defn: Definition, args, cap: int):

@@ -163,12 +163,14 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
         frozen_atoms=fix.atoms - dbar.atoms)
 
 
-def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
+def import_solve(system: PdesSchema, p: str, d: PdesInstance,
+                 flags: dict[str, str] | None = None) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
     sinks keep their instance, others take the least model of their
     import program over their instance plus the neighbor solutions,
-    restricted to their own schema."""
-    flags = classify(system)
+    restricted to their own schema. flags, when given, are the system's
+    `classify` flags."""
+    flags = flags or classify(system)
     for q in sorted(system.accessible(p)):
         if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
@@ -177,12 +179,14 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                            cap: int = DEFAULT_CAP) -> SolutionResult:
+                            cap: int = DEFAULT_CAP,
+                            flags: dict[str, str] | None = None
+                            ) -> SolutionResult:
     """Import case with local constraints: run the import fixpoint, then
     repair with respect to the local constraints only, keeping the
     neighbors' relations and every imported atom fixed. Every peer that
-    p reaches must be of the import kind."""
-    flags = classify(system)
+    p reaches must be of the import kind; flags as in `import_solve`."""
+    flags = flags or classify(system)
     for q in sorted(system.accessible(p)):
         if flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)

@@ -11,6 +11,15 @@ instantiations), `holds_instantiation` its use on each head disjunct
 restricted chase, the repair search (:mod:`pdes.repair`) and both
 constraint checks here rest on these.
 
+Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
+Ramakrishnan, 1986): it yields only the instantiations with a body atom
+in the delta, each joined once from its first such atom, in the order
+of the full enumeration. This is sound wherever atoms are only added:
+`holds_instantiation` is monotone under insertion (more atoms offer more
+witnesses over a larger universe; builtins and null tests read the
+assignment alone), so an instantiation that held still holds, and one
+that touches no added atom is not new.
+
 Two independent constraint checks are provided for cross-checking:
 `n_holds_direct` restricts relevant variables away from null, and
 `n_holds` evaluates classically the rewritten constraint produced by
@@ -22,7 +31,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import NULL, Atom, Instance, active_domain, const_leq
+from .core import (NULL, Atom, Instance, active_domain, atom_sort_key,
+                   const_leq)
 from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
                    relevant_vars)
 
@@ -124,11 +134,32 @@ def extensions(d: Instance | None, atoms, s: dict[str, str], free,
             yield {**t, **dict(zip(missing, combo))}
 
 
-def instantiations(d: Instance, c: Constraint,
-                   universe: Iterable[str]) -> Iterator[dict[str, str]]:
+def instantiation_key(c: Constraint, s: dict[str, str]):
+    """Where s, an instantiation of c or the body part of one, comes in
+    `instantiations`: its body atoms' sort keys, then the values of the
+    universal variables it binds (the universe is sorted)."""
+    return ([atom_sort_key(ground_atom(a, s)) for a in c.body],
+            [s[v] for v in c.univ_vars if v in s])
+
+
+def instantiations(d: Instance, c: Constraint, universe: Iterable[str],
+                   delta: Iterable[Atom] | None = None
+                   ) -> Iterator[dict[str, str]]:
     """Every assignment of c's universal variables whose body atoms are
-    all in d: the extensions of the empty assignment by c's body."""
-    return extensions(d, c.body, {}, c.univ_vars, sorted(universe))
+    all in d: the extensions of the empty assignment by c's body. With
+    delta, atoms of d, only those with a body atom in delta, in the same
+    order: each is joined once, from its first body atom in delta."""
+    universe = sorted(universe)
+    if delta is None:
+        return extensions(d, c.body, {}, c.univ_vars, universe)
+    new = Instance._trusted(frozenset(delta), d.schema)
+    hits = sorted((s for i, a in enumerate(c.body)
+                   for start in join(new, (a,), {})
+                   for s in join(d, c.body, start)
+                   if not any(ground_atom(b, s) in new for b in c.body[:i])),
+                  key=lambda s: instantiation_key(c, s))
+    return (full for s in hits
+            for full in extensions(None, (), s, c.univ_vars, universe))
 
 
 def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],

@@ -7,17 +7,19 @@ instance, a state's first violated ground instantiation branches into
 deleting one antecedent atom or inserting one consequent disjunct, unless
 it is forced (its body frozen, one insert its only move): then the
 inserts of every forced violation of the state are applied as one batch,
-as the restricted chase fires a round. At its first state that is not
-forced, the search splits into the conflict parts of the restricted
-chase (pool atoms that some ground instantiation joins, through its body
-or a grounding of its head, or that lie in violated parts with one below
-the other in the information order) and searches each violated part
-alone. Each part's satisfying states are minimised alone, and the
-minimal repairs come back factored (`RepairSet`): the unsplit atoms plus
-one minimal state of every part. The product is built only where
-`RepairSet.repairs` is read, which lists the repairs; certain answers and
-cores (:mod:`pdes.system`) work on the parts. The delta preorder's
-inserts range over the universe, so its search keeps one part.
+as the restricted chase fires a round; the batched child re-examines
+only its parent's violations and the instantiations the batch touches.
+At its first state that is not forced, the search splits into the
+conflict parts of the restricted chase (pool atoms that some ground
+instantiation joins, through its body or a grounding of its head, or
+that lie in violated parts with one below the other in the information
+order) and searches each violated part alone. Each part's satisfying
+states are minimised alone, and the minimal repairs come back factored
+(`RepairSet`): the unsplit atoms plus one minimal state of every part.
+The product is built only where `RepairSet.repairs` is read, which lists
+the repairs; certain answers and cores (:mod:`pdes.system`) work on the
+parts. The delta preorder's inserts range over the universe, so its
+search keeps one part.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Callable, Iterable
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
                    Schema, atom_sort_key)
 from .lang import Constraint, relevant_vars, term_vars
-from .nullsem import (ground_atom, holds_instantiation, instantiations,
-                      n_holds, working_universe)
+from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
+                      instantiations, n_holds, working_universe)
 from .chase import check_fit, head_options, r_chase
 
 NULL_BASED = "null"
@@ -140,13 +142,12 @@ def one_part(states: Iterable[frozenset[Atom]], schema: Schema,
 
 # ----------------------------------------------------- branch search core
 
-def _splits(c: Constraint) -> bool:
-    """Whether every instantiation of c is anchored by a body atom and
-    reads no value outside its own atoms: its body is not empty and each
-    existential variable occurs in an atom of its disjunct."""
-    return bool(c.body) and all(
-        v in {x for a in d.atoms for x in term_vars(a.terms)}
-        for d in c.head for v in d.exist_vars)
+def _anchored(c: Constraint) -> bool:
+    """Whether each existential variable of c occurs in an atom of its
+    disjunct, so that a grounding of the disjunct's atoms reads every
+    value the disjunct reads."""
+    return all(v in {x for a in d.atoms for x in term_vars(a.terms)}
+               for d in c.head for v in d.exist_vars)
 
 
 class _Search:
@@ -160,17 +161,30 @@ class _Search:
                  classical: bool, cap: int):
         check_fit(schema, sigma)
         self.schema, self.universe, self.pool = schema, universe, pool
-        self.rules = tuple((c, relevant_vars(c)) for c in sigma)
+        # each constraint once, in order, with its relevant variables
+        self.rules = {c: relevant_vars(c) for c in sigma}
+        # the constraints whose forced insert makes their instantiation
+        # hold: the insert grounds every existential, none relevant
+        self.settled = {c for c, rel in self.rules.items() if _anchored(c)
+                        and (classical or not any(
+                            v in rel for d in c.head for v in d.exist_vars))}
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
         self.classical, self.budget = classical, Budget(cap)
 
-    def violations(self, state: frozenset[Atom]):
+    def violations(self, state: frozenset[Atom], batch=None, carried=None):
         """The violated ground instantiations (c, s) of state, in search
-        order."""
+        order. With batch, the atoms state adds to a parent state, only
+        the instantiations touching batch and the parent's violations in
+        carried (constraint -> instantiations) are checked: the parent's
+        other instantiations held there and still hold."""
         d = Instance._trusted(state, self.schema)
-        for c, rel in self.rules:
+        for c, rel in self.rules.items():
+            found = instantiations(d, c, self.universe, batch)
+            if carried and c in carried:
+                found = sorted(chain(carried[c], found),
+                               key=lambda s, c=c: instantiation_key(c, s))
             wu = sorted(working_universe(d, c))
-            for s in instantiations(d, c, self.universe):
+            for s in found:
                 if not holds_instantiation(d, c, s, rel, self.classical, wu):
                     yield c, s
 
@@ -186,48 +200,55 @@ class _Search:
                 if new and not any(a.pred in self.frozen_preds for a in new)]
         return dels, adds
 
-    def step(self, state: frozenset[Atom]):
-        """None when state satisfies every constraint. Otherwise the
-        child states of its first violation and its violations from the
-        first on, not yet read; or, when that violation is forced (no
-        deletion, one distinct insert), the one child that adds the
-        inserts of every forced violation of state, and None."""
-        viols = self.violations(state)
+    def step(self, state: frozenset[Atom], viols=None):
+        """None when state satisfies every constraint; viols, when given,
+        are its violations. Otherwise its children, each paired with its
+        violations (None: enumerate them), and a rest. When the first
+        violation branches, the children are its moves and the rest is
+        state's violations from the first on, not yet read. When it is
+        forced (no deletion, one distinct insert), the one child adds the
+        inserts of every forced violation of state, and the rest is
+        None."""
+        viols = self.violations(state) if viols is None else viols
         first = next(viols, None)
         if first is None:
             return None
         dels, adds = self.moves(state, *first)
         if dels or len(set(adds)) != 1:
-            return ([state - {a} for a in dels] + [state | a for a in adds],
-                    chain([first], viols))
-        batch = set(adds[0])
-        for viol in viols:
-            dels, adds = self.moves(state, *viol)
+            return ([(state - {a}, None) for a in dels]
+                    + [(state | a, None) for a in adds], chain([first], viols))
+        batch, carried = set(), {}
+        for c, s in chain([first], viols):
+            dels, adds = self.moves(state, c, s)
             if not dels and len(set(adds)) == 1:
                 batch |= adds[0]
-        return [state | batch], None
+                if c in self.settled:
+                    continue
+            carried.setdefault(c, []).append(s)
+        child = state | batch
+        return [(child, self.violations(child, batch, carried))], None
 
     def explore(self, start: frozenset[Atom], nexts=None,
                 seen: Iterable[frozenset[Atom]] = ()):
         """Every satisfying state reachable from start, depth first,
         charging each state reached but start and the states seen before;
-        nexts, when given, are start's moves."""
+        nexts, when given, are start's children as `step` gives them."""
         seen = {start, *seen}
-        stack = [(start, nexts)]
+        stack = [(start, None, nexts)]
         found = []
         while stack:
-            state, nexts = stack.pop()
+            state, viols, nexts = stack.pop()
             if nexts is None:
-                got = self.step(state)
+                got = self.step(state, viols)
                 if got is None:
                     found.append(state)
                     continue
                 nexts = got[0]
-            for n in nexts:
+            for n, n_viols in nexts:
                 if n not in seen:
                     self.budget.charge()
                     seen.add(n)
-                    stack.append((n, None))
+                    stack.append((n, n_viols, None))
         return found
 
     def parts(self, state: frozenset[Atom], viols) -> list[frozenset[Atom]]:
@@ -237,9 +258,12 @@ class _Search:
         body or in any grounding of its head against the pool, or when
         both lie in such parts and the first is below the second in the
         information order. One part, all of state, when there is no pool,
-        when some constraint does not split, or when the pool is one part
-        or one part holds every violation."""
-        if self.pool is None or not all(_splits(c) for c, _ in self.rules):
+        when some constraint has an empty body (no atom anchors its
+        instantiations) or is not `_anchored` (it reads values outside
+        its atoms), or when the pool is one part or one part holds every
+        violation."""
+        if self.pool is None or not all(c.body and _anchored(c)
+                                        for c in self.rules):
             return [state]
         parent: dict[Atom, Atom] = {}
 
@@ -253,7 +277,7 @@ class _Search:
             for a in atoms[1:]:
                 parent[find(a)] = root
 
-        for c, _ in self.rules:
+        for c in self.rules:
             for s in instantiations(self.pool, c, self.universe):
                 atoms = [ground_atom(a, s) for a in c.body]
                 for option in head_options(c, s, self.universe, self.pool,
@@ -295,6 +319,13 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     insert is the only such grounding. So every satisfying leaf below the
     state contains that insert.
 
+    A batch only inserts, so the child checks just the instantiations
+    touching it and its parent's violations (the parent's other
+    instantiations held and still hold), but not a forced violation of
+    a settled constraint: its insert grounds every existential, in the
+    child's universe, and no null witness is relevant. Branch children,
+    deletions among them, are enumerated in full.
+
     Forced batches run on the whole state. At the first state that is
     not forced, the search splits it into the parts of `_Search.parts`
     and searches each violated part alone. A move inserts or deletes
@@ -303,20 +334,20 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     states are the products of each part's, and parts without a
     violation stay as they are. With one part the search goes on from
     the moves already found, over the whole state."""
-    state = start
+    state, viols = start, None
     seen = {start}
     search.budget.charge()
     while True:
-        got = search.step(state)
+        got = search.step(state, viols)
         if got is None:
             return state, []
-        nexts, viols = got
-        if viols is not None:
+        nexts, rest = got
+        if rest is not None:
             break
-        state = nexts[0]
+        [(state, viols)] = nexts
         seen.add(state)
         search.budget.charge()
-    parts = search.parts(state, viols)
+    parts = search.parts(state, rest)
     if len(parts) == 1:
         return frozenset(), [(state, search.explore(state, nexts, seen))]
     return (state.difference(*parts),

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from pdes import repair
+from pdes import chase as chase_module, repair
 from pdes.asp import asp_parts, asp_solutions, build_solution_program, \
     ground, pca_via_asp, stable_models
 from pdes.chase import r_chase
@@ -22,7 +22,7 @@ from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                              restricted_import_solve)
 from pdes.deffile import parse_definition
-from pdes.lang import parse_constraint, parse_query
+from pdes.lang import Cst, parse_constraint, parse_query
 from pdes.nullsem import classical_answers, n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
 from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
@@ -420,6 +420,26 @@ def test_10_copy_chain_checks_grow_linearly(monkeypatch):
     assert counts[160] / counts[40] <= 5, counts
 
 
+def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
+    """P1 and P2 copy n tuples each. Each copy instantiation is checked
+    once by the chase (its later rounds read only the added atoms, which
+    no body reads) and once by the repair search (its batched child
+    checks only the instantiations the batch touches)."""
+    checks = {chase_module: [], repair: []}
+    for mod, seen in checks.items():
+        def counted(*args, real=mod.holds_instantiation, seen=seen):
+            seen.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mod, "holds_instantiation", counted)
+    for n in (40, 160):
+        sysm, inst = _chain_system(n, n_peers=3)
+        for seen in checks.values():
+            seen.clear()
+        assert len(solutions(sysm, "P1", inst).core) == n
+        assert [len(c) for c in checks.values()] == [2 * n, 2 * n]
+
+
 def test_10_copy_chain_fits_a_small_cap():
     # each peer's search holds its start state and one batched child
     sysm, inst = _chain_system(160, n_peers=3)
@@ -769,3 +789,104 @@ def test_15_pca_evaluates_the_query_once(k, tmp_path, monkeypatch):
     assert _family_pca(fam, tmp_path) == (0, families.answers_text(
         fam.answers))
     assert len(calls) == 1
+
+
+# closed form and metamorphic checks -------------------------------------
+
+def test_copy_chain_closed_form_at_10_000(tmp_path):
+    fam = families.copy_chain(1, n=10_000)
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+
+
+def _loadable_fixtures():
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        try:
+            out.append((name, load(name)))
+        except SchemaError:  # a documented refusal, such as a cycle
+            pass
+    return out
+
+
+def _rename(c: str) -> str:
+    """A bijection on constants that keeps their order, which the
+    comparison builtins read: integers stay integers, words get a
+    prefix, null stays null."""
+    if c == NULL:
+        return c
+    try:
+        return str(3 * int(c) + 7)
+    except ValueError:
+        return "rn_" + c
+
+
+def _renamed(defn):
+    def terms(x):
+        return replace(x, terms=tuple(
+            Cst(_rename(t.value)) if isinstance(t, Cst) else t
+            for t in x.terms))
+
+    def formula(x):
+        return replace(x, atoms=tuple(map(terms, x.atoms)),
+                       builtins=tuple(map(terms, x.builtins)))
+
+    sysm = replace(defn.system, sigma={pq: tuple(
+        replace(c, body=tuple(map(terms, c.body)),
+                head=tuple(map(formula, c.head))) for c in cs)
+        for pq, cs in defn.system.sigma.items()})
+    inst = PdesInstance(sysm, {p: Instance(
+        {Atom(a.pred, tuple(map(_rename, a.args))) for a in d.atoms},
+        d.schema) for p, d in defn.instance.data.items()})
+    return sysm, inst, {p: formula(q) for p, q in defn.queries.items()}
+
+
+@pytest.mark.parametrize("name,defn", _loadable_fixtures())
+def test_renaming_constants_renames_solutions_and_answers(name, defn):
+    consts = {c for d in defn.instance.data.values() for a in d.atoms
+              for c in a.args}
+    assert len({_rename(c) for c in consts}) == len(consts)
+    sysm, inst, queries = _renamed(defn)
+
+    def renamed(atoms):
+        return frozenset(Atom(a.pred, tuple(map(_rename, a.args)))
+                         for a in atoms)
+
+    for p in sorted(sysm.peers):
+        before = solutions(defn.system, p, defn.instance)
+        after = solutions(sysm, p, inst)
+        assert before.inconsistent == after.inconsistent, (name, p)
+        assert {renamed(s.atoms) for s in before.solutions} == \
+            {s.atoms for s in after.solutions}, (name, p)
+        assert renamed(before.core.atoms) == after.core.atoms, (name, p)
+        if p in queries:
+            got = peer_consistent_answers(defn.system, p, defn.instance,
+                                          defn.queries[p])
+            want = peer_consistent_answers(sysm, p, inst, queries[p])
+            assert {tuple(map(_rename, t)) for t in got.answers} == \
+                want.answers, (name, p)
+
+
+_LONER = ("peer Zz : Zr/2\n"
+          "dec Zz Zz : forall x,y,z : Zr(x,y), Zr(x,z) -> y = z\n"
+          "instance Zz : Zr(a,1), Zr(a,2), Zr(b,null)\n"
+          "query Zz : Zr(x,y)\n")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_an_unconnected_peer_changes_no_pca_output(name, tmp_path):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    peers = [line.split()[1] for line in text.splitlines()
+             if line.startswith("peer ")]
+    grown = tmp_path / name
+    grown.write_text(text.rstrip("\n") + "\n" + _LONER, encoding="utf-8")
+    for p in peers:
+        outs = []
+        for path in (fixture_path(name), str(grown)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["pca", path, "--peer", p])
+            outs.append((code, out.getvalue(), err.getvalue()))
+        assert outs[0] == outs[1], (name, p)

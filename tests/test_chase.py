@@ -3,9 +3,10 @@
 import random
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.chase import has_problematic_existential, r_chase
-from pdes.lang import parse_constraint
-from pdes.nullsem import n_holds
+from pdes.chase import has_problematic_existential, head_options, r_chase
+from pdes.lang import parse_constraint, relevant_vars
+from pdes.nullsem import (holds_instantiation, instantiations, n_holds,
+                          working_universe)
 
 SIGMA_TEXT = [
     "forall x,y : T(x,y) -> R(x,y)",
@@ -100,3 +101,31 @@ class TestChaseLaws:
             # generating constraints hold in the result
             for c in self.GENERATING:
                 assert n_holds(out, c), (sorted(map(str, d)), str(c))
+
+    def test_semi_naive_rounds_match_a_naive_fixpoint(self):
+        rng = random.Random(20240817)
+        for _ in range(200):
+            d = random_instance(rng)
+            assert r_chase(d, SIGMA).atoms == naive_chase(d, SIGMA), \
+                sorted(map(str, d))
+
+
+def naive_chase(d, sigma):
+    """The restricted chase as a naive fixpoint: each round re-checks
+    every instantiation of the enforced constraints."""
+    sigma = [c for c in sigma if not has_problematic_existential(c)]
+    universe = sorted(working_universe(d, *sigma))
+    cur = d.atoms
+    while True:
+        inst = Instance(cur, d.schema)
+        new = set()
+        for c in sigma:
+            wu = sorted(working_universe(inst, c))
+            for s in instantiations(inst, c, universe):
+                if not holds_instantiation(inst, c, s, relevant_vars(c),
+                                           False, wu):
+                    for atoms in head_options(c, s, [NULL]):
+                        new |= atoms
+        if new <= cur:
+            return cur
+        cur = cur | new

@@ -304,6 +304,24 @@ class TestDeterminism:
         assert out.count("solution ") == 2 ** 4
 
 
+    def test_hash_seed_does_not_change_batch_then_fd(self, tmp_path):
+        # P1's search inserts the copies of R2 as one batch, then finds
+        # the FD violations from the batch and the state before it
+        path = tmp_path / "batch.pdes"
+        path.write_text(
+            "peer P1 : R1/2\npeer P2 : R2/2\ntrust P1 less P2\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)\n"
+            "dec P1 P1 : forall x,y,z : R1(x,y), R1(x,z) -> y = z\n"
+            "instance P1 : R1(a,0), R1(a,2), R1(c,3), R1(c,4), R1(d,5)\n"
+            "instance P2 : R2(a,1), R2(b,1), R2(e,6)\n")
+        out = _one_output_under_seeds(["repairs", str(path), "--peer", "P1"])
+        assert out.count("repair ") == 4
+        out = _one_output_under_seeds(["solutions", str(path),
+                                       "--peer", "P1"])
+        assert out.count("solution ") == 2
+        assert "R1(a,0)" not in out and "R1(a,2)" not in out
+
+
 def _one_output_under_seeds(argv) -> str:
     """The stdout of a successful CLI run, the same under PYTHONHASHSEED
     1, 2 and 3."""
@@ -314,6 +332,26 @@ def _one_output_under_seeds(argv) -> str:
         outs.add(res.stdout)
     assert len(outs) == 1, argv
     return outs.pop()
+
+
+@pytest.mark.parametrize("name,peer,code", [
+    ("ex_6_1.pdes", "P1", 0), ("ex_5_12.pdes", "P1", 0),
+    ("ex_2_2.pdes", "P2", 1)])
+def test_import_solve_classifies_once(name, peer, code, capsys, monkeypatch):
+    import pdes.cli as cli_mod
+    import pdes.importmode as importmode
+    calls = []
+    real = importmode.classify
+
+    def counted(system):
+        calls.append(1)
+        return real(system)
+
+    for mod in (cli_mod, importmode):
+        monkeypatch.setattr(mod, "classify", counted)
+    assert main(["import-solve", fixture_path(name), "--peer", peer]) == code
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -1,7 +1,9 @@
 """Query answering and constraint satisfaction under SQL-style nulls."""
 
+import glob
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.lang import (Builtin, Cst, Var, n_rewrite_query, parse_constraint,
                        parse_query)
-from pdes.nullsem import (classical_answers, eval_builtin, n_answers, n_holds,
-                          n_holds_direct)
+from pdes.nullsem import (classical_answers, eval_builtin, ground_atom,
+                          instantiations, n_answers, n_holds, n_holds_direct,
+                          working_universe)
+
+from conftest import FIXTURES
 
 
 def inst(schema: dict, atoms) -> Instance:
@@ -225,3 +230,88 @@ class TestQueryRewritingRoute:
         d = inst({"R": 2}, [Atom("R", fact)])
         assert n_answers(d, q) == frozenset()
         assert classical_answers(d, n_rewrite_query(q)) == {fact}
+
+
+# ------------------------------------------- delta-driven instantiations
+
+def _fixture_constraints():
+    """Every constraint declared in a fixture, with the schema of its
+    own atoms."""
+    out = []
+    for path in sorted(glob.glob(FIXTURES + "/*.pdes")):
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("dec "):
+                    c = parse_constraint(line)
+                    out.append((c, Schema({a.pred: len(a.terms)
+                                           for a in c.atoms()})))
+    assert len(out) > 30
+    return out
+
+
+_FD = parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z")
+_SHAPES = [
+    # a constant in the body, and a repeated variable
+    parse_constraint("forall x,y : T(x,1), R(x,y) -> S(y,x)"),
+    parse_constraint("forall x,y : T(x,x), R(x,y) -> S(y,y)"),
+    # both body atoms may lie in the delta: one instantiation, once
+    _FD,
+    # an empty body matches nothing in a delta
+    replace(_FD, body=()),
+    # a universal variable of the head only
+    parse_constraint("forall x,y : T(x,1) -> R(y,y)"),
+]
+
+
+def _random_split(rng, schema, consts):
+    """A random instance over schema and the part of it taken as delta."""
+    dom = sorted({"a", "b", "1", NULL} | consts)
+    atoms = {Atom(p, tuple(rng.choice(dom) for _ in range(k)))
+             for p, k in schema.arities.items()
+             for _ in range(rng.randint(0, 4))}
+    d = Instance(atoms, schema)
+    return d, frozenset(a for a in atoms if rng.random() < 0.4)
+
+
+def _delta_agrees(c, d, delta):
+    universe = working_universe(d, c)
+    want = [s for s in instantiations(d, c, universe)
+            if any(ground_atom(a, s) in delta for a in c.body)]
+    assert list(instantiations(d, c, universe, delta)) == want, (
+        str(c), sorted(map(str, d)), sorted(map(str, delta)))
+    return want
+
+
+class TestDeltaInstantiations:
+    """With a delta, the enumerator yields the full enumeration filtered
+    to the instantiations with a body atom in the delta, in its order."""
+
+    def test_fixture_constraints_on_random_splits(self):
+        rng = random.Random(20261018)
+        for c, schema in _fixture_constraints():
+            consts = {t.value for a in c.atoms() for t in a.terms
+                      if isinstance(t, Cst)}
+            for _ in range(20):
+                _delta_agrees(c, *_random_split(rng, schema, consts))
+
+    def test_shapes_on_random_splits(self):
+        rng = random.Random(14)
+        schema = Schema({"T": 2, "R": 2, "S": 2})
+        for c in _SHAPES:
+            for _ in range(100):
+                _delta_agrees(c, *_random_split(rng, schema, {"1"}))
+
+    def test_two_delta_atoms_yield_once(self):
+        d = inst({"T": 2}, [atom("T", "a", "1"), atom("T", "a", "2"),
+                            atom("T", "b", "1")])
+        delta = frozenset({atom("T", "a", "1"), atom("T", "a", "2")})
+        got = _delta_agrees(_FD, d, delta)
+        assert [(s["y"], s["z"]) for s in got if s["x"] == "a"] == [
+            ("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+
+    def test_empty_body_and_head_only_universal(self):
+        d = inst({"T": 2, "R": 2, "S": 2}, [atom("T", "a", "1")])
+        assert _delta_agrees(_SHAPES[3], d, d.atoms) == []
+        got = _delta_agrees(_SHAPES[4], d, d.atoms)
+        assert [s["y"] for s in got] == sorted(working_universe(
+            d, _SHAPES[4]))

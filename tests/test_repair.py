@@ -278,6 +278,30 @@ class TestConflictParts:
         assert counts[8] <= 2.5 * counts[4], counts
 
 
+class TestForcedBatch:
+    """A forced violation leaves the batched child's violation list only
+    when its insert makes it hold there; otherwise the child re-checks it
+    and, finding no move left, ends as a dead end."""
+
+    def test_null_witness_of_a_relevant_existential_is_rechecked(self):
+        # the pool's one witness for y is null, which a relevant y rejects
+        base = Instance({atom("R2", "a"), atom("R1", "a", NULL)},
+                        Schema({"R2": 1, "R1": 2, "S1": 1}))
+        sigma = (
+            parse_constraint("forall x : R2(x) -> exists y : R1(x,y), S1(y)"),
+            parse_constraint("forall x : R2(x) -> exists z : S1(z)"))
+        for route in (null_repairs, exhaustive_null_repairs):
+            assert route(base, sigma, frozen_preds={"R2"}).repairs == ()
+
+    def test_builtin_only_existential_is_rechecked(self):
+        # after T(2) goes, no value of the state's universe exceeds 1
+        base = Instance({atom("R", "1"), atom("T", "2")},
+                        Schema({"R": 1, "S": 1, "T": 1}))
+        sigma = (parse_constraint("forall x : T(x) -> false"),
+                 parse_constraint("forall x : R(x) -> exists y : S(x), y > x"))
+        assert delta_repairs(base, sigma, frozen_preds={"R"}).repairs == ()
+
+
 class TestSearchCap:
     SIGMA = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),)
     BASE = Instance({atom("T", k, v) for k in "abcd" for v in "01"},
