@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
                    SchemaError, active_domain, restrict)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
-                   ref_acyclic, relevant_vars, term_vars)
+                   ref_acyclic, term_vars)
 from .nullsem import eval_builtin
 from .repair import NULL_BASED, RepairSet, _minimal, closer_lt, one_part
 from .chase import r_chase
@@ -171,7 +171,6 @@ def _udec_rule(c: Constraint, changeable: frozenset[str],
             raise SchemaError(
                 "universal constraint %s has a conjunctive consequent "
                 "disjunct, unsupported by the program generator" % c)
-    rel = relevant_vars(c)
     head: list[Lit] = []
     for a in c.body:
         if a.pred in changeable:
@@ -188,7 +187,7 @@ def _udec_rule(c: Constraint, changeable: frozenset[str],
                 continue  # negation of false always holds
             body.append(Builtin(_FLIP[b.op], b.terms))
     body += inc_guard
-    body += _guards(v for v in c.univ_vars if v in rel)
+    body += _guards(v for v in c.univ_vars if v in c.relevant)
     return Rule(tuple(head), tuple(body))
 
 

@@ -8,7 +8,8 @@ parallel rounds, substituting null for existential variables. The
 result bounds the insertions admissible in repairs. Rounds after the
 first check only the instantiations touching the atoms the round before
 added: any other held then and still holds, or already fired its
-atoms, which depend on the instantiation alone.
+atoms, which depend on the instantiation alone. Each check reads its own
+ranges (`nullsem.holds_instantiation`), so a round computes none.
 `head_options` grounds the consequent of one instantiation through
 `nullsem.extensions`: against a pool instance when one is given, every
 existential over the universe otherwise; the repair search shares it.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .core import NULL, Atom, Instance, Schema
-from .lang import Constraint, relevant_vars, term_vars
+from .lang import Constraint, term_vars
 from .nullsem import (eval_builtin, extensions, ground_atom,
                       holds_instantiation, instantiations, working_universe)
 
@@ -64,14 +65,12 @@ def r_chase(d: Instance, sigma) -> Instance:
     check_fit(d.schema, sigma)
     sigma = [c for c in sigma if not has_problematic_existential(c)]
     cur, added = d, None
-    universe = sorted(working_universe(d, *sigma))
+    universe = working_universe(d, *sigma)
     while True:
         new: set[Atom] = set()
         for c in sigma:
-            rel = relevant_vars(c)
-            wu = sorted(working_universe(cur, c))
             for s in instantiations(cur, c, universe, added):
-                if not holds_instantiation(cur, c, s, rel, False, wu):
+                if not holds_instantiation(cur, c, s, False):
                     for atoms in head_options(c, s, [NULL]):
                         new |= atoms
         new -= cur.atoms

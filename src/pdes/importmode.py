@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
                    SchemaError)
-from .lang import (Builtin, Constraint, Cst, PredAtom, Var, relevant_vars,
-                   term_vars)
+from .lang import Builtin, Constraint, Cst, PredAtom, Var, term_vars
 from .nullsem import eval_builtin, ground_atom, join
 from .repair import RepairSet, preorder_repairs
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
@@ -85,10 +84,9 @@ class DatalogProgram:
 
 
 def _rule_for(c: Constraint) -> DatalogRule:
-    rel = relevant_vars(c)
     target = next(d for d in c.head if d.atoms)
     guards = tuple(Builtin("neq", (Var(v), Cst(NULL)))
-                   for v in c.univ_vars if v in rel)
+                   for v in c.univ_vars if v in c.relevant)
     escapes = tuple(b for d in c.head for b in d.builtins)
     return DatalogRule(target.atoms[0], c.body, guards, escapes,
                        target.exist_vars)
@@ -154,12 +152,9 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
     """The import fixpoint repaired with respect to p's local constraints,
     keeping the neighbors' relations and every imported atom fixed."""
     fix = least_model(import_program(system, p, dbar))
-    frozen_preds = frozenset(
-        r for q in system.strict_neighbors(p)
-        for r in system.schemas[q].preds())
     return preorder_repairs(
         system.preorder, fix, system.sigma.get((p, p), ()),
-        frozen_preds=frozen_preds, cap=cap,
+        frozen_preds=system.frozen_preds(p), cap=cap,
         frozen_atoms=fix.atoms - dbar.atoms)
 
 

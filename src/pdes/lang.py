@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .core import NULL, reach
 
@@ -101,6 +102,17 @@ class Constraint:
     def is_existential(self) -> bool:
         return any(d.exist_vars for d in self.head)
 
+    @cached_property  # kept off the fields: ==, hash and repr ignore it
+    def relevant(self) -> frozenset[str]:
+        return relevant_vars(self)
+
+    @cached_property
+    def anchored(self) -> bool:
+        """Whether each existential variable occurs in an atom of its
+        disjunct, so that joining those atoms binds every one of them."""
+        return all(any(Var(v) in a.terms for a in d.atoms)
+                   for d in self.head for v in d.exist_vars)
+
     def atoms(self) -> tuple[PredAtom, ...]:
         """The database atoms of the body, then of each head disjunct."""
         return self.body + tuple(a for d in self.head for a in d.atoms)
@@ -170,15 +182,18 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
     rewritten form (null as an ordinary constant) captures satisfaction
     under the SQL-null semantics: the head gains an isnull(v) escape for
     every relevant universal variable, and every existential disjunct
-    guards its relevant existential variables with isnotnull."""
-    rel = relevant_vars(c)
+    guards with isnotnull its existential variables that are relevant or
+    that an = or != reads (classically, a null passes those)."""
+    rel = c.relevant
     guards = tuple(
         Disjunct((), (), (Builtin("isnull", (Var(v),)),))
         for v in dict.fromkeys(c.univ_vars) if v in rel)
     new_head = []
     for d in c.head:
+        compared = {v for b in d.builtins if b.op in ("eq", "neq")
+                    for v in term_vars(b.terms)}
         extra = tuple(Builtin("isnotnull", (Var(w),))
-                      for w in d.exist_vars if w in rel)
+                      for w in d.exist_vars if w in rel or w in compared)
         new_head.append(replace(d, builtins=d.builtins + extra))
     return replace(c, head=guards + tuple(new_head))
 

@@ -9,7 +9,10 @@ instantiations), `holds_instantiation` its use on each head disjunct
 (the existential witnesses), and the chase's insert options
 (:mod:`pdes.chase`) its use on a head against a pool instance. The
 restricted chase, the repair search (:mod:`pdes.repair`) and both
-constraint checks here rest on these.
+constraint checks here rest on these. A check reads its own ranges:
+`holds_instantiation` reads the relevant variables off the constraint
+and builds the working universe only for an unanchored one, the one kind
+whose witness join leaves an existential variable unbound.
 
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986): it yields only the instantiations with a body atom
@@ -77,16 +80,13 @@ def eval_builtin(b: Builtin, s: dict[str, str],
     return _order_holds(b.op, v1, v2)
 
 
-def working_universe(d: Instance, *sigma: Constraint) -> set[str]:
-    """The active domain of d, null and every constant of the constraints."""
+def working_universe(d: Instance, *sigma: Constraint) -> list[str]:
+    """The sorted active domain of d, null and the constraints' constants."""
     u = active_domain(d) | {NULL}
     for c in sigma:
-        items = list(c.body)
-        for disj in c.head:
-            items += [*disj.atoms, *disj.builtins]
-        for item in items:
+        for item in (*c.atoms(), *(b for e in c.head for b in e.builtins)):
             u |= {t.value for t in item.terms if isinstance(t, Cst)}
-    return u
+    return sorted(u)
 
 
 def ground_atom(a, s: dict[str, str]) -> Atom:
@@ -142,14 +142,14 @@ def instantiation_key(c: Constraint, s: dict[str, str]):
             [s[v] for v in c.univ_vars if v in s])
 
 
-def instantiations(d: Instance, c: Constraint, universe: Iterable[str],
+def instantiations(d: Instance, c: Constraint, universe: list[str],
                    delta: Iterable[Atom] | None = None
                    ) -> Iterator[dict[str, str]]:
     """Every assignment of c's universal variables whose body atoms are
-    all in d: the extensions of the empty assignment by c's body. With
-    delta, atoms of d, only those with a body atom in delta, in the same
-    order: each is joined once, from its first body atom in delta."""
-    universe = sorted(universe)
+    all in d: the extensions of the empty assignment by c's body over
+    universe, which callers pass sorted. With delta, atoms of d, only
+    those with a body atom in delta, in the same order: each is joined
+    once, from its first body atom in delta."""
     if delta is None:
         return extensions(d, c.body, {}, c.univ_vars, universe)
     new = Instance._trusted(frozenset(delta), d.schema)
@@ -163,18 +163,17 @@ def instantiations(d: Instance, c: Constraint, universe: Iterable[str],
 
 
 def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
-                        rel: frozenset[str], classical: bool,
-                        universe: list[str]) -> bool:
+                        classical: bool) -> bool:
     """Truth of one instantiation s of c drawn from `instantiations` over
     d (so its body is in d): some head disjunct extends s into d, its
-    existential variables ranging over universe, the sorted working
-    universe of (d, c). Non-classical mode restricts relevant existential
-    variables away from null and, for relevant universal variables, a
-    null value satisfies vacuously."""
-    if classical:
-        rel = frozenset()
+    existential variables ranging over the working universe of (d, c),
+    which only an unanchored c reads. Non-classical mode restricts c's
+    relevant existential variables away from null and, for its relevant
+    universal variables, a null value satisfies vacuously."""
+    rel = frozenset() if classical else c.relevant
     if any(s[v] == NULL for v in c.univ_vars if v in rel):
         return True
+    universe = [] if c.anchored else working_universe(d, c)
     for disj in c.head:
         for full in extensions(d, disj.atoms, s, disj.exist_vars, universe):
             if all(full[v] != NULL for v in disj.exist_vars if v in rel) \
@@ -222,20 +221,18 @@ def classical_answers(d: Instance, q: Query, matches: Matches | None = None
 
 # ------------------------------------------------------ constraint checks
 
-def _holds(d: Instance, c: Constraint, rel: frozenset[str],
-           classical: bool) -> bool:
-    universe = sorted(working_universe(d, c))
-    return all(holds_instantiation(d, c, s, rel, classical, universe)
-               for s in instantiations(d, c, universe))
+def _holds(d: Instance, c: Constraint, classical: bool) -> bool:
+    return all(holds_instantiation(d, c, s, classical)
+               for s in instantiations(d, c, working_universe(d, c)))
 
 
 def n_holds(d: Instance, c: Constraint) -> bool:
     """Null-semantics satisfaction via classical evaluation (null an
     ordinary constant) of the rewritten constraint."""
-    return _holds(d, n_rewrite_constraint(c), frozenset(), classical=True)
+    return _holds(d, n_rewrite_constraint(c), classical=True)
 
 
 def n_holds_direct(d: Instance, c: Constraint) -> bool:
     """Independent second route: direct evaluation with relevant-variable
     quantifier restriction on the unrewritten constraint."""
-    return _holds(d, c, relevant_vars(c), classical=False)
+    return _holds(d, c, classical=False)

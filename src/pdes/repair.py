@@ -19,7 +19,7 @@ states are minimised alone, and the minimal repairs come back factored
 The product is built only where `RepairSet.repairs` is read, which lists
 the repairs; certain answers and cores (:mod:`pdes.system`) work on the
 parts. The delta preorder's inserts range over the universe, so its
-search keeps one part.
+search keeps one part. A check reads its own ranges (`nullsem`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
                    Schema, atom_sort_key)
-from .lang import Constraint, relevant_vars, term_vars
+from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
                       instantiations, n_holds, working_universe)
 from .chase import check_fit, head_options, r_chase
@@ -142,14 +142,6 @@ def one_part(states: Iterable[frozenset[Atom]], schema: Schema,
 
 # ----------------------------------------------------- branch search core
 
-def _anchored(c: Constraint) -> bool:
-    """Whether each existential variable of c occurs in an atom of its
-    disjunct, so that a grounding of the disjunct's atoms reads every
-    value the disjunct reads."""
-    return all(v in {x for a in d.atoms for x in term_vars(a.terms)}
-               for d in c.head for v in d.exist_vars)
-
-
 class _Search:
     """One repair search over states (atom sets read over schema, which
     every constraint must fit): the moves they allow and the one budget
@@ -161,13 +153,12 @@ class _Search:
                  classical: bool, cap: int):
         check_fit(schema, sigma)
         self.schema, self.universe, self.pool = schema, universe, pool
-        # each constraint once, in order, with its relevant variables
-        self.rules = {c: relevant_vars(c) for c in sigma}
+        self.sigma = tuple(dict.fromkeys(sigma))  # each once, in order
         # the constraints whose forced insert makes their instantiation
         # hold: the insert grounds every existential, none relevant
-        self.settled = {c for c, rel in self.rules.items() if _anchored(c)
-                        and (classical or not any(
-                            v in rel for d in c.head for v in d.exist_vars))}
+        self.settled = {c for c in self.sigma if c.anchored and (
+            classical or not any(v in c.relevant
+                                 for d in c.head for v in d.exist_vars))}
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
         self.classical, self.budget = classical, Budget(cap)
 
@@ -178,14 +169,13 @@ class _Search:
         carried (constraint -> instantiations) are checked: the parent's
         other instantiations held there and still hold."""
         d = Instance._trusted(state, self.schema)
-        for c, rel in self.rules.items():
+        for c in self.sigma:
             found = instantiations(d, c, self.universe, batch)
             if carried and c in carried:
                 found = sorted(chain(carried[c], found),
                                key=lambda s, c=c: instantiation_key(c, s))
-            wu = sorted(working_universe(d, c))
             for s in found:
-                if not holds_instantiation(d, c, s, rel, self.classical, wu):
+                if not holds_instantiation(d, c, s, self.classical):
                     yield c, s
 
     def moves(self, state: frozenset[Atom], c: Constraint, s):
@@ -218,8 +208,8 @@ class _Search:
             return ([(state - {a}, None) for a in dels]
                     + [(state | a, None) for a in adds], chain([first], viols))
         batch, carried = set(), {}
-        for c, s in chain([first], viols):
-            dels, adds = self.moves(state, c, s)
+        rest = ((v, self.moves(state, *v)) for v in viols)
+        for (c, s), (dels, adds) in chain([(first, (dels, adds))], rest):
             if not dels and len(set(adds)) == 1:
                 batch |= adds[0]
                 if c in self.settled:
@@ -259,11 +249,11 @@ class _Search:
         both lie in such parts and the first is below the second in the
         information order. One part, all of state, when there is no pool,
         when some constraint has an empty body (no atom anchors its
-        instantiations) or is not `_anchored` (it reads values outside
-        its atoms), or when the pool is one part or one part holds every
+        instantiations) or is not anchored (it reads values outside its
+        atoms), or when the pool is one part or one part holds every
         violation."""
-        if self.pool is None or not all(c.body and _anchored(c)
-                                        for c in self.rules):
+        if self.pool is None or not all(c.body and c.anchored
+                                        for c in self.sigma):
             return [state]
         parent: dict[Atom, Atom] = {}
 
@@ -277,7 +267,7 @@ class _Search:
             for a in atoms[1:]:
                 parent[find(a)] = root
 
-        for c in self.rules:
+        for c in self.sigma:
             for s in instantiations(self.pool, c, self.universe):
                 atoms = [ground_atom(a, s) for a in c.body]
                 for option in head_options(c, s, self.universe, self.pool,
@@ -398,7 +388,7 @@ def null_repairs(base: Instance, sigma,
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
     bound = chased.atoms
-    universe = sorted(working_universe(chased, *sigma))
+    universe = working_universe(chased, *sigma)
     search = _Search(chased.schema, sigma, universe, chased,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      False, cap)
@@ -415,7 +405,7 @@ def delta_repairs(base: Instance, sigma,
     insertions range over the working universe, so the search has no
     pool to split and keeps one part."""
     sigma = tuple(sigma)
-    universe = sorted(working_universe(base, *sigma))
+    universe = working_universe(base, *sigma)
     search = _Search(base.schema, sigma, universe, None,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      True, cap)

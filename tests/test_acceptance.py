@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from pdes import chase as chase_module, repair
+from pdes import chase as chase_module, nullsem, repair
 from pdes.asp import asp_parts, asp_solutions, build_solution_program, \
     ground, pca_via_asp, stable_models
 from pdes.chase import r_chase
@@ -438,6 +438,43 @@ def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
             seen.clear()
         assert len(solutions(sysm, "P1", inst).core) == n
         assert [len(c) for c in checks.values()] == [2 * n, 2 * n]
+
+
+@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 4),
+                                      (families.conflicts(1), 2)])
+def test_10_checks_read_no_universe(fam, want, monkeypatch):
+    """Each check builds the working universe only for a constraint that
+    reads it, and no family constraint does: a request computes it once
+    per restricted chase and once per search (P1 and P2 each run both on
+    the copy chain, P1 alone on the conflicts)."""
+    calls = []
+    for mod in (chase_module, repair, nullsem):
+        def counted(*args, real=mod.working_universe):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mod, "working_universe", counted)
+    defn = parse_definition(fam.text)
+    res = peer_consistent_answers(defn.system, "P1", defn.instance,
+                                  defn.queries["P1"])
+    assert {t for (t,) in res.answers} == fam.answers
+    assert len(calls) == want
+
+
+def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):
+    # P1 and P2 each batch 48 forced copies; the first is not re-grounded
+    calls = []
+    real = repair._Search.moves
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair._Search, "moves", counted)
+    defn = parse_definition(families.copy_chain(1).text)
+    peer_consistent_answers(defn.system, "P1", defn.instance,
+                            defn.queries["P1"])
+    assert len(calls) == 2 * families.COPY_CHAIN_N == 96
 
 
 def test_10_copy_chain_fits_a_small_cap():

@@ -4,7 +4,7 @@ import random
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.chase import has_problematic_existential, head_options, r_chase
-from pdes.lang import parse_constraint, relevant_vars
+from pdes.lang import parse_constraint
 from pdes.nullsem import (holds_instantiation, instantiations, n_holds,
                           working_universe)
 
@@ -120,10 +120,8 @@ def naive_chase(d, sigma):
         inst = Instance(cur, d.schema)
         new = set()
         for c in sigma:
-            wu = sorted(working_universe(inst, c))
             for s in instantiations(inst, c, universe):
-                if not holds_instantiation(inst, c, s, relevant_vars(c),
-                                           False, wu):
+                if not holds_instantiation(inst, c, s, False):
                     for atoms in head_options(c, s, [NULL]):
                         new |= atoms
         if new <= cur:

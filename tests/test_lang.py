@@ -1,5 +1,7 @@
 """Parsing, relevant variables, null-aware rewriting, ref-acyclicity."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +135,34 @@ class TestRelevantVars:
     def test_query_join_variable(self):
         q = parse_query("exists y : R(x,y), S(y,z)")
         assert relevant_vars(q) == {"y"}
+
+
+class TestCachedAnalysis:
+    """`Constraint.relevant` and `Constraint.anchored` are cached on the
+    object, outside the dataclass fields."""
+
+    TEXT = "forall x,y : R(x,y) -> exists z : S(x,z) or exists w : w > y"
+
+    def test_reading_leaves_identity_unchanged(self):
+        c, fresh = parse_constraint(self.TEXT), parse_constraint(self.TEXT)
+        before = (hash(c), repr(c), str(c))
+        assert c.relevant == relevant_vars(c) == {"x", "y"}
+        assert not c.anchored
+        assert (hash(c), repr(c), str(c)) == before
+        assert c == fresh and hash(c) == hash(fresh)
+        assert "relevant" not in repr(c) and "anchored" not in repr(c)
+
+    def test_rewritten_constraint_has_its_own(self):
+        c = parse_constraint("forall x,y : R(x,y) -> exists z : S(y,z)")
+        assert c.relevant == {"y"} and c.anchored
+        rewritten = n_rewrite_constraint(c)
+        assert rewritten != c
+        assert "relevant" not in vars(rewritten)  # nothing carried over
+        assert rewritten.relevant == relevant_vars(rewritten)
+        # a replaced body changes the relevant variables
+        joined = replace(c, body=(PredAtom("R", (Var("x"), Var("x"))),
+                                  PredAtom("R", (Var("y"), Var("x")))))
+        assert joined.relevant == {"x", "y"} != c.relevant
 
 
 class TestRewriting:

@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
@@ -161,7 +161,83 @@ ATOM2 = st.tuples(st.sampled_from(["a", "b", NULL]),
                   st.sampled_from(["a", "b", NULL]))
 
 
+# Constraint shapes for the differential check of the two satisfaction
+# routes; {p}, {q} are drawn predicates, {t}, {u} drawn terms (a
+# universal variable or a constant, "c" outside the instances' values)
+# and {op} a drawn comparison.
+_ROUTE_SHAPES = {
+    "existential": [
+        "forall x,y : {p}(x,y) -> exists z : {q}({t},z)",
+        "forall x,y : {p}(x,y) -> exists z : {q}(z,z)",
+        "forall x,y : {p}(x,y) -> exists z : {q}({t},z), {p}(z,{u})",
+        "forall x,y : {p}(x,y) -> exists z : {q}(z,{t}), z {op} {u}",
+        "forall x,y : {p}(x,y) -> exists z,w : {q}(z,w)",
+    ],
+    "denial": [
+        "forall x,y : {p}(x,y), {q}(y,x) -> false",
+        "forall x,y : {p}(x,{t}), {q}(x,y) -> false",
+        "forall x : {p}(x,x) -> false",
+    ],
+    "fd": [
+        "forall x,y,z : {p}(x,y), {p}(x,z) -> y = z",
+        "forall x,y,z : {p}(y,x), {p}(z,x) -> y = z",
+    ],
+    "disjunctive builtin": [
+        "forall x,y : {p}(x,y) -> {q}({t},{u}) or x {op} y",
+        "forall x,y : {p}(x,y) -> x {op} {t} or isnull(y)",
+        "forall x,y : {p}(x,y), {q}(y,{t}) -> x {op} {u} or isnotnull(x)",
+    ],
+    "builtin-only existential": [
+        "forall x,y : {p}(x,y) -> exists z : z {op} {t}",
+        "forall x,y : {p}(x,y) -> exists z : z {op} x, z {op} {t}",
+        "forall x,y : {p}(x,y) -> {q}(y,x) or exists z : z {op} {u}",
+    ],
+    "head-only universal": [
+        "forall x,y : {p}(x,{t}) -> {q}(y,y)",
+        "forall x,y : {p}(x,x) -> {q}(x,y) or y {op} {t}",
+        "forall x,y : {p}(x,{t}) -> y {op} {u}",
+    ],
+}
+_TERMS = ["x", "y", "1", "c"]
+_OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+@st.composite
+def _route_constraints(draw):
+    shape = draw(st.sampled_from(sorted(_ROUTE_SHAPES)))
+    text = draw(st.sampled_from(_ROUTE_SHAPES[shape]))
+    c = parse_constraint(text.format(
+        p=draw(st.sampled_from("RS")), q=draw(st.sampled_from("RS")),
+        t=draw(st.sampled_from(_TERMS)), u=draw(st.sampled_from(_TERMS)),
+        op=draw(st.sampled_from(_OPS))))
+    assert c.anchored is (shape != "builtin-only existential")
+    return c
+
+
+@st.composite
+def _route_instances(draw):
+    """Up to six R and S atoms over a drawn set of values, so that few
+    distinct values (a small universe) come up as often as many."""
+    values = sorted(draw(st.sets(st.sampled_from(["a", "b", "1", "2", NULL]),
+                                 min_size=1)))
+    value = st.sampled_from(values)
+    atoms = draw(st.frozensets(st.builds(Atom, st.sampled_from("RS"),
+                                         st.tuples(value, value)),
+                               max_size=6))
+    return Instance(atoms, Schema({"R": 2, "S": 2}))
+
+
 class TestSatisfactionProperties:
+    @given(_route_constraints(), _route_instances())
+    @example(parse_constraint("forall x,y : R(x,y) -> exists z : z != x"),
+             inst({"R": 2, "S": 2}, [atom("R", "1", "1")]))
+    @example(parse_constraint(
+        "forall x,y : R(x,y) -> S(y,x) or exists z : z != y"),
+        inst({"R": 2, "S": 2}, [atom("R", "2", "2")]))
+    @settings(max_examples=400, deadline=None)
+    def test_rewritten_and_direct_routes_agree(self, c, d):
+        assert n_holds(d, c) == n_holds_direct(d, c), sorted(map(str, d))
+
     @given(st.frozensets(ATOM2, max_size=5))
     @settings(max_examples=60)
     def test_empty_body_match_is_vacuous(self, tuples):
