@@ -11,10 +11,13 @@ Grounding partially evaluates the fixed part: plain atoms and the
 ``ts``/``fs`` literals are resolved against the facts (the closed-world
 ``fs`` rule is never materialized), leaving a small ground program over
 ``ta``/``fa``/aux atoms. It joins rule bodies against the facts and the
-atoms derived so far, so only rules that can fire are grounded. Stable
-models are found by a backtracking search over that decision layer, each
-checked by a search for a smaller model of its reduct. The candidate cap
-bounds both, and the grounding products of variables no body atom binds.
+atoms derived so far, so only rules that can fire are grounded. Both are
+kept as one instance, read through the semi-naive body join
+(`nullsem.delta_join`) that also serves the checks, the chase, the
+repair search and the import fixpoint. Stable models are found by a
+backtracking search over that decision layer, each checked by a search
+for a smaller model of its reduct. The candidate cap bounds both, and
+the grounding products of variables no body atom binds.
 
 The ``!= null`` guards encode the null semantics, so only systems under
 the null-based preorder get a program. ``asp_solutions`` reads each
@@ -33,10 +36,10 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
-                   SchemaError, active_domain, restrict)
+                   SchemaError, restrict)
 from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
-from .nullsem import eval_builtin
+from .nullsem import delta_join, eval_builtin, ground_atom
 from .repair import NULL_BASED, RepairSet, _minimal, closer_lt, one_part
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
@@ -83,8 +86,8 @@ class GroundRule:
     neg: tuple[Atom, ...]
 
 
-def _nick(pred: str, args: tuple[str, ...], ann: str) -> Atom:
-    return Atom(pred + "_", args + (ann,))
+def _nick(a: Atom, ann: str) -> Atom:
+    return Atom(a.pred + "_", a.args + (ann,))
 
 
 def _simple_rdec(c: Constraint) -> bool:
@@ -152,7 +155,7 @@ def build_solution_program(system: PdesSchema, p: str,
                           (Lit(r, xs, TS), Lit(r, xs, FA, neg=True)),
                           derived=True))
     facts = set(dbar.atoms)
-    facts |= {Atom("dom", (c,)) for c in active_domain(dbar) | {NULL}}
+    facts |= {Atom("dom", (c,)) for c in dbar.domain | {NULL}}
     return LogicProgram(frozenset(facts), tuple(rules), dbar.schema, own,
                         tuple(warnings))
 
@@ -231,36 +234,39 @@ def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
 
 # -------------------------------------------------------------- grounding
 
+def _row(pred: str, ann: str | None) -> str:
+    # the grounder's predicate for (pred, ann); a parsed name has no space
+    return pred if ann is None else "%s %s" % (pred, ann)
+
+
 def ground(prog: LogicProgram,
            cap: int = DEFAULT_CAP) -> tuple[GroundRule, ...]:
     """The ground instantiations of the decision-layer rules whose
     positive atoms are derivable, with builtins and fact-determined
     literals pre-evaluated away. Positive body literals are joined, to a
     fixpoint, against the facts (``ts`` and plain literals) and the head
-    atoms grounded so far (``ts``, ``ta``, ``fa`` and aux literals).
+    atoms grounded so far (``ts``, ``ta``, ``fa`` and aux literals),
+    kept as the atoms of one row predicate per (predicate, annotation).
 
-    The join is semi-naive: each round joins only the bindings that use a
-    row the previous round derived, at the first literal that reads one,
-    so every binding is found once. A rule ground before all its positive
-    atoms are derived (an ``fs`` literal over a fact reads an ``fa`` atom
-    that no join supplies) waits for the atom it lacks. A variable that no
+    The join is semi-naive (`nullsem.delta_join`): each round joins only
+    the bindings that use a row the previous round derived, so every
+    binding is found once. A rule ground before all its positive atoms
+    are derived (an ``fs`` literal over a fact reads an ``fa`` atom that
+    no join supplies) waits for the atom it lacks. A variable that no
     positive literal binds ranges over the facts' active domain, null and
     the constants of the rules; that product is charged to cap once per
     binding."""
     uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
                  | {t.value for r in prog.rules for item in (*r.head, *r.body)
                     for t in item.terms if isinstance(t, Cst)})
-    rules = [(r, [b for b in r.body if isinstance(b, Lit) and not b.neg
-                  and b.ann != FS],
+    rules = [(r, [PredAtom(_row(b.pred, b.ann), b.terms) for b in r.body
+                  if isinstance(b, Lit) and not b.neg and b.ann != FS],
               sorted({v for item in (*r.head, *r.body)
                       for v in term_vars(item.terms)}))
              for r in prog.rules if not r.derived]
-    # (pred, ann) -> arguments: every row so far, and the last round's
-    every: dict[tuple, set] = defaultdict(set)
-    new: dict[tuple, set] = defaultdict(set)
-    for a in prog.facts:
-        new[a.pred, None].add(a.args)
-        new[a.pred, TS].add(a.args)
+    # one row predicate per (pred, ann) that some rule reads
+    schema = Schema({a.pred: len(a.terms) for _, lits, _ in rules
+                     for a in lits})
     budget = Budget(cap)
     out: dict[GroundRule, None] = {}  # in grounding order
     derived: set[Atom] = set()
@@ -283,25 +289,28 @@ def ground(prog: LogicProgram,
                 if a not in derived:
                     derived.add(a)
                     args = a.args if h.ann is None else a.args[:-1]
-                    fresh[h.pred, h.ann].add(args)
+                    fresh.add(Atom(_row(h.pred, h.ann), args))
                     if h.ann == TA:
-                        fresh[h.pred, TS].add(args)
+                        fresh.add(Atom(_row(h.pred, TS), args))
                     pending += waiting.pop(a, ())
 
-    def rows(version: str, key: tuple) -> set:
-        if version == "new":
-            return new.get(key, set())
-        got = every.get(key, set())
-        return got if version == "all" else got - new.get(key, set())
-
+    fresh = {Atom(_row(a.pred, ann), a.args)
+             for a in prog.facts for ann in (None, TS)}
+    every = Instance._trusted(frozenset(), schema)
     first = True
-    while first or new:
-        for key, args in new.items():
-            every[key] |= args
-        fresh: dict[tuple, set] = defaultdict(set)
-        index: dict = {}
+    while True:
+        # the rows the last round found that a rule reads and none joined
+        new = Instance({a for a in fresh if a.pred in schema} - every.atoms,
+                       schema)
+        if not (new or first):
+            return tuple(out)
+        every = Instance._trusted(every.atoms | new.atoms, schema)
+        fresh = set()
         for r, lits, vs in rules:
-            for s in _delta_join(lits, rows, index, first):
+            # a rule with no positive literal binds once, in the first round
+            binds = delta_join(every, lits, new) if lits else \
+                [{}] if first else []
+            for s in binds:
                 free = [v for v in vs if v not in s]
                 if free:
                     budget.charge(len(uni) ** len(free))
@@ -310,49 +319,7 @@ def ground(prog: LogicProgram,
                                      prog.facts)
                     if g is not None:
                         settle(r, g, fresh)
-        new = {k: fresh[k] - every[k] for k in fresh if fresh[k] - every[k]}
         first = False
-    return tuple(out)
-
-
-def _delta_join(lits: list[Lit], rows, index, first: bool):
-    """The bindings of lits that use a row of the last round: for each
-    literal j that has one, literal j reads the new rows, those before it
-    the older rows and those after it all rows. A rule with no positive
-    literal binds once, in the first round."""
-    if not lits and first:
-        yield {}
-    for j, lit in enumerate(lits):
-        if rows("new", (lit.pred, lit.ann)):
-            yield from _join(lits, ["old"] * j + ["new"]
-                             + ["all"] * (len(lits) - j - 1), rows, index, {})
-
-
-def _join(lits: list[Lit], versions: list[str], rows, index, s: dict):
-    """The extensions of s that match every literal in lits to a row of
-    its (pred, ann) source, in the matching version of rows; index caches
-    rows by their bound positions."""
-    if not lits:
-        yield s
-        return
-    lit = lits[0]
-    bound = tuple(i for i, t in enumerate(lit.terms)
-                  if isinstance(t, Cst) or t.name in s)
-    key = (versions[0], lit.pred, lit.ann, bound)
-    ix = index.get(key)
-    if ix is None:
-        ix = index[key] = {}
-        for args in sorted(rows(versions[0], (lit.pred, lit.ann))):
-            ix.setdefault(tuple(args[i] for i in bound), []).append(args)
-    for args in ix.get(tuple(_val(lit.terms[i], s) for i in bound), ()):
-        ext = dict(s)
-        if all(ext.setdefault(t.name, c) == c
-               for t, c in zip(lit.terms, args) if isinstance(t, Var)):
-            yield from _join(lits[1:], versions[1:], rows, index, ext)
-
-
-def _val(t, s) -> str:
-    return t.value if isinstance(t, Cst) else s[t.name]
 
 
 def _ground_rule(r: Rule, s: Mapping[str, str],
@@ -364,21 +331,19 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
             if not eval_builtin(item, s, classical=True):
                 return None
             continue
-        args = tuple(_val(t, s) for t in item.terms)
-        base = Atom(item.pred, args)
+        base = ground_atom(item, s)
         if item.ann in (TS, FS):
             is_fact = base in facts
             if item.ann == TS:
                 if is_fact:
                     continue
-                pos.append(_nick(item.pred, args, TA))
+                pos.append(_nick(base, TA))
             else:
                 if not is_fact:
                     continue
-                pos.append(_nick(item.pred, args, FA))
+                pos.append(_nick(base, FA))
         elif item.ann in (TA, FA):
-            (neg if item.neg else pos).append(_nick(item.pred, args,
-                                                    item.ann))
+            (neg if item.neg else pos).append(_nick(base, item.ann))
         else:  # plain / dom / aux / marker
             if item.pred.startswith("aux"):
                 (neg if item.neg else pos).append(base)
@@ -390,10 +355,8 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
             else:
                 if not holds:
                     return None
-    head = tuple(
-        _nick(h.pred, args, h.ann) if h.ann is not None else Atom(h.pred, args)
-        for h in r.head
-        for args in (tuple(_val(t, s) for t in h.terms),))
+    head = tuple(a if h.ann is None else _nick(a, h.ann)
+                 for h in r.head for a in (ground_atom(h, s),))
     return GroundRule(head, tuple(pos), tuple(neg))
 
 
@@ -483,7 +446,7 @@ def _extract_neighborhood(prog: LogicProgram,
     for a in prog.facts:
         if a.pred == "dom" or a.pred.startswith(INC_PREFIX):
             continue
-        if _nick(a.pred, a.args, FA) not in m:
+        if _nick(a, FA) not in m:
             atoms.add(a)
     for a in m:
         if a.pred.endswith("_") and a.args[-1] == TA:

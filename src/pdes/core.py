@@ -2,12 +2,15 @@
 
 Constants are plain strings; the single reserved token ``null`` plays the
 role of the SQL NULL. Atoms and instances are immutable values.
+`Instance.lookup`, an index per (predicate, bound positions), is the
+access path of the one body join, `nullsem.join`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 NULL = "null"
@@ -38,6 +41,7 @@ class Budget:
         self.used += n
 
 
+@cache  # every sort reads it, and int() raises on each word it is given
 def _const_sort_key(c: str):
     # numbers before words, numerically; null last for readability; the
     # text breaks ties such as 1 and 01, which int() reads alike
@@ -119,10 +123,13 @@ class Schema:
 
 @dataclass(frozen=True)
 class Instance:
+    """Atoms over a schema; its active domain and `lookup` indexes are
+    built once, on first use."""
+
     atoms: frozenset[Atom]
     schema: Schema
-    _by_pred: dict[str, tuple[Atom, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.atoms))
@@ -137,7 +144,7 @@ class Instance:
         inst = object.__new__(cls)
         object.__setattr__(inst, "atoms", atoms)
         object.__setattr__(inst, "schema", schema)
-        object.__setattr__(inst, "_by_pred", {})
+        object.__setattr__(inst, "_index", {})
         return inst
 
     def __contains__(self, a: Atom) -> bool:
@@ -152,17 +159,26 @@ class Instance:
     def with_atoms(self, extra: Iterable[Atom]) -> "Instance":
         return Instance(self.atoms | set(extra), self.schema)
 
-    def by_pred(self, pred: str) -> tuple[Atom, ...]:
-        """The atoms of pred, sorted; computed once per predicate."""
-        got = self._by_pred.get(pred)
-        if got is None:
-            got = self._by_pred[pred] = tuple(sorted(
-                (a for a in self.atoms if a.pred == pred), key=atom_sort_key))
-        return got
+    @cached_property
+    def domain(self) -> frozenset[str]:
+        return active_domain(self)
+
+    def lookup(self, pred: str, bound: tuple[int, ...] = (),
+               values: tuple[str, ...] = ()) -> list[Atom]:
+        """The atoms of pred whose arguments at the positions bound are
+        values, sorted; the index on bound is built on first use."""
+        ix = self._index.get((pred, bound))
+        if ix is None:
+            ix = self._index[pred, bound] = {}
+            for a in self.lookup(pred) if bound else sorted(
+                    (a for a in self.atoms if a.pred == pred),
+                    key=atom_sort_key):
+                ix.setdefault(tuple([a.args[i] for i in bound]), []).append(a)
+        return ix.get(values, [])
 
 
-def active_domain(d: Instance) -> set[str]:
-    return {c for a in d.atoms for c in a.args}
+def active_domain(d: Instance) -> frozenset[str]:
+    return frozenset(c for a in d.atoms for c in a.args)
 
 
 def restrict(d: Instance, preds: Iterable[str]) -> Instance:

@@ -1,9 +1,13 @@
 """Query evaluation and constraint checking under SQL-null semantics and
 under classical semantics (null as an ordinary constant).
 
-`extensions` is the one enumerator behind every quantifier: it joins
-atoms against an instance from a partial assignment and ranges the
-variables the join leaves unbound over a sorted universe.
+`join` is the one body join, looking each atom up by the values at its
+bound positions (`Instance.lookup`); `delta_join` is its semi-naive
+form. They serve the checks, the chase, the repair search, grounding
+(:mod:`pdes.asp`), the import fixpoint and query answers. `extensions`
+is the one enumerator behind every quantifier: it joins atoms against
+an instance from a partial assignment and ranges the variables the join
+leaves unbound over a sorted universe.
 `instantiations` is its use on a constraint's body (the ground
 instantiations), `holds_instantiation` its use on each head disjunct
 (the existential witnesses), and the chase's insert options
@@ -15,9 +19,10 @@ and builds the working universe only for an unanchored one, the one kind
 whose witness join leaves an existential variable unbound.
 
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
-Ramakrishnan, 1986): it yields only the instantiations with a body atom
-in the delta, each joined once from its first such atom, in the order
-of the full enumeration. This is sound wherever atoms are only added:
+Ramakrishnan, 1986) through `delta_join`: it yields only the
+instantiations with a body atom in the delta, each joined once from its
+first such atom, sorted into the order of the full enumeration. This is
+sound wherever atoms are only added:
 `holds_instantiation` is monotone under insertion (more atoms offer more
 witnesses over a larger universe; builtins and null tests read the
 assignment alone), so an instantiation that held still holds, and one
@@ -34,8 +39,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import (NULL, Atom, Instance, active_domain, atom_sort_key,
-                   const_leq)
+from .core import NULL, Atom, Instance, atom_sort_key, const_leq
 from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
                    relevant_vars)
 
@@ -82,45 +86,63 @@ def eval_builtin(b: Builtin, s: dict[str, str],
 
 def working_universe(d: Instance, *sigma: Constraint) -> list[str]:
     """The sorted active domain of d, null and the constraints' constants."""
-    u = active_domain(d) | {NULL}
+    u = {NULL}
     for c in sigma:
         for item in (*c.atoms(), *(b for e in c.head for b in e.builtins)):
             u |= {t.value for t in item.terms if isinstance(t, Cst)}
-    return sorted(u)
+    return sorted(d.domain | u)
 
 
 def ground_atom(a, s: dict[str, str]) -> Atom:
-    return Atom(a.pred, tuple(_term_value(t, s) for t in a.terms))
+    return Atom(a.pred, tuple([_term_value(t, s) for t in a.terms]))
 
 
-def join(d: Instance, atoms, s: dict[str, str]) -> list[dict[str, str]]:
-    """All extensions of assignment s matching every database atom in d.
-    An atom the assignment already grounds costs one lookup."""
-    frontier = [s]
+def join(d: Instance, atoms, *starts: dict[str, str]
+         ) -> list[dict[str, str]]:
+    """All extensions of the assignments starts, which bind the same
+    variables, matching every database atom in d: by start, then in the
+    order of d's sorted atoms. Each atom is looked up by the values the
+    assignment gives its bound positions; one it grounds costs one
+    membership test."""
+    frontier = list(starts)
     for a in atoms:
+        if not frontier:
+            break
         # every assignment in the frontier binds the same variables
-        if frontier and all(isinstance(t, Cst) or t.name in frontier[0]
-                            for t in a.terms):
+        bound = tuple([i for i, t in enumerate(a.terms)
+                       if isinstance(t, Cst) or t.name in frontier[0]])
+        if len(bound) == len(a.terms):
             frontier = [cur for cur in frontier if ground_atom(a, cur) in d]
             continue
-        facts = d.by_pred(a.pred)
+        free = [(i, a.terms[i].name) for i in range(len(a.terms))
+                if i not in bound]
         nxt = []
         for cur in frontier:
-            for fact in facts:
+            key = tuple([_term_value(a.terms[i], cur) for i in bound])
+            for fact in d.lookup(a.pred, bound, key):
                 ext = dict(cur)
-                ok = True
-                for t, v in zip(a.terms, fact.args):
-                    if isinstance(t, Cst):
-                        if t.value != v:
-                            ok = False
-                            break
-                    elif ext.setdefault(t.name, v) != v:
-                        ok = False
-                        break
-                if ok:
+                for i, v in free:
+                    if ext.setdefault(v, fact.args[i]) != fact.args[i]:
+                        break  # a repeated variable
+                else:
                     nxt.append(ext)
         frontier = nxt
     return frontier
+
+
+def delta_join(d: Instance, atoms, new: Instance
+               ) -> Iterator[dict[str, str]]:
+    """The extensions of the empty assignment matching every atom in d
+    with some atom in new, atoms of d, each once: joined from its first
+    atom in new (semi-naive evaluation)."""
+    if atoms and len(new) == len(d):  # new is all of d: one plain join
+        yield from join(d, atoms, {})
+        return
+    for i, a in enumerate(atoms):
+        starts = join(new, (a,), {})
+        for s in join(d, (*atoms[:i], *atoms[i + 1:]), *starts):
+            if not any(ground_atom(b, s) in new for b in atoms[:i]):
+                yield s
 
 
 def extensions(d: Instance | None, atoms, s: dict[str, str], free,
@@ -148,15 +170,12 @@ def instantiations(d: Instance, c: Constraint, universe: list[str],
     """Every assignment of c's universal variables whose body atoms are
     all in d: the extensions of the empty assignment by c's body over
     universe, which callers pass sorted. With delta, atoms of d, only
-    those with a body atom in delta, in the same order: each is joined
-    once, from its first body atom in delta."""
+    those with a body atom in delta, in the same order (`delta_join`,
+    sorted)."""
     if delta is None:
         return extensions(d, c.body, {}, c.univ_vars, universe)
     new = Instance._trusted(frozenset(delta), d.schema)
-    hits = sorted((s for i, a in enumerate(c.body)
-                   for start in join(new, (a,), {})
-                   for s in join(d, c.body, start)
-                   if not any(ground_atom(b, s) in new for b in c.body[:i])),
+    hits = sorted(delta_join(d, c.body, new),
                   key=lambda s: instantiation_key(c, s))
     return (full for s in hits
             for full in extensions(None, (), s, c.univ_vars, universe))

@@ -262,7 +262,7 @@ class _Search:
                 parent[a] = a = parent.get(parent[a], parent[a])
             return a
 
-        def join(atoms) -> None:
+        def union(atoms) -> None:
             root = find(atoms[0])
             for a in atoms[1:]:
                 parent[find(a)] = root
@@ -273,7 +273,7 @@ class _Search:
                 for option in head_options(c, s, self.universe, self.pool,
                                            self.classical):
                     atoms.extend(option)
-                join(atoms)
+                union(atoms)
         if len({find(a) for a in self.pool}) == 1:
             return [state]  # no violation to list
         violated = {find(ground_atom(c.body[0], s)) for c, s in viols}
@@ -284,7 +284,7 @@ class _Search:
         for group in groups.values():
             for a in group:
                 if NULL in a.args:  # only then below another atom
-                    join([a, *(b for b in group if info_leq(a.args, b.args))])
+                    union([a, *(b for b in group if info_leq(a.args, b.args))])
         members: dict[Atom, list[Atom]] = {}
         for a in hot:
             members.setdefault(find(a), []).append(a)

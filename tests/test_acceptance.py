@@ -484,6 +484,31 @@ def test_10_copy_chain_fits_a_small_cap():
     assert len(res.solutions) == 1 and len(res.core) == 160
 
 
+def test_10_fd_checks_read_facts_linearly(monkeypatch):
+    """The FD's second body atom has its key bound, so each check looks
+    up the facts under that key instead of scanning the predicate: the
+    facts read grow with the clean keys, not with their square."""
+    read = [0]
+    real = Instance.lookup
+
+    def counted(*args):
+        got = real(*args)
+        read[0] += len(got)
+        return got
+
+    monkeypatch.setattr(Instance, "lookup", counted)
+    counts = {}
+    for c in (250, 2000):
+        fam = families.conflicts(1, k=3, m=3, c=c)
+        defn = parse_definition(fam.text)
+        read[0] = 0
+        res = peer_consistent_answers(defn.system, "P1", defn.instance,
+                                      defn.queries["P1"])
+        assert {t for (t,) in res.answers} == fam.answers
+        counts[c] = read[0]
+    assert counts[2000] <= 8.8 * counts[250], counts
+
+
 # 11 --------------------------------------------------------------------
 
 _DEC_SHAPES = [
@@ -566,6 +591,23 @@ def test_11_programs_agree_with_direct_solver():
                 assert want == got, (trial, p)
     assert (compared, refused) == (34, 9)
     assert sw.elapsed < 300.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the chase bound misses the null witness that a "
+    "deletion reopens; solutions gives inc_P, the program R(b,null)"))
+def test_11_routes_agree_when_a_deletion_reopens_an_obligation():
+    defn = parse_definition(
+        "peer P : R/2\n"
+        "peer Q : S/2, T/2\n"
+        "trust P less Q\n"
+        "dec P Q : forall x,y : R(x,y), T(x,y) -> false\n"
+        "dec P Q : forall x,y : S(x,y) -> exists z : R(x,z)\n"
+        "instance P : R(b,c)\n"
+        "instance Q : S(b,a), T(b,c)\n")
+    sysm, inst = defn.system, defn.instance
+    assert solution_sets(solutions(sysm, "P", inst).solutions) == \
+        solution_sets(_asp_route(sysm, "P", inst).solutions)
 
 
 def test_11_import_routes_agree_on_random_systems():

@@ -106,6 +106,19 @@ class TestInstance:
         d = Instance({atom("R", "a", NULL)}, self.SCHEMA)
         assert active_domain(d) == {"a", NULL}
 
+    def test_lookup_buckets_are_sorted_slices_of_the_predicate(self):
+        s = Schema({"R": 2, "S": 1})
+        d = Instance({atom("R", a, b) for a in ("10", "9", "x", NULL)
+                      for b in ("b", "a", "2")} | {atom("S", "a")}, s)
+        rs = sorted((a for a in d.atoms if a.pred == "R"), key=atom_sort_key)
+        assert list(d.lookup("R")) == rs
+        for b in ("b", "a", "2", "c"):
+            assert list(d.lookup("R", (1,), (b,))) == [
+                a for a in rs if a.args[1] == b]
+        assert list(d.lookup("R", (0, 1), ("9", "2"))) == [
+            atom("R", "9", "2")]
+        assert list(d.lookup("T")) == []
+
     def test_restrict_drops_other_preds(self):
         s = Schema({"R": 2, "S": 1})
         d = Instance({atom("R", "a", "b"), atom("S", "a")}, s)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdes import core
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.lang import (Builtin, Cst, Var, n_rewrite_query, parse_constraint,
                        parse_query)
@@ -122,6 +123,23 @@ class TestConstraintSatisfaction:
                                        atom("T", "a", "b")]), c)
         assert not n_holds(inst({"T": 2}, [atom("T", "a", "c"),
                                            atom("T", "a", "b")]), c)
+
+    def test_unanchored_check_builds_the_active_domain_once(self,
+                                                            monkeypatch):
+        # y occurs in no atom, so each of the 400 instantiations reads the
+        # working universe; the instance builds its active domain once
+        c = parse_constraint("forall x : R(x) -> exists y : S(x), y > x")
+        d = inst({"R": 1, "S": 1}, [atom(p, str(i)) for i in range(400)
+                                    for p in ("R", "S")])
+        calls = []
+
+        def counted(arg, real=core.active_domain):
+            calls.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(core, "active_domain", counted)
+        assert not n_holds_direct(d, c)  # 399 has no greater value
+        assert len(calls) == 1 and calls[0] is d
 
     def test_denial_applies_to_null_tuples(self):
         c = parse_constraint("forall x,y : T(x,y), S(x,y) -> false")
