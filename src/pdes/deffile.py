@@ -9,20 +9,20 @@ Line-oriented, ``#`` starts a comment. Blocks:
     dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)
     query P1 : exists y,z : R1(x,y,z)
 
-``peer`` declares a peer and its predicates with arities; ``instance``
-lines accumulate; ``dec`` and ``query`` use the constraint grammar.
+Each line is read by `lang`'s one grammar. ``peer`` declares a peer and
+its predicates with arities (names are ASCII identifiers); ``instance``
+lines add atoms of constants; ``dec`` and ``query`` use the constraint
+grammar. A malformed line raises `ParseError` naming its number.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .core import Atom, Instance, Schema, SchemaError
-from .lang import Constraint, ParseError, Query, parse_constraint, parse_query
+from .lang import (Constraint, ParseError, Query, _constraint, _Cursor, _fact,
+                   _query)
 from .system import PdesInstance, PdesSchema
-
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -35,37 +35,9 @@ class Definition:
     queries: dict[str, Query] = field(default_factory=dict)
 
 
-def _fail(lineno: int, msg: str) -> ParseError:
-    return ParseError("line %d: %s" % (lineno, msg))
-
-
-def _split_top(text: str) -> list[str]:
-    """Split on commas outside parentheses."""
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur.strip())
-    return parts
-
-
-def _parse_atom(txt: str, lineno: int) -> Atom:
-    m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)$", txt)
-    if not m:
-        raise _fail(lineno, "malformed atom %r" % txt)
-    pred, inner = m.group(1), m.group(2)
-    args = tuple(a.strip() for a in inner.split(",")) if inner.strip() else ()
-    if any(not a for a in args):
-        raise _fail(lineno, "empty argument in %r" % txt)
-    return Atom(pred, args)
+def _name(s: str) -> bool:
+    """Whether s is a peer or predicate name: [A-Za-z_][A-Za-z0-9_]*."""
+    return s.isascii() and s.isidentifier()
 
 
 def parse_definition(text: str) -> Definition:
@@ -77,64 +49,63 @@ def parse_definition(text: str) -> Definition:
     preorder = "null"
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        keyword = line.split(None, 1)[0]
-        rest = line[len(keyword):].strip()
-        if keyword == "peer":
-            name, _, decl = rest.partition(":")
-            name = name.strip()
-            if not _NAME.match(name):
-                raise _fail(lineno, "bad peer name %r" % name)
-            if name in peers:
-                raise _fail(lineno, "peer %r declared twice" % name)
-            arities: dict[str, int] = {}
-            for item in _split_top(decl):
-                pred, slash, ar = item.partition("/")
-                pred = pred.strip()
-                if not slash or not _NAME.match(pred) or \
-                        not ar.strip().isdigit():
-                    raise _fail(lineno, "expected Pred/arity, got %r" % item)
-                if pred in arities:
-                    raise _fail(lineno, "predicate %r declared twice" % pred)
-                arities[pred] = int(ar)
-            peers[name] = arities
-            atoms.setdefault(name, set())
-        elif keyword == "trust":
-            parts = rest.split()
-            if len(parts) != 3 or parts[1] not in ("less", "same"):
-                raise _fail(lineno, "expected: trust P less|same Q")
-            trust.add((parts[0], parts[1], parts[2]))
-        elif keyword == "preorder":
-            if rest not in ("null", "delta"):
-                raise _fail(lineno, "preorder must be null or delta")
-            preorder = rest
-        elif keyword == "instance":
-            name, colon, body = rest.partition(":")
-            name = name.strip()
-            if not colon or name not in peers:
-                raise _fail(lineno, "instance for undeclared peer %r" % name)
-            for item in _split_top(body):
-                atoms[name].add(_parse_atom(item, lineno))
-        elif keyword == "dec":
-            try:
-                c = parse_constraint(line)
-            except ParseError as e:
-                raise _fail(lineno, str(e)) from e
-            if c.owner is None:
-                raise _fail(lineno, "constraint without peer pair")
-            sigma.setdefault(c.owner, []).append(c)
-        elif keyword == "query":
-            try:
-                q = parse_query(line)
-            except ParseError as e:
-                raise _fail(lineno, str(e)) from e
-            if q.peer is None or q.peer not in peers:
-                raise _fail(lineno, "query for undeclared peer")
-            queries[q.peer] = q
-        else:
-            raise _fail(lineno, "unknown keyword %r" % keyword)
+        try:
+            cur = _Cursor(line)
+            keyword = cur.peek()
+            if keyword not in ("dec", "query"):  # those rules read it
+                cur.next()
+            if keyword == "dec":
+                c = _constraint(cur)
+                sigma.setdefault(c.owner, []).append(c)
+            elif keyword == "query":
+                q = _query(cur)
+                if q.peer not in peers:
+                    raise ParseError("query for undeclared peer")
+                queries[q.peer] = q
+            elif keyword == "peer":
+                name = cur.word()
+                if not _name(name):
+                    raise ParseError("bad peer name %r" % name)
+                if name in peers:
+                    raise ParseError("peer %r declared twice" % name)
+                cur.expect(":")
+                arities: dict[str, int] = {}
+                for _ in cur.items():
+                    pred = cur.word()
+                    cur.expect("/")
+                    ar = cur.word()
+                    if not _name(pred) or not ar.isdigit():
+                        raise ParseError("expected Pred/arity, got %s/%s"
+                                         % (pred, ar))
+                    if pred in arities:
+                        raise ParseError("predicate %r declared twice" % pred)
+                    arities[pred] = int(ar)
+                peers[name] = arities
+                atoms[name] = set()
+            elif keyword == "trust":
+                p = cur.word()
+                if cur.peek() not in ("less", "same"):
+                    raise ParseError("expected: trust P less|same Q")
+                trust.add((p, cur.next(), cur.word()))
+            elif keyword == "preorder":
+                if cur.peek() not in ("null", "delta"):
+                    raise ParseError("preorder must be null or delta")
+                preorder = cur.next()
+            elif keyword == "instance":
+                name = cur.word()
+                if name not in peers:
+                    raise ParseError("instance for undeclared peer %r" % name)
+                cur.expect(":")
+                for _ in cur.items():
+                    atoms[name].add(_fact(cur))
+            else:
+                raise ParseError("unknown keyword %r" % keyword)
+            cur.end()
+        except ParseError as e:
+            raise ParseError("line %d: %s" % (lineno, e)) from e
 
     if not peers:
         raise ParseError("definition declares no peers")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
+from .core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
                    SchemaError)
 from .lang import Builtin, Constraint, Cst, PredAtom, Var, term_vars
 from .nullsem import eval_builtin, ground_atom, join
@@ -134,18 +134,11 @@ def least_model(program: DatalogProgram) -> Instance:
                     new.setdefault(rank, set()).add(a)
         if not new:
             return cur
-        cur = cur.with_atoms(new[min(new)])
+        # heads of constraints that PdesSchema checked against the schema
+        cur = Instance._trusted(cur.atoms | new[min(new)], cur.schema)
 
 
 # ------------------------------------------------------------- solving
-
-def _fixpoint(system: PdesSchema, p: str, dbar: Instance,
-              cap: int) -> RepairSet:
-    """The least model of p's import program over dbar, the one
-    solution."""
-    fix = least_model(import_program(system, p, dbar))
-    return RepairSet(fix.atoms, (), fix.schema, Budget(cap))
-
 
 def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
                        cap: int) -> RepairSet:
@@ -170,7 +163,8 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance,
         if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, flags[q]))
-    return _factored(system, p, d, _fixpoint, DEFAULT_CAP, {}).repairs[0]
+    return _factored(system, p, d, _fixpoint_repaired, DEFAULT_CAP,
+                     {}).repairs[0]
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,

@@ -1,6 +1,11 @@
 """AST, parser and static analysis for data exchange constraints and
 conjunctive queries, including relevant-variable computation and the
-null-aware rewriting of constraints and queries."""
+null-aware rewriting of constraints and queries.
+
+One grammar reads every definition-file line and --query: a token is a
+mark of `_PUNCT` or a word of letters, digits and _ . ' -; every name,
+variable and constant is a word; an atom is P(w1,...,wn) with n >= 0;
+lists are comma-separated, with no trailing comma."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .core import NULL, reach
+from .core import NULL, Atom, reach
 
 
 class ParseError(ValueError):
@@ -241,36 +246,45 @@ def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
 
 # ----------------------------------------------------------------- parser
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<punct><=|>=|!=|->|[(),:=<>])|(?P<word>[A-Za-z0-9_.'-]+))")
+_BUILTIN_WORDS = ("false", "isnull", "isnotnull")
+_PUNCT = frozenset("<= >= != -> ( ) , : = < > /".split())
+_TOKEN = "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True))) \
+    + r"|[A-Za-z0-9_.'-]+"
+_TOKEN_RE = re.compile(_TOKEN)
+_TOKEN_RUN_RE = re.compile(r"(?:\s*(?:%s))*\s*" % _TOKEN)
 
 
-def _tokenize(text: str, where: str = "") -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError("bad character at column %d%s: %r"
-                             % (pos + 1, where, text[pos]))
-        out.append(m.group("punct") or m.group("word"))
-        pos = m.end()
-    return out
+def _tokenize(text: str, where: str) -> list[str]:
+    end = _TOKEN_RUN_RE.match(text).end()
+    if end < len(text):
+        raise ParseError("bad character at column %d%s: %r"
+                         % (end + 1, where, text[end]))
+    return _TOKEN_RE.findall(text)
 
 
 class _Cursor:
-    def __init__(self, toks: list[str], where: str = ""):
-        self.toks = toks
+    """The tokens of one text, read in order; errors quote the text."""
+
+    def __init__(self, text: str):
+        text = text.strip()
+        self.where = " in %r" % text
+        self.toks = _tokenize(text, self.where) + [None]  # None marks the end
         self.i = 0
-        self.where = where
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def next(self):
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of input" + self.where)
         t = self.toks[self.i]
+        if t is None:
+            raise ParseError("unexpected end of input" + self.where)
         self.i += 1
+        return t
+
+    def word(self) -> str:
+        t = self.next()
+        if t in _PUNCT:
+            raise ParseError("expected a word, found %r%s" % (t, self.where))
         return t
 
     def expect(self, tok: str):
@@ -279,22 +293,47 @@ class _Cursor:
             raise ParseError("expected %r, found %r%s" % (tok, t, self.where))
 
     def done(self) -> bool:
-        return self.i >= len(self.toks)
+        return self.toks[self.i] is None
+
+    def end(self):
+        if not self.done():
+            raise ParseError("trailing input %r%s" % (self.peek(), self.where))
+
+    def items(self, close: str | None = None):
+        """Yield before each item of the comma-separated list that runs up
+        to the token close (None: the end), possibly empty; the caller
+        reads the item."""
+        if self.peek() != close:
+            yield
+            while self.peek() != close:
+                self.expect(",")
+                yield
+
+
+def _atom_args(cur: _Cursor) -> list[str]:
+    """The atom rule after the predicate word: `( [word {, word}] )`."""
+    cur.expect("(")
+    args = [cur.word() for _ in cur.items(")")]
+    cur.expect(")")
+    return args
+
+
+def _fact(cur: _Cursor) -> Atom:
+    """A database atom whose arguments are all constants."""
+    pred = cur.word()
+    if pred in _BUILTIN_WORDS:
+        raise ParseError("expected a fact, found %r%s" % (pred, cur.where))
+    return Atom(pred, tuple(_atom_args(cur)))
 
 
 def _varlist(cur: _Cursor) -> tuple[str, ...]:
-    out = [cur.next()]
-    while cur.peek() == ",":
-        cur.next()
-        out.append(cur.next())
+    out = [cur.word() for _ in cur.items(":")]
+    if not out:
+        raise ParseError("expected a variable%s" % cur.where)
     for v in out:
         if out.count(v) > 1:
             raise ParseError("variable %r declared twice%s" % (v, cur.where))
     return tuple(out)
-
-
-def _mk_term(tok: str, variables: set[str]) -> Term:
-    return Var(tok) if tok in variables else Cst(tok)
 
 
 def _parse_atomic(cur: _Cursor, variables: set[str], body_mode: bool,
@@ -303,35 +342,28 @@ def _parse_atomic(cur: _Cursor, variables: set[str], body_mode: bool,
     implicitly universal variables (collected into `implicit`)."""
 
     def term(tok: str) -> Term:
-        if body_mode and tok not in variables and not tok[0].isdigit() \
-                and re.match(r"[a-z]", tok) and tok != NULL:
+        if body_mode and tok not in variables and "a" <= tok[0] <= "z" \
+                and tok != NULL:
             variables.add(tok)
             if implicit is not None and tok not in implicit:
                 implicit.append(tok)
-        return _mk_term(tok, variables)
+        return Var(tok) if tok in variables else Cst(tok)
 
-    tok = cur.next()
+    tok = cur.word()
     if tok == "false":
         return Builtin("false")
-    if tok in ("isnull", "isnotnull"):
-        cur.expect("(")
-        t = term(cur.next())
-        cur.expect(")")
-        return Builtin(tok, (t,))
-    if cur.peek() == "(":  # database atom
-        cur.next()
-        terms = [term(cur.next())]
-        while cur.peek() == ",":
-            cur.next()
-            terms.append(term(cur.next()))
-        cur.expect(")")
-        return PredAtom(tok, tuple(terms))
+    if tok in _BUILTIN_WORDS or cur.peek() == "(":  # isnull(t) or an atom
+        terms = tuple(map(term, _atom_args(cur)))
+        if tok not in _BUILTIN_WORDS:
+            return PredAtom(tok, terms)
+        if len(terms) != 1:
+            raise ParseError("%s takes one term%s" % (tok, cur.where))
+        return Builtin(tok, terms)
     op = cur.next()
     if op not in TEXT_OP:
         raise ParseError("expected comparison operator, found %r%s"
                          % (op, cur.where))
-    rhs = cur.next()
-    return Builtin(TEXT_OP[op], (term(tok), term(rhs)))
+    return Builtin(TEXT_OP[op], (term(tok), term(cur.word())))
 
 
 def _parse_conjunction(cur: _Cursor, variables: set[str], body_mode: bool,
@@ -351,12 +383,14 @@ def _parse_conjunction(cur: _Cursor, variables: set[str], body_mode: bool,
 
 def parse_constraint(text: str, owner: tuple[str, str] | None = None) -> Constraint:
     """Parse `[dec P Q :] forall vars : atoms -> disjunct { or disjunct }`."""
-    where = " in %r" % text.strip()
-    cur = _Cursor(_tokenize(text.strip(), where), where)
+    return _constraint(_Cursor(text), owner)
+
+
+def _constraint(cur: _Cursor,
+                owner: tuple[str, str] | None = None) -> Constraint:
     if cur.peek() == "dec":
         cur.next()
-        p, q = cur.next(), cur.next()
-        owner = (p, q)
+        owner = (cur.word(), cur.word())
         cur.expect(":")
     cur.expect("forall")
     univ = list(_varlist(cur))
@@ -365,7 +399,8 @@ def parse_constraint(text: str, owner: tuple[str, str] | None = None) -> Constra
     implicit: list[str] = []
     body_atoms, body_builtins = _parse_conjunction(cur, variables, True, implicit)
     if body_builtins:
-        raise ParseError("builtins are not allowed in the antecedent" + where)
+        raise ParseError("builtins are not allowed in the antecedent"
+                         + cur.where)
     univ += implicit
     cur.expect("->")
     head: list[Disjunct] = []
@@ -378,7 +413,7 @@ def parse_constraint(text: str, owner: tuple[str, str] | None = None) -> Constra
             clash = set(evars) & variables
             if clash:
                 raise ParseError("existential variables %s already in scope%s"
-                                 % (sorted(clash), where))
+                                 % (sorted(clash), cur.where))
         local_vars = variables | set(evars)
         atoms, builtins = _parse_conjunction(cur, local_vars, False)
         head.append(Disjunct(evars, atoms, builtins))
@@ -386,8 +421,7 @@ def parse_constraint(text: str, owner: tuple[str, str] | None = None) -> Constra
             cur.next()
             continue
         break
-    if not cur.done():
-        raise ParseError("trailing input %r%s" % (cur.peek(), where))
+    cur.end()
     c = Constraint(tuple(univ), body_atoms, tuple(head), owner)
     validate_constraint(c)
     return c
@@ -420,11 +454,13 @@ def validate_constraint(c: Constraint) -> None:
 def parse_query(text: str, peer: str | None = None) -> Query:
     """Parse `[query P :] [exists vars :] atoms`; free variables are the
     undeclared ones, in first-appearance order."""
-    where = " in %r" % text.strip()
-    cur = _Cursor(_tokenize(text.strip(), where), where)
+    return _query(_Cursor(text), peer)
+
+
+def _query(cur: _Cursor, peer: str | None = None) -> Query:
     if cur.peek() == "query":
         cur.next()
-        peer = cur.next()
+        peer = cur.word()
         cur.expect(":")
     evars: tuple[str, ...] = ()
     if cur.peek() == "exists":
@@ -435,8 +471,6 @@ def parse_query(text: str, peer: str | None = None) -> Query:
     implicit: list[str] = []
     atoms, builtins = _parse_conjunction(cur, variables, True, implicit,
                                          stop=())
-    if not cur.done():
-        raise ParseError("trailing input %r%s" % (cur.peek(), where))
     q = Query(tuple(implicit), evars, atoms, builtins, peer)
     validate_query(q)
     return q

@@ -29,7 +29,8 @@ from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import FIXTURES, GOLDEN, HERE, fixture_path, load
+from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
+                      load)
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -610,6 +611,31 @@ def test_11_routes_agree_when_a_deletion_reopens_an_obligation():
         solution_sets(_asp_route(sysm, "P", inst).solutions)
 
 
+ARITY_0 = """\
+peer P : F/0
+peer Q : S/1
+trust P less Q
+dec P Q : forall x : S(x) -> F()
+instance Q : S(a)
+query P : F()
+"""
+
+
+def test_11_an_arity_0_atom_takes_every_route(tmp_path, capsys):
+    defn = parse_definition(ARITY_0)
+    sysm, inst, q = defn.system, defn.instance, defn.queries["P"]
+    want = {frozenset({"F()"})}
+    assert solution_sets(solutions(sysm, "P", inst).solutions) == want
+    assert solution_sets([import_solve(sysm, "P", inst)]) == want
+    assert solution_sets(_asp_route(sysm, "P", inst).solutions) == want
+    assert peer_consistent_answers(sysm, "P", inst, q).answers == {()}
+    assert pca_via_asp(sysm, "P", inst, q).answers == {()}
+    path = tmp_path / "arity0.pdes"
+    path.write_text(ARITY_0, encoding="utf-8")
+    assert main(["pca", str(path), "--peer", "P"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_11_import_routes_agree_on_random_systems():
     # the random systems of test_11: wherever every peer a peer reaches is
     # of the import kind, the import routes give the general solutions
@@ -693,9 +719,8 @@ def test_14_cli_output_is_byte_identical_across_runs(golden, args):
         {"PYTHONHASHSEED": "2", "OMP_NUM_THREADS": "4"},
     ]
     for env_extra in settings:
-        env = dict(os.environ, **env_extra)
         res = subprocess.run([sys.executable, "-m", "pdes.cli"] + args,
-                             capture_output=True, env=env)
+                             capture_output=True, env=child_env(**env_extra))
         assert res.returncode == 0, res.stderr
         assert res.stdout == expected, env_extra
 

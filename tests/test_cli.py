@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from pdes.cli import _build_parser, main
 from pdes.core import SchemaError
 
-from conftest import FIXTURES, GOLDEN, HERE, fixture_path, load
+from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
+                      load)
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -46,11 +47,9 @@ GOLDEN_CASES = [
 def run_cli(args, env_extra=None):
     args = [a if a.endswith(".pdes") is False else fixture_path(a)
             for a in args]
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "pdes.cli"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=child_env(**(env_extra or {})))
 
 
 def run_inprocess(args, capsys):
@@ -141,6 +140,15 @@ class TestExitCodes:
         res = run_cli(["check", str(bad)])
         assert res.returncode == 2
         assert "parse error" in res.stderr
+
+    def test_malformed_atom_is_a_parse_error_naming_its_line(self, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "bad.pdes"
+        bad.write_text("peer P1 : R/2\ninstance P1 : R(a b, c)\n")
+        code = main(["check", str(bad)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: line 2: ")
 
     def test_missing_file(self):
         res = run_cli(["check", "/no/such/file.pdes"])
@@ -378,7 +386,7 @@ def test_cli_imports_only_the_standard_library():
     code = ("import sys; before = set(sys.modules); import pdes.cli; "
             "print(*sorted(set(sys.modules) - before))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=child_env())
     added = res.stdout.split()
     foreign = [m for m in added if m.split(".")[0] != "pdes"
                and m.split(".")[0] not in sys.stdlib_module_names]
@@ -417,7 +425,8 @@ FUZZ_COMMANDS = (["check"], ["pca"], ["solutions"], ["chase"],
                  ["import-solve"], ["asp", "solve"])
 FUZZ_TOKENS = ("", "\n", " ", ",", ":", "(", ")", "->", "|", "=", "!=",
                "#", "x", "y", "null", "exists x :", "forall x :", "P1", "P9",
-               "R1", "less", "same", "peer", "dec", "instance", "/0", "/9")
+               "R1", "less", "same", "peer", "dec", "instance", "/0", "/9",
+               "/", "()", "a b")
 
 FIXTURE_TEXTS = [open(fixture_path(n), encoding="utf-8").read()
                  for n in sorted(os.listdir(FIXTURES))]

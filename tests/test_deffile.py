@@ -86,3 +86,46 @@ class TestErrors:
                 "trust P less Q\ntrust Q less P\n"
                 "dec P Q : forall x : S(x) -> R(x)\n"
                 "dec Q P : forall x : R(x) -> S(x)\n")
+
+    # A lax grammar would read each line below as something else: a
+    # constant ':', ')', '->', '(', 'a b', 'a=b' or '"q"', a variable ',',
+    # or a list with its trailing comma dropped.
+    @pytest.mark.parametrize("line", [
+        "query P : R(:)",
+        "query P : R(a,->)",
+        "query P : R(x), x = (",
+        "dec P P : forall x : R(x) -> R())",
+        "dec P P : forall x,, : R(x) -> R(x)",
+        "dec P P : forall ( : R(x) -> R(x)",
+        "instance P : R(a b)",
+        "instance P : R(a=b)",
+        'instance P : R("q")',
+        "peer P2 : S/1,",
+        "instance P : R(a),",
+    ])
+    def test_malformed_line_is_refused_with_its_number(self, line):
+        assert self.error("peer P : R/1\n%s\n" % line).startswith("line 2: ")
+
+    def test_builtin_in_an_instance_is_refused(self):
+        assert self.error("peer P : isnull/1\ninstance P : isnull(a)\n") \
+            .startswith("line 2: expected a fact, found 'isnull'")
+
+
+class TestArity0:
+    TEXT = ("peer P : F/0, G/0\n"
+            "peer Q : S/1\n"
+            "trust P less Q\n"
+            "dec P Q : forall x : S(x) -> F()\n"
+            "instance P : G()\n"
+            "query P : F(), G()\n")
+
+    def test_atoms_without_arguments_in_every_line_kind(self):
+        d = parse_definition(self.TEXT)
+        assert d.instance.of("P").atoms == {atom("G")}
+        (c,) = d.system.sigma[("P", "Q")]
+        assert str(c) == "forall x: S(x) -> F()"
+        assert str(d.queries["P"]) == "F(), G()"
+
+    def test_peer_with_no_predicates(self):
+        d = parse_definition("peer P :\n")
+        assert d.system.schemas["P"].arities == {}

@@ -85,6 +85,18 @@ class TestParseConstraint:
         with pytest.raises(ParseError, match="variable 'y' declared twice"):
             parse_constraint("forall x : R(x) -> exists y,y : S(x,y)")
 
+    def test_arity_0_atom(self):
+        c = parse_constraint("forall x : S(x) -> F()")
+        assert c.head[0].atoms == (PredAtom("F", ()),)
+        assert str(c) == "forall x: S(x) -> F()"
+
+    @pytest.mark.parametrize("text", [
+        "forall x : R(x) -> isnull()", "forall x : R(x) -> isnull(x,x)",
+        "forall x : R(x) -> isnull = x", "forall x : R(x) -> S(x/)"])
+    def test_malformed_builtin_or_term_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_constraint(text)
+
 
 class TestParseQuery:
     def test_free_and_existential_vars(self):

@@ -1,6 +1,5 @@
 """Peer systems: neighborhoods, recursive solutions, consistent answers."""
 
-import os
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ from pdes.system import (PdesInstance, PdesSchema, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import load
+from conftest import child_env, load
 
 
 def atoms_of(inst: Instance) -> set[str]:
@@ -224,7 +223,7 @@ def test_library_order_is_the_same_under_any_hash_seed(tmp_path):
     outs = {subprocess.run(
         [sys.executable, "-c", _ORDERS, str(path)], capture_output=True,
         text=True, check=True,
-        env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        env=child_env(PYTHONHASHSEED=seed)).stdout
         for seed in ("1", "2", "3")}
     assert len(outs) == 1
     assert outs.pop().count("R1(k4,g)") == 2 * 2 ** 5
