@@ -14,10 +14,19 @@ Grounding partially evaluates the fixed part: plain atoms and the
 atoms derived so far, so only rules that can fire are grounded. Both are
 kept as one instance, read through the semi-naive body join
 (`nullsem.delta_join`) that also serves the checks, the chase, the
-repair search and the import fixpoint. Stable models are found by a
-backtracking search over that decision layer, each checked by a search
-for a smaller model of its reduct. The candidate cap bounds both, and
-the grounding products of variables no body atom binds.
+repair search and the import fixpoint.
+
+Stable models are found per component. The ground program splits into
+atom sets that no rule links; its stable models are the products of
+theirs (the splitting-set theorem; Lifschitz & Turner, ICLP 1994). Each
+component is searched alone by backtracking over its head atoms, and a
+branch ends once a true atom has no rule left that can support it: in
+a stable model every true atom is the one true head atom of a rule
+whose body holds (Gebser, Kaufmann & Schaub, IJCAI 2007). Each
+supported model the search reaches is checked by a search for a smaller
+model of the component's reduct. The candidate cap bounds the searches,
+the product, and the grounding products of variables no body atom
+binds.
 
 The ``!= null`` guards encode the null semantics, so only systems under
 the null-based preorder get a program. ``asp_solutions`` reads each
@@ -33,6 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
@@ -364,48 +374,118 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
 
 def stable_models(rules: Iterable[GroundRule],
                   cap: int = DEFAULT_CAP) -> tuple[frozenset[Atom], ...]:
-    """The stable models, in search order (unsorted). A backtracking
-    search decides the head atoms in sorted order (an atom in no head is
-    false in every stable model) and checks each rule once all its atoms
-    are decided. Each model of the program it reaches is kept when no
-    smaller model of its reduct lies inside it. Every search node, here
-    and in those minimality checks, is charged to cap."""
+    """The stable models: each component's models in search order, the
+    components taken by their least atom and multiplied out.
+
+    Split. An atom is live when some rule whose positive atoms are all
+    live has it in its head (the least such set); every stable model
+    lies inside it, so a rule with a dead positive atom never fires and
+    a dead negated atom is always false. Atoms that share a live rule
+    are joined into components. Components share no atom, so the reduct
+    by a model, its models and its minimal models all split by component
+    (the splitting-set theorem; Lifschitz & Turner, ICLP 1994): the
+    stable models are the products of the components' stable models.
+
+    Support. In a stable model M every true atom a is the only true head
+    atom of some rule whose body holds in M; else M minus a would still
+    be a model of the reduct. Each component's search decides its atoms
+    in sorted order and drops an assignment once a rule with all its
+    atoms decided is broken, or once a true atom has no rule left that
+    can support it (Gebser, Kaufmann & Schaub, IJCAI 2007). A leaf is
+    thus a supported model, kept when no smaller model of the
+    component's reduct lies inside it. Every search node, here and in
+    those minimality checks, and every model of the product is charged
+    to cap."""
     rules = tuple(rules)
+    live: set[Atom] = set()
+    size = -1
+    while size < len(live):
+        size = len(live)
+        live.update(a for r in rules if live.issuperset(r.pos)
+                    for a in r.head)
+    prog = [GroundRule(r.head, r.pos, tuple(a for a in r.neg if a in live))
+            for r in rules if live.issuperset(r.pos)]
+    if not all(r.head or r.pos or r.neg for r in prog):
+        return ()  # a constraint whose body always holds
+    root = {a: a for a in live}
+
+    def find(a: Atom) -> Atom:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for r in prog:
+        first, *rest = (*r.head, *r.pos, *r.neg)
+        for a in rest:  # each root the least atom of its component
+            x, y = sorted((find(a), find(first)))
+            root[y] = x
+    comps: dict[Atom, list[GroundRule]] = defaultdict(list)
+    for r in prog:
+        comps[find((*r.head, *r.pos, *r.neg)[0])].append(r)
+    budget = Budget(cap)
+    parts = [_component_models(rs, budget) for _, rs in sorted(comps.items())]
+    budget.charge(prod(map(len, parts)))
+    return tuple(frozenset().union(*ms) for ms in product(*parts))
+
+
+def _component_models(rules: list[GroundRule],
+                      budget: Budget) -> list[frozenset[Atom]]:
+    """The stable models of one component, every atom of which is in a
+    head of its rules, by the supported search of `stable_models`."""
     atoms = sorted({a for r in rules for a in r.head})
     at = {a: i for i, a in enumerate(atoms)}
+    n = len(atoms)
     # checks[d]: the rules, as atom indices, decided once d atoms are
-    checks: list[list] = [[] for _ in range(len(atoms) + 1)]
+    checks: list[list] = [[] for _ in range(n + 1)]
+    # support[i]: the rules with atom i in their head
+    support: list[list] = [[] for _ in range(n)]
+    # recheck[v][i]: the atoms below i whose support may end when i is v
+    recheck: list[list] = [[set() for _ in range(n)] for _ in (False, True)]
     for r in rules:
-        if all(a in at for a in r.pos):
-            lits = ([at[a] for a in r.pos], [at[a] for a in r.neg if a in at],
-                    [at[a] for a in r.head])
-            checks[max(max(ix, default=-1) for ix in lits) + 1].append(lits)
-    budget = Budget(cap)
-    val = [False] * len(atoms)
+        pos, neg, head = ([at[a] for a in r.pos], [at[a] for a in r.neg],
+                          [at[a] for a in r.head])
+        lits = (pos, neg, head)
+        checks[max(pos + neg + head) + 1].append(lits)
+        for h in head:
+            support[h].append(lits)
+        for v, enders in ((False, pos), (True, neg + head)):
+            for i in enders:
+                recheck[v][i].update(h for h in head if h < i)
+    recheck = [[sorted(hs) for hs in row] for row in recheck]
+    val = [False] * n
 
-    def broken(d: int) -> bool:
-        return any(all(val[i] for i in pos) and not any(val[i] for i in neg)
-                   and not any(val[i] for i in head)
-                   for pos, neg, head in checks[d])
+    def holds(d: int) -> bool:
+        # atoms below d are decided; the last of them was just set
+        i = d - 1
+        if any(all(val[j] for j in pos) and not any(val[j] for j in neg)
+               and not any(val[j] for j in head)
+               for pos, neg, head in checks[d]):
+            return False
+        return all(not val[a] or any(
+            all(j >= d or val[j] for j in pos)
+            and not any(j < d and val[j] for j in neg)
+            and not any(j != a and j < d and val[j] for j in head)
+            for pos, neg, head in support[a])
+            for a in ([i] if val[i] else []) + recheck[val[i]][i])
 
     models: list[frozenset[Atom]] = []
     # (atoms decided, value of the last one), pushed only when consistent
-    stack = [] if broken(0) else [(0, False)]
+    stack = [(0, False)]
     while stack:
         d, v = stack.pop()
         budget.charge()
         if d:
             val[d - 1] = v
-        if d == len(atoms):
+        if d == n:
             m = frozenset(a for a, x in zip(atoms, val) if x)
             if not _has_smaller_model(rules, m, budget):
                 models.append(m)
             continue
         for v in (True, False):
             val[d] = v
-            if not broken(d + 1):
+            if holds(d + 1):
                 stack.append((d + 1, v))
-    return tuple(models)
+    return models
 
 
 def _has_smaller_model(rules: tuple[GroundRule, ...], m: frozenset[Atom],

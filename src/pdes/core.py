@@ -156,12 +156,15 @@ class Instance:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def with_atoms(self, extra: Iterable[Atom]) -> "Instance":
-        return Instance(self.atoms | set(extra), self.schema)
-
     @cached_property
     def domain(self) -> frozenset[str]:
         return active_domain(self)
+
+    @cached_property
+    def universes(self) -> dict:
+        """The working universes that checks over it build, by constant
+        set (`nullsem.working_universe`)."""
+        return {}
 
     def lookup(self, pred: str, bound: tuple[int, ...] = (),
                values: tuple[str, ...] = ()) -> list[Atom]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Atom, Instance, Schema, SchemaError
-from .lang import (Constraint, ParseError, Query, _constraint, _Cursor, _fact,
-                   _query)
+from .lang import (_BUILTIN_WORDS, Constraint, ParseError, Query, _constraint,
+                   _Cursor, _fact, _query)
 from .system import PdesInstance, PdesSchema
 
 
@@ -41,7 +41,7 @@ def _name(s: str) -> bool:
 
 
 def parse_definition(text: str) -> Definition:
-    peers: dict[str, dict[str, int]] = {}
+    peers: dict[str, Schema] = {}
     trust: set[tuple[str, str, str]] = set()
     sigma: dict[tuple[str, str], list[Constraint]] = {}
     atoms: dict[str, set[Atom]] = {}
@@ -80,10 +80,13 @@ def parse_definition(text: str) -> Definition:
                     if not _name(pred) or not ar.isdigit():
                         raise ParseError("expected Pred/arity, got %s/%s"
                                          % (pred, ar))
+                    if pred in _BUILTIN_WORDS:
+                        raise ParseError("%r is a builtin, not a predicate"
+                                         % pred)
                     if pred in arities:
                         raise ParseError("predicate %r declared twice" % pred)
                     arities[pred] = int(ar)
-                peers[name] = arities
+                peers[name] = Schema(arities)
                 atoms[name] = set()
             elif keyword == "trust":
                 p = cur.word()
@@ -100,27 +103,26 @@ def parse_definition(text: str) -> Definition:
                     raise ParseError("instance for undeclared peer %r" % name)
                 cur.expect(":")
                 for _ in cur.items():
-                    atoms[name].add(_fact(cur))
+                    a = _fact(cur)
+                    peers[name].check(a.pred, len(a.args), a)
+                    atoms[name].add(a)
             else:
                 raise ParseError("unknown keyword %r" % keyword)
             cur.end()
-        except ParseError as e:
+        except (ParseError, SchemaError) as e:
             raise ParseError("line %d: %s" % (lineno, e)) from e
 
     if not peers:
         raise ParseError("definition declares no peers")
     system = PdesSchema(
         peers=frozenset(peers),
-        schemas={p: Schema(ar) for p, ar in peers.items()},
+        schemas=peers,
         sigma={pq: tuple(cs) for pq, cs in sigma.items()},
         trust=frozenset(trust),
         preorder=preorder)
-    data = {}
-    for p, ar in peers.items():
-        try:
-            data[p] = Instance(atoms[p], system.schemas[p])
-        except SchemaError as e:
-            raise ParseError("instance of %r: %s" % (p, e)) from e
+    # each atom was checked against its peer's schema on its line
+    data = {p: Instance._trusted(frozenset(atoms[p]), s)
+            for p, s in peers.items()}
     return Definition(system, PdesInstance(system, data), queries)
 
 

@@ -118,6 +118,13 @@ class Constraint:
         return all(any(Var(v) in a.terms for a in d.atoms)
                    for d in self.head for v in d.exist_vars)
 
+    @cached_property
+    def constants(self) -> frozenset[str]:
+        """The constants of its atoms and of its head builtins."""
+        return frozenset(t.value for item in (
+            *self.atoms(), *(b for d in self.head for b in d.builtins))
+            for t in item.terms if isinstance(t, Cst))
+
     def atoms(self) -> tuple[PredAtom, ...]:
         """The database atoms of the body, then of each head disjunct."""
         return self.body + tuple(a for d in self.head for a in d.atoms)

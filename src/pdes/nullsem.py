@@ -86,11 +86,16 @@ def eval_builtin(b: Builtin, s: dict[str, str],
 
 def working_universe(d: Instance, *sigma: Constraint) -> list[str]:
     """The sorted active domain of d, null and the constraints' constants."""
-    u = {NULL}
-    for c in sigma:
-        for item in (*c.atoms(), *(b for e in c.head for b in e.builtins)):
-            u |= {t.value for t in item.terms if isinstance(t, Cst)}
-    return sorted(d.domain | u)
+    return sorted(d.domain.union({NULL}, *(c.constants for c in sigma)))
+
+
+def _universe(d: Instance, c: Constraint) -> list[str]:
+    """`working_universe(d, c)`, built once per instance and constant
+    set: a check of an unanchored c reads it per instantiation."""
+    u = d.universes.get(c.constants)
+    if u is None:
+        u = d.universes[c.constants] = working_universe(d, c)
+    return u
 
 
 def ground_atom(a, s: dict[str, str]) -> Atom:
@@ -192,7 +197,7 @@ def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
     rel = frozenset() if classical else c.relevant
     if any(s[v] == NULL for v in c.univ_vars if v in rel):
         return True
-    universe = [] if c.anchored else working_universe(d, c)
+    universe = [] if c.anchored else _universe(d, c)
     for disj in c.head:
         for full in extensions(d, disj.atoms, s, disj.exist_vars, universe):
             if all(full[v] != NULL for v in disj.exist_vars if v in rel) \
@@ -242,7 +247,7 @@ def classical_answers(d: Instance, q: Query, matches: Matches | None = None
 
 def _holds(d: Instance, c: Constraint, classical: bool) -> bool:
     return all(holds_instantiation(d, c, s, classical)
-               for s in instantiations(d, c, working_universe(d, c)))
+               for s in instantiations(d, c, _universe(d, c)))
 
 
 def n_holds(d: Instance, c: Constraint) -> bool:

@@ -868,8 +868,9 @@ def test_15_one_more_conflict_key_doubles_the_solutions():
     defn = parse_definition(fam.text)
     sysm, d = defn.system, defn.instance
     extra = {atom("R1", "knew", v) for v in ("vnew0", "vnew1")}
-    grown = PdesInstance(sysm, {**d.data, "P1": d.of("P1").with_atoms(
-        extra)})
+    p1 = d.of("P1")
+    grown = PdesInstance(sysm, {**d.data,
+                                "P1": Instance(p1.atoms | extra, p1.schema)})
     q = defn.queries["P1"]
     before = peer_consistent_answers(sysm, "P1", d, q).answers
     after = peer_consistent_answers(sysm, "P1", grown, q).answers

@@ -15,8 +15,8 @@ from pdes.asp import (TA, GroundRule, _ground_rule, asp_parts, asp_solutions,
                       build_solution_program, emit_text, extract_instance,
                       ground, pca_via_asp, stable_models)
 from pdes.cli import main
-from pdes.core import (DEFAULT_CAP, NULL, Atom, CapExceeded, Instance,
-                       Schema, SchemaError, atom, atom_sort_key)
+from pdes.core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded,
+                       Instance, Schema, SchemaError, atom, atom_sort_key)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
 from pdes.lang import Cst, parse_constraint, parse_query, term_vars
@@ -321,6 +321,74 @@ class TestAgainstReferencePipeline:
         got = stable_models(rules)
         assert len(set(got)) == len(got)
         assert set(got) == reference_stable_models(rules)
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_programs_over_disjoint_pools(self, data):
+        # each rule reads one pool only, so the program splits into at
+        # least as many components as pools that its rules touch
+        rules = []
+        for j in range(data.draw(st.integers(2, 3), label="pools")):
+            pool = [atom("p%d" % j, str(i)) for i in
+                    range(data.draw(st.integers(1, 4), label="atoms"))]
+            part = st.lists(st.sampled_from(pool), max_size=3, unique=True)
+            rules += data.draw(st.lists(st.builds(
+                lambda h, p, n: GroundRule(tuple(h), tuple(p), tuple(n)),
+                part, part, part), max_size=5), label="rules")
+        rules = data.draw(st.permutations(rules), label="order")
+        got = stable_models(rules)
+        assert len(set(got)) == len(got)
+        assert set(got) == reference_stable_models(rules)
+
+
+def _conflict_rules(k):
+    fam = families.conflicts(1, k=k, m=2, c=0)
+    defn = parse_definition(fam.text)
+    dbar = core_instance(defn.system, "P1", defn.instance)
+    return ground(build_solution_program(defn.system, "P1", dbar))
+
+
+class TestSplitAndSupport:
+    def test_cap_charges_per_model_stay_flat(self, monkeypatch):
+        # k conflicts and m witnesses are k + m components of two models
+        # each: the search and its minimality checks charge a few nodes
+        # per component, the product one per model
+        charged = []
+        real = Budget.charge
+
+        def counted(self, n=1):
+            charged.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(Budget, "charge", counted)
+        per_model = []
+        for k in range(3, 9):
+            rules = _conflict_rules(k)
+            charged.clear()
+            models = stable_models(rules)
+            assert len(models) == 2 ** (k + 2)
+            per_model.append(sum(charged) / len(models))
+        assert per_model == sorted(per_model, reverse=True)
+        assert per_model[-1] < 1.1
+
+    def test_search_reaches_only_supported_leaves(self, monkeypatch):
+        # every true atom of a leaf is the one true head atom of a rule
+        # whose body holds, so few leaves fail the minimality check
+        import pdes.asp as asp_mod
+        leaves = []
+        real = asp_mod._has_smaller_model
+
+        def counted(rules, m, budget):
+            leaves.append(m)
+            assert all(any(a in r.head and m.issuperset(r.pos)
+                           and m.isdisjoint(r.neg)
+                           and m.intersection(r.head) == {a} for r in rules)
+                       for a in m)
+            return real(rules, m, budget)
+
+        monkeypatch.setattr(asp_mod, "_has_smaller_model", counted)
+        assert len(stable_models(_conflict_rules(3))) == 32
+        assert len(leaves) == 10
 
 
 class TestSearchScale:

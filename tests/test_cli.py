@@ -150,6 +150,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: line 2: ")
 
+    def test_instance_atom_of_the_wrong_arity_names_its_line(self, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "bad.pdes"
+        bad.write_text("peer P : R/2\ninstance P : R(a)\n")
+        code = main(["check", str(bad)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 2: 'R' has arity 2, not 1, in R(a)\n"
+
     def test_missing_file(self):
         res = run_cli(["check", "/no/such/file.pdes"])
         assert res.returncode == 2

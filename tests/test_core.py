@@ -98,7 +98,7 @@ class TestInstance:
 
     def test_with_without_atoms(self):
         d = Instance(set(), self.SCHEMA)
-        d2 = d.with_atoms({atom("R", "a", "b")})
+        d2 = Instance(d.atoms | {atom("R", "a", "b")}, d.schema)
         assert len(d2) == 1
         assert len(d) == 0
 

@@ -107,8 +107,22 @@ class TestErrors:
         assert self.error("peer P : R/1\n%s\n" % line).startswith("line 2: ")
 
     def test_builtin_in_an_instance_is_refused(self):
+        # the peer line already refuses the name, so no instance reaches it
         assert self.error("peer P : isnull/1\ninstance P : isnull(a)\n") \
+            .startswith("line 1: 'isnull' is a builtin, not a predicate")
+        assert self.error("peer P : R/1\ninstance P : isnull(a)\n") \
             .startswith("line 2: expected a fact, found 'isnull'")
+
+    @pytest.mark.parametrize("word", ["false", "isnull", "isnotnull"])
+    def test_builtin_word_is_no_predicate_name(self, word):
+        assert self.error("peer P : R/1, %s/1\n" % word) == \
+            "line 1: %r is a builtin, not a predicate" % word
+
+    @pytest.mark.parametrize("line,msg", [
+        ("instance P : R(a)", "'R' has arity 2, not 1, in R(a)"),
+        ("instance P : R(a,b), S(c)", "unknown predicate 'S' in S(c)")])
+    def test_instance_atom_is_checked_on_its_line(self, line, msg):
+        assert self.error("peer P : R/2\n%s\n" % line) == "line 2: " + msg
 
 
 class TestArity0:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdes import core
+from pdes import core, nullsem
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.lang import (Builtin, Cst, Var, n_rewrite_query, parse_constraint,
                        parse_query)
@@ -140,6 +140,23 @@ class TestConstraintSatisfaction:
         monkeypatch.setattr(core, "active_domain", counted)
         assert not n_holds_direct(d, c)  # 399 has no greater value
         assert len(calls) == 1 and calls[0] is d
+
+    def test_unanchored_check_builds_the_working_universe_once(
+            self, monkeypatch):
+        # one sorted universe per instance and constant set, not one per
+        # instantiation (401 builds before)
+        c = parse_constraint("forall x : R(x) -> exists y : S(x), y > x")
+        d = inst({"R": 1, "S": 1}, [atom(p, str(i)) for i in range(400)
+                                    for p in ("R", "S")])
+        calls = []
+
+        def counted(*args, real=nullsem.working_universe):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nullsem, "working_universe", counted)
+        assert not n_holds_direct(d, c)
+        assert calls == [(d, c)]
 
     def test_denial_applies_to_null_tuples(self):
         c = parse_constraint("forall x,y : T(x,y), S(x,y) -> false")

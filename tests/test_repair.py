@@ -338,13 +338,13 @@ class TestClosenessPreorder:
 
     def test_fewer_changes_is_closer(self):
         base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        fixed = base.with_atoms({atom("S", "a", "b")})
+        fixed = Instance(base.atoms | {atom("S", "a", "b")}, base.schema)
         swapped = Instance({atom("S", "a", "b")}, self.SCHEMA)
         assert closer_lt(fixed, swapped, base, self.bound(base))
 
     def test_changes_of_different_preds_incomparable(self):
         base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        fixed = base.with_atoms({atom("S", "a", "b")})
+        fixed = Instance(base.atoms | {atom("S", "a", "b")}, base.schema)
         emptied = Instance(set(), self.SCHEMA)
         assert not closer_leq(fixed, emptied, base, self.bound(base))
         assert not closer_leq(emptied, fixed, base, self.bound(base))
