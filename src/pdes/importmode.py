@@ -2,23 +2,21 @@
 
 When every inter-peer constraint is an import rule — body over the
 trusted neighbor's schema, consequent a single atom over the importing
-peer's schema plus optional builtin escapes — solutions can be computed
-bottom-up as the least model of a plain Datalog program. With local
-constraints added, the imported atoms are frozen and the repair module
-finishes the job.
+peer's schema, with no builtins, plus optional builtin-only escapes —
+solutions can be computed in one pass as a least model: each body is
+joined once over the neighborhood instance. With local constraints
+added, that fixpoint is repaired as a neighborhood instance, with the
+imported atoms frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
-                   SchemaError)
-from .lang import Builtin, Constraint, Cst, PredAtom, Var, term_vars
+from .core import DEFAULT_CAP, NULL, Instance, Schema, SchemaError
+from .lang import Constraint, term_vars
 from .nullsem import eval_builtin, ground_atom, join
-from .repair import RepairSet, preorder_repairs
+from .repair import RepairSet
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
-                     _solve, inc_atom, LESS)
+                     _neighborhood_repairs, _solve, inc_atom, LESS)
 
 UNRESTRICTED = "unrestricted_import"
 RESTRICTED = "restricted_import"
@@ -28,21 +26,19 @@ GENERAL = "general"
 def _is_import(c: Constraint, own: Schema, foreign: Schema) -> bool:
     """Import shape: a body over the neighbor's schema that binds every
     head variable but the existentials; one database disjunct, a single
-    atom over the importer's schema whose builtins (none without
-    existentials) do not read them; other disjuncts builtin-only."""
+    atom over the importer's schema with no builtins; other disjuncts
+    builtin-only, without existentials."""
     db_disjs = [d for d in c.head if d.atoms]
     if not all(a.pred in foreign for a in c.body) or len(db_disjs) != 1:
         return False
     target = db_disjs[0]
-    exist = set(target.exist_vars)
     body = {v for a in c.body for v in term_vars(a.terms)}
     read = {v for d in c.head for x in (*d.atoms, *d.builtins)
             for v in term_vars(x.terms)}
     return (len(target.atoms) == 1 and target.atoms[0].pred in own
+            and not target.builtins
             and not any(not d.atoms and d.exist_vars for d in c.head)
-            and read - exist <= body
-            and not any(not exist or exist & set(term_vars(b.terms))
-                        for b in target.builtins))
+            and read - set(target.exist_vars) <= body)
 
 
 def classify(system: PdesSchema) -> dict[str, str]:
@@ -61,42 +57,31 @@ def classify(system: PdesSchema) -> dict[str, str]:
     return flags
 
 
-# ------------------------------------------------------- Datalog program
+# ------------------------------------------------------------- fixpoint
 
-@dataclass(frozen=True)
-class DatalogRule:
-    """head <- body, guards, not any(escapes). Guards must hold and every
-    escape builtin must fail for the rule to fire. The head's ``exist``
-    variables are filled with null when it fires."""
+def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
+    """The least model of p's import constraints over its neighborhood
+    instance dbar, for each strict neighbor whose marker dbar lacks;
+    SchemaError on a constraint not of the import kind.
 
-    head: PredAtom
-    body: tuple[PredAtom, ...]
-    guards: tuple[Builtin, ...]
-    escapes: tuple[Builtin, ...]
-    exist: tuple[str, ...]
+    Each body is joined once against dbar. A binding fires unless a
+    relevant universal variable is null or an escape (a builtin-only
+    disjunct) holds. Heads without existentials are added first, then
+    null heads, existentials null, by rank (their number of nulls),
+    fewest first: each rank adds the heads that no earlier atom
+    witnesses, as a witness is never less informative than the null
+    atom it makes unnecessary.
 
-
-@dataclass(frozen=True)
-class DatalogProgram:
-    facts: frozenset[Atom]
-    rules: tuple[DatalogRule, ...]
-    schema: Schema
-
-
-def _rule_for(c: Constraint) -> DatalogRule:
-    target = next(d for d in c.head if d.atoms)
-    guards = tuple(Builtin("neq", (Var(v), Cst(NULL)))
-                   for v in c.univ_vars if v in c.relevant)
-    escapes = tuple(b for d in c.head for b in d.builtins)
-    return DatalogRule(target.atoms[0], c.body, guards, escapes,
-                       target.exist_vars)
-
-
-def import_program(system: PdesSchema, p: str,
-                   dbar: Instance) -> DatalogProgram:
-    """Facts from the neighborhood instance plus one single-head rule per
-    import constraint."""
-    rules: list[DatalogRule] = []
+    This is the round loop that re-joins every body and adds the lowest
+    rank of new heads, in one pass. Bodies read only the neighbors'
+    predicates, which no head writes, so every round joins the same
+    bindings; a binding's rank is fixed and its own atom witnesses its
+    head, so the rounds take the ranks in order, once each. Two null
+    heads of one rank witness each other only when they are equal (a
+    witness agrees with the head's atom off the existentials, so with as
+    many nulls it is null on all of them): adding a rank at once is
+    adding its heads one by one."""
+    ranked: dict[int, list] = {}  # -1 for heads without existentials
     for q in sorted(system.strict_neighbors(p)):
         if inc_atom(q) in dbar:
             continue
@@ -104,58 +89,42 @@ def import_program(system: PdesSchema, p: str,
             if not _is_import(c, system.schemas[p], system.schemas[q]):
                 raise SchemaError("constraint %s is not of the import kind"
                                   % c)
-            rules.append(_rule_for(c))
-    return DatalogProgram(dbar.atoms, tuple(rules), dbar.schema)
-
-
-def least_model(program: DatalogProgram) -> Instance:
-    """Bottom-up fixpoint; guards must hold and escapes must all fail
-    under the null-aware builtin semantics. Each step adds the new atoms
-    of the rules without existentials first; only when those are
-    saturated does it add null atoms, and only for firings whose head no
-    atom witnesses yet, fewest nulls first (a witness of a head is never
-    less informative than the null atom it makes unnecessary)."""
-    cur = Instance(program.facts, program.schema)
-    while True:
-        new: dict[int, set[Atom]] = {}
-        for r in program.rules:
-            for s in join(cur, r.body, {}):
-                # guards compare against the null constant itself
-                if not all(eval_builtin(b, s, classical=True)
-                           for b in r.guards):
+            target = next(d for d in c.head if d.atoms)
+            nulls = dict.fromkeys(target.exist_vars, NULL)
+            guarded = [v for v in c.univ_vars if v in c.relevant]
+            escapes = [d.builtins for d in c.head if not d.atoms]
+            for s in join(dbar, c.body, {}):
+                if NULL in map(s.get, guarded) or any(
+                        all(eval_builtin(b, s) for b in e) for e in escapes):
                     continue
-                if any(eval_builtin(b, s) for b in r.escapes):
-                    continue
-                if r.exist and join(cur, (r.head,), s):
-                    continue
-                a = ground_atom(r.head, {**s, **dict.fromkeys(r.exist, NULL)})
-                if a not in cur:
-                    rank = a.args.count(NULL) if r.exist else -1
-                    new.setdefault(rank, set()).add(a)
-        if not new:
-            return cur
+                a = ground_atom(target.atoms[0], {**s, **nulls})
+                ranked.setdefault(a.args.count(NULL) if nulls else -1,
+                                  []).append((target.atoms[0], s, a))
+    atoms = dbar.atoms
+    for rank in sorted(ranked):
         # heads of constraints that PdesSchema checked against the schema
-        cur = Instance._trusted(cur.atoms | new[min(new)], cur.schema)
+        cur = Instance._trusted(atoms, dbar.schema)
+        atoms = atoms.union(a for head, s, a in ranked[rank]
+                            if not join(cur, (head,), s))
+    return Instance._trusted(atoms, dbar.schema)
 
 
 # ------------------------------------------------------------- solving
 
 def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
                        cap: int) -> RepairSet:
-    """The import fixpoint repaired with respect to p's local constraints,
-    keeping the neighbors' relations and every imported atom fixed."""
-    fix = least_model(import_program(system, p, dbar))
-    return preorder_repairs(
-        system.preorder, fix, system.sigma.get((p, p), ()),
-        frozen_preds=system.frozen_preds(p), cap=cap,
-        frozen_atoms=fix.atoms - dbar.atoms)
+    """The import fixpoint repaired as a neighborhood instance, keeping
+    the neighbors' relations and every imported atom fixed."""
+    fix = least_model(system, p, dbar)
+    return _neighborhood_repairs(system, p, fix, cap,
+                                 frozen_atoms=fix.atoms - dbar.atoms)
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance,
                  flags: dict[str, str] | None = None) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
     sinks keep their instance, others take the least model of their
-    import program over their instance plus the neighbor solutions,
+    import constraints over their instance plus the neighbor solutions,
     restricted to their own schema. flags, when given, are the system's
     `classify` flags."""
     flags = flags or classify(system)
@@ -172,7 +141,7 @@ def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
                             flags: dict[str, str] | None = None
                             ) -> SolutionResult:
     """Import case with local constraints: run the import fixpoint, then
-    repair with respect to the local constraints only, keeping the
+    repair it with respect to all of p's constraints, keeping the
     neighbors' relations and every imported atom fixed. Every peer that
     p reaches must be of the import kind; flags as in `import_solve`."""
     flags = flags or classify(system)

@@ -180,8 +180,9 @@ class PdesInstance:
             if p not in self.data:
                 raise SchemaError("missing instance for peer %r" % p)
             own, where = self.system.schemas[p], "the instance of %r" % p
-            for a in self.data[p].atoms:
-                own.check(a.pred, len(a.args), where)
+            if self.data[p].schema != own:  # else checked already
+                for a in self.data[p].atoms:
+                    own.check(a.pred, len(a.args), where)
 
     def of(self, p: str) -> Instance:
         self.system._check_peer(p)
@@ -199,8 +200,9 @@ class SolutionResult:
 # ------------------------------------------------- neighborhood solutions
 
 def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
-                          cap: int) -> RepairSet:
-    """`neighborhood_solutions` in factored form."""
+                          cap: int, frozen_atoms: frozenset[Atom] = frozenset()
+                          ) -> RepairSet:
+    """`neighborhood_solutions` in factored form, frozen_atoms fixed."""
     system._check_peer(p)
     sigma: list[Constraint] = []
     for q in sorted(system.neighbors(p)):
@@ -208,7 +210,8 @@ def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
             continue
         sigma.extend(system.sigma.get((p, q), ()))
     return preorder_repairs(system.preorder, dbar, sigma,
-                            frozen_preds=system.frozen_preds(p), cap=cap)
+                            frozen_preds=system.frozen_preds(p), cap=cap,
+                            frozen_atoms=frozen_atoms)
 
 
 def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,

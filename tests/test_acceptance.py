@@ -478,6 +478,21 @@ def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):
     assert len(calls) == 2 * families.COPY_CHAIN_N == 96
 
 
+def test_10_copy_chain_checks_each_atom_once(monkeypatch):
+    # 48 instance atoms on their lines and 4 constraint atoms; an
+    # instance over its peer's schema is not checked again
+    calls = []
+    real = Schema.check
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(Schema, "check", counted)
+    parse_definition(families.copy_chain(1).text)
+    assert len(calls) == families.COPY_CHAIN_N + 4 == 52
+
+
 def test_10_copy_chain_fits_a_small_cap():
     # each peer's search holds its start state and one batched child
     sysm, inst = _chain_system(160, n_peers=3)

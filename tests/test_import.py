@@ -1,14 +1,18 @@
 """The import case: classification, least-model solving, local repair."""
 
 import os
+import random
+from collections import Counter
 
 import pytest
 
 from pdes.asp import asp_parts
-from pdes.core import DEFAULT_CAP, SchemaError
+from pdes import importmode
+from pdes.cli import main
+from pdes.core import DEFAULT_CAP, Instance, SchemaError
 from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
-                             import_program, import_solve, least_model,
+                             import_solve, least_model,
                              restricted_import_solve)
 from pdes.system import _solve, peer_consistent_answers, solutions
 
@@ -50,6 +54,23 @@ class TestClassification:
         with pytest.raises(SchemaError):
             import_solve(defn.system, "P1", defn.instance)
 
+    # the fixpoint cannot say "no solution" when the builtin fails
+    BUILTIN_IN_HEAD = (
+        "peer P1 : R/2\npeer P2 : S/1\ntrust P1 less P2\n"
+        "dec P1 P2 : forall x : S(x) -> exists z : R(x,z), x > 3\n"
+        "instance P2 : S(5), S(d)\n")
+
+    def test_builtin_in_the_database_disjunct_is_general(self, tmp_path,
+                                                          capsys):
+        defn = parse_definition(self.BUILTIN_IN_HEAD)
+        assert classify(defn.system)["P1"] == GENERAL
+        assert solution_sets(solutions(defn.system, "P1", defn.instance)) \
+            == {frozenset({"R(5,null)", "R(d,null)"})}
+        path = tmp_path / "builtin.pdes"
+        path.write_text(self.BUILTIN_IN_HEAD, encoding="utf-8")
+        assert main(["import-solve", str(path), "--peer", "P1"]) == 1
+        assert "not of the import kind" in capsys.readouterr().err
+
 
 class TestUnrestrictedImport:
     def setup_method(self):
@@ -63,16 +84,24 @@ class TestUnrestrictedImport:
         res = solutions(self.defn.system, "P1", self.defn.instance)
         assert solution_sets(res) == {frozenset({"R1(a,2)", "R1(d,5)"})}
 
-    def test_import_program_shape(self):
-        from pdes.core import Instance
+    def test_least_model_over_the_neighborhood_instance(self):
         dbar = Instance(
             self.defn.instance.of("P1").atoms
             | self.defn.instance.of("P2").atoms,
             self.defn.system.neighborhood_schema("P1"))
-        prog = import_program(self.defn.system, "P1", dbar)
-        assert len(prog.rules) == 1
-        fixpoint = least_model(prog)
+        fixpoint = least_model(self.defn.system, "P1", dbar)
         assert atoms_of(fixpoint) >= {"R1(a,2)", "R1(d,5)"}
+
+    def test_an_escape_holds_only_when_all_its_builtins_do(self):
+        # S(a,c) meets x = a but not y = b, so it is copied
+        defn = parse_definition(
+            "peer P1 : R/2\npeer P2 : S/2\ntrust P1 less P2\n"
+            "dec P1 P2 : forall x,y : S(x,y) -> x = a, y = b or R(x,y)\n"
+            "instance P2 : S(a,b), S(a,c)\n")
+        sysm, d = defn.system, defn.instance
+        want = {frozenset({"R(a,c)"})}
+        assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
+        assert solution_sets(solutions(sysm, "P1", d)) == want
 
 
 class TestExistentialImport:
@@ -101,6 +130,34 @@ class TestExistentialImport:
         want = {frozenset({"R1(a,null,b)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
         assert solution_sets(solutions(sysm, "P1", d)) == want
+
+    def test_each_body_is_joined_once(self, monkeypatch):
+        # two bodies, and one witness lookup per null head
+        defn = parse_definition(
+            "peer P1 : R1/3\npeer P2 : S/1\npeer P3 : T/1\n"
+            "trust P1 less P2\ntrust P1 less P3\n"
+            "dec P1 P2 : forall x : S(x) -> exists z : R1(x,z,b)\n"
+            "dec P1 P3 : forall x : T(x) -> exists z,w : R1(x,z,w)\n"
+            "instance P2 : S(a), S(c)\ninstance P3 : T(a), T(d)\n")
+        sysm = defn.system
+        dbar = Instance(defn.instance.of("P2").atoms
+                        | defn.instance.of("P3").atoms,
+                        sysm.neighborhood_schema("P1"))
+        calls = []
+        real = importmode.join
+
+        def counted(d, atoms, *starts):
+            calls.append(tuple(atoms))
+            return real(d, atoms, *starts)
+
+        monkeypatch.setattr(importmode, "join", counted)
+        fixpoint = least_model(sysm, "P1", dbar)
+        assert atoms_of(fixpoint) - atoms_of(dbar) == {
+            "R1(a,null,b)", "R1(c,null,b)", "R1(d,null,null)"}
+        bodies = {c.body for c in sysm.sigma_of("P1")}
+        assert Counter(a for a in calls if a in bodies) == \
+            dict.fromkeys(bodies, 1)
+        assert len(calls) == len(bodies) + 4
 
 
 class TestRestrictedImport:
@@ -131,6 +188,23 @@ class TestRestrictedImport:
         assert classify(defn.system)["P1"] == UNRESTRICTED
         with pytest.raises(SchemaError, match="'P2' is not of the import"):
             restricted_import_solve(defn.system, "P1", defn.instance)
+
+    def test_repair_keeps_the_exchange_constraints(self, tmp_path, capsys):
+        # any R(1,z) breaks x != 1, so P1 has no solution; a repair
+        # against the local constraint alone deletes R(1,c) and leaves
+        # S(1,b) without a witness
+        text = ("peer P1 : R/2\npeer P2 : S/2\ntrust P1 less P2\n"
+                "dec P1 P2 : forall x,y : S(x,y) -> exists z : R(x,z)\n"
+                "dec P1 P1 : forall x,y : R(x,y) -> x != 1\n"
+                "instance P1 : R(1,c)\ninstance P2 : S(1,b)\n")
+        defn = parse_definition(text)
+        res = restricted_import_solve(defn.system, "P1", defn.instance)
+        assert res.inconsistent and not res.solutions
+        assert solutions(defn.system, "P1", defn.instance).inconsistent
+        path = tmp_path / "local.pdes"
+        path.write_text(text, encoding="utf-8")
+        assert main(["import-solve", str(path), "--peer", "P1"]) == 0
+        assert capsys.readouterr().out == "inconsistent: inc_P1()\n"
 
     def test_agrees_with_general_solver(self):
         defn = load("ex_5_13.pdes")
@@ -205,3 +279,75 @@ def test_import_routes_agree_with_general_solver(name):
             unique = import_solve(sysm, p, d)
             assert solution_sets(general) == {frozenset(atoms_of(unique))}, p
     assert checked
+
+
+# exchange shapes from the source's S toward the importer's R: copies,
+# existentials, a join, escapes, a database disjunct with a builtin
+# (general) and constants
+_SHAPES = (
+    "forall x,y : S(x,y) -> R(x,y)",
+    "forall x,y : S(x,y) -> exists z : R(x,z)",
+    "forall x,y,z : S(x,y), S(y,z) -> R(x,z)",
+    "forall x,y : S(x,y) -> x = y or R(x,y)",
+    "forall x,y : S(x,y) -> x = a or exists z : R(y,z)",
+    "forall x,y : S(x,y) -> y > 1 or R(y,x)",
+    "forall x,y : S(x,y) -> isnull(x) or R(x,y)",
+    "forall x,y : S(x,y) -> x = a, y = b or R(x,y)",
+    "forall x,y : S(x,y) -> exists z : R(x,z), y > 1",
+    "forall x : S(x,a) -> R(b,x)",
+)
+_IMPORTER_LOCAL = ("forall x,y,z : R(x,y), R(x,z) -> y = z",
+                   "forall x,y : R(x,y) -> x != 1")
+_DOM = ("a", "b", "1", "2", "null")
+
+
+def _import_system(rng) -> str:
+    """A two-peer import system P1 -less-> P2 with one or two exchange
+    shapes and maybe a local constraint on P1. In some draws P2 copies T
+    from a third peer under a local FD, so that P2 can be inconsistent
+    and spread its marker to P1."""
+    lines = ["peer P1 : R/2", "peer P2 : S/2", "trust P1 less P2"]
+    lines += ["dec P1 P2 : " + shape
+              for shape in rng.sample(_SHAPES, rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        lines.append("dec P1 P1 : " + rng.choice(_IMPORTER_LOCAL))
+    peers = [("P1", "R"), ("P2", "S")]
+    if rng.random() < 0.3:
+        lines += ["peer P3 : T/2", "trust P2 less P3",
+                  "dec P2 P3 : forall x,y : T(x,y) -> S(x,y)",
+                  "dec P2 P2 : forall x,y,z : S(x,y), S(x,z) -> y = z"]
+        peers.append(("P3", "T"))
+    for p, r in peers:
+        facts = sorted({"%s(%s,%s)" % (r, rng.choice(_DOM), rng.choice(_DOM))
+                        for _ in range(rng.randint(0, 3))})
+        if facts:
+            lines.append("instance %s : %s" % (p, ", ".join(facts)))
+    return "\n".join(lines) + "\n"
+
+
+def test_import_routes_agree_on_drawn_import_systems():
+    """Wherever classify admits a peer of a drawn import system, the
+    restricted route, and the unrestricted one where it applies, give
+    the general solutions, an inc_ marker included."""
+    rng = random.Random(19)
+    compared = disagree = inconsistent = 0
+    for trial in range(400):
+        defn = parse_definition(_import_system(rng))
+        sysm, d = defn.system, defn.instance
+        flags = classify(sysm)
+        for p in sorted(sysm.peers):
+            reached = {flags[q] for q in sysm.accessible(p)}
+            if GENERAL in reached:
+                continue
+            general = solutions(sysm, p, d)
+            want = (solution_sets(general), general.inconsistent)
+            res = restricted_import_solve(sysm, p, d)
+            routes = [(solution_sets(res), res.inconsistent)]
+            if reached == {UNRESTRICTED}:
+                routes.append(({frozenset(atoms_of(
+                    import_solve(sysm, p, d)))}, False))
+            compared += len(routes)
+            disagree += sum(r != want for r in routes)
+            inconsistent += p == "P1" and general.inconsistent
+    assert (compared, disagree) == (1364, 0)
+    assert inconsistent

@@ -61,6 +61,15 @@ class TestSchemaValidation:
                            "the instance of 'P'"):
             PdesInstance(sysm, {"P": inst})
 
+    def test_instance_over_a_wider_schema_is_checked(self):
+        sysm = PdesSchema(peers=frozenset({"P"}),
+                          schemas={"P": Schema({"R": 2})}, sigma={},
+                          trust=frozenset())
+        inst = Instance({atom("S", "a")}, Schema({"R": 2, "S": 1}))
+        with pytest.raises(SchemaError, match="unknown predicate 'S' in "
+                           "the instance of 'P'"):
+            PdesInstance(sysm, {"P": inst})
+
     def test_two_trust_kinds_for_one_pair_rejected(self):
         with pytest.raises(SchemaError, match="two trust kinds"):
             PdesSchema(peers=frozenset({"P", "Q"}),
