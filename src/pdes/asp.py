@@ -47,10 +47,11 @@ from typing import Iterable, Mapping
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
                    SchemaError, restrict)
-from .lang import (Builtin, Constraint, Cst, PredAtom, Query, Var,
+from .lang import (OP_TEXT, Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
 from .nullsem import delta_join, eval_builtin, ground_atom
-from .repair import NULL_BASED, RepairSet, _minimal, closer_lt, one_part
+from .repair import (NULL_BASED, RepairSet, _minimal, closeness_profile,
+                     closer_lt, one_part)
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
                      inc_atom, solution_form, INC_PREFIX, SAME)
@@ -554,8 +555,8 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
         full.setdefault(inst.atoms, inst)
     bound = r_chase(dbar, system.sigma_of(p)).atoms
     return solution_form(system, p, _minimal(
-        list(full.values()), lambda d: d,
-        lambda e, d: closer_lt(e, d, dbar, bound)))
+        list(full.values()),
+        lambda d: closeness_profile(d.atoms, dbar.atoms, bound), closer_lt))
 
 
 def asp_parts(system: PdesSchema, p: str, dbar: Instance,
@@ -583,7 +584,6 @@ def _emit_term(t) -> str:
 
 def _emit_lit(lit: Lit | Builtin) -> str:
     if isinstance(lit, Builtin):
-        from .lang import OP_TEXT
         if len(lit.terms) == 1:
             return "%s(%s)" % (lit.op, _emit_term(lit.terms[0]))
         lhs, rhs = (_emit_term(t) for t in lit.terms)

@@ -11,10 +11,10 @@ imported atoms frozen.
 
 from __future__ import annotations
 
-from .core import DEFAULT_CAP, NULL, Instance, Schema, SchemaError
+from .core import DEFAULT_CAP, NULL, Instance, SchemaError
 from .lang import Constraint, term_vars
 from .nullsem import eval_builtin, ground_atom, join
-from .repair import RepairSet
+from .repair import NULL_BASED, RepairSet
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
                      _neighborhood_repairs, _solve, inc_atom, LESS)
 
@@ -23,11 +23,14 @@ RESTRICTED = "restricted_import"
 GENERAL = "general"
 
 
-def _is_import(c: Constraint, own: Schema, foreign: Schema) -> bool:
-    """Import shape: a body over the neighbor's schema that binds every
-    head variable but the existentials; one database disjunct, a single
-    atom over the importer's schema with no builtins; other disjuncts
-    builtin-only, without existentials."""
+def _is_import(system: PdesSchema, p: str, q: str, c: Constraint) -> bool:
+    """Import shape of p's constraint c toward q: a body over q's schema
+    that binds every head variable but the existentials; one database
+    disjunct, a single atom over p's schema with no builtins, and with
+    no existentials under the delta preorder (a witness is then any
+    value of the universe); other disjuncts builtin-only, without
+    existentials."""
+    own, foreign = system.schemas[p], system.schemas[q]
     db_disjs = [d for d in c.head if d.atoms]
     if not all(a.pred in foreign for a in c.body) or len(db_disjs) != 1:
         return False
@@ -37,6 +40,7 @@ def _is_import(c: Constraint, own: Schema, foreign: Schema) -> bool:
             for v in term_vars(x.terms)}
     return (len(target.atoms) == 1 and target.atoms[0].pred in own
             and not target.builtins
+            and not (target.exist_vars and system.preorder != NULL_BASED)
             and not any(not d.atoms and d.exist_vars for d in c.head)
             and read - set(target.exist_vars) <= body)
 
@@ -46,7 +50,7 @@ def classify(system: PdesSchema) -> dict[str, str]:
     flags: dict[str, str] = {}
     for p in sorted(system.peers):
         if not all(system.trust_kind(p, q) == LESS and all(
-                _is_import(c, system.schemas[p], system.schemas[q])
+                _is_import(system, p, q, c)
                 for c in system.sigma.get((p, q), ()))
                 for q in system.strict_neighbors(p)):
             flags[p] = GENERAL
@@ -86,7 +90,7 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
         if inc_atom(q) in dbar:
             continue
         for c in system.sigma.get((p, q), ()):
-            if not _is_import(c, system.schemas[p], system.schemas[q]):
+            if not _is_import(system, p, q, c):
                 raise SchemaError("constraint %s is not of the import kind"
                                   % c)
             target = next(d for d in c.head if d.atoms)

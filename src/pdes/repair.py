@@ -24,7 +24,6 @@ search keeps one part. A check reads its own ranges (`nullsem`).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -56,11 +55,11 @@ def info_leq(s1, s2) -> bool:
 
 # ----------------------------------------------------- closeness preorder
 
-def _closeness_profile(d: frozenset[Atom], base: frozenset[Atom],
-                       bound: frozenset[Atom]):
+def closeness_profile(d: frozenset[Atom], base: frozenset[Atom],
+                      bound: frozenset[Atom]):
     """What the closeness preorder reads of the atoms d: whether they lie
-    inside the chase bound, their changes against base, and those changes
-    grouped by (predicate, arity)."""
+    inside bound (the atoms of base's restricted chase), their changes
+    against base, and those changes grouped by (predicate, arity)."""
     delta = base ^ d
     groups: dict[tuple[str, int], list[Atom]] = {}
     for a in delta:
@@ -68,7 +67,11 @@ def _closeness_profile(d: frozenset[Atom], base: frozenset[Atom],
     return d <= bound, delta, groups
 
 
-def _profile_leq(p1, p2) -> bool:
+def closer_leq(p1, p2) -> bool:
+    """The atoms profiled as p1 are at least as close to base as those
+    profiled as p2: either p2's escape the chase bound, or every change
+    in p1 is matched by an at-least-as-informative change in p2 that
+    (when strictly more informative) is not itself a change of p1."""
     in_bound2, delta2, groups2 = p2
     if not in_bound2:
         return True
@@ -76,8 +79,8 @@ def _profile_leq(p1, p2) -> bool:
     for key, changes in groups1.items():
         others = groups2.get(key, ())
         for a in changes:
-            # a itself matches when d2 shares the change; any other match
-            # must be strictly more informative and not a change of d1
+            # a itself matches when p2 shares the change; any other match
+            # must be strictly more informative and not a change of p1
             if a not in delta2 and not any(
                     b not in delta1 and info_leq(a.args, b.args)
                     for b in others):
@@ -85,28 +88,14 @@ def _profile_leq(p1, p2) -> bool:
     return True
 
 
-def _profile_lt(p1, p2) -> bool:
-    return _profile_leq(p1, p2) and not _profile_leq(p2, p1)
+def closer_lt(p1, p2) -> bool:
+    """The closeness profile p1 is strictly closer than p2."""
+    return closer_leq(p1, p2) and not closer_leq(p2, p1)
 
 
-def closer_leq(d1: Instance, d2: Instance, base: Instance,
-               bound: frozenset[Atom]) -> bool:
-    """d1 is at least as close to base as d2: either d2 escapes the chase
-    bound (the atoms of base's restricted chase), or every change in d1
-    is matched by an at-least-as-informative change in d2 that (when
-    strictly more informative) is not itself a change of d1."""
-    return _profile_leq(_closeness_profile(d1.atoms, base.atoms, bound),
-                        _closeness_profile(d2.atoms, base.atoms, bound))
-
-
-def closer_lt(d1: Instance, d2: Instance, base: Instance,
-              bound: frozenset[Atom]) -> bool:
-    return _profile_lt(_closeness_profile(d1.atoms, base.atoms, bound),
-                       _closeness_profile(d2.atoms, base.atoms, bound))
-
-
-def delta_lt(d1: Instance, d2: Instance, base: Instance) -> bool:
-    return (base.atoms ^ d1.atoms) < (base.atoms ^ d2.atoms)
+def delta_lt(delta1: frozenset[Atom], delta2: frozenset[Atom]) -> bool:
+    """The symmetric difference delta1 is strictly inside delta2."""
+    return delta1 < delta2
 
 
 @dataclass(frozen=True)
@@ -394,7 +383,7 @@ def null_repairs(base: Instance, sigma,
                      False, cap)
     return _minimal_repairs(
         search, base.atoms,
-        lambda d, b: _closeness_profile(d, b, bound), _profile_lt)
+        lambda d, b: closeness_profile(d, b, bound), closer_lt)
 
 
 def delta_repairs(base: Instance, sigma,
@@ -410,7 +399,7 @@ def delta_repairs(base: Instance, sigma,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
                      True, cap)
     return _minimal_repairs(search, base.atoms, lambda d, b: b ^ d,
-                            operator.lt)
+                            delta_lt)
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,
@@ -448,5 +437,5 @@ def exhaustive_null_repairs(base: Instance, sigma,
         inst = Instance(atoms, chased.schema)
         if all(n_holds(inst, c) for c in sigma):
             sat.append(inst.atoms)
-    return one_part(_minimal(sat, lambda d: _closeness_profile(
-        d, base.atoms, chased.atoms), _profile_lt), chased.schema, cap)
+    return one_part(_minimal(sat, lambda d: closeness_profile(
+        d, base.atoms, chased.atoms), closer_lt), chased.schema, cap)

@@ -391,6 +391,46 @@ class TestSplitAndSupport:
         assert len(leaves) == 10
 
 
+class TestReductBranch:
+    """Leaves whose minimality check must branch on a disjunctive head
+    of the reduct: chaining from the empty set meets a | b first."""
+    A, B = atom("a"), atom("b")
+
+    def solve(self, monkeypatch, rules):
+        # the stable models, and the verdict of each leaf's check
+        import pdes.asp as asp_mod
+        verdicts = {}
+        real = asp_mod._has_smaller_model
+
+        def recorded(rules, m, budget):
+            verdicts[m] = real(rules, m, budget)
+            return verdicts[m]
+
+        monkeypatch.setattr(asp_mod, "_has_smaller_model", recorded)
+        got = stable_models(rules)
+        assert set(got) == reference_stable_models(rules)
+        return set(got), verdicts
+
+    def test_branch_confirms_a_stable_model(self, monkeypatch):
+        # a | b.  a :- b.  b :- a.
+        a, b = self.A, self.B
+        got, verdicts = self.solve(monkeypatch, [
+            GroundRule((a, b), (), ()), GroundRule((a,), (b,), ()),
+            GroundRule((b,), (a,), ())])
+        assert got == {frozenset({a, b})}
+        assert verdicts == {frozenset({a, b}): False}
+
+    def test_branch_finds_a_smaller_model(self, monkeypatch):
+        # a | b.  a :- b.  b :- b.  {a, b} is supported, but the branch
+        # on a | b stops at {a}
+        a, b = self.A, self.B
+        got, verdicts = self.solve(monkeypatch, [
+            GroundRule((a, b), (), ()), GroundRule((a,), (b,), ()),
+            GroundRule((b,), (b,), ())])
+        assert got == {frozenset({a})}
+        assert verdicts[frozenset({a, b})] is True
+
+
 class TestSearchScale:
     def test_long_copy_chain_solves(self, tmp_path):
         # one ta atom per tuple: the search and the minimality check are

@@ -216,6 +216,22 @@ class TestExitCodes:
         assert err.startswith("parse error: line 2: variable 'x' declared "
                               "twice")
 
+    @pytest.mark.parametrize("dec,err", [
+        ("forall x : R(x) -> exists z : S(z) or exists z : T(z)",
+         "existential variable reuse in "
+         "forall x: R(x) -> exists z: S(z) or exists z: T(z)"),
+        ("forall x : R(x) -> U(x,null)",
+         "explicit null in constraint forall x: R(x) -> U(x,null)"),
+        ("forall : R(x) -> false",
+         "expected a variable in 'dec P P : forall : R(x) -> false'"),
+    ], ids=["reused-existential", "explicit-null", "empty-quantifier"])
+    def test_constraint_shape_is_a_parse_error(self, tmp_path, capsys, dec,
+                                               err):
+        bad = tmp_path / "shape.pdes"
+        bad.write_text("peer P : R/1, S/1, T/1, U/2\ndec P P : %s\n" % dec)
+        assert (main(["check", str(bad)]), *capsys.readouterr()) == \
+            (2, "", "parse error: line 2: %s\n" % err)
+
     def test_unsafe_query_option_is_refused(self, capsys):
         code = main(["pca", fixture_path("ex_1_1.pdes"), "--peer", "P1",
                      "--query", "R1(x,y,z), w = x"])

@@ -71,6 +71,29 @@ class TestClassification:
         assert main(["import-solve", str(path), "--peer", "P1"]) == 1
         assert "not of the import kind" in capsys.readouterr().err
 
+    # under the delta preorder the witness may be any universe value, so
+    # the import has several solutions, not one least model
+    DELTA_EXISTENTIAL = (
+        "preorder delta\npeer P1 : R/2\npeer P2 : S/2\ntrust P1 less P2\n"
+        "dec P1 P2 : forall x,y : S(x,y) -> exists z : R(x,z)\n"
+        "instance P2 : S(1,b)\n")
+
+    def test_existential_import_under_delta_is_general(self, tmp_path,
+                                                       capsys):
+        defn = parse_definition(self.DELTA_EXISTENTIAL)
+        assert solution_sets(solutions(defn.system, "P1", defn.instance)) \
+            == {frozenset({"R(1,1)"}), frozenset({"R(1,b)"}),
+                frozenset({"R(1,null)"})}
+        path = tmp_path / "delta.pdes"
+        path.write_text(self.DELTA_EXISTENTIAL, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert "import-kind P1: general" in capsys.readouterr().out
+        assert main(["import-solve", str(path), "--peer", "P1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: system is not of the import kind for peer 'P1'\n"
+        with pytest.raises(SchemaError):
+            least_model(defn.system, "P1", defn.instance.of("P2"))
+
 
 class TestUnrestrictedImport:
     def setup_method(self):
@@ -325,14 +348,17 @@ def _import_system(rng) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_import_routes_agree_on_drawn_import_systems():
-    """Wherever classify admits a peer of a drawn import system, the
-    restricted route, and the unrestricted one where it applies, give
-    the general solutions, an inc_ marker included."""
+def _drawn_agreement(preorder: str) -> tuple[int, int, int]:
+    """Over 400 drawn import systems under preorder, wherever classify
+    admits a peer: the routes compared (the restricted one, and the
+    unrestricted one where it applies), those that disagree with the
+    general solutions (an inc_ marker included), and the inconsistent
+    P1s."""
     rng = random.Random(19)
     compared = disagree = inconsistent = 0
     for trial in range(400):
-        defn = parse_definition(_import_system(rng))
+        defn = parse_definition("preorder %s\n" % preorder
+                                + _import_system(rng))
         sysm, d = defn.system, defn.instance
         flags = classify(sysm)
         for p in sorted(sysm.peers):
@@ -349,5 +375,16 @@ def test_import_routes_agree_on_drawn_import_systems():
             compared += len(routes)
             disagree += sum(r != want for r in routes)
             inconsistent += p == "P1" and general.inconsistent
+    return compared, disagree, inconsistent
+
+
+def test_import_routes_agree_on_drawn_import_systems():
+    compared, disagree, inconsistent = _drawn_agreement("null")
     assert (compared, disagree) == (1364, 0)
+    assert inconsistent
+
+
+def test_import_routes_agree_on_drawn_delta_import_systems():
+    compared, disagree, inconsistent = _drawn_agreement("delta")
+    assert (compared, disagree) == (1212, 0)
     assert inconsistent

@@ -10,8 +10,9 @@ from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema, SchemaError,
 from pdes.chase import r_chase
 from pdes.lang import parse_constraint
 from pdes.nullsem import n_holds
-from pdes.repair import (closer_leq, closer_lt, delta_lt, delta_repairs,
-                         exhaustive_null_repairs, info_leq, null_repairs)
+from pdes.repair import (closeness_profile, closer_leq, closer_lt, delta_lt,
+                         delta_repairs, exhaustive_null_repairs, info_leq,
+                         null_repairs)
 
 
 class TestInformationOrder:
@@ -30,21 +31,20 @@ class TestInformationOrder:
 
 
 class TestDeltaPreorder:
-    SCHEMA = Schema({"R": 1})
+    BASE = frozenset({atom("R", "a"), atom("R", "b")})
 
-    def mk(self, *consts):
-        return Instance({atom("R", c) for c in consts}, self.SCHEMA)
+    def delta(self, *consts):
+        """The changes of the instance R(consts) against BASE."""
+        return self.BASE ^ {atom("R", c) for c in consts}
 
     def test_reflexive_and_monotone(self):
-        base = self.mk("a", "b")
-        assert not delta_lt(base, base, base)
-        assert delta_lt(self.mk("a"), self.mk(), base)
-        assert not delta_lt(self.mk(), self.mk("a"), base)
+        assert not delta_lt(self.delta("a", "b"), self.delta("a", "b"))
+        assert delta_lt(self.delta("a"), self.delta())
+        assert not delta_lt(self.delta(), self.delta("a"))
 
     def test_incomparable_changes(self):
-        base = self.mk("a", "b")
-        assert not delta_lt(self.mk("a"), self.mk("b"), base)
-        assert not delta_lt(self.mk("b"), self.mk("a"), base)
+        assert not delta_lt(self.delta("a"), self.delta("b"))
+        assert not delta_lt(self.delta("b"), self.delta("a"))
 
 
 class TestDeletionOnlyRepairs:
@@ -312,6 +312,14 @@ class TestSearchCap:
             null_repairs(self.BASE, self.SIGMA, cap=8)
         assert len(null_repairs(self.BASE, self.SIGMA).repairs) == 16
 
+    def test_oracle_refuses_more_subsets_than_the_cap(self):
+        # eight free atoms, so 2^8 subsets
+        with pytest.raises(CapExceeded) as err:
+            exhaustive_null_repairs(self.BASE, self.SIGMA, cap=255)
+        assert (err.value.cap, err.value.needed) == (255, 256)
+        rs = exhaustive_null_repairs(self.BASE, self.SIGMA, cap=256)
+        assert len(rs.repairs) == 16
+
     def test_one_part_search_charges_each_state_once(self):
         # the delta search keeps one part: its 13 states fit a cap of 13,
         # with no charge for a split state or for the candidates
@@ -326,30 +334,29 @@ class TestSearchCap:
 
 class TestClosenessPreorder:
     SIGMA = (parse_constraint("forall x,y : T(x,y) -> S(x,y)"),)
-    SCHEMA = Schema({"T": 2, "S": 2})
+    BASE = frozenset({atom("T", "a", "b")})
 
-    def bound(self, base):
-        return r_chase(base, self.SIGMA).atoms
+    def profile(self, *atoms):
+        bound = r_chase(Instance(self.BASE, Schema({"T": 2, "S": 2})),
+                        self.SIGMA).atoms
+        return closeness_profile(frozenset(atoms), self.BASE, bound)
 
     def test_reflexive(self):
-        base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        assert closer_leq(base, base, base, self.bound(base))
-        assert not closer_lt(base, base, base, self.bound(base))
+        base = self.profile(*self.BASE)
+        assert closer_leq(base, base)
+        assert not closer_lt(base, base)
 
     def test_fewer_changes_is_closer(self):
-        base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        fixed = Instance(base.atoms | {atom("S", "a", "b")}, base.schema)
-        swapped = Instance({atom("S", "a", "b")}, self.SCHEMA)
-        assert closer_lt(fixed, swapped, base, self.bound(base))
+        fixed = self.profile(atom("T", "a", "b"), atom("S", "a", "b"))
+        swapped = self.profile(atom("S", "a", "b"))
+        assert closer_lt(fixed, swapped)
 
     def test_changes_of_different_preds_incomparable(self):
-        base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        fixed = Instance(base.atoms | {atom("S", "a", "b")}, base.schema)
-        emptied = Instance(set(), self.SCHEMA)
-        assert not closer_leq(fixed, emptied, base, self.bound(base))
-        assert not closer_leq(emptied, fixed, base, self.bound(base))
+        fixed = self.profile(atom("T", "a", "b"), atom("S", "a", "b"))
+        emptied = self.profile()
+        assert not closer_leq(fixed, emptied)
+        assert not closer_leq(emptied, fixed)
 
     def test_out_of_bound_instance_never_preferred(self):
-        base = Instance({atom("T", "a", "b")}, self.SCHEMA)
-        stray = Instance({atom("S", "c", "c")}, self.SCHEMA)
-        assert closer_leq(base, stray, base, self.bound(base))
+        stray = self.profile(atom("S", "c", "c"))
+        assert closer_leq(self.profile(*self.BASE), stray)

@@ -1,5 +1,5 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
-module-level private names."""
+module-level private names, no imports inside functions."""
 
 import ast
 import os
@@ -74,3 +74,24 @@ def test_no_dead_private_names():
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             sources.append(fh.read())
     assert dead_private_names(sources) == []
+
+
+def function_local_imports(source: str) -> list[int]:
+    """The lines of the imports that sit inside a function."""
+    return sorted({n.lineno for f in ast.walk(ast.parse(source))
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for n in ast.walk(f)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_check_sees_a_function_local_import():
+    assert function_local_imports(
+        "import os\nclass C:\n    def m(self):\n        from a import b\n"
+        "def f():\n    def g():\n        import sys\n"
+        "def h():\n    return os\n") == [4, 7]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_local_imports(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert function_local_imports(fh.read()) == []
