@@ -25,8 +25,8 @@ a stable model every true atom is the one true head atom of a rule
 whose body holds (Gebser, Kaufmann & Schaub, IJCAI 2007). Each
 supported model the search reaches is checked by a search for a smaller
 model of the component's reduct. The candidate cap bounds the searches,
-the product, and the grounding products of variables no body atom
-binds.
+the product of two components or more (`Budget.choices`), and the
+grounding products of variables no body atom binds.
 
 The ``!= null`` guards encode the null semantics, so only systems under
 the null-based preorder get a program. ``asp_solutions`` reads each
@@ -42,11 +42,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Iterable, Mapping
 
-from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Schema,
-                   SchemaError, restrict)
+from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Partition,
+                   Schema, SchemaError, restrict)
 from .lang import (OP_TEXT, Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
 from .nullsem import delta_join, eval_builtin, ground_atom
@@ -395,8 +394,8 @@ def stable_models(rules: Iterable[GroundRule],
     can support it (Gebser, Kaufmann & Schaub, IJCAI 2007). A leaf is
     thus a supported model, kept when no smaller model of the
     component's reduct lies inside it. Every search node, here and in
-    those minimality checks, and every model of the product is charged
-    to cap."""
+    those minimality checks, is charged to cap, and so is the product of
+    two components or more, before it is built."""
     rules = tuple(rules)
     live: set[Atom] = set()
     size = -1
@@ -408,25 +407,15 @@ def stable_models(rules: Iterable[GroundRule],
             for r in rules if live.issuperset(r.pos)]
     if not all(r.head or r.pos or r.neg for r in prog):
         return ()  # a constraint whose body always holds
-    root = {a: a for a in live}
-
-    def find(a: Atom) -> Atom:
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        return a
-
+    part = Partition()
     for r in prog:
-        first, *rest = (*r.head, *r.pos, *r.neg)
-        for a in rest:  # each root the least atom of its component
-            x, y = sorted((find(a), find(first)))
-            root[y] = x
+        part.union((*r.head, *r.pos, *r.neg))
     comps: dict[Atom, list[GroundRule]] = defaultdict(list)
     for r in prog:
-        comps[find((*r.head, *r.pos, *r.neg)[0])].append(r)
+        comps[part.find((*r.head, *r.pos, *r.neg)[0])].append(r)
     budget = Budget(cap)
-    parts = [_component_models(rs, budget) for _, rs in sorted(comps.items())]
-    budget.charge(prod(map(len, parts)))
-    return tuple(frozenset().union(*ms) for ms in product(*parts))
+    return tuple(budget.choices(
+        [_component_models(rs, budget) for _, rs in sorted(comps.items())]))
 
 
 def _component_models(rules: list[GroundRule],

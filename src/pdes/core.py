@@ -3,7 +3,8 @@
 Constants are plain strings; the single reserved token ``null`` plays the
 role of the SQL NULL. Atoms and instances are immutable values.
 `Instance.lookup`, an index per (predicate, bound positions), is the
-access path of the one body join, `nullsem.join`.
+access path of the one body join, `nullsem.join`. `Partition` splits work
+into independent parts, and `Budget.choices` multiplies parts out.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import product, starmap
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 NULL = "null"
@@ -39,6 +42,30 @@ class Budget:
         if self.used + n > self.cap:
             raise CapExceeded(self.cap, self.used + n)
         self.used += n
+
+    def choices(self, parts, base: frozenset = frozenset()) -> Iterator:
+        """base joined with one member of each of parts, the first part
+        varying slowest. Two parts or more charge their product, once and
+        before any choice; one part is a scan its search already paid."""
+        if len(parts) > 1:
+            self.charge(prod(map(len, parts)))
+        return starmap(base.union, product(*parts))
+
+
+class Partition(dict):
+    """Disjoint groups of items joined by `union`, as a map from each item
+    to its parent (union-find; Tarjan, JACM 1975). `find` names an item's
+    group by its least item; an item never joined is a group of its own."""
+
+    def find(self, a):
+        while self.setdefault(a, a) != a:
+            self[a] = a = self[self[a]]
+        return a
+
+    def union(self, items: Iterable) -> None:
+        roots = sorted(set(map(self.find, items)))
+        for r in roots:
+            self[r] = roots[0]
 
 
 @cache  # every sort reads it, and int() raises on each word it is given

@@ -46,7 +46,7 @@ def parse_definition(text: str) -> Definition:
     sigma: dict[tuple[str, str], list[Constraint]] = {}
     atoms: dict[str, set[Atom]] = {}
     queries: dict[str, Query] = {}
-    preorder = "null"
+    preorder: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
@@ -64,6 +64,8 @@ def parse_definition(text: str) -> Definition:
                 q = _query(cur)
                 if q.peer not in peers:
                     raise ParseError("query for undeclared peer")
+                if q.peer in queries:
+                    raise ParseError("second query for peer %r" % q.peer)
                 queries[q.peer] = q
             elif keyword == "peer":
                 name = cur.word()
@@ -94,6 +96,8 @@ def parse_definition(text: str) -> Definition:
                     raise ParseError("expected: trust P less|same Q")
                 trust.add((p, cur.next(), cur.word()))
             elif keyword == "preorder":
+                if preorder is not None:
+                    raise ParseError("preorder given twice")
                 if cur.peek() not in ("null", "delta"):
                     raise ParseError("preorder must be null or delta")
                 preorder = cur.next()
@@ -119,7 +123,7 @@ def parse_definition(text: str) -> Definition:
         schemas=peers,
         sigma={pq: tuple(cs) for pq, cs in sigma.items()},
         trust=frozenset(trust),
-        preorder=preorder)
+        preorder=preorder or "null")
     # each atom was checked against its peer's schema on its line
     data = {p: Instance._trusted(frozenset(atoms[p]), s)
             for p, s in peers.items()}

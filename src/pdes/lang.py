@@ -222,28 +222,19 @@ def n_rewrite_query(q: Query) -> Query:
 
 # ----------------------------------------------------------- ref-acyclicity
 
-def dependency_graph(sigma) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
-    """Edges body-pred -> head-pred; an edge is marked when it stems from an
-    existential constraint."""
-    edges: set[tuple[str, str]] = set()
+def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
+    """True iff no cycle of the dependency graph (edges body-pred ->
+    head-pred, marked when they stem from an existential constraint) goes
+    through a marked edge; otherwise returns one witness cycle."""
+    succ: dict[str, set[str]] = {}
     marked: set[tuple[str, str]] = set()
     for c in sigma:
         for b in c.body:
             for d in c.head:
                 for h in d.atoms:
-                    edges.add((b.pred, h.pred))
+                    succ.setdefault(b.pred, set()).add(h.pred)
                     if c.is_existential:
                         marked.add((b.pred, h.pred))
-    return edges, marked
-
-
-def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
-    """True iff no cycle of the dependency graph goes through a marked
-    (existential) edge; otherwise returns one witness cycle."""
-    edges, marked = dependency_graph(sigma)
-    succ: dict[str, set[str]] = {}
-    for (u, v) in edges:
-        succ.setdefault(u, set()).add(v)
     for (u, v) in sorted(marked):  # (u, v) is on a cycle iff v reaches u
         path = reach(lambda n: succ.get(n, ()), v, u)
         if path:

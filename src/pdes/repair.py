@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import prod
 from typing import Callable, Iterable
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
-                   Schema, atom_sort_key)
+                   Partition, Schema, atom_sort_key)
 from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
                       instantiations, n_holds, working_universe)
@@ -115,12 +114,8 @@ class RepairSet:
     def repairs(self) -> tuple[Instance, ...]:
         """The product, in search order; a caller that lists it orders
         it."""
-        if len(self.parts) > 1:
-            self.budget.charge(prod(map(len, self.parts)))
-        out = [self.shared]
-        for states in self.parts:
-            out = [d | s for d in out for s in states]
-        return tuple(Instance._trusted(a, self.schema) for a in out)
+        return tuple(Instance._trusted(a, self.schema)
+                     for a in self.budget.choices(self.parts, self.shared))
 
 
 def one_part(states: Iterable[frozenset[Atom]], schema: Schema,
@@ -244,39 +239,27 @@ class _Search:
         if self.pool is None or not all(c.body and c.anchored
                                         for c in self.sigma):
             return [state]
-        parent: dict[Atom, Atom] = {}
-
-        def find(a: Atom) -> Atom:
-            while parent.get(a, a) != a:
-                parent[a] = a = parent.get(parent[a], parent[a])
-            return a
-
-        def union(atoms) -> None:
-            root = find(atoms[0])
-            for a in atoms[1:]:
-                parent[find(a)] = root
-
+        part = Partition()
         for c in self.sigma:
             for s in instantiations(self.pool, c, self.universe):
-                atoms = [ground_atom(a, s) for a in c.body]
-                for option in head_options(c, s, self.universe, self.pool,
-                                           self.classical):
-                    atoms.extend(option)
-                union(atoms)
-        if len({find(a) for a in self.pool}) == 1:
+                part.union(chain(
+                    (ground_atom(a, s) for a in c.body),
+                    *head_options(c, s, self.universe, self.pool,
+                                  self.classical)))
+        if len({part.find(a) for a in self.pool}) == 1:
             return [state]  # no violation to list
-        violated = {find(ground_atom(c.body[0], s)) for c, s in viols}
-        hot = [a for a in self.pool if find(a) in violated]  # sorted
+        violated = {part.find(ground_atom(c.body[0], s)) for c, s in viols}
+        hot = [a for a in self.pool if part.find(a) in violated]  # sorted
         groups: dict[tuple[str, int], list[Atom]] = {}
         for a in hot:
             groups.setdefault((a.pred, len(a.args)), []).append(a)
         for group in groups.values():
             for a in group:
                 if NULL in a.args:  # only then below another atom
-                    union([a, *(b for b in group if info_leq(a.args, b.args))])
+                    part.union(b for b in group if info_leq(a.args, b.args))
         members: dict[Atom, list[Atom]] = {}
         for a in hot:
-            members.setdefault(find(a), []).append(a)
+            members.setdefault(part.find(a), []).append(a)
         if len(members) == 1:
             return [state]
         return [frozenset(m) for m in members.values()]

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import product
-from math import prod
 from typing import Callable, Mapping
 
 from .core import (DEFAULT_CAP, Atom, Budget, Instance, Schema, SchemaError,
@@ -400,10 +398,5 @@ def _avoidable(matches: list[frozenset[Atom]], parts, budget: Budget) -> bool:
     """Whether some choice of one state of each of parts holds none of
     matches: a scan of one part's states, or over several parts their
     product, charged to budget."""
-    if len(parts) > 1:
-        budget.charge(prod(map(len, parts)))
-    for chosen in product(*parts):
-        atoms = frozenset().union(*chosen)
-        if not any(m <= atoms for m in matches):
-            return True
-    return False
+    return any(not any(m <= atoms for m in matches)
+               for atoms in budget.choices(parts))

@@ -1,5 +1,5 @@
-"""Shared fixtures: paths, definition-file loading and the environment
-of child Pythons."""
+"""Shared fixtures: paths, definition-file loading, solutions as atom
+texts and the environment of child Pythons."""
 
 from __future__ import annotations
 
@@ -29,6 +29,11 @@ def child_env(**extra: str) -> dict[str, str]:
 
 def load(name: str) -> Definition:
     return load_definition(fixture_path(name))
+
+
+def solution_sets(insts) -> set[frozenset[str]]:
+    """Each instance of insts as the set of its atoms' texts."""
+    return {frozenset(map(str, i.atoms)) for i in insts}
 
 
 @pytest.fixture

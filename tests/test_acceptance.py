@@ -30,7 +30,7 @@ from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
                          solutions)
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
-                      load)
+                      load, solution_sets)
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -38,10 +38,6 @@ import families  # noqa: E402
 
 def atoms_of(inst) -> frozenset[str]:
     return frozenset(map(str, inst.atoms))
-
-
-def solution_sets(insts) -> set[frozenset[str]]:
-    return {atoms_of(i) for i in insts}
 
 
 def neighborhood(defn, p) -> Instance:

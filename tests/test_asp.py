@@ -23,7 +23,7 @@ from pdes.lang import Cst, parse_constraint, parse_query, term_vars
 from pdes.system import (PdesSchema, _solve, core_instance, inc_atom,
                          peer_consistent_answers, solutions)
 
-from conftest import FIXTURES, HERE, load
+from conftest import FIXTURES, HERE, load, solution_sets
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -40,10 +40,6 @@ def program_for(name, p):
     defn = load(name)
     dbar = neighborhood(defn, p)
     return defn, dbar, build_solution_program(defn.system, p, dbar)
-
-
-def solution_sets(insts) -> set[frozenset[str]]:
-    return {frozenset(map(str, i.atoms)) for i in insts}
 
 
 class TestCopyConstraintProgram:
@@ -480,6 +476,27 @@ class TestSearchScale:
         assert len(stable_models(rules, cap=2 ** (n - 1))) == 32
         res = pca_via_asp(sysm, "P1", d, defn.queries["P1"])
         assert res.answers == {(a,) for a in fam.answers}
+
+    def test_one_component_is_not_charged_again(self, monkeypatch):
+        # a | b.  one component with two stable models: its search nodes
+        # paid for them, so a cap of exactly the search's and the
+        # minimality checks' charges solves it
+        import pdes.asp as asp_mod
+        a, b = atom("a"), atom("b")
+        rules = [GroundRule((a, b), (), ())]
+        used = []
+        real = asp_mod._component_models
+
+        def recorded(rules, budget):
+            models = real(rules, budget)
+            used.append(budget.used)
+            return models
+
+        monkeypatch.setattr(asp_mod, "_component_models", recorded)
+        assert len(stable_models(rules)) == 2
+        assert len(used) == 1
+        assert set(stable_models(rules, cap=used[0])) == {
+            frozenset({a}), frozenset({b})}
 
     def test_grounding_charges_unbound_variables(self):
         # y and z occur only in the head: each S fact leaves a product

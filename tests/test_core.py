@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from pdes.core import (NULL, CapExceeded, Instance, Schema, SchemaError,
-                       active_domain, atom, atom_sort_key, const_leq, restrict)
+from pdes.core import (NULL, Budget, CapExceeded, Instance, Partition, Schema,
+                       SchemaError, active_domain, atom, atom_sort_key,
+                       const_leq, restrict)
 
 
 class TestAtom:
@@ -129,3 +130,56 @@ def test_cap_exceeded_carries_numbers():
     e = CapExceeded(10, 1000)
     assert e.cap == 10 and e.needed == 1000
     assert "10" in str(e)
+
+
+class TestPartition:
+    def test_item_never_joined_is_its_own_group(self):
+        assert Partition().find("x") == "x"
+
+    @pytest.mark.parametrize("unions", [
+        [("d", "c"), ("c", "b"), ("e", "a"), ("b", "e")],
+        [("a", "e"), ("b", "c"), ("d", "c"), ("e", "d")],
+        [("e", "d", "c", "b", "a")],
+    ])
+    def test_group_is_named_by_its_least_item(self, unions):
+        part = Partition()
+        for items in unions:
+            part.union(items)
+        part.union(["y", "z"])
+        assert {x: part.find(x) for x in "abcdeyz"} == {
+            **dict.fromkeys("abcde", "a"), "y": "y", "z": "y"}
+
+
+class TestChoices:
+    def test_first_part_varies_slowest(self):
+        parts = [(frozenset("a"), frozenset("b")),
+                 (frozenset("c"), frozenset("d"))]
+        assert list(Budget(4).choices(parts, frozenset("s"))) == [
+            frozenset("sac"), frozenset("sad"), frozenset("sbc"),
+            frozenset("sbd")]
+
+    def test_no_part_is_the_base_alone(self):
+        budget = Budget(0)
+        assert list(budget.choices([], frozenset("s"))) == [frozenset("s")]
+        assert budget.used == 0
+
+    def test_one_part_charges_nothing(self):
+        budget = Budget(0)
+        states = (frozenset("a"), frozenset("b"), frozenset("c"))
+        assert list(budget.choices([states])) == list(states)
+        assert budget.used == 0
+
+    def test_two_parts_charge_their_product_once(self):
+        budget = Budget(6)
+        parts = [(frozenset("a"), frozenset("b")),
+                 (frozenset("c"), frozenset("d"), frozenset("e"))]
+        assert len(list(budget.choices(parts))) == 6
+        assert budget.used == 6
+
+    def test_cap_is_exceeded_before_the_first_choice(self):
+        budget = Budget(5)
+        parts = [(frozenset("a"), frozenset("b")),
+                 (frozenset("c"), frozenset("d"), frozenset("e"))]
+        with pytest.raises(CapExceeded) as e:
+            next(budget.choices(parts))
+        assert (e.value.needed, budget.used) == (6, 0)

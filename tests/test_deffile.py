@@ -67,6 +67,14 @@ class TestErrors:
     def test_bad_preorder(self):
         self.error("peer P : R/1\npreorder fancy\n")
 
+    def test_repeated_preorder(self):
+        assert self.error("peer P : R/1\npreorder null\npreorder delta\n") \
+            == "line 3: preorder given twice"
+
+    def test_second_query_for_one_peer(self):
+        assert self.error("peer P : R/1\nquery P : R(x)\nquery P : R(y)\n") \
+            == "line 3: second query for peer 'P'"
+
     def test_wrong_arity_atom(self):
         self.error("peer P : R/2\ninstance P : R(a)\n")
 

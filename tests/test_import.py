@@ -16,7 +16,7 @@ from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
                              restricted_import_solve)
 from pdes.system import _solve, peer_consistent_answers, solutions
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, solution_sets
 
 # every fixture but the one refused at load time for its cycle
 LOADABLE = sorted(n for n in os.listdir(FIXTURES) if n != "cyclic_graph.pdes")
@@ -24,10 +24,6 @@ LOADABLE = sorted(n for n in os.listdir(FIXTURES) if n != "cyclic_graph.pdes")
 
 def atoms_of(inst) -> set[str]:
     return set(map(str, inst.atoms))
-
-
-def solution_sets(res) -> set[frozenset[str]]:
-    return {frozenset(map(str, s.atoms)) for s in res.solutions}
 
 
 class TestClassification:
@@ -64,7 +60,8 @@ class TestClassification:
                                                           capsys):
         defn = parse_definition(self.BUILTIN_IN_HEAD)
         assert classify(defn.system)["P1"] == GENERAL
-        assert solution_sets(solutions(defn.system, "P1", defn.instance)) \
+        res = solutions(defn.system, "P1", defn.instance)
+        assert solution_sets(res.solutions) \
             == {frozenset({"R(5,null)", "R(d,null)"})}
         path = tmp_path / "builtin.pdes"
         path.write_text(self.BUILTIN_IN_HEAD, encoding="utf-8")
@@ -81,7 +78,8 @@ class TestClassification:
     def test_existential_import_under_delta_is_general(self, tmp_path,
                                                        capsys):
         defn = parse_definition(self.DELTA_EXISTENTIAL)
-        assert solution_sets(solutions(defn.system, "P1", defn.instance)) \
+        res = solutions(defn.system, "P1", defn.instance)
+        assert solution_sets(res.solutions) \
             == {frozenset({"R(1,1)"}), frozenset({"R(1,b)"}),
                 frozenset({"R(1,null)"})}
         path = tmp_path / "delta.pdes"
@@ -105,7 +103,8 @@ class TestUnrestrictedImport:
 
     def test_agrees_with_general_solver(self):
         res = solutions(self.defn.system, "P1", self.defn.instance)
-        assert solution_sets(res) == {frozenset({"R1(a,2)", "R1(d,5)"})}
+        assert solution_sets(res.solutions) == {
+            frozenset({"R1(a,2)", "R1(d,5)"})}
 
     def test_least_model_over_the_neighborhood_instance(self):
         dbar = Instance(
@@ -124,7 +123,7 @@ class TestUnrestrictedImport:
         sysm, d = defn.system, defn.instance
         want = {frozenset({"R(a,c)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
-        assert solution_sets(solutions(sysm, "P1", d)) == want
+        assert solution_sets(solutions(sysm, "P1", d).solutions) == want
 
 
 class TestExistentialImport:
@@ -137,9 +136,9 @@ class TestExistentialImport:
         sysm, d = defn.system, defn.instance
         want = {frozenset({"R1(a,b)", "R1(c,null)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
-        assert solution_sets(solutions(sysm, "P1", d)) == want
-        assert solution_sets(
-            _solve(sysm, "P1", d, asp_parts, DEFAULT_CAP, {})) == want
+        assert solution_sets(solutions(sysm, "P1", d).solutions) == want
+        assert solution_sets(_solve(sysm, "P1", d, asp_parts, DEFAULT_CAP,
+                                    {}).solutions) == want
 
     def test_more_informative_null_atom_witnesses_first(self):
         # R1(a,null,b) witnesses both heads, R1(a,null,null) only one
@@ -152,7 +151,7 @@ class TestExistentialImport:
         sysm, d = defn.system, defn.instance
         want = {frozenset({"R1(a,null,b)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
-        assert solution_sets(solutions(sysm, "P1", d)) == want
+        assert solution_sets(solutions(sysm, "P1", d).solutions) == want
 
     def test_each_body_is_joined_once(self, monkeypatch):
         # two bodies, and one witness lookup per null head
@@ -194,7 +193,7 @@ class TestRestrictedImport:
     def test_width_two_dependency_gives_two_solutions(self):
         defn = load("ex_5_13.pdes")
         res = restricted_import_solve(defn.system, "P", defn.instance)
-        assert solution_sets(res) == {
+        assert solution_sets(res.solutions) == {
             frozenset({"P0(a,d)", "P0(a,b)"}),
             frozenset({"P0(a,d)", "P0(a,c)"})}
 
@@ -233,7 +232,7 @@ class TestRestrictedImport:
         defn = load("ex_5_13.pdes")
         res = restricted_import_solve(defn.system, "P", defn.instance)
         general = solutions(defn.system, "P", defn.instance)
-        assert solution_sets(res) == solution_sets(general)
+        assert solution_sets(res.solutions) == solution_sets(general.solutions)
 
 
 class TestInconsistentNeighbor:
@@ -260,14 +259,15 @@ class TestInconsistentNeighbor:
         assert solutions(sysm, "P1", d).inconsistent
         assert restricted_import_solve(sysm, "P1", d).inconsistent
         general = solutions(sysm, "P0", d)
-        assert solution_sets(general) == {frozenset({"S0(k,l)"})}
+        want = solution_sets(general.solutions)
+        assert want == {frozenset({"S0(k,l)"})}
         assert not general.inconsistent
         if dec == self.COPY:
-            assert solution_sets(restricted_import_solve(sysm, "P0", d)) \
-                == solution_sets(general)
+            restricted = restricted_import_solve(sysm, "P0", d)
+            assert solution_sets(restricted.solutions) == want
         if preorder == "null":
             via_asp = _solve(sysm, "P0", d, asp_parts, DEFAULT_CAP, {})
-            assert solution_sets(via_asp) == solution_sets(general)
+            assert solution_sets(via_asp.solutions) == want
             assert _solve(sysm, "P1", d, asp_parts, DEFAULT_CAP,
                           {}).inconsistent
 
@@ -296,11 +296,12 @@ def test_import_routes_agree_with_general_solver(name):
         checked += 1
         general = solutions(sysm, p, d)
         restricted = restricted_import_solve(sysm, p, d)
-        assert solution_sets(restricted) == solution_sets(general), p
+        want = solution_sets(general.solutions)
+        assert solution_sets(restricted.solutions) == want, p
         assert restricted.inconsistent == general.inconsistent, p
         if reached == {UNRESTRICTED}:
             unique = import_solve(sysm, p, d)
-            assert solution_sets(general) == {frozenset(atoms_of(unique))}, p
+            assert want == {frozenset(atoms_of(unique))}, p
     assert checked
 
 
@@ -366,9 +367,9 @@ def _drawn_agreement(preorder: str) -> tuple[int, int, int]:
             if GENERAL in reached:
                 continue
             general = solutions(sysm, p, d)
-            want = (solution_sets(general), general.inconsistent)
+            want = (solution_sets(general.solutions), general.inconsistent)
             res = restricted_import_solve(sysm, p, d)
-            routes = [(solution_sets(res), res.inconsistent)]
+            routes = [(solution_sets(res.solutions), res.inconsistent)]
             if reached == {UNRESTRICTED}:
                 routes.append(({frozenset(atoms_of(
                     import_solve(sysm, p, d)))}, False))

@@ -11,15 +11,11 @@ from pdes.system import (PdesInstance, PdesSchema, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import child_env, load
+from conftest import child_env, load, solution_sets
 
 
 def atoms_of(inst: Instance) -> set[str]:
     return set(map(str, inst.atoms))
-
-
-def solution_sets(res) -> set[frozenset[str]]:
-    return {frozenset(map(str, s.atoms)) for s in res.solutions}
 
 
 class TestSchemaValidation:
@@ -167,14 +163,14 @@ class TestTransitiveSystem:
 
     def test_intermediate_peer_solutions(self):
         res = solutions(self.defn.system, "P2", self.defn.instance)
-        assert solution_sets(res) == {
+        assert solution_sets(res.solutions) == {
             frozenset({"R2(c,4)", "R2(d,5)", "S2(5,3)"}),
             frozenset({"R2(c,4)", "R2(d,5)", "S2(4,2)", "S2(5,3)"})}
         assert atoms_of(res.core) == {"R2(c,4)", "R2(d,5)", "S2(5,3)"}
 
     def test_top_peer_single_solution(self):
         res = solutions(self.defn.system, "P1", self.defn.instance)
-        assert solution_sets(res) == {
+        assert solution_sets(res.solutions) == {
             frozenset({"R1(c,4,2)", "R1(f,3,5)", "R1(d,5,3)", "S1(3)"})}
 
     def test_consistent_answers_through_core(self):
@@ -196,11 +192,11 @@ class TestNullPreorderSolutions:
     def test_transitive_cores(self):
         defn = load("ex_5_7.pdes")
         res2 = solutions(defn.system, "P2", defn.instance)
-        assert solution_sets(res2) == {
+        assert solution_sets(res2.solutions) == {
             frozenset({"R2(c,4)", "R2(d,5)"}), frozenset({"R2(d,5)"})}
         assert atoms_of(res2.core) == {"R2(d,5)"}
         res4 = solutions(defn.system, "P4", defn.instance)
-        assert solution_sets(res4) == {
+        assert solution_sets(res4.solutions) == {
             frozenset({"R4(d,5,1)", "R4(c,4,null)"})}
 
 
