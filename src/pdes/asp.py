@@ -40,9 +40,8 @@ every peer it reaches through that peer's own program.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Partition,
                    Schema, SchemaError, restrict)
@@ -62,8 +61,7 @@ _FLIP = {"eq": "neq", "neq": "eq", "lt": "geq", "geq": "lt",
          "isnotnull": "isnull"}
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     """A (possibly negated) program atom: annotated nickname when ``ann``
     is set, plain database/dom/aux/marker atom otherwise."""
 
@@ -73,15 +71,13 @@ class Lit:
     neg: bool = False
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head: tuple[Lit, ...]
     body: tuple[Lit | Builtin, ...]
     derived: bool = False  # definitional layer, resolved lazily
 
 
-@dataclass(frozen=True)
-class LogicProgram:
+class LogicProgram(NamedTuple):
     facts: frozenset[Atom]
     rules: tuple[Rule, ...]
     schema: Schema
@@ -89,8 +85,7 @@ class LogicProgram:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(NamedTuple):
     head: tuple[Atom, ...]
     pos: tuple[Atom, ...]
     neg: tuple[Atom, ...]

@@ -10,11 +10,10 @@ into independent parts, and `Budget.choices` multiplies parts out.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product, starmap
 from math import prod
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 NULL = "null"
 
@@ -105,14 +104,10 @@ class SchemaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Schema:
-    """Predicate name -> arity."""
+class Schema(NamedTuple):
+    """Predicate name -> arity, a dict the schema keeps."""
 
-    arities: Mapping[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "arities", dict(self.arities))
+    arities: dict[str, int]
 
     def __contains__(self, pred: str) -> bool:
         return pred in self.arities
@@ -148,20 +143,34 @@ class Schema:
         return Schema({p: k for p, k in self.arities.items() if p in preds})
 
 
-@dataclass(frozen=True)
-class Instance:
+class Record:
+    """A plain record, for values that cache or index beside their fields:
+    the attributes ``_fields`` names make its ==, hash and repr."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class Instance(Record):
     """Atoms over a schema; its active domain and `lookup` indexes are
     built once, on first use."""
 
-    atoms: frozenset[Atom]
-    schema: Schema
-    _index: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _fields = ("atoms", "schema")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
+    def __init__(self, atoms: Iterable[Atom], schema: Schema):
+        self.atoms, self.schema, self._index = frozenset(atoms), schema, {}
         for a in self.atoms:
-            self.schema.check(a.pred, len(a.args), a)
+            schema.check(a.pred, len(a.args), a)
 
     @classmethod
     def _trusted(cls, atoms: frozenset[Atom], schema: Schema) -> "Instance":
@@ -169,9 +178,7 @@ class Instance:
         frozenset of atoms of checked instances whose schemas agree with
         schema on the atoms' predicates, all of which schema declares."""
         inst = object.__new__(cls)
-        object.__setattr__(inst, "atoms", atoms)
-        object.__setattr__(inst, "schema", schema)
-        object.__setattr__(inst, "_index", {})
+        inst.atoms, inst.schema, inst._index = atoms, schema, {}
         return inst
 
     def __contains__(self, a: Atom) -> bool:

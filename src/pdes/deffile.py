@@ -17,7 +17,7 @@ grammar. A malformed line raises `ParseError` naming its number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Atom, Instance, Schema, SchemaError
 from .lang import (_BUILTIN_WORDS, Constraint, ParseError, Query, _constraint,
@@ -25,14 +25,13 @@ from .lang import (_BUILTIN_WORDS, Constraint, ParseError, Query, _constraint,
 from .system import PdesInstance, PdesSchema
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     """A parsed definition file: the system, its instance, and any
     default queries keyed by peer."""
 
     system: PdesSchema
     instance: PdesInstance
-    queries: dict[str, Query] = field(default_factory=dict)
+    queries: dict[str, Query]
 
 
 def _name(s: str) -> bool:
@@ -132,4 +131,9 @@ def parse_definition(text: str) -> Definition:
 
 def load_definition(path: str) -> Definition:
     with open(path, encoding="utf-8") as fh:
-        return parse_definition(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError("byte %d is not UTF-8 (%s)"
+                             % (e.start, e.reason)) from e
+    return parse_definition(text)

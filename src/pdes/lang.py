@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
-from .core import NULL, Atom, reach
+from .core import NULL, Atom, Record, reach
 
 
 class ParseError(ValueError):
@@ -25,18 +25,26 @@ class SafetyError(ParseError):
     pass
 
 
+def _distinct(cls):
+    """The NamedTuple cls, equal only to its own instances: as tuples,
+    Var("x") would equal Cst("x"), and a PredAtom a Builtin spelt alike."""
+    cls.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    cls.__ne__ = lambda a, b: not cls.__eq__(a, b)
+    return cls
+
+
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Var:
+@_distinct
+class Var(NamedTuple):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Cst:
+@_distinct
+class Cst(NamedTuple):
     value: str
 
     def __str__(self):
@@ -52,8 +60,8 @@ def term_vars(terms) -> list[str]:
 
 # ---------------------------------------------------------------- atoms
 
-@dataclass(frozen=True)
-class PredAtom:
+@_distinct
+class PredAtom(NamedTuple):
     pred: str
     terms: tuple[Term, ...]
 
@@ -66,8 +74,8 @@ OP_TEXT = {"eq": "=", "neq": "!=", "lt": "<", "leq": "<=", "gt": ">", "geq": ">=
 TEXT_OP = {v: k for k, v in OP_TEXT.items()}
 
 
-@dataclass(frozen=True)
-class Builtin:
+@_distinct
+class Builtin(NamedTuple):
     op: str  # eq neq lt leq gt geq false isnull isnotnull
     terms: tuple[Term, ...] = ()
 
@@ -79,8 +87,7 @@ class Builtin:
         return "%s%s%s" % (self.terms[0], OP_TEXT[self.op], self.terms[1])
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(NamedTuple):
     """One consequent disjunct: an (optionally existential) conjunction of
     database atoms and builtins."""
 
@@ -96,18 +103,27 @@ class Disjunct:
         return body
 
 
-@dataclass(frozen=True)
-class Constraint:
-    univ_vars: tuple[str, ...]
-    body: tuple[PredAtom, ...]
-    head: tuple[Disjunct, ...]
-    owner: tuple[str, str] | None = None
+class Constraint(Record):
+    """forall univ_vars: body -> head, in the constraint set of the peer
+    pair owner when one is named. Its fields cannot be reassigned; its
+    analyses are cached beside them, outside ==, hash and repr."""
+
+    _fields = ("univ_vars", "body", "head", "owner")
+
+    def __init__(self, univ_vars: tuple[str, ...], body: tuple[PredAtom, ...],
+                 head: tuple[Disjunct, ...],
+                 owner: tuple[str, str] | None = None):
+        self.__dict__.update(zip(self._fields,
+                                 (univ_vars, body, head, owner)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to constraint field %r" % name)
 
     @property
     def is_existential(self) -> bool:
         return any(d.exist_vars for d in self.head)
 
-    @cached_property  # kept off the fields: ==, hash and repr ignore it
+    @cached_property
     def relevant(self) -> frozenset[str]:
         return relevant_vars(self)
 
@@ -135,8 +151,7 @@ class Constraint:
         return "forall %s: %s -> %s" % (",".join(self.univ_vars), body, head)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     free_vars: tuple[str, ...]
     exist_vars: tuple[str, ...]
     atoms: tuple[PredAtom, ...]
@@ -152,12 +167,7 @@ class Query:
                 return False
         return True
 
-    def __str__(self):
-        parts = [str(a) for a in self.atoms] + [str(b) for b in self.builtins]
-        body = ", ".join(parts)
-        if self.exist_vars:
-            return "exists %s: %s" % (",".join(self.exist_vars), body)
-        return body
+    __str__ = Disjunct.__str__  # a conjunction, as a disjunct prints
 
 
 # ------------------------------------------------------- relevant variables
@@ -206,8 +216,8 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
                     for v in term_vars(b.terms)}
         extra = tuple(Builtin("isnotnull", (Var(w),))
                       for w in d.exist_vars if w in rel or w in compared)
-        new_head.append(replace(d, builtins=d.builtins + extra))
-    return replace(c, head=guards + tuple(new_head))
+        new_head.append(d._replace(builtins=d.builtins + extra))
+    return Constraint(c.univ_vars, c.body, guards + tuple(new_head), c.owner)
 
 
 def n_rewrite_query(q: Query) -> Query:
@@ -217,7 +227,7 @@ def n_rewrite_query(q: Query) -> Query:
     extra = tuple(Builtin("neq", (Var(v), Cst(NULL)))
                   for v in dict.fromkeys(q.free_vars + q.exist_vars)
                   if v in rel)
-    return replace(q, builtins=q.builtins + extra)
+    return q._replace(builtins=q.builtins + extra)
 
 
 # ----------------------------------------------------------- ref-acyclicity

@@ -24,13 +24,12 @@ search keeps one part. A check reads its own ranges (`nullsem`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
-                   Partition, Schema, atom_sort_key)
+                   Partition, Record, Schema, atom_sort_key)
 from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
                       instantiations, n_holds, working_universe)
@@ -97,18 +96,20 @@ def delta_lt(delta1: frozenset[Atom], delta2: frozenset[Atom]) -> bool:
     return delta1 < delta2
 
 
-@dataclass(frozen=True)
-class RepairSet:
+class RepairSet(Record):
     """Repairs in factored form: each is the shared atoms plus one state
     of every part. No two of shared and the parts' states hold a common
-    atom, so distinct choices give distinct repairs. ``budget`` is the
-    cap of the search that found them, which multiplying out two parts or
-    more is charged to."""
+    atom, so distinct choices give distinct repairs. ``budget``, outside
+    ==, is the cap of the search that found them, which multiplying out
+    two parts or more is charged to."""
 
-    shared: frozenset[Atom]
-    parts: tuple[tuple[frozenset[Atom], ...], ...]
-    schema: Schema
-    budget: Budget = field(compare=False, repr=False)
+    _fields = ("shared", "parts", "schema")
+
+    def __init__(self, shared: frozenset[Atom],
+                 parts: tuple[tuple[frozenset[Atom], ...], ...],
+                 schema: Schema, budget: Budget):
+        self.shared, self.parts, self.schema = shared, parts, schema
+        self.budget = budget
 
     @cached_property
     def repairs(self) -> tuple[Instance, ...]:

@@ -11,12 +11,11 @@ has none, in which case the exchange constraints toward it are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .core import (DEFAULT_CAP, Atom, Budget, Instance, Schema, SchemaError,
-                   reach)
+from .core import (DEFAULT_CAP, Atom, Budget, Instance, Record, Schema,
+                   SchemaError, reach)
 from .lang import Constraint, Query
 from .nullsem import classical_answers, n_answers
 from .repair import NULL_BASED, SYMMETRIC_DELTA, RepairSet, preorder_repairs
@@ -32,40 +31,28 @@ def inc_atom(peer: str) -> Atom:
     return Atom(INC_PREFIX + peer, ())
 
 
-@dataclass(frozen=True)
-class PdesSchema:
+class PdesSchema(Record):
     """Peer ids, per-peer schemas with pairwise disjoint predicates, the
     exchange constraints indexed by ordered peer pairs, and trust. The
     accessibility graph has an edge P -> Q for each nonempty constraint
-    set between distinct peers, labeled with the trust kind."""
+    set between distinct peers, labeled with the trust kind; its indexes
+    ``_succ`` and ``_kind`` are outside ==."""
 
-    peers: frozenset[str]
-    schemas: Mapping[str, Schema]
-    sigma: Mapping[tuple[str, str], tuple[Constraint, ...]]
-    trust: frozenset[tuple[str, str, str]]
-    preorder: str = NULL_BASED
-    _succ: Mapping[str, frozenset[str]] = field(
-        init=False, repr=False, compare=False)
-    _kind: Mapping[tuple[str, str], str] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("peers", "schemas", "sigma", "trust", "preorder")
 
-    def __post_init__(self):
-        object.__setattr__(self, "peers", frozenset(self.peers))
-        object.__setattr__(self, "schemas", dict(self.schemas))
-        object.__setattr__(
-            self, "sigma",
-            {pq: tuple(cs) for pq, cs in self.sigma.items() if cs})
-        trust = set(self.trust)
+    def __init__(self, peers: Iterable[str], schemas: Mapping[str, Schema],
+                 sigma: Mapping[tuple[str, str], Iterable[Constraint]],
+                 trust: Iterable[tuple[str, str, str]],
+                 preorder: str = NULL_BASED):
+        self.peers, self.schemas = frozenset(peers), dict(schemas)
+        self.sigma = {pq: tuple(cs) for pq, cs in sigma.items() if cs}
         # local constraint sets carry implicit self-trust
-        for (p, q) in self.sigma:
-            if p == q:
-                trust.add((p, SAME, p))
-        object.__setattr__(self, "trust", frozenset(trust))
-        object.__setattr__(self, "_succ", {
-            p: frozenset(q for (a, q) in self.sigma if a == p != q)
-            for p in self.peers})
-        object.__setattr__(self, "_kind",
-                           {(p, q): t for (p, t, q) in sorted(trust)})
+        self.trust = frozenset(trust).union(
+            (p, SAME, p) for (p, q) in self.sigma if p == q)
+        self.preorder = preorder
+        self._succ = {p: frozenset(q for (a, q) in self.sigma if a == p != q)
+                      for p in self.peers}
+        self._kind = {(p, q): t for (p, t, q) in sorted(self.trust)}
         self._validate()
 
     def _validate(self) -> None:
@@ -165,15 +152,13 @@ class PdesSchema:
         return sch.union(Schema(markers))
 
 
-@dataclass(frozen=True)
-class PdesInstance:
+class PdesInstance(Record):
     """One database instance per peer, over that peer's schema."""
 
-    system: PdesSchema
-    data: Mapping[str, Instance]
+    _fields = ("system", "data")
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", dict(self.data))
+    def __init__(self, system: PdesSchema, data: Mapping[str, Instance]):
+        self.system, self.data = system, dict(data)
         for p in self.system.peers:
             if p not in self.data:
                 raise SchemaError("missing instance for peer %r" % p)
@@ -187,8 +172,7 @@ class PdesInstance:
         return self.data[p]
 
 
-@dataclass(frozen=True)
-class SolutionResult:
+class SolutionResult(NamedTuple):
     peer: str
     solutions: tuple[Instance, ...]
     core: Instance
@@ -250,7 +234,7 @@ def solutions(system: PdesSchema, p: str, d: PdesInstance,
     cores, in the order of their sorted atom texts (perfbench reads it)."""
     system._check_peer(p)
     res = _solve(system, p, d, _neighborhood_repairs, cap, {})
-    return replace(res, solutions=tuple(sorted(
+    return res._replace(solutions=tuple(sorted(
         res.solutions, key=lambda s: sorted(map(str, s.atoms)))))
 
 
@@ -325,8 +309,7 @@ def _factored(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
 
 # ------------------------------------------------ peer-consistent answers
 
-@dataclass(frozen=True)
-class PcaResult:
+class PcaResult(NamedTuple):
     """Certain answers over a peer's solutions; ``inconsistent`` replaces
     the answer set by the peer's marker when no solutions exist."""
 

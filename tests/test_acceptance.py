@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,7 @@ from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                              restricted_import_solve)
 from pdes.deffile import parse_definition
-from pdes.lang import Cst, parse_constraint, parse_query
+from pdes.lang import Constraint, Cst, parse_constraint, parse_query
 from pdes.nullsem import classical_answers, n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
 from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
@@ -812,7 +811,8 @@ def test_15_factored_answers_equal_the_product(monkeypatch):
     drawn += [("fd%d" % n, *_fd_system("abcd"[:n])) for n in (2, 3, 4)]
     for label, sysm, inst in drawn:
         for preorder in ("null", "delta"):
-            other = replace(sysm, preorder=preorder)
+            other = PdesSchema(sysm.peers, sysm.schemas, sysm.sigma,
+                               sysm.trust, preorder)
             cases.append(((label, preorder), other,
                           PdesInstance(other, inst.data), {}))
     compared = 0
@@ -939,18 +939,19 @@ def _rename(c: str) -> str:
 
 def _renamed(defn):
     def terms(x):
-        return replace(x, terms=tuple(
+        return x._replace(terms=tuple(
             Cst(_rename(t.value)) if isinstance(t, Cst) else t
             for t in x.terms))
 
     def formula(x):
-        return replace(x, atoms=tuple(map(terms, x.atoms)),
-                       builtins=tuple(map(terms, x.builtins)))
+        return x._replace(atoms=tuple(map(terms, x.atoms)),
+                          builtins=tuple(map(terms, x.builtins)))
 
-    sysm = replace(defn.system, sigma={pq: tuple(
-        replace(c, body=tuple(map(terms, c.body)),
-                head=tuple(map(formula, c.head))) for c in cs)
-        for pq, cs in defn.system.sigma.items()})
+    old = defn.system
+    sysm = PdesSchema(old.peers, old.schemas, {pq: tuple(
+        Constraint(c.univ_vars, tuple(map(terms, c.body)),
+                   tuple(map(formula, c.head)), c.owner) for c in cs)
+        for pq, cs in old.sigma.items()}, old.trust, old.preorder)
     inst = PdesInstance(sysm, {p: Instance(
         {Atom(a.pred, tuple(map(_rename, a.args))) for a in d.atoms},
         d.schema) for p, d in defn.instance.data.items()})

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdes.asp import (TA, GroundRule, _ground_rule, asp_parts, asp_solutions,
-                      build_solution_program, emit_text, extract_instance,
-                      ground, pca_via_asp, stable_models)
+from pdes.asp import (TA, GroundRule, Lit, Rule, _ground_rule, asp_parts,
+                      asp_solutions, build_solution_program, emit_text,
+                      extract_instance, ground, pca_via_asp, stable_models)
 from pdes.cli import main
 from pdes.core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded,
                        Instance, Schema, SchemaError, atom, atom_sort_key)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
-from pdes.lang import Cst, parse_constraint, parse_query, term_vars
+from pdes.lang import (Builtin, Cst, Var, parse_constraint, parse_query,
+                       term_vars)
 from pdes.system import (PdesSchema, _solve, core_instance, inc_atom,
                          peer_consistent_answers, solutions)
 
@@ -512,3 +513,26 @@ class TestSearchScale:
         prog = build_solution_program(sysm, "P", dbar)
         with pytest.raises(CapExceeded):
             ground(prog, cap=1000)
+
+
+class TestRecords:
+    """Program records are NamedTuples: values that hash as tuples and
+    refuse assignment."""
+
+    def test_a_literal_never_equals_a_builtin_in_one_body(self):
+        terms = (Var("x"), Cst(NULL))
+        lit, b = Lit("neq", terms), Builtin("neq", terms)
+        rule = Rule((Lit("R", terms, TA),), (lit, b))
+        assert lit != b and b != lit and len(set(rule.body)) == 2
+        assert rule.body.index(b) == 1 and rule == Rule(rule.head, (lit, b))
+
+    def test_ground_rules_are_hashed_values(self):
+        def g():
+            return GroundRule((atom("a"),), (atom("b"),), (atom("c"),))
+        assert g() == g() and hash(g()) == hash(g())
+        assert len({g(), g(), g()._replace(neg=())}) == 2
+        for rec, name in [(g(), "neg"), (Lit("R", ()), "neg"),
+                          (Rule((), ()), "derived")]:
+            hash(rec)
+            with pytest.raises(AttributeError):
+                setattr(rec, name, True)

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from pdes.cli import _build_parser, main
 from pdes.core import SchemaError
+from pdes.repair import RepairSet
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
                       load)
@@ -78,10 +78,10 @@ class TestGolden:
             return tuple(reversed(items))
         flips = {
             # each part's states reversed reverse the whole product
-            "preorder_repairs": lambda r: replace(
-                r, parts=tuple(map(flip, r.parts))),
+            "preorder_repairs": lambda r: RepairSet(
+                r.shared, tuple(map(flip, r.parts)), r.schema, r.budget),
             "neighborhood_solutions": flip,
-            "solutions": lambda r: replace(r, solutions=flip(r.solutions)),
+            "solutions": lambda r: r._replace(solutions=flip(r.solutions)),
             "stable_models": flip,
             "asp_solutions": flip,
         }
@@ -162,6 +162,13 @@ class TestExitCodes:
     def test_missing_file(self):
         res = run_cli(["check", "/no/such/file.pdes"])
         assert res.returncode == 2
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        # its UnicodeDecodeError used to escape main as a traceback
+        bad = tmp_path / "latin1.pdes"
+        bad.write_bytes(b"peer P : R/1\ninstance P : R(\xff)\n")
+        assert (main(["check", str(bad)]), *capsys.readouterr()) == (
+            2, "", "parse error: byte 28 is not UTF-8 (invalid start byte)\n")
 
     def test_cap_exceeded(self):
         res = run_cli(["--cap", "2", "asp", "solve", "ex_6_2.pdes",
@@ -417,6 +424,22 @@ def test_cli_imports_only_the_standard_library():
                and m.split(".")[0] not in sys.stdlib_module_names]
     assert "pdes.cli" in added
     assert foreign == []
+
+
+def test_cli_runs_without_dataclasses_or_inspect():
+    # importing them, and making classes with them, once cost a new
+    # process about a fifth of a CLI request; site preloads some modules,
+    # so their absence is checked, not that the CLI added none
+    golden = "asp_solve_cyclic_same.txt"
+    argv = [fixture_path(a) if a.endswith(".pdes") else a
+            for a in dict(GOLDEN_CASES)[golden]]
+    code = ("import sys, pdes.cli; code = pdes.cli.main(%r); "
+            "print(code, *sorted({'dataclasses', 'inspect'} & "
+            "set(sys.modules)), file=sys.stderr)" % argv)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert (res.stdout, res.stderr) == (fh.read(), "0\n")
 
 
 SUBCOMMANDS = (["chase"], ["repairs"], ["ns"], ["solutions"], ["core"],

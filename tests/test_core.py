@@ -7,6 +7,9 @@ import pytest
 from pdes.core import (NULL, Budget, CapExceeded, Instance, Partition, Schema,
                        SchemaError, active_domain, atom, atom_sort_key,
                        const_leq, restrict)
+from pdes.deffile import parse_definition
+from pdes.repair import RepairSet
+from pdes.system import PcaResult, PdesSchema, SolutionResult
 
 
 class TestAtom:
@@ -124,6 +127,69 @@ class TestInstance:
         s = Schema({"R": 2, "S": 1})
         d = Instance({atom("R", "a", "b"), atom("S", "a")}, s)
         assert set(restrict(d, ["S"]).atoms) == {atom("S", "a")}
+
+
+class TestRecords:
+    """Value records are NamedTuples; `Instance`, `RepairSet` and
+    `PdesSchema` are plain records whose caches and indexes stay outside
+    ==, hash and repr."""
+
+    SCHEMA = Schema({"R": 2})
+
+    def test_instance_caches_its_domain_and_universes(self):
+        d = Instance({atom("R", "a", "b")}, self.SCHEMA)
+        assert d.domain is d.domain == {"a", "b"}
+        assert d.universes is d.universes
+        assert {"domain", "universes"} <= set(vars(d))
+
+    def test_instance_index_is_outside_equality(self):
+        d, e = (Instance({atom("R", "a", "b")}, self.SCHEMA)
+                for _ in range(2))
+        before = repr(d)
+        assert d.lookup("R", (0,), ("a",)) == [atom("R", "a", "b")]
+        assert d._index != e._index
+        assert d == e and repr(d) == repr(e) == before
+        assert repr(d) == "Instance(atoms=frozenset({Atom(pred='R', " \
+            "args=('a', 'b'))}), schema=Schema(arities={'R': 2}))"
+        assert d != Instance(set(), self.SCHEMA)
+        assert d != (d.atoms, d.schema) and (d.atoms, d.schema) != d
+        with pytest.raises(TypeError):  # its schema holds a dict
+            hash(d)
+
+    def test_repair_set_caches_repairs_and_leaves_budget_out(self):
+        states = (frozenset({atom("R", "a", "b")}), frozenset())
+        r, s = (RepairSet(frozenset(), (states,), self.SCHEMA, Budget(cap))
+                for cap in (1, 99))
+        assert r == s and repr(r) == repr(s)
+        assert "budget" not in repr(r)
+        assert r.repairs is r.repairs
+        assert [set(d.atoms) for d in r.repairs] == [
+            {atom("R", "a", "b")}, set()]
+        assert r != RepairSet(frozenset(), (states[:1],), self.SCHEMA,
+                              Budget(1))
+
+    def test_pdes_schema_indexes_are_outside_equality(self):
+        text = ("peer P : R/1\npeer Q : S/1\ntrust P less Q\n"
+                "dec P Q : forall x : S(x) -> R(x)\n")
+        a, b = (parse_definition(text).system for _ in range(2))
+        assert a._succ == {"P": {"Q"}, "Q": frozenset()}
+        assert a._kind == {("P", "Q"): "less"}
+        b._succ, b._kind = {}, {}
+        assert a == b and repr(a) == repr(b)
+        assert "_succ" not in repr(a) and "_kind" not in repr(a)
+        assert a != PdesSchema(a.peers, a.schemas, a.sigma, a.trust, "delta")
+
+    def test_records_refuse_assignment(self):
+        records = [(atom("R", "a"), "pred"), (PcaResult("P", frozenset(),
+                                                         False), "answers")]
+        for rec, name in records:
+            hash(rec)
+            with pytest.raises(AttributeError):
+                setattr(rec, name, "x")
+        for rec, name in [(self.SCHEMA, "arities"), (SolutionResult(
+                "P", (), Instance(set(), self.SCHEMA), False), "core")]:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, "x")
 
 
 def test_cap_exceeded_carries_numbers():

@@ -1,15 +1,15 @@
 """Parsing, relevant variables, null-aware rewriting, ref-acyclicity."""
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdes.lang import (Builtin, Constraint, Cst, ParseError, PredAtom,
-                       SafetyError, Var, n_rewrite_constraint, n_rewrite_query,
-                       parse_constraint, parse_query, ref_acyclic,
-                       relevant_vars)
+from pdes.core import Atom
+from pdes.lang import (Builtin, Constraint, Cst, Disjunct, ParseError,
+                       PredAtom, SafetyError, Var, n_rewrite_constraint,
+                       n_rewrite_query, parse_constraint, parse_query,
+                       ref_acyclic, relevant_vars)
 
 
 class TestParseConstraint:
@@ -150,8 +150,8 @@ class TestRelevantVars:
 
 
 class TestCachedAnalysis:
-    """`Constraint.relevant` and `Constraint.anchored` are cached on the
-    object, outside the dataclass fields."""
+    """`Constraint.relevant`, `anchored` and `constants` are cached on the
+    object, outside the fields that make its ==, hash and repr."""
 
     TEXT = "forall x,y : R(x,y) -> exists z : S(x,z) or exists w : w > y"
 
@@ -172,9 +172,69 @@ class TestCachedAnalysis:
         assert "relevant" not in vars(rewritten)  # nothing carried over
         assert rewritten.relevant == relevant_vars(rewritten)
         # a replaced body changes the relevant variables
-        joined = replace(c, body=(PredAtom("R", (Var("x"), Var("x"))),
-                                  PredAtom("R", (Var("y"), Var("x")))))
+        joined = Constraint(c.univ_vars,
+                            (PredAtom("R", (Var("x"), Var("x"))),
+                             PredAtom("R", (Var("y"), Var("x")))),
+                            c.head, c.owner)
         assert joined.relevant == {"x", "y"} != c.relevant
+
+
+class TestRecords:
+    """Terms, atoms and formulas are NamedTuples, which as tuples would
+    compare equal across kinds; terms and atoms equal only their own kind."""
+
+    def test_a_variable_is_not_the_constant_of_its_name(self):
+        x, k = Var("x"), Cst("x")
+        assert x != k and k != x and not (x == k or k == x)
+        assert len({x, k, Var("x"), Cst("x")}) == 2
+        assert x not in (k, "x", ("x",)) and k not in (x, "x", ("x",))
+        assert x == Var("x") and hash(x) == hash(Var("x"))
+        # z is existential, and its disjunct holds only the constant z
+        c = Constraint(("x",), (PredAtom("R", (Var("x"),)),), (Disjunct(
+            ("z",), (PredAtom("S", (Var("x"), Cst("z"))),), ()),))
+        assert not c.anchored
+
+    def test_atoms_builtins_and_ground_atoms_stay_apart(self):
+        # the parser keeps atoms and builtins in one list before it sorts
+        # them, and a constraint's constants read both
+        terms = (Var("x"), Var("y"))
+        a, b = PredAtom("eq", terms), Builtin("eq", terms)
+        assert a != b and b != a and len({a, b}) == 2
+        # ground_atom maps a PredAtom to an Atom: Cst and str differ
+        pattern = PredAtom("R", (Cst("a"),))
+        assert pattern != Atom("R", ("a",)) and Atom("R", ("a",)) != pattern
+        assert PredAtom("R", (Cst("a"),)) == pattern
+
+    def test_cached_analyses_are_read_once(self):
+        text = "forall x,y : R(x,y) -> S(y,c) or x = d"
+        c = parse_constraint(text)
+        for name in ("relevant", "anchored", "constants"):
+            assert name not in vars(c)
+            assert getattr(c, name) is getattr(c, name)
+            assert name in vars(c)
+        assert c.constants == {"c", "d"}
+        assert c == parse_constraint(text)
+        assert hash(c) == hash(parse_constraint(text))
+
+    def test_a_hashed_record_refuses_assignment(self):
+        c = parse_constraint("forall x : R(x) -> S(x)")
+        q = parse_query("query P : R(x)")
+        before = hash(c)
+        for rec, name in [(c, "body"), (c, "relevant"), (Var("x"), "name"),
+                          (Cst("a"), "value"), (c.body[0], "terms"),
+                          (Builtin("false"), "op"), (c.head[0], "atoms"),
+                          (q, "peer")]:
+            hash(rec)
+            with pytest.raises(AttributeError):
+                setattr(rec, name, ())
+        assert hash(c) == before and c.body == (PredAtom("R", (Var("x"),)),)
+
+    def test_a_disjunct_derives_a_changed_copy(self):
+        d = Disjunct(("z",), (PredAtom("S", (Var("z"),)),), ())
+        e = d._replace(builtins=(Builtin("isnotnull", (Var("z"),)),))
+        assert str(d) == "exists z: S(z)"
+        assert str(e) == "exists z: S(z), isnotnull(z)"
+        assert d.builtins == ()
 
 
 class TestRewriting:

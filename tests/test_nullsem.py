@@ -3,7 +3,6 @@
 import glob
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 
 from pdes import core, nullsem
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.lang import (Builtin, Cst, Var, n_rewrite_query, parse_constraint,
-                       parse_query)
+from pdes.lang import (Builtin, Constraint, Cst, Var, n_rewrite_query,
+                       parse_constraint, parse_query)
 from pdes.nullsem import (classical_answers, eval_builtin, ground_atom,
                           instantiations, n_answers, n_holds, n_holds_direct,
                           working_universe)
@@ -368,7 +367,7 @@ _SHAPES = [
     # both body atoms may lie in the delta: one instantiation, once
     _FD,
     # an empty body matches nothing in a delta
-    replace(_FD, body=()),
+    Constraint(_FD.univ_vars, (), _FD.head, _FD.owner),
     # a universal variable of the head only
     parse_constraint("forall x,y : T(x,1) -> R(y,y)"),
 ]
