@@ -97,7 +97,8 @@ def _nick(a: Atom, ann: str) -> Atom:
 
 def _simple_rdec(c: Constraint) -> bool:
     return (len(c.body) == 1 and len(c.head) == 1
-            and len(c.head[0].atoms) == 1 and not c.head[0].builtins)
+            and len(c.head[0].atoms) == 1 and not c.head[0].builtins
+            and c.anchored and not c.problematic)
 
 
 def _guards(vars_: Iterable[str]) -> list[Builtin]:

@@ -2,18 +2,20 @@
 
 When every inter-peer constraint is an import rule — body over the
 trusted neighbor's schema, consequent a single atom over the importing
-peer's schema, with no builtins, plus optional builtin-only escapes —
+peer's schema, with no builtins and no existential that a null cannot
+fill (`Constraint.problematic`), plus optional builtin-only escapes —
 solutions can be computed in one pass as a least model: each body is
-joined once over the neighborhood instance. With local constraints
-added, that fixpoint is repaired as a neighborhood instance, with the
-imported atoms frozen.
+joined once over the neighborhood instance, and a binding adds its head
+where `nullsem.holds_instantiation` finds it violated. With local
+constraints added, that fixpoint is repaired as a neighborhood
+instance, with the imported atoms frozen.
 """
 
 from __future__ import annotations
 
 from .core import DEFAULT_CAP, NULL, Instance, SchemaError
 from .lang import Constraint, term_vars
-from .nullsem import eval_builtin, ground_atom, join
+from .nullsem import ground_atom, holds_instantiation, join
 from .repair import NULL_BASED, RepairSet
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
                      _neighborhood_repairs, _solve, inc_atom, LESS)
@@ -28,7 +30,8 @@ def _is_import(system: PdesSchema, p: str, q: str, c: Constraint) -> bool:
     that binds every head variable but the existentials; one database
     disjunct, a single atom over p's schema with no builtins, and with
     no existentials under the delta preorder (a witness is then any
-    value of the universe); other disjuncts builtin-only, without
+    value of the universe) and none that a null cannot fill
+    (`Constraint.problematic`); other disjuncts builtin-only, without
     existentials."""
     own, foreign = system.schemas[p], system.schemas[q]
     db_disjs = [d for d in c.head if d.atoms]
@@ -39,7 +42,7 @@ def _is_import(system: PdesSchema, p: str, q: str, c: Constraint) -> bool:
     read = {v for d in c.head for x in (*d.atoms, *d.builtins)
             for v in term_vars(x.terms)}
     return (len(target.atoms) == 1 and target.atoms[0].pred in own
-            and not target.builtins
+            and not target.builtins and not c.problematic
             and not (target.exist_vars and system.preorder != NULL_BASED)
             and not any(not d.atoms and d.exist_vars for d in c.head)
             and read - set(target.exist_vars) <= body)
@@ -68,13 +71,13 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     instance dbar, for each strict neighbor whose marker dbar lacks;
     SchemaError on a constraint not of the import kind.
 
-    Each body is joined once against dbar. A binding fires unless a
-    relevant universal variable is null or an escape (a builtin-only
-    disjunct) holds. Heads without existentials are added first, then
-    null heads, existentials null, by rank (their number of nulls),
-    fewest first: each rank adds the heads that no earlier atom
-    witnesses, as a witness is never less informative than the null
-    atom it makes unnecessary.
+    Each body is joined once against dbar, and each binding ranks its
+    head atom, existentials null, by its number of nulls; heads without
+    existentials come first. Each rank, fewest nulls first, adds the
+    heads whose instantiation does not hold over the atoms so far
+    (`holds_instantiation`: a null relevant universal, a builtin-only
+    escape or an earlier witness satisfies it), as a witness is never
+    less informative than the null atom it makes unnecessary.
 
     This is the round loop that re-joins every body and adds the lowest
     rank of new heads, in one pass. Bodies read only the neighbors'
@@ -95,21 +98,16 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
                                   % c)
             target = next(d for d in c.head if d.atoms)
             nulls = dict.fromkeys(target.exist_vars, NULL)
-            guarded = [v for v in c.univ_vars if v in c.relevant]
-            escapes = [d.builtins for d in c.head if not d.atoms]
             for s in join(dbar, c.body, {}):
-                if NULL in map(s.get, guarded) or any(
-                        all(eval_builtin(b, s) for b in e) for e in escapes):
-                    continue
                 a = ground_atom(target.atoms[0], {**s, **nulls})
                 ranked.setdefault(a.args.count(NULL) if nulls else -1,
-                                  []).append((target.atoms[0], s, a))
+                                  []).append((c, s, a))
     atoms = dbar.atoms
     for rank in sorted(ranked):
         # heads of constraints that PdesSchema checked against the schema
         cur = Instance._trusted(atoms, dbar.schema)
-        atoms = atoms.union(a for head, s, a in ranked[rank]
-                            if not join(cur, (head,), s))
+        atoms = atoms.union(a for c, s, a in ranked[rank]
+                            if not holds_instantiation(cur, c, s, False))
     return Instance._trusted(atoms, dbar.schema)
 
 
@@ -125,19 +123,19 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance,
+                 cap: int = DEFAULT_CAP,
                  flags: dict[str, str] | None = None) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
     sinks keep their instance, others take the least model of their
     import constraints over their instance plus the neighbor solutions,
-    restricted to their own schema. flags, when given, are the system's
-    `classify` flags."""
+    restricted to their own schema. cap bounds each repair search;
+    flags, when given, are the system's `classify` flags."""
     flags = flags or classify(system)
     for q in sorted(system.accessible(p)):
         if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, flags[q]))
-    return _factored(system, p, d, _fixpoint_repaired, DEFAULT_CAP,
-                     {}).repairs[0]
+    return _factored(system, p, d, _fixpoint_repaired, cap, {}).repairs[0]
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,

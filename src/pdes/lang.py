@@ -135,6 +135,15 @@ class Constraint(Record):
                    for d in self.head for v in d.exist_vars)
 
     @cached_property
+    def problematic(self) -> bool:
+        """Whether an existential occurs twice in its disjunct's atoms or
+        in one of its builtins, so that no null fills it: the chase drops
+        such a constraint, and the import and program routes refuse it."""
+        return any(term_vars(t for a in d.atoms for t in a.terms).count(v) > 1
+                   or v in term_vars(t for b in d.builtins for t in b.terms)
+                   for d in self.head for v in d.exist_vars)
+
+    @cached_property
     def constants(self) -> frozenset[str]:
         """The constants of its atoms and of its head builtins."""
         return frozenset(t.value for item in (

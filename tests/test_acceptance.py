@@ -668,6 +668,57 @@ def test_11_import_routes_agree_on_random_systems():
     assert (checked, disagree) == (302, 0)
 
 
+_HEAD_SHAPES = [
+    "R1(x,y)", "R1(y,x)", "R1(x,x)", "R1(x,y) or x = y",
+    "exists z : R1(x,z)", "exists z : R1(z,y)", "exists z : R1(z,a)",
+    "exists z,w : R1(z,w)", "exists z : R1(x,z) or x = y",
+    "exists z : R1(z,z)", "exists z : R1(x,x)", "exists z : R1(x,y)",
+    "exists z : R1(x,z), z != y",
+]
+
+
+def test_11_routes_agree_over_head_shapes():
+    # two-peer systems whose one dec draws its head from shapes every
+    # route encodes, shapes the chase drops (an existential repeated or
+    # read by a builtin) and shapes no program encodes (an existential in
+    # no atom): each route either refuses P1 or agrees with the general
+    # solutions
+    rng = random.Random(1111)
+    compared = refused = disagree = 0
+    schemas = {"P1": Schema({"R1": 2}), "P2": Schema({"R2": 2})}
+    for trial in range(240):
+        sigma = {("P1", "P2"): (parse_constraint(
+            "dec P1 P2 : forall x,y : R2(x,y) -> " +
+            rng.choice(_HEAD_SHAPES)),)}
+        if rng.random() < 0.3:
+            sigma[("P1", "P1")] = (parse_constraint(
+                "dec P1 P1 : " + _LOCAL_FD.format(r="R1")),)
+        sysm = PdesSchema(
+            peers=frozenset(schemas), schemas=schemas, sigma=sigma,
+            trust=frozenset({("P1", rng.choice(["less", "same"]), "P2")}))
+        inst = PdesInstance(sysm, {p: Instance(
+            {Atom("R" + p[1], (rng.choice(pool), rng.choice(pool)))
+             for _ in range(rng.randint(0, 2))}, schemas[p])
+            for p, pool in (("P1", ["a", "b", "c", NULL]),
+                            ("P2", ["a", "b", "c"]))})
+        want = solution_sets(solutions(sysm, "P1", inst).solutions)
+        routes = []
+        try:
+            routes.append(_asp_route(sysm, "P1", inst).solutions)
+        except SchemaError:
+            refused += 1
+        kind = classify(sysm)["P1"]
+        if kind == GENERAL:
+            refused += 1
+        else:
+            routes.append(restricted_import_solve(sysm, "P1", inst).solutions)
+            if kind == UNRESTRICTED:
+                routes.append([import_solve(sysm, "P1", inst)])
+        compared += len(routes)
+        disagree += sum(solution_sets(r) != want for r in routes)
+    assert (compared, refused, disagree) == (308, 242, 0)
+
+
 # 12 --------------------------------------------------------------------
 
 def test_12_equal_trust_systems_always_have_solutions():

@@ -116,6 +116,14 @@ class TestUnsupportedShapes:
         with pytest.raises(SchemaError):
             self.build("forall x,y : S(x,y) -> exists z : R(x,z), R(z,x)")
 
+    # a repeated existential is relevant, so no null fills it; one in no
+    # atom is bound by no head atom, so its != null guard never holds
+    @pytest.mark.parametrize("head", ["exists z : R(z,z)",
+                                      "exists z : R(x,y)"])
+    def test_unencodable_existential_rejected(self, head):
+        with pytest.raises(SchemaError):
+            self.build("forall x,y : S(x,y) -> " + head)
+
     def test_conjunctive_disjunct_rejected(self):
         with pytest.raises(SchemaError):
             self.build("forall x,y : S(x,y) -> R(x,y), R(y,x)")

@@ -3,7 +3,7 @@
 import random
 
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.chase import has_problematic_existential, head_options, r_chase
+from pdes.chase import head_options, r_chase
 from pdes.lang import parse_constraint
 from pdes.nullsem import (holds_instantiation, instantiations, n_holds,
                           working_universe)
@@ -28,15 +28,15 @@ def chase(atoms, sigma=SIGMA):
 class TestSplit:
     def test_non_existential_constraints_kept(self):
         assert [c.is_existential for c in SIGMA] == [False] * 5 + [True] * 2
-        assert not any(has_problematic_existential(c) for c in SIGMA)
+        assert not any(c.problematic for c in SIGMA)
 
     def test_problematic_existential_detection(self):
         c = parse_constraint("forall x : R0(x) -> exists y : T(x,y), S0(y)")
-        assert has_problematic_existential(c)
+        assert c.problematic
         d = Instance({atom("R0", "a")}, Schema({"R0": 1, "T": 2, "S0": 1}))
         assert r_chase(d, (c,)).atoms == d.atoms
         simple = parse_constraint("forall x,y : R(x,y) -> exists z : Q(x,y,z)")
-        assert not has_problematic_existential(simple)
+        assert not simple.problematic
 
 
 class TestChaseSteps:
@@ -113,7 +113,7 @@ class TestChaseLaws:
 def naive_chase(d, sigma):
     """The restricted chase as a naive fixpoint: each round re-checks
     every instantiation of the enforced constraints."""
-    sigma = [c for c in sigma if not has_problematic_existential(c)]
+    sigma = [c for c in sigma if not c.problematic]
     universe = sorted(working_universe(d, *sigma))
     cur = d.atoms
     while True:

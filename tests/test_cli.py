@@ -8,13 +8,15 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdes.cli import _build_parser, main
-from pdes.core import SchemaError
+from pdes.core import CapExceeded, SchemaError
+from pdes.importmode import import_solve
 from pdes.repair import RepairSet
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
@@ -101,6 +103,19 @@ class TestGolden:
             if golden.endswith(".json"):
                 _, out = run_inprocess(args, capsys)
                 json.loads(out)
+
+
+HEAD_CASES = {
+    "A": "peer P1 : R/3\npeer P2 : S/2\ntrust P1 less P2\n"
+         "dec P1 P2 : forall x,y : S(x,y) -> exists z : R(x,z,z)\n"
+         "instance P2 : S(a,b)\n",
+    "B": "peer P1 : R/2\npeer P2 : S/2\ntrust P1 less P2\n"
+         "dec P1 P2 : forall x,y : S(x,y) -> exists z : R(x,x)\n"
+         "instance P2 : S(b,a)\n",
+}
+CHECK_REPORT = ("peers: P1, P2\nedge: P1 -[less]-> P2\nref-acyclic P1: yes\n"
+                "ref-acyclic P2: yes\nimport-kind P1: %s\n"
+                "import-kind P2: unrestricted_import\n")
 
 
 class TestExitCodes:
@@ -191,6 +206,19 @@ class TestExitCodes:
         assert runs["solutions"] == (
             3, "", "cap exceeded: search space of 77 candidates exceeds "
             "cap 32\n")
+
+    def test_import_solve_passes_the_cap_to_its_search(self, capsys):
+        # the unrestricted route repairs a fixpoint in which every import
+        # constraint holds: one state, which fits a cap of 1, while the
+        # general search does not
+        argv = [fixture_path("ex_6_1.pdes"), "--peer", "P1"]
+        assert (main(["--cap", "1", "import-solve"] + argv),
+                *capsys.readouterr()) == (0, "R1(a,2)\nR1(d,5)\n", "")
+        assert main(["--cap", "1", "solutions"] + argv) == 3
+        capsys.readouterr()
+        defn = load("ex_6_1.pdes")
+        with pytest.raises(CapExceeded):
+            import_solve(defn.system, "P1", defn.instance, cap=0)
 
     def test_cap_from_environment(self):
         res = run_cli(["asp", "solve", "ex_6_2.pdes", "--peer", "P1"],
@@ -304,6 +332,35 @@ class TestExitCodes:
         path.write_text("peer P : R/2, S/1\ninstance P : R(a,b)\n")
         code = main(["pca", str(path), "--peer", "P", "--query", query])
         assert (code, *capsys.readouterr()) == (1, "", "error: %s\n" % err)
+
+    # Heads a null cannot fill. Before the import and program routes read
+    # Constraint.problematic and anchored: on A, check called P1 an
+    # unrestricted import, import-solve died with an IndexError and asp
+    # solve gave R(a,null,null), which violates the constraint; on B,
+    # asp solve printed "no stable models" and exited 0.
+    @pytest.mark.parametrize("case,argv,code,out,err", [
+        ("A", ["solutions"], 0, "inconsistent: inc_P1()\n", ""),
+        ("A", ["import-solve"], 1, "",
+         "error: system is not of the import kind for peer 'P1'\n"),
+        ("A", ["check"], 0, CHECK_REPORT % "general", ""),
+        ("A", ["asp", "solve"], 1, "", "error: existential constraint "
+         "forall x,y: S(x,y) -> exists z: R(x,z,z) is not of the "
+         "supported single-atom form\n"),
+        ("B", ["solutions"], 0, "solution 1:\n  R(b,b)\n", ""),
+        ("B", ["import-solve"], 0, "R(b,b)\n", ""),
+        ("B", ["check"], 0, CHECK_REPORT % "unrestricted_import", ""),
+        ("B", ["asp", "solve"], 1, "", "error: existential constraint "
+         "forall x,y: S(x,y) -> exists z: R(x,x) is not of the "
+         "supported single-atom form\n"),
+    ], ids=["%s-%s" % (c, cmd) for c in "AB"
+            for cmd in ("solutions", "import-solve", "check", "asp")])
+    def test_head_a_null_cannot_fill(self, tmp_path, capsys, case, argv,
+                                     code, out, err):
+        path = tmp_path / "head.pdes"
+        path.write_text(HEAD_CASES[case])
+        peer = [] if argv == ["check"] else ["--peer", "P1"]
+        assert (main(argv + [str(path)] + peer), *capsys.readouterr()) == \
+            (code, out, err)
 
 
 class TestDeterminism:
@@ -476,7 +533,7 @@ FUZZ_TOKENS = ("", "\n", " ", ",", ":", "(", ")", "->", "|", "=", "!=",
                "R1", "less", "same", "peer", "dec", "instance", "/0", "/9",
                "/", "()", "a b")
 
-FIXTURE_TEXTS = [open(fixture_path(n), encoding="utf-8").read()
+FIXTURE_TEXTS = [Path(fixture_path(n)).read_text(encoding="utf-8")
                  for n in sorted(os.listdir(FIXTURES))]
 
 

@@ -208,7 +208,7 @@ class TestRecords:
     def test_cached_analyses_are_read_once(self):
         text = "forall x,y : R(x,y) -> S(y,c) or x = d"
         c = parse_constraint(text)
-        for name in ("relevant", "anchored", "constants"):
+        for name in ("relevant", "anchored", "problematic", "constants"):
             assert name not in vars(c)
             assert getattr(c, name) is getattr(c, name)
             assert name in vars(c)
