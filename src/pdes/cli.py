@@ -184,7 +184,7 @@ def _cmd_import_solve(defn: Definition, args, cap: int):
                       % args.peer)
     if reached == {UNRESTRICTED}:
         lines = _instance_lines(import_solve(sysm, args.peer, defn.instance,
-                                             cap, flags))
+                                             flags))
         return {"peer": args.peer, "solutions": [lines], "unique": True}, lines
     return _solution_lines(restricted_import_solve(
         sysm, args.peer, defn.instance, cap, flags))

@@ -123,19 +123,19 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                 cap: int = DEFAULT_CAP,
                  flags: dict[str, str] | None = None) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
     sinks keep their instance, others take the least model of their
     import constraints over their instance plus the neighbor solutions,
-    restricted to their own schema. cap bounds each repair search;
-    flags, when given, are the system's `classify` flags."""
+    restricted to their own schema. flags, when given, are the system's
+    `classify` flags."""
     flags = flags or classify(system)
     for q in sorted(system.accessible(p)):
         if flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, flags[q]))
-    return _factored(system, p, d, _fixpoint_repaired, cap, {}).repairs[0]
+    return _factored(system, p, d, _fixpoint_repaired, DEFAULT_CAP,
+                     {}).repairs[0]
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,

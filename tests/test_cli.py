@@ -15,8 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdes.cli import _build_parser, main
-from pdes.core import CapExceeded, SchemaError
-from pdes.importmode import import_solve
+from pdes.core import SchemaError
 from pdes.repair import RepairSet
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
@@ -206,19 +205,6 @@ class TestExitCodes:
         assert runs["solutions"] == (
             3, "", "cap exceeded: search space of 77 candidates exceeds "
             "cap 32\n")
-
-    def test_import_solve_passes_the_cap_to_its_search(self, capsys):
-        # the unrestricted route repairs a fixpoint in which every import
-        # constraint holds: one state, which fits a cap of 1, while the
-        # general search does not
-        argv = [fixture_path("ex_6_1.pdes"), "--peer", "P1"]
-        assert (main(["--cap", "1", "import-solve"] + argv),
-                *capsys.readouterr()) == (0, "R1(a,2)\nR1(d,5)\n", "")
-        assert main(["--cap", "1", "solutions"] + argv) == 3
-        capsys.readouterr()
-        defn = load("ex_6_1.pdes")
-        with pytest.raises(CapExceeded):
-            import_solve(defn.system, "P1", defn.instance, cap=0)
 
     def test_cap_from_environment(self):
         res = run_cli(["asp", "solve", "ex_6_2.pdes", "--peer", "P1"],

@@ -184,6 +184,7 @@ class TestExistentialImport:
         bodies = {c.body for c in sysm.sigma_of("P1")}
         assert Counter(a for a in calls if a in bodies) == \
             dict.fromkeys(bodies, 1)
+        assert len(calls) == len(bodies)
         assert len(checks) == 4
 
 
