@@ -13,7 +13,8 @@ Each check reads its own ranges (`nullsem.holds_instantiation`), so a
 round computes none. `head_options` grounds the consequent of one
 instantiation through `nullsem.extensions`: against a pool instance when
 one is given, every existential over the universe otherwise; the repair
-search shares it.
+search shares it. The null-based repair search chases only when it reads
+the bound, and grounds a full constraint's insert without it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ instance, with the imported atoms frozen.
 from __future__ import annotations
 
 from .core import DEFAULT_CAP, NULL, Instance, SchemaError
-from .lang import Constraint, term_vars
+from .lang import Constraint
 from .nullsem import ground_atom, holds_instantiation, join
 from .repair import NULL_BASED, RepairSet
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
@@ -38,14 +38,11 @@ def _is_import(system: PdesSchema, p: str, q: str, c: Constraint) -> bool:
     if not all(a.pred in foreign for a in c.body) or len(db_disjs) != 1:
         return False
     target = db_disjs[0]
-    body = {v for a in c.body for v in term_vars(a.terms)}
-    read = {v for d in c.head for x in (*d.atoms, *d.builtins)
-            for v in term_vars(x.terms)}
     return (len(target.atoms) == 1 and target.atoms[0].pred in own
             and not target.builtins and not c.problematic
             and not (target.exist_vars and system.preorder != NULL_BASED)
             and not any(not d.atoms and d.exist_vars for d in c.head)
-            and read - set(target.exist_vars) <= body)
+            and not c.head_only)
 
 
 def classify(system: PdesSchema) -> dict[str, str]:

@@ -144,6 +144,24 @@ class Constraint(Record):
                    for d in self.head for v in d.exist_vars)
 
     @cached_property
+    def head_only(self) -> frozenset[str]:
+        """The universal variables its head reads and its body does not
+        bind, which range over a universe rather than the body's join."""
+        return frozenset(term_vars(
+            t for d in self.head for x in (*d.atoms, *d.builtins)
+            for t in x.terms)).difference(
+                term_vars(t for a in self.body for t in a.terms),
+                *(d.exist_vars for d in self.head))
+
+    @cached_property
+    def full(self) -> bool:
+        """Whether it has no existential, no head-only universal and at
+        most one head disjunct with atoms: the body's join then grounds
+        its one insert, whatever bounds it."""
+        return (not self.is_existential and not self.head_only
+                and sum(bool(d.atoms) for d in self.head) <= 1)
+
+    @cached_property
     def constants(self) -> frozenset[str]:
         """The constants of its atoms and of its head builtins."""
         return frozenset(t.value for item in (

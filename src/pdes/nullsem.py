@@ -47,9 +47,10 @@ from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
 def _term_value(t, s: dict[str, str]) -> str:
     if isinstance(t, Cst):
         return t.value
-    if t.name not in s:
-        raise ValueError("unassigned variable %r" % t.name)
-    return s[t.name]
+    name = t.name
+    if name not in s:
+        raise ValueError("unassigned variable %r" % name)
+    return s[name]
 
 
 def _order_holds(op: str, v1: str, v2: str) -> bool:
@@ -99,7 +100,8 @@ def _universe(d: Instance, c: Constraint) -> list[str]:
 
 
 def ground_atom(a, s: dict[str, str]) -> Atom:
-    return Atom(a.pred, tuple([_term_value(t, s) for t in a.terms]))
+    return Atom(a.pred, tuple([t.value if isinstance(t, Cst) else s[t.name]
+                               for t in a.terms]))
 
 
 def join(d: Instance, atoms, *starts: dict[str, str]
@@ -114,16 +116,18 @@ def join(d: Instance, atoms, *starts: dict[str, str]
         if not frontier:
             break
         # every assignment in the frontier binds the same variables
-        bound = tuple([i for i, t in enumerate(a.terms)
-                       if isinstance(t, Cst) or t.name in frontier[0]])
-        if len(bound) == len(a.terms):
+        terms, first = a.terms, frontier[0]
+        bound = tuple([i for i, t in enumerate(terms)
+                       if isinstance(t, Cst) or t.name in first])
+        if len(bound) == len(terms):
             frontier = [cur for cur in frontier if ground_atom(a, cur) in d]
             continue
-        free = [(i, a.terms[i].name) for i in range(len(a.terms))
-                if i not in bound]
+        free = [(i, t.name) for i, t in enumerate(terms) if i not in bound]
+        keyed = [terms[i] for i in bound]
         nxt = []
         for cur in frontier:
-            key = tuple([_term_value(a.terms[i], cur) for i in bound])
+            key = tuple([t.value if isinstance(t, Cst) else cur[t.name]
+                         for t in keyed])
             for fact in d.lookup(a.pred, bound, key):
                 ext = dict(cur)
                 for i, v in free:

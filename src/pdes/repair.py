@@ -19,7 +19,9 @@ states are minimised alone, and the minimal repairs come back factored
 The product is built only where `RepairSet.repairs` is read, which lists
 the repairs; certain answers and cores (:mod:`pdes.system`) work on the
 parts. The delta preorder's inserts range over the universe, so its
-search keeps one part. A check reads its own ranges (`nullsem`).
+search keeps one part. A check reads its own ranges (`nullsem`), and the
+null search chases only when it reads the pool: a full constraint's
+insert needs none.
 """
 
 from __future__ import annotations
@@ -131,13 +133,16 @@ class _Search:
     """One repair search over states (atom sets read over schema, which
     every constraint must fit): the moves they allow and the one budget
     charged with every state of every part and with every product of
-    parts later built from its result."""
+    parts later built from its result. With bounded_by, an instance, its
+    restricted chase is the pool that bounds the inserts; it is computed
+    when first read."""
 
-    def __init__(self, schema, sigma, universe, pool: Instance | None,
+    def __init__(self, schema, sigma, universe, bounded_by: Instance | None,
                  frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
                  classical: bool, cap: int):
         check_fit(schema, sigma)
-        self.schema, self.universe, self.pool = schema, universe, pool
+        self.schema, self.universe = schema, universe
+        self.bounded_by = bounded_by
         self.sigma = tuple(dict.fromkeys(sigma))  # each once, in order
         # the constraints whose forced insert makes their instantiation
         # hold: the insert grounds every existential, none relevant
@@ -146,6 +151,13 @@ class _Search:
                                  for d in c.head for v in d.exist_vars))}
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
         self.classical, self.budget = classical, Budget(cap)
+
+    @cached_property
+    def pool(self) -> Instance | None:
+        """The restricted chase of bounded_by, or None without a bound."""
+        if self.bounded_by is None:
+            return None
+        return r_chase(self.bounded_by, self.sigma)
 
     def violations(self, state: frozenset[Atom], batch=None, carried=None):
         """The violated ground instantiations (c, s) of state, in search
@@ -166,12 +178,15 @@ class _Search:
     def moves(self, state: frozenset[Atom], c: Constraint, s):
         """The moves that may repair the violated instantiation s of c in
         state, as deltas: its deletable body atoms, all in state, and the
-        nonempty atom sets head options add, none of a frozen predicate."""
+        nonempty atom sets head options add, none of a frozen predicate.
+        A full constraint's head is grounded without the pool, which
+        would hold its one insert (`null_repairs`)."""
         dels = [ga for ga in (ground_atom(a, s) for a in c.body)
                 if ga.pred not in self.frozen_preds
                 and ga not in self.frozen_atoms]
+        pool = None if c.full else self.pool
         adds = [new for new in (atoms - state for atoms in head_options(
-                    c, s, self.universe, self.pool, self.classical))
+                    c, s, self.universe, pool, self.classical))
                 if new and not any(a.pred in self.frozen_preds for a in new)]
         return dels, adds
 
@@ -237,8 +252,8 @@ class _Search:
         instantiations) or is not anchored (it reads values outside its
         atoms), or when the pool is one part or one part holds every
         violation."""
-        if self.pool is None or not all(c.body and c.anchored
-                                        for c in self.sigma):
+        if not all(c.body and c.anchored for c in self.sigma) \
+                or self.pool is None:
             return [state]
         part = Partition()
         for c in self.sigma:
@@ -357,17 +372,28 @@ def null_repairs(base: Instance, sigma,
     If e beats d, then e <= d in every part and not d <= e in some part,
     where e's state beats d's. So d is minimal iff each of its part
     states is minimal in its part, and the minimal candidates are the
-    products of each part's minimal states: the factored form returned."""
+    products of each part's minimal states: the factored form returned.
+
+    The chase runs only when the search reads its pool: to split into
+    parts, to profile candidates against the bound, or to ground the head
+    of a constraint that is not full (`Constraint.full`). A full
+    constraint's insert is the pool join of its head. Every state lies
+    in the pool, so a violation's body does too. The chase is a fixpoint
+    of the constraints that are not problematic, a full one among them,
+    and the body binds every variable the head reads, so the
+    instantiation holds in the pool. It holds there only through the
+    grounding of its one disjunct with atoms, which is then in the pool,
+    or through a builtin or a null universal: those read the
+    instantiation alone, so they would hold in the state as well. The
+    universe is base's: every value the chase adds is null, of base's
+    domain or a constant of the constraints."""
     sigma = tuple(sigma)
-    chased = r_chase(base, sigma)
-    bound = chased.atoms
-    universe = working_universe(chased, *sigma)
-    search = _Search(chased.schema, sigma, universe, chased,
-                     frozenset(frozen_preds), frozenset(frozen_atoms),
+    search = _Search(base.schema, sigma, working_universe(base, *sigma),
+                     base, frozenset(frozen_preds), frozenset(frozen_atoms),
                      False, cap)
     return _minimal_repairs(
         search, base.atoms,
-        lambda d, b: closeness_profile(d, b, bound), closer_lt)
+        lambda d, b: closeness_profile(d, b, search.pool.atoms), closer_lt)
 
 
 def delta_repairs(base: Instance, sigma,

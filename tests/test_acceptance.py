@@ -418,9 +418,10 @@ def test_10_copy_chain_checks_grow_linearly(monkeypatch):
 
 def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
     """P1 and P2 copy n tuples each. Each copy instantiation is checked
-    once by the chase (its later rounds read only the added atoms, which
-    no body reads) and once by the repair search (its batched child
-    checks only the instantiations the batch touches)."""
+    once, by the repair search (its batched child checks only the
+    instantiations the batch touches), and never by the chase: a copy
+    rule is full, so the search grounds its insert without the pool and
+    never runs the chase."""
     checks = {chase_module: [], repair: []}
     for mod, seen in checks.items():
         def counted(*args, real=mod.holds_instantiation, seen=seen):
@@ -433,16 +434,17 @@ def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
         for seen in checks.values():
             seen.clear()
         assert len(solutions(sysm, "P1", inst).core) == n
-        assert [len(c) for c in checks.values()] == [2 * n, 2 * n]
+        assert [len(c) for c in checks.values()] == [0, 2 * n]
 
 
-@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 4),
+@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 2),
                                       (families.conflicts(1), 2)])
 def test_10_checks_read_no_universe(fam, want, monkeypatch):
     """Each check builds the working universe only for a constraint that
     reads it, and no family constraint does: a request computes it once
-    per restricted chase and once per search (P1 and P2 each run both on
-    the copy chain, P1 alone on the conflicts)."""
+    per search and once per restricted chase (P1 and P2 each search on
+    the copy chain and never chase; P1 alone searches and chases on the
+    conflicts)."""
     calls = []
     for mod in (chase_module, repair, nullsem):
         def counted(*args, real=mod.working_universe):
@@ -455,6 +457,41 @@ def test_10_checks_read_no_universe(fam, want, monkeypatch):
                                   defn.queries["P1"])
     assert {t for (t,) in res.answers} == fam.answers
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 0),
+                                      (families.conflicts(1), 1)])
+def test_10_search_chases_only_to_read_the_bound(fam, want, tmp_path,
+                                                 monkeypatch):
+    """The copy chain's searches are forced batches of full copy rules,
+    which never read the pool; the conflicts split into parts, which
+    does, once."""
+    calls = []
+
+    def counted(*args, real=repair.r_chase):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "r_chase", counted)
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+    assert len(calls) == want
+
+
+def test_10_import_solve_does_not_chase(monkeypatch, capsys):
+    # the import fixpoint satisfies every constraint, so its search has
+    # no violation and never reads the pool
+    calls = []
+
+    def counted(*args, real=repair.r_chase):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "r_chase", counted)
+    assert main(["import-solve", fixture_path("ex_6_1.pdes"),
+                 "--peer", "P1"]) == 0
+    assert capsys.readouterr().out == "R1(a,2)\nR1(d,5)\n"
+    assert calls == []
 
 
 def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):

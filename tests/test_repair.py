@@ -9,7 +9,7 @@ from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema, SchemaError,
                        atom)
 from pdes.chase import r_chase
 from pdes.lang import parse_constraint
-from pdes.nullsem import n_holds
+from pdes.nullsem import n_holds, working_universe
 from pdes.repair import (closeness_profile, closer_leq, closer_lt, delta_lt,
                          delta_repairs, exhaustive_null_repairs, info_leq,
                          null_repairs)
@@ -142,6 +142,13 @@ def _random_case(rng, preds="TS", shapes=_SHAPES):
     return Instance(atoms, schema), sigma
 
 
+# a head-only universal beside a problematic constraint's constant k
+_PROBLEMATIC_CONSTANT = (
+    Instance({atom("T", "a")}, Schema({"T": 1, "U": 2, "W": 2})),
+    (parse_constraint("forall x,y : T(x) -> U(x,y)"),
+     parse_constraint("forall x : T(x) -> exists z : W(z,z) or x != k")))
+
+
 class TestOracleCrossCheck:
     def test_branch_search_matches_exhaustive_enumeration(self):
         rng = random.Random(4242)
@@ -184,6 +191,23 @@ class TestOracleCrossCheck:
         assert frozenset({atom("T", "1", "1"), atom("U", "1", "1")}) in want
         assert got == want
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="y occurs only in the head, so the search ranges it over "
+        "its universe, which holds k, the constant of a problematic "
+        "constraint; the chase leaves that constraint out, so its universe "
+        "lacks k and its pool lacks U(a,k): the forced insert has no "
+        "grounding and the search finds no repair, while the oracle keeps "
+        "{T(a), U(a,a), U(a,null)}")
+    def test_problematic_constant_matches_oracle(self):
+        base, sigma = _PROBLEMATIC_CONSTANT
+        got = {r.atoms for r in null_repairs(base, sigma, {"T"}).repairs}
+        want = {r.atoms for r in
+                exhaustive_null_repairs(base, sigma, {"T"}).repairs}
+        assert want == {frozenset({atom("T", "a"), atom("U", "a", "a"),
+                                   atom("U", "a", NULL)})}
+        assert got == want
+
     def test_oracle_keeps_frozen_atoms(self):
         schema = Schema({"T": 2, "U": 2})
         base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),
@@ -194,6 +218,36 @@ class TestOracleCrossCheck:
         rs = exhaustive_null_repairs(base, sigma, ["U"], frozen_atoms=[keep])
         assert [r.atoms for r in rs.repairs] == [frozenset({
             keep, atom("U", "b", "c"), atom("T", "b", "c")})]
+
+
+class TestChaseBound:
+    """The search chases only when it reads the pool, yet every repair it
+    finds lies inside the chase, and the chase adds no value to the
+    universe the search ranges over."""
+
+    @staticmethod
+    def _check(base, sigma, preds=(), pinned=()):
+        bound = r_chase(base, sigma)
+        for r in null_repairs(base, sigma, preds,
+                              frozen_atoms=pinned).repairs:
+            assert r.atoms <= bound.atoms, \
+                (sorted(map(str, base)), [str(c) for c in sigma], preds,
+                 list(map(str, pinned)), sorted(map(str, r)))
+        assert working_universe(bound, *sigma) == \
+            working_universe(base, *sigma)
+
+    def test_drawn_repairs_lie_inside_the_chase(self):
+        rng = random.Random(909)
+        for _ in range(300):
+            base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
+            preds = [p for p in "TSU" if rng.random() < 0.4]
+            pinned = [a for a in base if rng.random() < 0.3]
+            self._check(base, sigma, preds, pinned)
+
+    def test_a_head_only_universal_is_not_grounded_unbounded(self):
+        # the copy rule's y ranges over k, which the chase never reaches
+        base, sigma = _PROBLEMATIC_CONSTANT
+        self._check(base, sigma, {"T"})
 
 
 def _multi_part_case(rng):
