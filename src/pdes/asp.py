@@ -52,7 +52,7 @@ from .repair import (NULL_BASED, RepairSet, _minimal, closeness_profile,
                      closer_lt, one_part)
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
-                     inc_atom, solution_form, INC_PREFIX, SAME)
+                     inc_atom, solution_form, INC_PREFIX)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
 
@@ -115,10 +115,8 @@ def build_solution_program(system: PdesSchema, p: str,
         raise SchemaError("solution programs encode the null-based "
                           "preorder, not preorder %s" % system.preorder)
     own = frozenset(system.schemas[p].preds())
-    changeable = set(own)
-    for q in system.strict_neighbors(p):
-        if system.trust_kind(p, q) == SAME:
-            changeable |= set(system.schemas[q].preds())
+    changeable = {r for q in system.neighbors(p)
+                  for r in system.schemas[q].preds()} - system.frozen_preds(p)
     warnings: list[str] = []
     sigma = system.sigma_of(p)
     ok, witness = ref_acyclic(sigma)
@@ -532,13 +530,14 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
     program alone may keep non-minimal candidates (with ref-cycles, or
     when a deletion re-opens an existential obligation), so extractions
     strictly farther from dbar than another are dropped before the rest
-    are restricted to p's schema."""
+    are restricted to p's schema. Closeness is bounded by the chase of
+    `PdesSchema.live_sigma`, the pool of the general search."""
     prog = build_solution_program(system, p, dbar)
     full: dict[frozenset[Atom], Instance] = {}
     for m in stable_models(ground(prog, cap), cap=cap):
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
-    bound = r_chase(dbar, system.sigma_of(p)).atoms
+    bound = r_chase(dbar, [c for _, c in system.live_sigma(p, dbar)]).atoms
     return solution_form(system, p, _minimal(
         list(full.values()),
         lambda d: closeness_profile(d.atoms, dbar.atoms, bound), closer_lt))

@@ -6,19 +6,20 @@ peer's schema, with no builtins and no existential that a null cannot
 fill (`Constraint.problematic`), plus optional builtin-only escapes —
 solutions can be computed in one pass as a least model: each body is
 joined once over the neighborhood instance, and a binding adds its head
-where `nullsem.holds_instantiation` finds it violated. With local
-constraints added, that fixpoint is repaired as a neighborhood
-instance, with the imported atoms frozen.
+where `nullsem.holds_instantiation`, under the system's preorder, finds
+it violated. Without local constraints that fixpoint is the one
+solution; with them, it is repaired as a neighborhood instance, with the
+imported atoms frozen.
 """
 
 from __future__ import annotations
 
-from .core import DEFAULT_CAP, NULL, Instance, SchemaError
+from .core import DEFAULT_CAP, NULL, Budget, Instance, SchemaError
 from .lang import Constraint
 from .nullsem import ground_atom, holds_instantiation, join
 from .repair import NULL_BASED, RepairSet
 from .system import (PdesInstance, PdesSchema, SolutionResult, _factored,
-                     _neighborhood_repairs, _solve, inc_atom, LESS)
+                     _neighborhood_repairs, _solve, LESS)
 
 UNRESTRICTED = "unrestricted_import"
 RESTRICTED = "restricted_import"
@@ -65,16 +66,17 @@ def classify(system: PdesSchema) -> dict[str, str]:
 
 def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     """The least model of p's import constraints over its neighborhood
-    instance dbar, for each strict neighbor whose marker dbar lacks;
-    SchemaError on a constraint not of the import kind.
+    instance dbar, those that `PdesSchema.live_sigma` keeps; SchemaError
+    on a constraint not of the import kind.
 
     Each body is joined once against dbar, and each binding ranks its
     head atom, existentials null, by its number of nulls; heads without
     existentials come first. Each rank, fewest nulls first, adds the
-    heads whose instantiation does not hold over the atoms so far
-    (`holds_instantiation`: a null relevant universal, a builtin-only
-    escape or an earlier witness satisfies it), as a witness is never
-    less informative than the null atom it makes unnecessary.
+    heads whose instantiation does not hold over the atoms so far under
+    the system's preorder (`holds_instantiation`: a builtin-only escape
+    or an earlier witness satisfies it, and under the null-based
+    preorder a null relevant universal too), as a witness is never less
+    informative than the null atom it makes unnecessary.
 
     This is the round loop that re-joins every body and adds the lowest
     rank of new heads, in one pass. Bodies read only the neighbors'
@@ -84,27 +86,27 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     heads of one rank witness each other only when they are equal (a
     witness agrees with the head's atom off the existentials, so with as
     many nulls it is null on all of them): adding a rank at once is
-    adding its heads one by one."""
+    adding its heads one by one. So every import constraint holds in the
+    result, read as the repairs under the preorder read it."""
+    classical = system.preorder != NULL_BASED
     ranked: dict[int, list] = {}  # -1 for heads without existentials
-    for q in sorted(system.strict_neighbors(p)):
-        if inc_atom(q) in dbar:
+    for q, c in system.live_sigma(p, dbar):
+        if q == p:
             continue
-        for c in system.sigma.get((p, q), ()):
-            if not _is_import(system, p, q, c):
-                raise SchemaError("constraint %s is not of the import kind"
-                                  % c)
-            target = next(d for d in c.head if d.atoms)
-            nulls = dict.fromkeys(target.exist_vars, NULL)
-            for s in join(dbar, c.body, {}):
-                a = ground_atom(target.atoms[0], {**s, **nulls})
-                ranked.setdefault(a.args.count(NULL) if nulls else -1,
-                                  []).append((c, s, a))
+        if not _is_import(system, p, q, c):
+            raise SchemaError("constraint %s is not of the import kind" % c)
+        target = next(d for d in c.head if d.atoms)
+        nulls = dict.fromkeys(target.exist_vars, NULL)
+        for s in join(dbar, c.body, {}):
+            a = ground_atom(target.atoms[0], {**s, **nulls})
+            ranked.setdefault(a.args.count(NULL) if nulls else -1,
+                              []).append((c, s, a))
     atoms = dbar.atoms
     for rank in sorted(ranked):
         # heads of constraints that PdesSchema checked against the schema
         cur = Instance._trusted(atoms, dbar.schema)
         atoms = atoms.union(a for c, s, a in ranked[rank]
-                            if not holds_instantiation(cur, c, s, False))
+                            if not holds_instantiation(cur, c, s, classical))
     return Instance._trusted(atoms, dbar.schema)
 
 
@@ -113,8 +115,13 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
 def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
                        cap: int) -> RepairSet:
     """The import fixpoint repaired as a neighborhood instance, keeping
-    the neighbors' relations and every imported atom fixed."""
+    the neighbors' relations and every imported atom fixed. Every import
+    constraint holds in the fixpoint (`least_model`), so for a peer with
+    no local constraints it is consistent, hence its own one repair under
+    either preorder: it is the one state, and no search runs."""
     fix = least_model(system, p, dbar)
+    if not system.sigma.get((p, p)):
+        return RepairSet(fix.atoms, (), fix.schema, Budget(cap))
     return _neighborhood_repairs(system, p, fix, cap,
                                  frozen_atoms=fix.atoms - dbar.atoms)
 

@@ -6,7 +6,8 @@ A peer's neighborhood solutions are repairs of its neighborhood instance
 with the predicates of more-trusted neighbors frozen. Solutions recurse
 over the acyclic accessibility graph: each neighbor contributes the
 intersection of its own solutions, or an inconsistency marker when it
-has none, in which case the exchange constraints toward it are dropped.
+has none, in which case `PdesSchema.live_sigma` drops the exchange
+constraints toward it.
 """
 
 from __future__ import annotations
@@ -131,6 +132,15 @@ class PdesSchema(Record):
             out.extend(self.sigma.get((p, q), ()))
         return tuple(out)
 
+    def live_sigma(self, p: str,
+                   dbar: Instance) -> tuple[tuple[str, Constraint], ...]:
+        """p's constraints that apply over its neighborhood instance dbar,
+        each with the peer it points to: all but the sets toward a strict
+        neighbor whose inconsistency marker dbar holds."""
+        return tuple((q, c) for q in sorted(self.neighbors(p))
+                     if q == p or inc_atom(q) not in dbar
+                     for c in self.sigma.get((p, q), ()))
+
     def trust_kind(self, p: str, q: str) -> str | None:
         return self._kind.get((p, q))
 
@@ -185,12 +195,7 @@ def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
                           cap: int, frozen_atoms: frozenset[Atom] = frozenset()
                           ) -> RepairSet:
     """`neighborhood_solutions` in factored form, frozen_atoms fixed."""
-    system._check_peer(p)
-    sigma: list[Constraint] = []
-    for q in sorted(system.neighbors(p)):
-        if q != p and inc_atom(q) in dbar:
-            continue
-        sigma.extend(system.sigma.get((p, q), ()))
+    sigma = [c for _, c in system.live_sigma(p, dbar)]
     return preorder_repairs(system.preorder, dbar, sigma,
                             frozen_preds=system.frozen_preds(p), cap=cap,
                             frozen_atoms=frozen_atoms)

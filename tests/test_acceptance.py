@@ -658,6 +658,45 @@ def test_11_routes_agree_when_a_deletion_reopens_an_obligation():
         solution_sets(_asp_route(sysm, "P", inst).solutions)
 
 
+# Z has no solutions, so P's rule toward Z is dropped. The closeness
+# bound of the program route once chased it anyway: U(b,c) then
+# witnessed R(b,null)'s obligation, U(b,null) fell outside the bound and
+# the first solution below lost to {U(c,b)}.
+DROPPED_TOWARD_Z = """\
+peer P : R/2, U/2
+peer Q : S/2
+peer Y : V/2
+peer Z : W/2
+trust P same Q
+trust P less Z
+trust Z less Y
+dec P P : forall x,y : R(x,y) -> exists z : U(x,z)
+dec P Q : forall x,y : S(x,y) -> exists z : R(y,z)
+dec P Z : forall x,y : U(x,y) -> U(y,x) or x = y
+dec Z Y : forall x,y : V(x,y) -> false
+instance P : U(c,b)
+instance Q : S(c,b)
+instance Y : V(b,a)
+"""
+
+
+def test_11_routes_agree_when_a_dropped_constraint_set_would_bound(
+        tmp_path, capsys):
+    defn = parse_definition(DROPPED_TOWARD_Z)
+    sysm, inst = defn.system, defn.instance
+    assert solutions(sysm, "Z", inst).inconsistent
+    want = {frozenset({"R(b,null)", "U(b,null)", "U(c,b)"}),
+            frozenset({"U(c,b)"})}
+    assert solution_sets(solutions(sysm, "P", inst).solutions) == want
+    assert solution_sets(_asp_route(sysm, "P", inst).solutions) == want
+    path = tmp_path / "dropped.pdes"
+    path.write_text(DROPPED_TOWARD_Z, encoding="utf-8")
+    assert main(["asp", "solve", str(path), "--peer", "P"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("solution 1:\n  R(b,null)\n  U(b,null)\n  U(c,b)\n"
+                        "solution 2:\n  U(c,b)\n"), out
+
+
 ARITY_0 = """\
 peer P : F/0
 peer Q : S/1

@@ -349,6 +349,31 @@ class TestExitCodes:
             (code, out, err)
 
 
+    # refusals as documented, each with its exit code and exact message
+    @pytest.mark.parametrize("argv,text,code,err", [
+        (["solutions", "FILE", "--peer", "Nope"], "peer P : R/1\n", 1,
+         "error: unknown peer 'Nope'\n"),
+        (["--cap", "0", "solutions", "FILE", "--peer", "P"],
+         "peer P : R/1\n", 1, "error: cap must be >= 1\n"),
+        (["check", "FILE"], None, 2,
+         "error: [Errno 2] No such file or directory: '{path}'\n"),
+        (["check", "FILE"], "peer P : R/1\npeer Q : S/1\n"
+         "dec P Q : forall x : S(x) -> R(x)\n", 1,
+         "error: no trust relationship for ('P', 'Q')\n"),
+        (["check", "FILE"], "peer P : R/1\ntrust P less P\n", 1,
+         "error: a peer must trust itself as 'same'\n"),
+    ], ids=["unknown-peer", "cap-0", "missing-file", "no-trust",
+            "self-less"])
+    def test_documented_refusal(self, tmp_path, capsys, argv, text, code,
+                                err):
+        path = tmp_path / "refused.pdes"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert (main(argv), *capsys.readouterr()) == \
+            (code, "", err.format(path=path))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("golden,args", GOLDEN_CASES[:6],
                              ids=[g for g, _ in GOLDEN_CASES[:6]])

@@ -2,7 +2,9 @@
 
 import os
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,14 @@ from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
                              import_solve, least_model,
                              restricted_import_solve)
-from pdes.system import _solve, peer_consistent_answers, solutions
+from pdes.repair import preorder_repairs
+from pdes.system import (_solve, core_instance, peer_consistent_answers,
+                         solutions)
 
-from conftest import FIXTURES, load, solution_sets
+from conftest import FIXTURES, HERE, load, solution_sets
+
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+import families  # noqa: E402
 
 # every fixture but the one refused at load time for its cycle
 LOADABLE = sorted(n for n in os.listdir(FIXTURES) if n != "cyclic_graph.pdes")
@@ -239,6 +246,55 @@ class TestRestrictedImport:
         res = restricted_import_solve(defn.system, "P", defn.instance)
         general = solutions(defn.system, "P", defn.instance)
         assert solution_sets(res.solutions) == solution_sets(general.solutions)
+
+
+# under delta a null satisfies no copy vacuously: R1(a,null) is owed
+DELTA_COPY = ("preorder delta\npeer P1 : R1/2\npeer P2 : R2/2\n"
+              "trust P1 less P2\n"
+              "dec P1 P2 : forall x,y : R2(x,y) -> R1(x,y)\n"
+              "instance P2 : R2(a,null)\n")
+
+
+def _count_searches(monkeypatch) -> list:
+    """The calls the peer recursion makes to the repair search."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return preorder_repairs(*args, **kwargs)
+
+    monkeypatch.setattr("pdes.system.preorder_repairs", counted)
+    return calls
+
+
+class TestFixpointUnderThePreorder:
+    def test_delta_fixpoint_holds_every_import(self):
+        defn = parse_definition(DELTA_COPY)
+        sysm = defn.system
+        dbar = core_instance(sysm, "P1", defn.instance)
+        assert "R1(a,null)" in atoms_of(least_model(sysm, "P1", dbar))
+
+    @pytest.mark.parametrize("text", [
+        Path(FIXTURES, "ex_6_1.pdes").read_text(encoding="utf-8"),
+        families.copy_chain(1).text,
+        DELTA_COPY,
+    ], ids=["ex_6_1", "copy_chain", "delta"])
+    def test_unrestricted_route_runs_no_search(self, monkeypatch, text):
+        defn = parse_definition(text)
+        sysm, d = defn.system, defn.instance
+        calls = _count_searches(monkeypatch)
+        unique = import_solve(sysm, "P1", d)
+        assert calls == []
+        want = solution_sets(solutions(sysm, "P1", d).solutions)
+        assert want == {frozenset(atoms_of(unique))}
+
+    def test_restricted_route_searches_local_constraints(self, monkeypatch):
+        defn = load("ex_5_13.pdes")
+        calls = _count_searches(monkeypatch)
+        res = restricted_import_solve(defn.system, "P", defn.instance)
+        assert len(res.solutions) == 2
+        assert [tuple(args[2]) for args in calls] == [
+            defn.system.sigma_of("P")]
 
 
 class TestInconsistentNeighbor:
