@@ -7,7 +7,8 @@ with the predicates of more-trusted neighbors frozen. Solutions recurse
 over the acyclic accessibility graph: each neighbor contributes the
 intersection of its own solutions, or an inconsistency marker when it
 has none, in which case `PdesSchema.live_sigma` drops the exchange
-constraints toward it.
+constraints toward it. A peer that only imports data is solved by its
+least model, with no search.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .core import (DEFAULT_CAP, Atom, Budget, Instance, Record, Schema,
-                   SchemaError, reach)
+from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Record,
+                   Schema, SchemaError, reach)
 from .lang import Constraint, Query
-from .nullsem import classical_answers, n_answers
+from .nullsem import (classical_answers, ground_atom, holds_instantiation,
+                      join, n_answers)
 from .repair import NULL_BASED, SYMMETRIC_DELTA, RepairSet, preorder_repairs
 
 LESS = "less"
 SAME = "same"
+
+UNRESTRICTED = "unrestricted_import"
+RESTRICTED = "restricted_import"
+GENERAL = "general"
 
 INC_PREFIX = "inc_"
 
@@ -37,7 +43,8 @@ class PdesSchema(Record):
     exchange constraints indexed by ordered peer pairs, and trust. The
     accessibility graph has an edge P -> Q for each nonempty constraint
     set between distinct peers, labeled with the trust kind; its indexes
-    ``_succ`` and ``_kind`` are outside ==."""
+    ``_succ`` and ``_kind`` and each peer's import flag (``_flags``) are
+    outside ==."""
 
     _fields = ("peers", "schemas", "sigma", "trust", "preorder")
 
@@ -55,6 +62,7 @@ class PdesSchema(Record):
                       for p in self.peers}
         self._kind = {(p, q): t for (p, t, q) in sorted(self.trust)}
         self._validate()
+        self._flags = {p: _import_flag(self, p) for p in sorted(self.peers)}
 
     def _validate(self) -> None:
         if self.preorder not in (NULL_BASED, SYMMETRIC_DELTA):
@@ -189,12 +197,109 @@ class SolutionResult(NamedTuple):
     inconsistent: bool
 
 
+# --------------------------------------------------------- the import case
+
+def _is_import(system: PdesSchema, p: str, q: str, c: Constraint) -> bool:
+    """Import shape of p's constraint c toward q: a body over q's schema
+    that binds every head variable but the existentials; one database
+    disjunct, a single atom over p's schema with no builtins, and with
+    no existentials under the delta preorder (a witness is then any
+    value of the universe) and none that a null cannot fill
+    (`Constraint.problematic`); other disjuncts builtin-only, without
+    existentials."""
+    own, foreign = system.schemas[p], system.schemas[q]
+    db_disjs = [d for d in c.head if d.atoms]
+    if not all(a.pred in foreign for a in c.body) or len(db_disjs) != 1:
+        return False
+    target = db_disjs[0]
+    return (len(target.atoms) == 1 and target.atoms[0].pred in own
+            and not target.builtins and not c.problematic
+            and not (target.exist_vars and system.preorder != NULL_BASED)
+            and not any(not d.atoms and d.exist_vars for d in c.head)
+            and not c.head_only)
+
+
+def _import_flag(system: PdesSchema, p: str) -> str:
+    if not all(system.trust_kind(p, q) == LESS and all(
+            _is_import(system, p, q, c) for c in system.sigma.get((p, q), ()))
+            for q in system.strict_neighbors(p)):
+        return GENERAL
+    return RESTRICTED if system.sigma.get((p, p)) else UNRESTRICTED
+
+
+def classify(system: PdesSchema) -> dict[str, str]:
+    """Each peer's import flag, computed once, when the system is built."""
+    return dict(system._flags)
+
+
+def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
+    """The least model of p's import constraints over its neighborhood
+    instance dbar, those that `PdesSchema.live_sigma` keeps; SchemaError
+    on a constraint not of the import kind.
+
+    Each body is joined once against dbar, and each binding ranks its
+    head atom, existentials null, by its number of nulls; heads without
+    existentials come first. Each rank, fewest nulls first, adds the
+    heads whose instantiation does not hold over the atoms so far under
+    the system's preorder (`holds_instantiation`: a builtin-only escape
+    or an earlier witness satisfies it, and under the null-based
+    preorder a null relevant universal too), as a witness is never less
+    informative than the null atom it makes unnecessary.
+
+    This is the round loop that re-joins every body and adds the lowest
+    rank of new heads, in one pass. Bodies read only the neighbors'
+    predicates, which no head writes, so every round joins the same
+    bindings; a binding's rank is fixed and its own atom witnesses its
+    head, so the rounds take the ranks in order, once each. Two null
+    heads of one rank witness each other only when they are equal (a
+    witness agrees with the head's atom off the existentials, so with as
+    many nulls it is null on all of them): adding a rank at once is
+    adding its heads one by one. So every import constraint holds in the
+    result, read as the repairs under the preorder read it."""
+    classical = system.preorder != NULL_BASED
+    ranked: dict[int, list] = {}  # -1 for heads without existentials
+    for q, c in system.live_sigma(p, dbar):
+        if q == p:
+            continue
+        if not _is_import(system, p, q, c):
+            raise SchemaError("constraint %s is not of the import kind" % c)
+        target = next(d for d in c.head if d.atoms)
+        nulls = dict.fromkeys(target.exist_vars, NULL)
+        for s in join(dbar, c.body, {}):
+            a = ground_atom(target.atoms[0], {**s, **nulls})
+            ranked.setdefault(a.args.count(NULL) if nulls else -1,
+                              []).append((c, s, a))
+    atoms = dbar.atoms
+    for rank in sorted(ranked):
+        # heads of constraints that PdesSchema checked against the schema
+        cur = Instance._trusted(atoms, dbar.schema)
+        atoms = atoms.union(a for c, s, a in ranked[rank]
+                            if not holds_instantiation(cur, c, s, classical))
+    return Instance._trusted(atoms, dbar.schema)
+
+
 # ------------------------------------------------- neighborhood solutions
 
 def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
-                          cap: int, frozen_atoms: frozenset[Atom] = frozenset()
-                          ) -> RepairSet:
-    """`neighborhood_solutions` in factored form, frozen_atoms fixed."""
+                          cap: int) -> RepairSet:
+    """`neighborhood_solutions` in factored form. An unrestricted import
+    peer takes its least model as the one state, with no search: no
+    constraint of p reads p's relations in its body, so a repair only
+    inserts, and `least_model` inserts just the least informative heads
+    that every repair needs. p's own flag is enough, whatever its
+    neighbors' flags: dbar holds each neighbor's core or `inc_` marker
+    as frozen data, and `least_model` reads `live_sigma` (ex_2_2's P1 and
+    ex_6_5's P1 are unrestricted with a general neighbor)."""
+    if system._flags[p] == UNRESTRICTED:
+        fix = least_model(system, p, dbar)
+        return RepairSet(fix.atoms, (), fix.schema, Budget(cap))
+    return _search_repairs(system, p, dbar, cap)
+
+
+def _search_repairs(system: PdesSchema, p: str, dbar: Instance, cap: int,
+                    frozen_atoms: frozenset[Atom] = frozenset()) -> RepairSet:
+    """`neighborhood_solutions` in factored form by the repair search
+    alone, whatever p's import flag, frozen_atoms fixed."""
     sigma = [c for _, c in system.live_sigma(p, dbar)]
     return preorder_repairs(system.preorder, dbar, sigma,
                             frozen_preds=system.frozen_preds(p), cap=cap,

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+from pdes.core import DEFAULT_CAP
 from pdes.deffile import Definition, load_definition
+from pdes.system import _search_repairs, _solve
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -29,6 +31,13 @@ def child_env(**extra: str) -> dict[str, str]:
 
 def load(name: str) -> Definition:
     return load_definition(fixture_path(name))
+
+
+def search_route(system, p, inst):
+    """p's solutions through the repair search alone: the general route,
+    which never takes the import fixpoint, for the import routes to be
+    checked against."""
+    return _solve(system, p, inst, _search_repairs, DEFAULT_CAP, {})
 
 
 def solution_sets(insts) -> set[frozenset[str]]:

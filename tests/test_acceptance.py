@@ -24,12 +24,13 @@ from pdes.deffile import parse_definition
 from pdes.lang import Constraint, Cst, parse_constraint, parse_query
 from pdes.nullsem import classical_answers, n_answers, n_holds, n_holds_direct
 from pdes.repair import exhaustive_null_repairs, null_repairs
-from pdes.system import (PdesInstance, PdesSchema, _solve, inc_atom,
+from pdes.system import (PdesInstance, PdesSchema, _certain_answers,
+                         _search_repairs, _solve, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
-                         solutions)
+                         solution_core, solutions)
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
-                      load, solution_sets)
+                      load, search_route, solution_sets)
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -335,7 +336,7 @@ def test_09_null_preorder_solutions():
 def test_10_import_solutions_and_scaling():
     defn = load("ex_6_1.pdes")
     via_fixpoint = import_solve(defn.system, "P1", defn.instance)
-    general = solutions(defn.system, "P1", defn.instance)
+    general = search_route(defn.system, "P1", defn.instance)
     assert atoms_of(via_fixpoint) == {"R1(a,2)", "R1(d,5)"}
     assert solution_sets(general.solutions) == {atoms_of(via_fixpoint)}
 
@@ -397,7 +398,9 @@ def test_10_import_fixpoint_scales_at_most_quadratically():
 
 def test_10_copy_chain_checks_grow_linearly(monkeypatch):
     """On a copy chain every copy is forced, so each peer's repair search
-    inserts them all in one batch and rescans once, not once per copy."""
+    inserts them all in one batch and rescans once, not once per copy.
+    `solutions` answers these import peers by their least model and runs
+    no search, so the search is called on its own."""
     checks = []
     real = repair.holds_instantiation
 
@@ -410,9 +413,12 @@ def test_10_copy_chain_checks_grow_linearly(monkeypatch):
     for n in (40, 160):
         sysm, inst = _chain_system(n, n_peers=3)
         checks.clear()
-        res = solutions(sysm, "P1", inst)
+        res = search_route(sysm, "P1", inst)
         assert len(res.solutions) == 1 and len(res.core) == n
         counts[n] = len(checks)
+        checks.clear()
+        assert solutions(sysm, "P1", inst).core == res.core
+        assert checks == []
     assert counts[160] / counts[40] <= 5, counts
 
 
@@ -421,7 +427,8 @@ def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
     once, by the repair search (its batched child checks only the
     instantiations the batch touches), and never by the chase: a copy
     rule is full, so the search grounds its insert without the pool and
-    never runs the chase."""
+    never runs the chase. The search is called on its own, as
+    `solutions` takes the least model here."""
     checks = {chase_module: [], repair: []}
     for mod, seen in checks.items():
         def counted(*args, real=mod.holds_instantiation, seen=seen):
@@ -433,7 +440,7 @@ def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
         sysm, inst = _chain_system(n, n_peers=3)
         for seen in checks.values():
             seen.clear()
-        assert len(solutions(sysm, "P1", inst).core) == n
+        assert len(search_route(sysm, "P1", inst).core) == n
         assert [len(c) for c in checks.values()] == [0, 2 * n]
 
 
@@ -444,7 +451,8 @@ def test_10_checks_read_no_universe(fam, want, monkeypatch):
     reads it, and no family constraint does: a request computes it once
     per search and once per restricted chase (P1 and P2 each search on
     the copy chain and never chase; P1 alone searches and chases on the
-    conflicts)."""
+    conflicts). The answers come through the search alone, which
+    `peer_consistent_answers` skips for the copy chain's import peers."""
     calls = []
     for mod in (chase_module, repair, nullsem):
         def counted(*args, real=mod.working_universe):
@@ -453,8 +461,8 @@ def test_10_checks_read_no_universe(fam, want, monkeypatch):
 
         monkeypatch.setattr(mod, "working_universe", counted)
     defn = parse_definition(fam.text)
-    res = peer_consistent_answers(defn.system, "P1", defn.instance,
-                                  defn.queries["P1"])
+    res = _certain_answers(defn.system, "P1", defn.instance,
+                           defn.queries["P1"], _search_repairs, DEFAULT_CAP)
     assert {t for (t,) in res.answers} == fam.answers
     assert len(calls) == want
 
@@ -495,7 +503,8 @@ def test_10_import_solve_does_not_chase(monkeypatch, capsys):
 
 
 def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):
-    # P1 and P2 each batch 48 forced copies; the first is not re-grounded
+    # P1 and P2 each batch 48 forced copies; the first is not re-grounded.
+    # The search is called on its own: pca takes the least model here
     calls = []
     real = repair._Search.moves
 
@@ -505,9 +514,32 @@ def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):
 
     monkeypatch.setattr(repair._Search, "moves", counted)
     defn = parse_definition(families.copy_chain(1).text)
-    peer_consistent_answers(defn.system, "P1", defn.instance,
-                            defn.queries["P1"])
+    _certain_answers(defn.system, "P1", defn.instance, defn.queries["P1"],
+                     _search_repairs, DEFAULT_CAP)
     assert len(calls) == 2 * families.COPY_CHAIN_N == 96
+
+
+def test_10_copy_chain_dispatch_runs_no_search(monkeypatch):
+    """Every peer of the copy chain with constraints is an unrestricted
+    import peer, so solutions, core and pca take each one's least model:
+    no repair check, no chase and no search move."""
+    calls = {"checks": [], "chase": [], "moves": []}
+    for key, owner, name in (("checks", repair, "holds_instantiation"),
+                             ("chase", repair, "r_chase"),
+                             ("moves", repair._Search, "moves")):
+        def counted(*args, real=getattr(owner, name), seen=calls[key]):
+            seen.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    fam = families.copy_chain(1)
+    defn = parse_definition(fam.text)
+    sysm, inst = defn.system, defn.instance
+    res = peer_consistent_answers(sysm, "P1", inst, defn.queries["P1"])
+    assert {t for (t,) in res.answers} == fam.answers
+    assert len(solutions(sysm, "P1", inst).solutions) == 1
+    assert len(solution_core(sysm, "P1", inst)) == families.COPY_CHAIN_N
+    assert calls == {"checks": [], "chase": [], "moves": []}
 
 
 def test_10_copy_chain_checks_each_atom_once(monkeypatch):
@@ -526,9 +558,10 @@ def test_10_copy_chain_checks_each_atom_once(monkeypatch):
 
 
 def test_10_copy_chain_fits_a_small_cap():
-    # each peer's search holds its start state and one batched child
+    # each peer's search holds its start state and one batched child; the
+    # search is called on its own, as solutions runs none here
     sysm, inst = _chain_system(160, n_peers=3)
-    res = solutions(sysm, "P1", inst, cap=8)
+    res = _solve(sysm, "P1", inst, _search_repairs, 8, {})
     assert len(res.solutions) == 1 and len(res.core) == 160
 
 
@@ -711,6 +744,7 @@ def test_11_an_arity_0_atom_takes_every_route(tmp_path, capsys):
     defn = parse_definition(ARITY_0)
     sysm, inst, q = defn.system, defn.instance, defn.queries["P"]
     want = {frozenset({"F()"})}
+    assert solution_sets(search_route(sysm, "P", inst).solutions) == want
     assert solution_sets(solutions(sysm, "P", inst).solutions) == want
     assert solution_sets([import_solve(sysm, "P", inst)]) == want
     assert solution_sets(_asp_route(sysm, "P", inst).solutions) == want
@@ -724,7 +758,8 @@ def test_11_an_arity_0_atom_takes_every_route(tmp_path, capsys):
 
 def test_11_import_routes_agree_on_random_systems():
     # the random systems of test_11: wherever every peer a peer reaches is
-    # of the import kind, the import routes give the general solutions
+    # of the import kind, the import routes give the solutions of the
+    # search alone
     rng = random.Random(11)
     checked = disagree = 0
     for trial in range(200):
@@ -735,7 +770,7 @@ def test_11_import_routes_agree_on_random_systems():
             if GENERAL in reached:
                 continue
             checked += 1
-            want = solution_sets(solutions(sysm, p, inst).solutions)
+            want = solution_sets(search_route(sysm, p, inst).solutions)
             routes = [solution_sets(
                 restricted_import_solve(sysm, p, inst).solutions)]
             if reached == {UNRESTRICTED}:
@@ -757,8 +792,8 @@ def test_11_routes_agree_over_head_shapes():
     # two-peer systems whose one dec draws its head from shapes every
     # route encodes, shapes the chase drops (an existential repeated or
     # read by a builtin) and shapes no program encodes (an existential in
-    # no atom): each route either refuses P1 or agrees with the general
-    # solutions
+    # no atom): each route either refuses P1 or agrees with the solutions
+    # of the search alone
     rng = random.Random(1111)
     compared = refused = disagree = 0
     schemas = {"P1": Schema({"R1": 2}), "P2": Schema({"R2": 2})}
@@ -777,7 +812,7 @@ def test_11_routes_agree_over_head_shapes():
              for _ in range(rng.randint(0, 2))}, schemas[p])
             for p, pool in (("P1", ["a", "b", "c", NULL]),
                             ("P2", ["a", "b", "c"]))})
-        want = solution_sets(solutions(sysm, "P1", inst).solutions)
+        want = solution_sets(search_route(sysm, "P1", inst).solutions)
         routes = []
         try:
             routes.append(_asp_route(sysm, "P1", inst).solutions)

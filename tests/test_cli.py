@@ -206,6 +206,17 @@ class TestExitCodes:
             3, "", "cap exceeded: search space of 77 candidates exceeds "
             "cap 32\n")
 
+    def test_a_peer_answered_by_its_least_model_charges_nothing(
+            self, tmp_path, capsys):
+        # the copy chain's peers import only, so no search runs and even
+        # a cap of 1 holds; the search alone would reach 2 candidates
+        fam = families.copy_chain(1, n=4)
+        path = tmp_path / "chain.pdes"
+        path.write_text(fam.text, encoding="utf-8")
+        assert main(["--cap", "1", "pca", str(path), "--peer", "P1"]) == 0
+        assert capsys.readouterr() == (families.answers_text(fam.answers), "")
+        assert len(fam.answers) == 4
+
     def test_cap_from_environment(self):
         res = run_cli(["asp", "solve", "ex_6_2.pdes", "--peer", "P1"],
                       env_extra={"PDES_CAP": "2"})

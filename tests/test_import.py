@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from pdes import system as system_mod
 from pdes.asp import asp_parts
-from pdes import importmode
 from pdes.cli import main
 from pdes.core import DEFAULT_CAP, Instance, SchemaError
 from pdes.deffile import parse_definition
@@ -18,9 +18,9 @@ from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
                              restricted_import_solve)
 from pdes.repair import preorder_repairs
 from pdes.system import (_solve, core_instance, peer_consistent_answers,
-                         solutions)
+                         solution_core, solutions)
 
-from conftest import FIXTURES, HERE, load, solution_sets
+from conftest import FIXTURES, HERE, load, search_route, solution_sets
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -109,7 +109,7 @@ class TestUnrestrictedImport:
         assert atoms_of(inst) == {"R1(a,2)", "R1(d,5)"}
 
     def test_agrees_with_general_solver(self):
-        res = solutions(self.defn.system, "P1", self.defn.instance)
+        res = search_route(self.defn.system, "P1", self.defn.instance)
         assert solution_sets(res.solutions) == {
             frozenset({"R1(a,2)", "R1(d,5)"})}
 
@@ -173,7 +173,7 @@ class TestExistentialImport:
                         | defn.instance.of("P3").atoms,
                         sysm.neighborhood_schema("P1"))
         calls, checks = [], []
-        join, holds = importmode.join, importmode.holds_instantiation
+        join, holds = system_mod.join, system_mod.holds_instantiation
 
         def counted(d, atoms, *starts):
             calls.append(tuple(atoms))
@@ -183,8 +183,8 @@ class TestExistentialImport:
             checks.append(s)
             return holds(d, c, s, classical)
 
-        monkeypatch.setattr(importmode, "join", counted)
-        monkeypatch.setattr(importmode, "holds_instantiation", checked)
+        monkeypatch.setattr(system_mod, "join", counted)
+        monkeypatch.setattr(system_mod, "holds_instantiation", checked)
         fixpoint = least_model(sysm, "P1", dbar)
         assert atoms_of(fixpoint) - atoms_of(dbar) == {
             "R1(a,null,b)", "R1(c,null,b)", "R1(d,null,null)"}
@@ -244,7 +244,7 @@ class TestRestrictedImport:
     def test_agrees_with_general_solver(self):
         defn = load("ex_5_13.pdes")
         res = restricted_import_solve(defn.system, "P", defn.instance)
-        general = solutions(defn.system, "P", defn.instance)
+        general = search_route(defn.system, "P", defn.instance)
         assert solution_sets(res.solutions) == solution_sets(general.solutions)
 
 
@@ -285,7 +285,7 @@ class TestFixpointUnderThePreorder:
         calls = _count_searches(monkeypatch)
         unique = import_solve(sysm, "P1", d)
         assert calls == []
-        want = solution_sets(solutions(sysm, "P1", d).solutions)
+        want = solution_sets(search_route(sysm, "P1", d).solutions)
         assert want == {frozenset(atoms_of(unique))}
 
     def test_restricted_route_searches_local_constraints(self, monkeypatch):
@@ -295,6 +295,76 @@ class TestFixpointUnderThePreorder:
         assert len(res.solutions) == 2
         assert [tuple(args[2]) for args in calls] == [
             defn.system.sigma_of("P")]
+
+
+def _record_locals(monkeypatch) -> dict[str, list[str]]:
+    """The peers that the recursion answers by their least model and
+    those it searches, in call order."""
+    seen: dict[str, list[str]] = {"least_model": [], "_search_repairs": []}
+    for name, peers in seen.items():
+        def counted(system, p, *args, real=getattr(system_mod, name),
+                    peers=peers, **kwargs):
+            peers.append(p)
+            return real(system, p, *args, **kwargs)
+
+        monkeypatch.setattr(system_mod, name, counted)
+    return seen
+
+
+_ROUTES = {
+    "solutions": lambda defn, p: solutions(defn.system, p, defn.instance),
+    "core": lambda defn, p: solution_core(defn.system, p, defn.instance),
+    "pca": lambda defn, p: peer_consistent_answers(
+        defn.system, p, defn.instance, defn.queries[p]),
+}
+
+
+class TestDispatch:
+    """The peer recursion answers each unrestricted import peer by its
+    least model, whatever its neighbors' flags, and searches the rest."""
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    @pytest.mark.parametrize("text,fixpoints,searched", [
+        (families.copy_chain(1).text, ["P2", "P1"], []),
+        (Path(FIXTURES, "ex_6_5.pdes").read_text(encoding="utf-8"),
+         ["P1"], ["P2"]),
+    ], ids=["copy_chain", "ex_6_5"])
+    def test_least_model_once_per_unrestricted_peer(self, monkeypatch, route,
+                                                     text, fixpoints,
+                                                     searched):
+        defn = parse_definition(text)
+        seen = _record_locals(monkeypatch)
+        _ROUTES[route](defn, "P1")
+        assert seen == {"least_model": fixpoints,
+                        "_search_repairs": searched}
+
+    @pytest.mark.parametrize("name,flag", [("ex_5_12.pdes", RESTRICTED),
+                                           ("ex_1_1.pdes", GENERAL)])
+    def test_restricted_and_general_peers_search(self, monkeypatch, name,
+                                                 flag):
+        defn = load(name)
+        assert classify(defn.system)["P1"] == flag
+        seen = _record_locals(monkeypatch)
+        solutions(defn.system, "P1", defn.instance)
+        assert seen == {"least_model": [], "_search_repairs": ["P1"]}
+
+    @pytest.mark.parametrize("cmd", ["pca", "solutions", "core",
+                                     "import-solve"])
+    def test_flags_are_computed_once_per_request(self, monkeypatch, tmp_path,
+                                                 capsys, cmd):
+        path = tmp_path / "chain.pdes"
+        path.write_text(families.copy_chain(1).text, encoding="utf-8")
+        peers = []
+        real = system_mod._import_flag
+
+        def counted(system, p):
+            peers.append(p)
+            return real(system, p)
+
+        monkeypatch.setattr(system_mod, "_import_flag", counted)
+        assert main([cmd, str(path), "--peer", "P1"]) == 0
+        capsys.readouterr()
+        assert peers == ["P1", "P2", "P3"]
 
 
 class TestInconsistentNeighbor:
@@ -345,8 +415,8 @@ class TestConsistentAnswersThroughImports:
 @pytest.mark.parametrize("name", LOADABLE)
 def test_import_routes_agree_with_general_solver(name):
     """Wherever every accessible peer is of the import kind, the import
-    routes and the general solver give the same solutions, including an
-    inc_ marker spread from an inconsistent neighbor."""
+    routes and the repair search alone give the same solutions, including
+    an inc_ marker spread from an inconsistent neighbor."""
     defn = load(name)
     sysm, d = defn.system, defn.instance
     flags = classify(sysm)
@@ -356,7 +426,7 @@ def test_import_routes_agree_with_general_solver(name):
         if GENERAL in reached:
             continue
         checked += 1
-        general = solutions(sysm, p, d)
+        general = search_route(sysm, p, d)
         restricted = restricted_import_solve(sysm, p, d)
         want = solution_sets(general.solutions)
         assert solution_sets(restricted.solutions) == want, p
@@ -415,8 +485,8 @@ def _drawn_agreement(preorder: str) -> tuple[int, int, int]:
     """Over 400 drawn import systems under preorder, wherever classify
     admits a peer: the routes compared (the restricted one, and the
     unrestricted one where it applies), those that disagree with the
-    general solutions (an inc_ marker included), and the inconsistent
-    P1s."""
+    solutions of the repair search alone (an inc_ marker included), and
+    the inconsistent P1s."""
     rng = random.Random(19)
     compared = disagree = inconsistent = 0
     for trial in range(400):
@@ -428,7 +498,7 @@ def _drawn_agreement(preorder: str) -> tuple[int, int, int]:
             reached = {flags[q] for q in sysm.accessible(p)}
             if GENERAL in reached:
                 continue
-            general = solutions(sysm, p, d)
+            general = search_route(sysm, p, d)
             want = (solution_sets(general.solutions), general.inconsistent)
             res = restricted_import_solve(sysm, p, d)
             routes = [(solution_sets(res.solutions), res.inconsistent)]

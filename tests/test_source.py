@@ -1,8 +1,11 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
-module-level private names, no imports inside functions."""
+module-level private names, no imports inside functions, and every
+module importable on its own."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +98,14 @@ def test_the_check_sees_a_function_local_import():
 def test_no_function_local_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert function_local_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    # in a fresh interpreter, so that no import order that only works
+    # after another module (pdes.cli, say) goes unseen
+    name = "pdes" if module == "__init__.py" else "pdes." + module[:-3]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    res = subprocess.run([sys.executable, "-c", "import " + name], env=env,
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (0, "")
