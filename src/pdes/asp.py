@@ -44,7 +44,7 @@ from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Partition,
-                   Schema, SchemaError, restrict)
+                   Schema, SchemaError)
 from .lang import (OP_TEXT, Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
 from .nullsem import delta_join, eval_builtin, ground_atom
@@ -81,7 +81,6 @@ class LogicProgram(NamedTuple):
     facts: frozenset[Atom]
     rules: tuple[Rule, ...]
     schema: Schema
-    own_preds: frozenset[str]
     warnings: tuple[str, ...] = ()
 
 
@@ -114,7 +113,6 @@ def build_solution_program(system: PdesSchema, p: str,
     if system.preorder != NULL_BASED:
         raise SchemaError("solution programs encode the null-based "
                           "preorder, not preorder %s" % system.preorder)
-    own = frozenset(system.schemas[p].preds())
     changeable = {r for q in system.neighbors(p)
                   for r in system.schemas[q].preds()} - system.frozen_preds(p)
     warnings: list[str] = []
@@ -152,7 +150,7 @@ def build_solution_program(system: PdesSchema, p: str,
         rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs),), derived=True))
         rules.append(Rule((Lit(r, xs, TS),), (Lit(r, xs, TA),), derived=True))
         rules.append(Rule((), (Lit(r, xs, TA), Lit(r, xs, FA))))
-    for r in sorted(own):
+    for r in sorted(system.schemas[p].preds()):
         arity = system.schemas[p].arity(r)
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
         rules.append(Rule((Lit(r, xs, TSS),),
@@ -160,7 +158,7 @@ def build_solution_program(system: PdesSchema, p: str,
                           derived=True))
     facts = set(dbar.atoms)
     facts |= {Atom("dom", (c,)) for c in dbar.domain | {NULL}}
-    return LogicProgram(frozenset(facts), tuple(rules), dbar.schema, own,
+    return LogicProgram(frozenset(facts), tuple(rules), dbar.schema,
                         tuple(warnings))
 
 
@@ -516,12 +514,6 @@ def _extract_neighborhood(prog: LogicProgram,
         if a.pred.endswith("_") and a.args[-1] == TA:
             atoms.add(Atom(a.pred[:-1], a.args[:-1]))
     return Instance(atoms, prog.schema)
-
-
-def extract_instance(prog: LogicProgram, m: frozenset[Atom]) -> Instance:
-    """The database instance a stable model assigns to the peer: its own
-    atoms that were or became true and were not deleted."""
-    return restrict(_extract_neighborhood(prog, m), prog.own_preds)
 
 
 def asp_solutions(system: PdesSchema, p: str, dbar: Instance,

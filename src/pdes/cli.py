@@ -183,11 +183,10 @@ def _cmd_import_solve(defn: Definition, args, cap: int):
         raise Refusal("system is not of the import kind for peer %r"
                       % args.peer)
     if reached == {UNRESTRICTED}:
-        lines = _instance_lines(import_solve(sysm, args.peer, defn.instance,
-                                             flags))
+        lines = _instance_lines(import_solve(sysm, args.peer, defn.instance))
         return {"peer": args.peer, "solutions": [lines], "unique": True}, lines
     return _solution_lines(restricted_import_solve(
-        sysm, args.peer, defn.instance, cap, flags))
+        sysm, args.peer, defn.instance, cap))
 
 
 def _cmd_asp(defn: Definition, args, cap: int):

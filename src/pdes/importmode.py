@@ -1,7 +1,7 @@
 """The import case: one-directional data flow along `less` trust.
 
 A peer whose constraints toward its neighbors are all import rules
-(`system.classify`) and that has no local constraints has the least model
+(`classify`) and that has no local constraints has the least model
 of those rules (`system.least_model`) as its one solution, and
 `system._neighborhood_repairs` answers it so in every route. With local
 constraints the fixpoint is repaired as a neighborhood instance, with
@@ -15,7 +15,12 @@ from .repair import RepairSet
 from .system import (GENERAL, RESTRICTED, UNRESTRICTED, PdesInstance,
                      PdesSchema, SolutionResult, _factored,
                      _neighborhood_repairs, _search_repairs, _solve,
-                     classify, least_model)
+                     least_model)
+
+
+def classify(system: PdesSchema) -> dict[str, str]:
+    """Each peer's import flag, computed once, when the system is built."""
+    return dict(system._flags)
 
 
 def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
@@ -31,32 +36,26 @@ def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
                            frozen_atoms=fix.atoms - dbar.atoms)
 
 
-def import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                 flags: dict[str, str] | None = None) -> Instance:
+def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
     """The unique solution of a peer in the unrestricted import case:
     sinks keep their instance, others take the least model of their
     import constraints over their instance plus the neighbor solutions,
-    restricted to their own schema. flags, when given, are the system's
-    `classify` flags."""
-    flags = flags or classify(system)
+    restricted to their own schema."""
     for q in sorted(system.accessible(p)):
-        if flags[q] != UNRESTRICTED:
+        if system._flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
-                              "kind (%s)" % (q, flags[q]))
+                              "kind (%s)" % (q, system._flags[q]))
     return _factored(system, p, d, _neighborhood_repairs, DEFAULT_CAP,
                      {}).repairs[0]
 
 
 def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                            cap: int = DEFAULT_CAP,
-                            flags: dict[str, str] | None = None
-                            ) -> SolutionResult:
+                            cap: int = DEFAULT_CAP) -> SolutionResult:
     """Import case with local constraints: run the import fixpoint, then
     repair it with respect to all of p's constraints, keeping the
     neighbors' relations and every imported atom fixed. Every peer that
-    p reaches must be of the import kind; flags as in `import_solve`."""
-    flags = flags or classify(system)
+    p reaches must be of the import kind."""
     for q in sorted(system.accessible(p)):
-        if flags[q] == GENERAL:
+        if system._flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)
     return _solve(system, p, d, _fixpoint_repaired, cap, {})

@@ -1,6 +1,6 @@
 """AST, parser and static analysis for data exchange constraints and
 conjunctive queries, including relevant-variable computation and the
-null-aware rewriting of constraints and queries.
+null-aware rewriting of constraints.
 
 One grammar reads every definition-file line and --query: a token is a
 mark of `_PUNCT` or a word of letters, digits and _ . ' -; every name,
@@ -185,15 +185,6 @@ class Query(NamedTuple):
     builtins: tuple[Builtin, ...]
     peer: str | None = None
 
-    @property
-    def sql_safe(self) -> bool:
-        """False when some conjunct compares a term with null directly."""
-        for b in self.builtins:
-            if b.op in ("eq", "neq") and any(
-                    isinstance(t, Cst) and t.value == NULL for t in b.terms):
-                return False
-        return True
-
     __str__ = Disjunct.__str__  # a conjunction, as a disjunct prints
 
 
@@ -245,16 +236,6 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
                       for w in d.exist_vars if w in rel or w in compared)
         new_head.append(d._replace(builtins=d.builtins + extra))
     return Constraint(c.univ_vars, c.body, guards + tuple(new_head), c.owner)
-
-
-def n_rewrite_query(q: Query) -> Query:
-    """Append v != null for every relevant variable of the query, in
-    declaration order (free variables first)."""
-    rel = relevant_vars(q)
-    extra = tuple(Builtin("neq", (Var(v), Cst(NULL)))
-                  for v in dict.fromkeys(q.free_vars + q.exist_vars)
-                  if v in rel)
-    return q._replace(builtins=q.builtins + extra)
 
 
 # ----------------------------------------------------------- ref-acyclicity

@@ -28,10 +28,10 @@ witnesses over a larger universe; builtins and null tests read the
 assignment alone), so an instantiation that held still holds, and one
 that touches no added atom is not new.
 
-Two independent constraint checks are provided for cross-checking:
-`n_holds_direct` restricts relevant variables away from null, and
-`n_holds` evaluates classically the rewritten constraint produced by
-:mod:`pdes.lang`.
+`n_holds` is the exhaustive repair oracle's check: it evaluates the
+rewritten constraint of :mod:`pdes.lang` classically (null an ordinary
+constant), where the product's checks restrict the relevant variables
+away from null.
 """
 
 from __future__ import annotations
@@ -249,18 +249,9 @@ def classical_answers(d: Instance, q: Query, matches: Matches | None = None
 
 # ------------------------------------------------------ constraint checks
 
-def _holds(d: Instance, c: Constraint, classical: bool) -> bool:
-    return all(holds_instantiation(d, c, s, classical)
-               for s in instantiations(d, c, _universe(d, c)))
-
-
 def n_holds(d: Instance, c: Constraint) -> bool:
     """Null-semantics satisfaction via classical evaluation (null an
     ordinary constant) of the rewritten constraint."""
-    return _holds(d, n_rewrite_constraint(c), classical=True)
-
-
-def n_holds_direct(d: Instance, c: Constraint) -> bool:
-    """Independent second route: direct evaluation with relevant-variable
-    quantifier restriction on the unrewritten constraint."""
-    return _holds(d, c, classical=False)
+    c = n_rewrite_constraint(c)
+    return all(holds_instantiation(d, c, s, classical=True)
+               for s in instantiations(d, c, _universe(d, c)))

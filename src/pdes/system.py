@@ -227,11 +227,6 @@ def _import_flag(system: PdesSchema, p: str) -> str:
     return RESTRICTED if system.sigma.get((p, p)) else UNRESTRICTED
 
 
-def classify(system: PdesSchema) -> dict[str, str]:
-    """Each peer's import flag, computed once, when the system is built."""
-    return dict(system._flags)
-
-
 def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     """The least model of p's import constraints over its neighborhood
     instance dbar, those that `PdesSchema.live_sigma` keeps; SchemaError
@@ -341,9 +336,12 @@ def solutions(system: PdesSchema, p: str, d: PdesInstance,
     """Solution instances for p: its own instance when it has no
     constraints, otherwise the restrictions to p's schema of the
     neighborhood solutions over its instance joined with the neighbors'
-    cores, in the order of their sorted atom texts (perfbench reads it)."""
+    cores, in the order of their sorted atom texts (perfbench reads it),
+    rendered only when there are two solutions or more to order."""
     system._check_peer(p)
     res = _solve(system, p, d, _neighborhood_repairs, cap, {})
+    if len(res.solutions) < 2:
+        return res
     return res._replace(solutions=tuple(sorted(
         res.solutions, key=lambda s: sorted(map(str, s.atoms)))))
 
@@ -426,10 +424,6 @@ class PcaResult(NamedTuple):
     peer: str
     answers: frozenset[tuple[str, ...]]
     inconsistent: bool
-
-    @property
-    def marker(self) -> Atom | None:
-        return inc_atom(self.peer) if self.inconsistent else None
 
 
 def peer_consistent_answers(system: PdesSchema, p: str, d: PdesInstance,

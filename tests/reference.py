@@ -1,0 +1,118 @@
+"""Reference routes that the tests check `pdes` against. No product
+route calls them; each decides the same question a second way.
+
+- Null semantics: `n_holds_direct` evaluates a constraint directly, with
+  its relevant variables restricted away from null, against
+  `nullsem.n_holds`, which evaluates the rewritten constraint
+  classically. `n_rewrite_query` and `sql_safe` are the same rewriting
+  for queries, against `nullsem.n_answers`.
+- Solution programs: `reference_ground` grounds every rule over the
+  whole universe, and `reference_stable_models` tries every subset of
+  the derivable atoms with an all-subsets minimality check, against
+  `asp.ground` and `asp.stable_models`. `extract_instance` reads a peer's
+  instance off a stable model.
+
+The exhaustive null-repair oracle stays in `pdes.repair`
+(`exhaustive_null_repairs`, with `nullsem.n_holds` and
+`lang.n_rewrite_constraint` that it calls), since the benchmark's own
+checks import it from there.
+"""
+
+from itertools import product
+
+from pdes.asp import GroundRule, _extract_neighborhood, _ground_rule
+from pdes.core import NULL, restrict
+from pdes.lang import Builtin, Cst, Var, relevant_vars, term_vars
+from pdes.nullsem import _universe, holds_instantiation, instantiations
+
+
+# ------------------------------------------------------------ null semantics
+
+def n_holds_direct(d, c) -> bool:
+    """Null-semantics satisfaction by direct evaluation of the
+    unrewritten constraint, with relevant-variable quantifier
+    restriction."""
+    return all(holds_instantiation(d, c, s, classical=False)
+               for s in instantiations(d, c, _universe(d, c)))
+
+
+def n_rewrite_query(q):
+    """Append v != null for every relevant variable of the query, in
+    declaration order (free variables first)."""
+    rel = relevant_vars(q)
+    extra = tuple(Builtin("neq", (Var(v), Cst(NULL)))
+                  for v in dict.fromkeys(q.free_vars + q.exist_vars)
+                  if v in rel)
+    return q._replace(builtins=q.builtins + extra)
+
+
+def sql_safe(q) -> bool:
+    """False when some conjunct of q compares a term with null directly."""
+    return not any(b.op in ("eq", "neq") and Cst(NULL) in b.terms
+                   for b in q.builtins)
+
+
+# --------------------------------------------------------- solution programs
+
+def extract_instance(prog, m, preds):
+    """The instance a stable model m of prog assigns to the peer that owns
+    preds: its atoms that were or became true and were not deleted."""
+    return restrict(_extract_neighborhood(prog, m), preds)
+
+
+# The product grounder, the derivability trim, the 2^|atoms| mask loop and
+# the all-subsets minimality check, kept as oracles for ground and
+# stable_models.
+
+def reference_ground(prog):
+    uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
+                 | {t.value for r in prog.rules for item in (*r.head, *r.body)
+                    for t in item.terms if isinstance(t, Cst)})
+    out = {}
+    for r in prog.rules:
+        if r.derived:
+            continue
+        vs = sorted({v for lit in (*r.head, *r.body)
+                     for v in term_vars(lit.terms)})
+        for combo in product(uni, repeat=len(vs)):
+            g = _ground_rule(r, dict(zip(vs, combo)), prog.facts)
+            if g is not None:
+                out.setdefault(g)
+    return tuple(out)
+
+
+def _satisfies(rules, m):
+    return all(not set(r.pos) <= m or set(r.head) & m for r in rules)
+
+
+def _is_stable(rules, m):
+    red = [r for r in rules if not set(r.neg) & m]
+    if not _satisfies(red, m):
+        return False
+    elems = sorted(m)
+    return not any(
+        _satisfies(red, frozenset(a for i, a in enumerate(elems)
+                                  if mask >> i & 1))
+        for mask in range(2 ** len(elems) - 1))
+
+
+def derivable_atoms(rules):
+    derivable, changed = set(), True
+    while changed:
+        changed = False
+        for r in rules:
+            if set(r.pos) <= derivable and not set(r.head) <= derivable:
+                derivable |= set(r.head)
+                changed = True
+    return derivable
+
+
+def reference_stable_models(rules):
+    derivable = derivable_atoms(rules)
+    trimmed = [GroundRule(r.head, r.pos,
+                          tuple(a for a in r.neg if a in derivable))
+               for r in rules if set(r.pos) <= derivable]
+    atoms = sorted(derivable)
+    subsets = (frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+               for mask in range(2 ** len(atoms)))
+    return {m for m in subsets if _is_stable(trimmed, m)}

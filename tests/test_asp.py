@@ -5,26 +5,25 @@ import io
 import json
 import os
 import sys
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdes.asp import (TA, GroundRule, Lit, Rule, _ground_rule, asp_parts,
-                      asp_solutions, build_solution_program, emit_text,
-                      extract_instance, ground, pca_via_asp, stable_models)
+from pdes.asp import (TA, GroundRule, Lit, Rule, asp_parts, asp_solutions,
+                      build_solution_program, emit_text, ground, pca_via_asp,
+                      stable_models)
 from pdes.cli import main
 from pdes.core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded,
                        Instance, Schema, SchemaError, atom, atom_sort_key)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
-from pdes.lang import (Builtin, Cst, Var, parse_constraint, parse_query,
-                       term_vars)
+from pdes.lang import Builtin, Cst, Var, parse_constraint, parse_query
 from pdes.system import (PdesSchema, _solve, core_instance, inc_atom,
                          peer_consistent_answers, solutions)
 
 from conftest import FIXTURES, HERE, load, solution_sets
+from reference import (derivable_atoms, extract_instance, reference_ground,
+                       reference_stable_models)
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -59,7 +58,8 @@ class TestCopyConstraintProgram:
 
     def test_extraction(self):
         models = stable_models(ground(self.prog))
-        inst = extract_instance(self.prog, models[0])
+        inst = extract_instance(self.prog, models[0],
+                                self.defn.system.schemas["P1"].preds())
         assert set(map(str, inst.atoms)) == {"R1(a,2)", "R1(d,5)"}
 
 
@@ -73,7 +73,8 @@ class TestInconsistencyMarker:
         assert "not inc_p2" in emit_text(prog)
         models = stable_models(ground(prog))
         assert len(models) == 1
-        inst = extract_instance(prog, models[0])
+        inst = extract_instance(prog, models[0],
+                                defn.system.schemas["P1"].preds())
         assert set(map(str, inst.atoms)) == {"R1(a,2)"}
 
 
@@ -135,7 +136,8 @@ class TestReferenceCycles:
         assert prog.warnings
         models = stable_models(ground(prog))
         assert len(models) == 2
-        raw = solution_sets(extract_instance(prog, m) for m in models)
+        own = defn.system.schemas["P1"].preds()
+        raw = solution_sets(extract_instance(prog, m, own) for m in models)
         assert raw == {frozenset({"R1(a,b)"}), frozenset()}
         filtered = asp_solutions(defn.system, "P1", dbar)
         assert solution_sets(filtered) == {frozenset({"R1(a,b)"})}
@@ -212,65 +214,6 @@ class TestRuleConstants:
                                     DEFAULT_CAP, {}).solutions) == want
 
 
-# ----------------------------------------------------- reference pipeline
-# The product grounder, the derivability trim, the 2^|atoms| mask loop and
-# the all-subsets minimality check, kept as oracles for ground and
-# stable_models.
-
-def reference_ground(prog):
-    uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
-                 | {t.value for r in prog.rules for item in (*r.head, *r.body)
-                    for t in item.terms if isinstance(t, Cst)})
-    out = {}
-    for r in prog.rules:
-        if r.derived:
-            continue
-        vs = sorted({v for lit in (*r.head, *r.body)
-                     for v in term_vars(lit.terms)})
-        for combo in product(uni, repeat=len(vs)):
-            g = _ground_rule(r, dict(zip(vs, combo)), prog.facts)
-            if g is not None:
-                out.setdefault(g)
-    return tuple(out)
-
-
-def _satisfies(rules, m):
-    return all(not set(r.pos) <= m or set(r.head) & m for r in rules)
-
-
-def _is_stable(rules, m):
-    red = [r for r in rules if not set(r.neg) & m]
-    if not _satisfies(red, m):
-        return False
-    elems = sorted(m)
-    return not any(
-        _satisfies(red, frozenset(a for i, a in enumerate(elems)
-                                  if mask >> i & 1))
-        for mask in range(2 ** len(elems) - 1))
-
-
-def _derivable(rules):
-    derivable, changed = set(), True
-    while changed:
-        changed = False
-        for r in rules:
-            if set(r.pos) <= derivable and not set(r.head) <= derivable:
-                derivable |= set(r.head)
-                changed = True
-    return derivable
-
-
-def reference_stable_models(rules):
-    derivable = _derivable(rules)
-    trimmed = [GroundRule(r.head, r.pos,
-                          tuple(a for a in r.neg if a in derivable))
-               for r in rules if set(r.pos) <= derivable]
-    atoms = sorted(derivable)
-    subsets = (frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-               for mask in range(2 ** len(atoms)))
-    return {m for m in subsets if _is_stable(trimmed, m)}
-
-
 def _fixture_programs():
     for name in sorted(os.listdir(FIXTURES)):
         try:
@@ -308,7 +251,7 @@ class TestAgainstReferencePipeline:
             defn.system, "P", neighborhood(defn, "P")))]
         for name, p, prog in [*programs, *_fixture_programs()]:
             ref = reference_ground(prog)
-            derivable = _derivable(ref)
+            derivable = derivable_atoms(ref)
             got = ground(prog)
             assert len(set(got)) == len(got), (name, p)
             assert set(got) == {r for r in ref

@@ -154,7 +154,7 @@ class TestNoSolutions:
         assert res.inconsistent and not res.solutions
         pca = peer_consistent_answers(defn.system, "P", defn.instance,
                                       defn.queries["P"])
-        assert pca.inconsistent and pca.marker == inc_atom("P")
+        assert pca.inconsistent and inc_atom(pca.peer) == inc_atom("P")
 
 
 class TestTransitiveSystem:
