@@ -261,8 +261,8 @@ def ground(prog: LogicProgram,
     uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
                  | {t.value for r in prog.rules for item in (*r.head, *r.body)
                     for t in item.terms if isinstance(t, Cst)})
-    rules = [(r, [PredAtom(_row(b.pred, b.ann), b.terms) for b in r.body
-                  if isinstance(b, Lit) and not b.neg and b.ann != FS],
+    rules = [(r, tuple([PredAtom(_row(b.pred, b.ann), b.terms) for b in r.body
+                        if isinstance(b, Lit) and not b.neg and b.ann != FS]),
               sorted({v for item in (*r.head, *r.body)
                       for v in term_vars(item.terms)}))
              for r in prog.rules if not r.derived]

@@ -149,7 +149,7 @@ def _cmd_core(defn: Definition, args, cap: int):
 
 
 def _get_query(defn: Definition, args):
-    if args.query:
+    if args.query is not None:
         try:
             return parse_query("query %s : %s" % (args.peer, args.query))
         except ParseError as e:

@@ -97,7 +97,7 @@ def atom(pred: str, *args: str) -> Atom:
 
 
 def atom_sort_key(a: Atom):
-    return (a.pred, tuple(_const_sort_key(c) for c in a.args))
+    return (a.pred, tuple(map(_const_sort_key, a.args)))
 
 
 class SchemaError(ValueError):

@@ -3,20 +3,22 @@ under classical semantics (null as an ordinary constant).
 
 `join` is the one body join, looking each atom up by the values at its
 bound positions (`Instance.lookup`); `delta_join` is its semi-naive
-form. They serve the checks, the chase, the repair search, grounding
+form, over step plans computed once per formula (`_steps`). They
+serve the checks, the chase, the repair search, grounding
 (:mod:`pdes.asp`), the import fixpoint and query answers. `extensions`
 is the one enumerator behind every quantifier: it joins atoms against
 an instance from a partial assignment and ranges the variables the join
 leaves unbound over a sorted universe.
 `instantiations` is its use on a constraint's body (the ground
-instantiations), `holds_instantiation` its use on each head disjunct
-(the existential witnesses), and the chase's insert options
+instantiations), `holds_instantiation` its use on each existential
+head disjunct (the witnesses), and the chase's insert options
 (:mod:`pdes.chase`) its use on a head against a pool instance. The
 restricted chase, the repair search (:mod:`pdes.repair`) and both
 constraint checks here rest on these. A check reads its own ranges:
 `holds_instantiation` reads the relevant variables off the constraint
 and builds the working universe only for an unanchored one, the one kind
-whose witness join leaves an existential variable unbound.
+whose witness join leaves an existential variable unbound; it tests a
+disjunct without existentials by membership, with no join.
 
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986) through `delta_join`: it yields only the
@@ -36,6 +38,7 @@ away from null.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -104,37 +107,53 @@ def ground_atom(a, s: dict[str, str]) -> Atom:
                                for t in a.terms]))
 
 
-def join(d: Instance, atoms, *starts: dict[str, str]
+@lru_cache(maxsize=1024)  # keyed on the formula, so bounded per request
+def _steps(atoms: tuple, bound: tuple[str, ...]) -> tuple:
+    """`join`'s plan for atoms from assignments binding bound: per atom,
+    its predicate, bound positions, their key slots (is a variable, name
+    or constant), free variables' first positions, the position pairs a
+    repeated free variable equates, and whether it is ground."""
+    seen, steps = set(bound), []
+    for a in atoms:
+        pos, slots, first, same = [], [], {}, []
+        for i, t in enumerate(a.terms):
+            if isinstance(t, Cst) or t.name in seen:
+                pos.append(i)
+                slots.append((False, t.value) if isinstance(t, Cst)
+                             else (True, t.name))
+            elif first.setdefault(t.name, i) != i:
+                same.append((first[t.name], i))
+        steps.append((a.pred, tuple(pos), tuple(slots), tuple(first.items()),
+                      tuple(same), len(pos) == len(a.terms)))
+        seen.update(first)
+    return tuple(steps)
+
+
+def join(d: Instance, atoms: tuple, *starts: dict[str, str]
          ) -> list[dict[str, str]]:
     """All extensions of the assignments starts, which bind the same
     variables, matching every database atom in d: by start, then in the
     order of d's sorted atoms. Each atom is looked up by the values the
-    assignment gives its bound positions; one it grounds costs one
-    membership test."""
+    assignment gives its bound positions (`_steps`); one it grounds costs
+    one membership test."""
     frontier = list(starts)
-    for a in atoms:
-        if not frontier:
-            break
-        # every assignment in the frontier binds the same variables
-        terms, first = a.terms, frontier[0]
-        bound = tuple([i for i, t in enumerate(terms)
-                       if isinstance(t, Cst) or t.name in first])
-        if len(bound) == len(terms):
-            frontier = [cur for cur in frontier if ground_atom(a, cur) in d]
-            continue
-        free = [(i, t.name) for i, t in enumerate(terms) if i not in bound]
-        keyed = [terms[i] for i in bound]
+    bound = tuple(starts[0]) if starts else ()
+    for pred, pos, slots, free, same, ground in _steps(atoms, bound):
         nxt = []
         for cur in frontier:
-            key = tuple([t.value if isinstance(t, Cst) else cur[t.name]
-                         for t in keyed])
-            for fact in d.lookup(a.pred, bound, key):
+            key = tuple([cur[x] if var else x for var, x in slots])
+            if ground:
+                if Atom(pred, key) in d.atoms:
+                    nxt.append(cur)
+                continue
+            for fact in d.lookup(pred, pos, key):
+                args = fact.args
+                if same and any(args[i] != args[j] for i, j in same):
+                    continue  # a repeated variable
                 ext = dict(cur)
-                for i, v in free:
-                    if ext.setdefault(v, fact.args[i]) != fact.args[i]:
-                        break  # a repeated variable
-                else:
-                    nxt.append(ext)
+                for v, i in free:
+                    ext[v] = args[i]
+                nxt.append(ext)
         frontier = nxt
     return frontier
 
@@ -203,6 +222,12 @@ def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
         return True
     universe = [] if c.anchored else _universe(d, c)
     for disj in c.head:
+        if not disj.exist_vars:  # s grounds it: membership, then builtins
+            if all(ground_atom(a, s) in d.atoms for a in disj.atoms) \
+                    and all(eval_builtin(b, s, classical)
+                            for b in disj.builtins):
+                return True
+            continue
         for full in extensions(d, disj.atoms, s, disj.exist_vars, universe):
             if all(full[v] != NULL for v in disj.exist_vars if v in rel) \
                     and all(eval_builtin(b, full, classical)

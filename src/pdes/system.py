@@ -327,8 +327,8 @@ def solution_form(system: PdesSchema, p: str,
 def _restricted(states, own: Schema) -> tuple[frozenset[Atom], ...]:
     """The atom sets states restricted to the schema own, without
     duplicates, in the order first seen."""
-    return tuple(dict.fromkeys(frozenset(a for a in s if a.pred in own)
-                               for s in states))
+    return tuple(dict.fromkeys(
+        frozenset(a for a in s if a.pred in own.arities) for s in states))
 
 
 def solutions(system: PdesSchema, p: str, d: PdesInstance,
@@ -439,9 +439,11 @@ def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
     """Certain answers to q over p's solutions through ``local``, or p's
     marker when it has none; q's atoms must fit p's schema.
 
-    q is monotone in the atoms, so it is evaluated once, over the shared
-    atoms plus every state of every part, keeping the atoms of each
-    answer's matches. A tuple answers q in every solution iff every
+    When every part has one state, p's one solution is its core, and the
+    certain answers are q's answers over it, with no matches kept.
+    Otherwise q, monotone in the atoms, is evaluated once, over the
+    shared atoms plus every state of every part, keeping the atoms of
+    each answer's matches. A tuple answers q in every solution iff every
     choice of one state per part keeps one of its matches. Its matches
     link the parts they touch into groups, and distinct groups choose
     independently. So the tuple is certain iff one of its matches lies in
@@ -454,10 +456,12 @@ def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
     sols = _factored(system, p, d, local, cap, {})
     if not all(sols.parts):
         return PcaResult(p, frozenset(), True)
+    eval_q = n_answers if system.preorder == NULL_BASED else classical_answers
+    if all(len(states) == 1 for states in sols.parts):  # one solution
+        return PcaResult(p, eval_q(_core(p, sols), q), False)
     part_of = {a: i for i, states in enumerate(sols.parts)
                for s in states for a in s}
     matches: dict[tuple[str, ...], set[frozenset[Atom]]] = {}
-    eval_q = n_answers if system.preorder == NULL_BASED else classical_answers
     eval_q(Instance._trusted(sols.shared.union(part_of), own), q, matches)
     return PcaResult(p, frozenset(
         t for t, ms in matches.items() if _certain(ms, sols, part_of)), False)

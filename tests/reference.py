@@ -6,6 +6,10 @@ route calls them; each decides the same question a second way.
   `nullsem.n_holds`, which evaluates the rewritten constraint
   classically. `n_rewrite_query` and `sql_safe` are the same rewriting
   for queries, against `nullsem.n_answers`.
+- The body join and the check: `naive_join` joins by nested loops over
+  each predicate's sorted atoms, with no index, against `nullsem.join`;
+  `holds_by_enumeration` tries every witness of the working universe,
+  with no join, against `nullsem.holds_instantiation`.
 - Solution programs: `reference_ground` grounds every rule over the
   whole universe, and `reference_stable_models` tries every subset of
   the derivable atoms with an all-subsets minimality check, against
@@ -21,9 +25,11 @@ checks import it from there.
 from itertools import product
 
 from pdes.asp import GroundRule, _extract_neighborhood, _ground_rule
-from pdes.core import NULL, restrict
+from pdes.core import NULL, atom_sort_key, restrict
 from pdes.lang import Builtin, Cst, Var, relevant_vars, term_vars
-from pdes.nullsem import _universe, holds_instantiation, instantiations
+from pdes.nullsem import (_universe, eval_builtin, ground_atom,
+                          holds_instantiation, instantiations,
+                          working_universe)
 
 
 # ------------------------------------------------------------ null semantics
@@ -34,6 +40,57 @@ def n_holds_direct(d, c) -> bool:
     restriction."""
     return all(holds_instantiation(d, c, s, classical=False)
                for s in instantiations(d, c, _universe(d, c)))
+
+
+def _match(terms, args, s):
+    """s extended so that terms read args, or None when it cannot be."""
+    t = dict(s)
+    for term, v in zip(terms, args):
+        if isinstance(term, Cst):
+            if term.value != v:
+                return None
+        elif t.setdefault(term.name, v) != v:
+            return None
+    return t
+
+
+def naive_join(d, atoms, *starts):
+    """`nullsem.join` by nested loops: each start, extended through the
+    atoms in turn, each scanning its predicate's atoms of d in
+    `atom_sort_key` order."""
+    def extend(s, rest):
+        if not rest:
+            yield s
+            return
+        facts = sorted((f for f in d.atoms if f.pred == rest[0].pred),
+                       key=atom_sort_key)
+        for f in facts:
+            t = _match(rest[0].terms, f.args, s)
+            if t is not None:
+                yield from extend(t, rest[1:])
+
+    return [t for s in starts for t in extend(s, tuple(atoms))]
+
+
+def holds_by_enumeration(d, c, s, classical) -> bool:
+    """`nullsem.holds_instantiation` by brute force: a relevant universal
+    null satisfies vacuously (null semantics); otherwise some disjunct
+    holds for some choice of its existentials over the working universe
+    of (d, c), relevant ones not null, its ground atoms in d and its
+    builtins true."""
+    rel = frozenset() if classical else c.relevant
+    if any(s[v] == NULL for v in c.univ_vars if v in rel):
+        return True
+    universe = working_universe(d, c)
+    for disj in c.head:
+        for combo in product(universe, repeat=len(disj.exist_vars)):
+            full = {**s, **dict(zip(disj.exist_vars, combo))}
+            if any(full[v] == NULL for v in disj.exist_vars if v in rel):
+                continue
+            if all(ground_atom(a, full) in d for a in disj.atoms) and all(
+                    eval_builtin(b, full, classical) for b in disj.builtins):
+                return True
+    return False
 
 
 def n_rewrite_query(q):

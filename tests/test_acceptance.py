@@ -1088,6 +1088,43 @@ def test_15_pca_evaluates_the_query_once(k, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_15_one_solution_answers_without_matches(tmp_path, monkeypatch):
+    """The copy chain's P1 has one solution, so its certain answers are
+    the query's answers over it: one evaluation with no match map, and
+    no certainty test."""
+    import pdes.system as system_mod
+    calls, certain = [], []
+    real, real_certain = system_mod.n_answers, system_mod._certain
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    def tested(*args):
+        certain.append(1)
+        return real_certain(*args)
+
+    monkeypatch.setattr(system_mod, "n_answers", counted)
+    monkeypatch.setattr(system_mod, "_certain", tested)
+    fam = families.copy_chain(1)
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+    assert calls == [()] and certain == []
+
+
+def test_15_repeated_requests_plan_no_new_joins(tmp_path):
+    """Join plans are cached on the formula: after the first of 50
+    identical requests, no request computes a plan or grows the cache."""
+    fam = families.copy_chain(1)
+    assert _family_pca(fam, tmp_path)[0] == 0
+    before = nullsem._steps.cache_info()
+    for _ in range(49):
+        assert _family_pca(fam, tmp_path)[0] == 0
+    after = nullsem._steps.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits > before.hits
+
+
 # closed form and metamorphic checks -------------------------------------
 
 def test_copy_chain_closed_form_at_10_000(tmp_path):

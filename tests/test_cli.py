@@ -373,8 +373,12 @@ class TestExitCodes:
          "error: no trust relationship for ('P', 'Q')\n"),
         (["check", "FILE"], "peer P : R/1\ntrust P less P\n", 1,
          "error: a peer must trust itself as 'same'\n"),
+        # an empty --query once answered the file's query and exited 0
+        (["pca", "FILE", "--peer", "P", "--query", ""],
+         "peer P : R/1\ninstance P : R(a)\nquery P : R(x)\n", 1,
+         "error: bad query: unexpected end of input in 'query P :'\n"),
     ], ids=["unknown-peer", "cap-0", "missing-file", "no-trust",
-            "self-less"])
+            "self-less", "empty-query"])
     def test_documented_refusal(self, tmp_path, capsys, argv, text, code,
                                 err):
         path = tmp_path / "refused.pdes"
@@ -396,6 +400,20 @@ class TestDeterminism:
             assert res.returncode == 0
             assert res.stdout == expected, seed
 
+
+    @pytest.mark.parametrize("query", [None, "exists y : R1(x,y)",
+                                       "R1(x,y), R1(x,z), y = z"],
+                             ids=["file-query", "exists", "self-join"])
+    def test_hash_seed_does_not_change_copy_chain_answers(self, tmp_path,
+                                                          query):
+        # one solution, answered off the join plans without match sets
+        fam = families.copy_chain(1)
+        path = tmp_path / "copy_chain.pdes"
+        path.write_text(fam.text, encoding="utf-8")
+        extra = [] if query is None else ["--query", query]
+        out = _one_output_under_seeds(["pca", str(path), "--peer", "P1",
+                                       *extra])
+        assert out.count("\n") == len(fam.answers)
 
     def test_hash_seed_does_not_change_multi_part_solutions(self, tmp_path):
         # three FD keys and two null witnesses: five conflict parts

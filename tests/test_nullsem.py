@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from pdes import core, nullsem
 from pdes.core import NULL, Atom, Instance, Schema, atom
-from pdes.lang import (Builtin, Constraint, Cst, Var, parse_constraint,
-                       parse_query)
+from pdes.lang import (Builtin, Constraint, Cst, PredAtom, Var,
+                       n_rewrite_constraint, parse_constraint, parse_query)
 from pdes.nullsem import (classical_answers, eval_builtin, ground_atom,
                           instantiations, n_answers, n_holds,
                           working_universe)
 
 from conftest import FIXTURES
-from reference import n_holds_direct, n_rewrite_query, sql_safe
+from reference import (holds_by_enumeration, n_holds_direct, n_rewrite_query,
+                       naive_join, sql_safe)
 
 
 def inst(schema: dict, atoms) -> Instance:
@@ -287,6 +288,73 @@ class TestSatisfactionProperties:
         q = parse_query("exists x,y : R(x,y), x = y")
         expected = any(t[0] == t[1] and NULL not in t for t in tuples)
         assert (n_answers(d, q) == {()}) is expected
+
+
+_JOIN_SCHEMA = Schema({"N": 0, "R": 1, "S": 2})
+_JOIN_VALUES = ["a", "1", NULL]
+_JOIN_VARS = ["x", "y", "z"]
+
+
+@st.composite
+def _join_inputs(draw):
+    """An instance over nullary to binary predicates, atoms over
+    variables (some repeated) and constants, and several starts binding
+    one drawn set of variables; values, constants and starts may be
+    null."""
+    value = st.sampled_from(_JOIN_VALUES)
+    d = Instance(draw(st.lists(st.sampled_from(
+        _JOIN_SCHEMA.preds()).flatmap(lambda p: st.builds(
+            Atom, st.just(p), st.tuples(*[value] * _JOIN_SCHEMA.arity(p)))),
+        min_size=3, max_size=12)), _JOIN_SCHEMA)
+    term = st.sampled_from([*map(Var, _JOIN_VARS), Cst("a"), Cst(NULL)])
+    atoms = draw(st.lists(st.sampled_from(_JOIN_SCHEMA.preds()).flatmap(
+        lambda p: st.builds(PredAtom, st.just(p), st.tuples(
+            *[term] * _JOIN_SCHEMA.arity(p)))), max_size=3))
+    bound = draw(st.lists(st.sampled_from(_JOIN_VARS), unique=True))
+    starts = draw(st.lists(st.fixed_dictionaries(
+        {v: value for v in bound}), min_size=1, max_size=3))
+    return d, tuple(atoms), starts
+
+
+class TestReferenceRoutes:
+    """The one body join and the one check against their brute-force
+    references in `reference`, which neither index nor join."""
+
+    @given(_join_inputs())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_join_matches_nested_loops(self, inputs):
+        d, atoms, starts = inputs
+        assert nullsem.join(d, atoms, *starts) == \
+            naive_join(d, atoms, *starts), (atoms, starts, sorted(map(str, d)))
+
+    @given(_route_constraints(), _route_instances())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_check_matches_enumeration(self, c, d):
+        for form, modes in ((c, (False, True)),
+                            (n_rewrite_constraint(c), (True,))):
+            for s in instantiations(d, form, working_universe(d, form)):
+                for classical in modes:
+                    assert nullsem.holds_instantiation(
+                        d, form, s, classical) == holds_by_enumeration(
+                        d, form, s, classical), (str(form), s, classical)
+
+    def test_ground_disjunct_check_reads_no_index(self, monkeypatch):
+        # disjuncts without existentials: membership tests, no join
+        c = parse_constraint(
+            "forall x,y : R(x,y) -> S(y,x), x != y or isnull(y)")
+        d = inst({"R": 2, "S": 2}, [atom("R", "a", "b"), atom("R", "a", "a"),
+                                    atom("S", "b", "a")])
+        found = list(instantiations(d, c, working_universe(d, c)))
+        calls = []
+        for owner, name in ((Instance, "lookup"), (nullsem, "join")):
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert [nullsem.holds_instantiation(d, c, s, False)
+                for s in found] == [False, True]
+        assert calls == []
 
 
 SQL_SAFE_QUERIES = [
