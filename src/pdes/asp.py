@@ -43,13 +43,13 @@ from collections import defaultdict
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Partition,
-                   Schema, SchemaError)
+from .core import (NULL, Atom, Budget, Instance, Partition, Schema,
+                   SchemaError)
 from .lang import (OP_TEXT, Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
 from .nullsem import delta_join, eval_builtin, ground_atom
 from .repair import (NULL_BASED, RepairSet, _minimal, closeness_profile,
-                     closer_lt, one_part)
+                     closer_lt)
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
                      inc_atom, solution_form, INC_PREFIX)
@@ -241,8 +241,7 @@ def _row(pred: str, ann: str | None) -> str:
     return pred if ann is None else "%s %s" % (pred, ann)
 
 
-def ground(prog: LogicProgram,
-           cap: int = DEFAULT_CAP) -> tuple[GroundRule, ...]:
+def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
     """The ground instantiations of the decision-layer rules whose
     positive atoms are derivable, with builtins and fact-determined
     literals pre-evaluated away. Positive body literals are joined, to a
@@ -256,8 +255,8 @@ def ground(prog: LogicProgram,
     are derived (an ``fs`` literal over a fact reads an ``fa`` atom that
     no join supplies) waits for the atom it lacks. A variable that no
     positive literal binds ranges over the facts' active domain, null and
-    the constants of the rules; that product is charged to cap once per
-    binding."""
+    the constants of the rules; that product is charged to the candidate
+    cap once per binding."""
     uni = sorted({c for a in prog.facts for c in a.args} | {NULL}
                  | {t.value for r in prog.rules for item in (*r.head, *r.body)
                     for t in item.terms if isinstance(t, Cst)})
@@ -269,7 +268,7 @@ def ground(prog: LogicProgram,
     # one row predicate per (pred, ann) that some rule reads
     schema = Schema({a.pred: len(a.terms) for _, lits, _ in rules
                      for a in lits})
-    budget = Budget(cap)
+    budget = Budget()
     out: dict[GroundRule, None] = {}  # in grounding order
     derived: set[Atom] = set()
     waiting: dict[Atom, list] = defaultdict(list)
@@ -364,8 +363,8 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
 
 # ---------------------------------------------------------- stable models
 
-def stable_models(rules: Iterable[GroundRule],
-                  cap: int = DEFAULT_CAP) -> tuple[frozenset[Atom], ...]:
+def stable_models(
+        rules: Iterable[GroundRule]) -> tuple[frozenset[Atom], ...]:
     """The stable models: each component's models in search order, the
     components taken by their least atom and multiplied out.
 
@@ -386,7 +385,7 @@ def stable_models(rules: Iterable[GroundRule],
     can support it (Gebser, Kaufmann & Schaub, IJCAI 2007). A leaf is
     thus a supported model, kept when no smaller model of the
     component's reduct lies inside it. Every search node, here and in
-    those minimality checks, is charged to cap, and so is the product of
+    those minimality checks, is charged to the cap, and so is the product of
     two components or more, before it is built."""
     rules = tuple(rules)
     live: set[Atom] = set()
@@ -405,7 +404,7 @@ def stable_models(rules: Iterable[GroundRule],
     comps: dict[Atom, list[GroundRule]] = defaultdict(list)
     for r in prog:
         comps[part.find((*r.head, *r.pos, *r.neg)[0])].append(r)
-    budget = Budget(cap)
+    budget = Budget()
     return tuple(budget.choices(
         [_component_models(rs, budget) for _, rs in sorted(comps.items())]))
 
@@ -516,8 +515,8 @@ def _extract_neighborhood(prog: LogicProgram,
     return Instance(atoms, prog.schema)
 
 
-def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
-                  cap: int = DEFAULT_CAP) -> tuple[Instance, ...]:
+def asp_solutions(system: PdesSchema, p: str,
+                  dbar: Instance) -> tuple[Instance, ...]:
     """p's local solver through the stable models of its program. The
     program alone may keep non-minimal candidates (with ref-cycles, or
     when a deletion re-opens an existential obligation), so extractions
@@ -526,7 +525,7 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
     `PdesSchema.live_sigma`, the pool of the general search."""
     prog = build_solution_program(system, p, dbar)
     full: dict[frozenset[Atom], Instance] = {}
-    for m in stable_models(ground(prog, cap), cap=cap):
+    for m in stable_models(ground(prog)):
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
     bound = r_chase(dbar, [c for _, c in system.live_sigma(p, dbar)]).atoms
@@ -535,19 +534,18 @@ def asp_solutions(system: PdesSchema, p: str, dbar: Instance,
         lambda d: closeness_profile(d.atoms, dbar.atoms, bound), closer_lt))
 
 
-def asp_parts(system: PdesSchema, p: str, dbar: Instance,
-              cap: int = DEFAULT_CAP) -> RepairSet:
+def asp_parts(system: PdesSchema, p: str, dbar: Instance) -> RepairSet:
     """`asp_solutions` as the one part of a factored set: the local
     solver that the peer recursion takes."""
-    return one_part((s.atoms for s in asp_solutions(system, p, dbar, cap)),
-                    system.schemas[p], cap)
+    states = tuple(s.atoms for s in asp_solutions(system, p, dbar))
+    return RepairSet(frozenset(), (states,), system.schemas[p], Budget())
 
 
-def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance, q: Query,
-                cap: int = DEFAULT_CAP) -> PcaResult:
+def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance,
+                q: Query) -> PcaResult:
     """Certain answers over p's solutions, every peer p reaches solved
     through its own solution program."""
-    return _certain_answers(system, p, d, q, asp_parts, cap)
+    return _certain_answers(system, p, d, q, asp_parts)
 
 
 # ----------------------------------------------------------------- emitter

@@ -20,7 +20,7 @@ from .asp import (asp_solutions, build_solution_program, emit_text, ground,
                   stable_models)
 from .chase import r_chase
 from .core import (DEFAULT_CAP, CapExceeded, Instance, SchemaError,
-                   atom_sort_key)
+                   atom_sort_key, capped)
 from .deffile import Definition, load_definition
 from .importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                          restricted_import_solve)
@@ -76,7 +76,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 
 # -------------------------------------- subcommands: (payload, text lines)
 
-def _cmd_check(defn: Definition, args, cap: int):
+def _cmd_check(defn: Definition, args):
     sysm = defn.system
     flags = classify(sysm)
     lines = ["peers: " + ", ".join(sorted(sysm.peers))]
@@ -94,25 +94,24 @@ def _cmd_check(defn: Definition, args, cap: int):
              "import_kind": flags}, lines)
 
 
-def _cmd_chase(defn: Definition, args, cap: int):
+def _cmd_chase(defn: Definition, args):
     dbar = _neighborhood_instance(defn, args.peer)
     lines = _instance_lines(r_chase(dbar, defn.system.sigma_of(args.peer)))
     return {"peer": args.peer, "chase": lines}, lines
 
 
-def _cmd_repairs(defn: Definition, args, cap: int):
+def _cmd_repairs(defn: Definition, args):
     base = defn.instance.of(args.peer)
     rs = preorder_repairs(defn.system.preorder, base,
-                          defn.system.sigma.get((args.peer, args.peer), ()),
-                          cap=cap)
+                          defn.system.sigma.get((args.peer, args.peer), ()))
     groups = _closest_first(rs.repairs, base)
     return ({"peer": args.peer, "repairs": groups},
             _numbered("repair", groups))
 
 
-def _cmd_ns(defn: Definition, args, cap: int):
+def _cmd_ns(defn: Definition, args):
     dbar = _neighborhood_instance(defn, args.peer)
-    ns = neighborhood_solutions(defn.system, args.peer, dbar, cap=cap)
+    ns = neighborhood_solutions(defn.system, args.peer, dbar)
     groups = _closest_first(ns, dbar)
     lines = _numbered("neighborhood solution", groups)
     if not groups:
@@ -135,13 +134,12 @@ def _solution_lines(res):
             _numbered("solution", groups))
 
 
-def _cmd_solutions(defn: Definition, args, cap: int):
-    return _solution_lines(solutions(defn.system, args.peer, defn.instance,
-                                     cap=cap))
+def _cmd_solutions(defn: Definition, args):
+    return _solution_lines(solutions(defn.system, args.peer, defn.instance))
 
 
-def _cmd_core(defn: Definition, args, cap: int):
-    core = solution_core(defn.system, args.peer, defn.instance, cap=cap)
+def _cmd_core(defn: Definition, args):
+    core = solution_core(defn.system, args.peer, defn.instance)
     if inc_atom(args.peer) in core:
         return _inconsistent(args.peer, "core")
     lines = _instance_lines(core)
@@ -165,17 +163,16 @@ def _answers_lines(ans: frozenset[tuple[str, ...]]) -> list[str]:
     return ["<%s>" % ",".join(t) for t in sorted(ans)]
 
 
-def _cmd_pca(defn: Definition, args, cap: int):
+def _cmd_pca(defn: Definition, args):
     q = _get_query(defn, args)
-    res = peer_consistent_answers(defn.system, args.peer, defn.instance, q,
-                                  cap=cap)
+    res = peer_consistent_answers(defn.system, args.peer, defn.instance, q)
     if res.inconsistent:
         return _inconsistent(args.peer, "pca")
     return ({"peer": args.peer, "pca": sorted(list(t) for t in res.answers),
              "inconsistent": False}, _answers_lines(res.answers))
 
 
-def _cmd_import_solve(defn: Definition, args, cap: int):
+def _cmd_import_solve(defn: Definition, args):
     sysm = defn.system
     flags = classify(sysm)
     reached = {flags[q] for q in sysm.accessible(args.peer)}
@@ -186,20 +183,20 @@ def _cmd_import_solve(defn: Definition, args, cap: int):
         lines = _instance_lines(import_solve(sysm, args.peer, defn.instance))
         return {"peer": args.peer, "solutions": [lines], "unique": True}, lines
     return _solution_lines(restricted_import_solve(
-        sysm, args.peer, defn.instance, cap))
+        sysm, args.peer, defn.instance))
 
 
-def _cmd_asp(defn: Definition, args, cap: int):
-    dbar = core_instance(defn.system, args.peer, defn.instance, cap)
+def _cmd_asp(defn: Definition, args):
+    dbar = core_instance(defn.system, args.peer, defn.instance)
     prog = build_solution_program(defn.system, args.peer, dbar)
     if args.asp_action == "emit":
         text = emit_text(prog)
         return ({"peer": args.peer, "program": text.splitlines()},
                 [text.rstrip("\n")])
-    models = sorted(stable_models(ground(prog, cap), cap=cap),
+    models = sorted(stable_models(ground(prog)),
                     key=lambda m: (len(m), sorted(m)))
     model_groups = [sorted(map(str, m)) for m in models]
-    insts = asp_solutions(defn.system, args.peer, dbar, cap=cap)
+    insts = asp_solutions(defn.system, args.peer, dbar)
     sol_groups = sorted(map(_instance_lines, insts), key=sorted)
     lines = ["warning: " + w for w in prog.warnings]
     lines += _numbered("model", model_groups)
@@ -280,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED
     try:
-        payload, lines = _HANDLERS[args.command](defn, args, cap)
+        with capped(cap):
+            payload, lines = _HANDLERS[args.command](defn, args)
     except (Refusal, SchemaError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED

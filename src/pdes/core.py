@@ -4,12 +4,15 @@ Constants are plain strings; the single reserved token ``null`` plays the
 role of the SQL NULL. Atoms and instances are immutable values.
 `Instance.lookup`, an index per (predicate, bound positions), is the
 access path of the one body join, `nullsem.join`. `Partition` splits work
-into independent parts, and `Budget.choices` multiplies parts out.
+into independent parts, and `Budget.choices` multiplies parts out; each
+search's `Budget` reads the candidate cap that `capped` sets.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import cache, cached_property
 from itertools import product, starmap
 from math import prod
@@ -19,6 +22,17 @@ NULL = "null"
 
 #: default bound on explored candidates in exhaustive searches
 DEFAULT_CAP = 2 ** 22
+_CAP: ContextVar[int] = ContextVar("cap", default=DEFAULT_CAP)
+
+
+@contextmanager
+def capped(cap: int) -> Iterator[None]:
+    """Bound each search started inside the block to cap candidates."""
+    token = _CAP.set(cap)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
 
 
 class CapExceeded(RuntimeError):
@@ -32,10 +46,10 @@ class CapExceeded(RuntimeError):
 
 
 class Budget:
-    """The candidate cap, charged as a search goes."""
+    """The candidate cap set by `capped`, charged as a search goes."""
 
-    def __init__(self, cap: int):
-        self.cap, self.used = cap, 0
+    def __init__(self):
+        self.cap, self.used = _CAP.get(), 0
 
     def charge(self, n: int = 1) -> None:
         if self.used + n > self.cap:

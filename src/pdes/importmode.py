@@ -10,7 +10,7 @@ the imported atoms frozen.
 
 from __future__ import annotations
 
-from .core import DEFAULT_CAP, Instance, SchemaError
+from .core import Instance, SchemaError
 from .repair import RepairSet
 from .system import (GENERAL, RESTRICTED, UNRESTRICTED, PdesInstance,
                      PdesSchema, SolutionResult, _factored,
@@ -23,17 +23,16 @@ def classify(system: PdesSchema) -> dict[str, str]:
     return dict(system._flags)
 
 
-def _fixpoint_repaired(system: PdesSchema, p: str, dbar: Instance,
-                       cap: int) -> RepairSet:
+def _fixpoint_repaired(system: PdesSchema, p: str,
+                       dbar: Instance) -> RepairSet:
     """A restricted peer's import fixpoint repaired as a neighborhood
     instance, keeping the neighbors' relations and every imported atom
     fixed; any other peer through `_neighborhood_repairs`, which answers
     an unrestricted one by its least model."""
     if system._flags[p] != RESTRICTED:
-        return _neighborhood_repairs(system, p, dbar, cap)
+        return _neighborhood_repairs(system, p, dbar)
     fix = least_model(system, p, dbar)
-    return _search_repairs(system, p, fix, cap,
-                           frozen_atoms=fix.atoms - dbar.atoms)
+    return _search_repairs(system, p, fix, frozen_atoms=fix.atoms - dbar.atoms)
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
@@ -45,12 +44,11 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
         if system._flags[q] != UNRESTRICTED:
             raise SchemaError("peer %r is not of the unrestricted import "
                               "kind (%s)" % (q, system._flags[q]))
-    return _factored(system, p, d, _neighborhood_repairs, DEFAULT_CAP,
-                     {}).repairs[0]
+    return _factored(system, p, d, _neighborhood_repairs, {}).repairs[0]
 
 
-def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
-                            cap: int = DEFAULT_CAP) -> SolutionResult:
+def restricted_import_solve(system: PdesSchema, p: str,
+                            d: PdesInstance) -> SolutionResult:
     """Import case with local constraints: run the import fixpoint, then
     repair it with respect to all of p's constraints, keeping the
     neighbors' relations and every imported atom fixed. Every peer that
@@ -58,4 +56,4 @@ def restricted_import_solve(system: PdesSchema, p: str, d: PdesInstance,
     for q in sorted(system.accessible(p)):
         if system._flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)
-    return _solve(system, p, d, _fixpoint_repaired, cap, {})
+    return _solve(system, p, d, _fixpoint_repaired, {})

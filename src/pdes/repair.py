@@ -30,8 +30,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable
 
-from .core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded, Instance,
-                   Partition, Record, Schema, atom_sort_key)
+from .core import (NULL, Atom, Budget, Instance, Partition, Record, Schema,
+                   atom_sort_key)
 from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
                       instantiations, n_holds, working_universe)
@@ -121,12 +121,6 @@ class RepairSet(Record):
                      for a in self.budget.choices(self.parts, self.shared))
 
 
-def one_part(states: Iterable[frozenset[Atom]], schema: Schema,
-             cap: int) -> RepairSet:
-    """The atom sets states as the one part of a factored set."""
-    return RepairSet(frozenset(), (tuple(states),), schema, Budget(cap))
-
-
 # ----------------------------------------------------- branch search core
 
 class _Search:
@@ -139,7 +133,7 @@ class _Search:
 
     def __init__(self, schema, sigma, universe, bounded_by: Instance | None,
                  frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
-                 classical: bool, cap: int):
+                 classical: bool):
         check_fit(schema, sigma)
         self.schema, self.universe = schema, universe
         self.bounded_by = bounded_by
@@ -150,7 +144,7 @@ class _Search:
             classical or not any(v in c.relevant
                                  for d in c.head for v in d.exist_vars))}
         self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
-        self.classical, self.budget = classical, Budget(cap)
+        self.classical, self.budget = classical, Budget()
 
     @cached_property
     def pool(self) -> Instance | None:
@@ -358,7 +352,6 @@ def _minimal_repairs(search: _Search, base: frozenset[Atom],
 
 def null_repairs(base: Instance, sigma,
                  frozen_preds: Iterable[str] = (),
-                 cap: int = DEFAULT_CAP,
                  frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Null-semantics repairs minimal under the chase-bounded closeness
     preorder; insertions are confined to restricted-chase atoms.
@@ -390,7 +383,7 @@ def null_repairs(base: Instance, sigma,
     sigma = tuple(sigma)
     search = _Search(base.schema, sigma, working_universe(base, *sigma),
                      base, frozenset(frozen_preds), frozenset(frozen_atoms),
-                     False, cap)
+                     False)
     return _minimal_repairs(
         search, base.atoms,
         lambda d, b: closeness_profile(d, b, search.pool.atoms), closer_lt)
@@ -398,7 +391,6 @@ def null_repairs(base: Instance, sigma,
 
 def delta_repairs(base: Instance, sigma,
                   frozen_preds: Iterable[str] = (),
-                  cap: int = DEFAULT_CAP,
                   frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Repairs minimal under set inclusion of the symmetric difference;
     insertions range over the working universe, so the search has no
@@ -407,30 +399,29 @@ def delta_repairs(base: Instance, sigma,
     universe = working_universe(base, *sigma)
     search = _Search(base.schema, sigma, universe, None,
                      frozenset(frozen_preds), frozenset(frozen_atoms),
-                     True, cap)
+                     True)
     return _minimal_repairs(search, base.atoms, lambda d, b: b ^ d,
                             delta_lt)
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,
-                     frozen_preds: Iterable[str] = (), cap: int = DEFAULT_CAP,
+                     frozen_preds: Iterable[str] = (),
                      frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """The repairs of base under the named preorder: `null_repairs` for
     the null-based one, `delta_repairs` otherwise."""
     route = null_repairs if preorder == NULL_BASED else delta_repairs
-    return route(base, sigma, frozen_preds, cap, frozen_atoms)
+    return route(base, sigma, frozen_preds, frozen_atoms)
 
 
 # ------------------------------------------------- exhaustive oracle
 
 def exhaustive_null_repairs(base: Instance, sigma,
                             frozen_preds: Iterable[str] = (),
-                            cap: int = DEFAULT_CAP,
                             frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
     """Reference enumeration over every subset of the chase instance that
     keeps base's frozen atoms and atoms of frozen predicates and adds no
-    other atom of a frozen predicate; exponential, for cross-checking
-    only."""
+    other atom of a frozen predicate, all charged to the cap up front;
+    exponential, for cross-checking only."""
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
     frozen, pinned = frozenset(frozen_preds), frozenset(frozen_atoms)
@@ -439,13 +430,14 @@ def exhaustive_null_repairs(base: Instance, sigma,
     free = sorted((a for a in chased.atoms
                    if a.pred not in frozen and a not in kept),
                   key=atom_sort_key)
-    if 2 ** len(free) > cap:
-        raise CapExceeded(cap, 2 ** len(free))
+    budget = Budget()
+    budget.charge(2 ** len(free))
     sat = []
     for mask in range(2 ** len(free)):
         atoms = kept | {a for i, a in enumerate(free) if mask >> i & 1}
         inst = Instance(atoms, chased.schema)
         if all(n_holds(inst, c) for c in sigma):
             sat.append(inst.atoms)
-    return one_part(_minimal(sat, lambda d: closeness_profile(
-        d, base.atoms, chased.atoms), closer_lt), chased.schema, cap)
+    best = _minimal(sat, lambda d: closeness_profile(
+        d, base.atoms, chased.atoms), closer_lt)
+    return RepairSet(frozenset(), (tuple(best),), chased.schema, budget)

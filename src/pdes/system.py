@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .core import (DEFAULT_CAP, NULL, Atom, Budget, Instance, Record,
-                   Schema, SchemaError, reach)
+from .core import (NULL, Atom, Budget, Instance, Record, Schema, SchemaError,
+                   reach)
 from .lang import Constraint, Query
 from .nullsem import (classical_answers, ground_atom, holds_instantiation,
                       join, n_answers)
@@ -275,8 +275,8 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
 
 # ------------------------------------------------- neighborhood solutions
 
-def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
-                          cap: int) -> RepairSet:
+def _neighborhood_repairs(system: PdesSchema, p: str,
+                          dbar: Instance) -> RepairSet:
     """`neighborhood_solutions` in factored form. An unrestricted import
     peer takes its least model as the one state, with no search: no
     constraint of p reads p's relations in its body, so a repair only
@@ -287,32 +287,32 @@ def _neighborhood_repairs(system: PdesSchema, p: str, dbar: Instance,
     ex_6_5's P1 are unrestricted with a general neighbor)."""
     if system._flags[p] == UNRESTRICTED:
         fix = least_model(system, p, dbar)
-        return RepairSet(fix.atoms, (), fix.schema, Budget(cap))
-    return _search_repairs(system, p, dbar, cap)
+        return RepairSet(fix.atoms, (), fix.schema, Budget())
+    return _search_repairs(system, p, dbar)
 
 
-def _search_repairs(system: PdesSchema, p: str, dbar: Instance, cap: int,
+def _search_repairs(system: PdesSchema, p: str, dbar: Instance,
                     frozen_atoms: frozenset[Atom] = frozenset()) -> RepairSet:
     """`neighborhood_solutions` in factored form by the repair search
     alone, whatever p's import flag, frozen_atoms fixed."""
     sigma = [c for _, c in system.live_sigma(p, dbar)]
     return preorder_repairs(system.preorder, dbar, sigma,
-                            frozen_preds=system.frozen_preds(p), cap=cap,
+                            frozen_preds=system.frozen_preds(p),
                             frozen_atoms=frozen_atoms)
 
 
-def neighborhood_solutions(system: PdesSchema, p: str, dbar: Instance,
-                           cap: int = DEFAULT_CAP) -> tuple[Instance, ...]:
+def neighborhood_solutions(system: PdesSchema, p: str,
+                           dbar: Instance) -> tuple[Instance, ...]:
     """Repairs of the neighborhood instance dbar with respect to p's
     constraints, minimal under the system's preorder, leaving the
     relations of more-trusted neighbors fixed. Constraint sets toward a
     neighbor whose inconsistency marker appears in dbar are dropped."""
-    return _neighborhood_repairs(system, p, dbar, cap).repairs
+    return _neighborhood_repairs(system, p, dbar).repairs
 
 
 # ------------------------------------------------------------- solutions
 
-LocalSolver = Callable[[PdesSchema, str, Instance, int], RepairSet]
+LocalSolver = Callable[[PdesSchema, str, Instance], RepairSet]
 
 
 def solution_form(system: PdesSchema, p: str,
@@ -331,42 +331,42 @@ def _restricted(states, own: Schema) -> tuple[frozenset[Atom], ...]:
         frozenset(a for a in s if a.pred in own.arities) for s in states))
 
 
-def solutions(system: PdesSchema, p: str, d: PdesInstance,
-              cap: int = DEFAULT_CAP) -> SolutionResult:
+def solutions(system: PdesSchema, p: str, d: PdesInstance) -> SolutionResult:
     """Solution instances for p: its own instance when it has no
     constraints, otherwise the restrictions to p's schema of the
     neighborhood solutions over its instance joined with the neighbors'
     cores, in the order of their sorted atom texts (perfbench reads it),
     rendered only when there are two solutions or more to order."""
     system._check_peer(p)
-    res = _solve(system, p, d, _neighborhood_repairs, cap, {})
+    res = _solve(system, p, d, _neighborhood_repairs, {})
     if len(res.solutions) < 2:
         return res
     return res._replace(solutions=tuple(sorted(
         res.solutions, key=lambda s: sorted(map(str, s.atoms)))))
 
 
-def solution_core(system: PdesSchema, p: str, d: PdesInstance,
-                  cap: int = DEFAULT_CAP) -> Instance:
+def solution_core(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
     """The atoms every solution of p holds, or p's marker when it has
     none; the solutions are never multiplied out."""
     system._check_peer(p)
-    return _core(p, _factored(system, p, d, _neighborhood_repairs, cap, {}))
+    return _core(p, _factored(system, p, d, _neighborhood_repairs, {}))
 
 
-def core_instance(system: PdesSchema, p: str, d: PdesInstance,
-                  cap: int = DEFAULT_CAP) -> Instance:
+def core_instance(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
     """p's neighborhood instance dbar: its own data plus each strict
     neighbor's core, or that neighbor's marker when it has no solutions."""
-    system._check_peer(p)
-    return _dbar(system, p, d, _neighborhood_repairs, cap, {})
+    memo: dict[str, RepairSet] = {}
+    for q in sorted(system.strict_neighbors(p)):
+        _factored(system, q, d, _neighborhood_repairs, memo)
+    return _dbar(system, p, d, memo)
 
 
-def _dbar(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-          cap: int, memo: dict[str, RepairSet]) -> Instance:
+def _dbar(system: PdesSchema, p: str, d: PdesInstance,
+          memo: dict[str, RepairSet]) -> Instance:
+    """p's neighborhood instance, its strict neighbors solved in memo."""
     atoms = set(d.of(p).atoms)
     for q in sorted(system.strict_neighbors(p)):
-        atoms |= _core(q, _factored(system, q, d, local, cap, memo)).atoms
+        atoms |= _core(q, memo[q]).atoms
     return Instance._trusted(frozenset(atoms), system.neighborhood_schema(p))
 
 
@@ -381,38 +381,43 @@ def _core(p: str, sols: RepairSet) -> Instance:
 
 
 def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-           cap: int, memo: dict[str, RepairSet]) -> SolutionResult:
+           memo: dict[str, RepairSet]) -> SolutionResult:
     """p's solutions through ``local``, listed: the product of their
     factored form, charged to the cap of p's own search when it
     multiplies two parts or more. The neighbors contribute their cores
     and are never listed."""
-    sols = _factored(system, p, d, local, cap, memo)
+    sols = _factored(system, p, d, local, memo)
     return SolutionResult(p, sols.repairs, _core(p, sols),
                           not all(sols.parts))
 
 
 def _factored(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-              cap: int, memo: dict[str, RepairSet]) -> RepairSet:
-    """The one peer recursion. ``local(system, p, dbar, cap)`` solves p's
-    neighborhood instance without recursing; each neighbor is solved
-    once through the shared memo. p's solutions come back factored over
-    p's schema: the shared atoms and each part's states restricted to it,
-    deduplicated per part. Parts stay disjoint, so the product still has
-    no duplicates, and a part left with no state means p has no
-    solution."""
-    if p in memo:
-        return memo[p]
-    own = system.schemas[p]
-    if not system.sigma_of(p):
-        sols = RepairSet(d.of(p).atoms, (), own, Budget(cap))
-    else:
-        found = local(system, p, _dbar(system, p, d, local, cap, memo), cap)
-        sols = RepairSet(frozenset(a for a in found.shared if a.pred in own),
-                         tuple(_restricted(states, own)
-                               for states in found.parts),
-                         own, found.budget)
-    memo[p] = sols
-    return sols
+              memo: dict[str, RepairSet]) -> RepairSet:
+    """The one peer recursion, run as one pass in dependency order: an
+    explicit stack solves each peer p reaches after its strict neighbors,
+    depth first in sorted order, once through the shared memo, with
+    ``local(system, q, dbar)``. Solutions come back factored over the
+    peer's schema: the shared atoms and each part's states restricted to
+    it, deduplicated per part. Parts stay disjoint, so the product still
+    has no duplicates, and a part left with no state means no solution."""
+    stack = [p]
+    while p not in memo:
+        q = stack[-1]
+        todo = [r for r in system.strict_neighbors(q) if r not in memo]
+        if todo:
+            stack.append(min(todo))
+            continue
+        stack.pop()
+        own = system.schemas[q]
+        if not system.sigma_of(q):
+            memo[q] = RepairSet(d.of(q).atoms, (), own, Budget())
+            continue
+        found = local(system, q, _dbar(system, q, d, memo))
+        memo[q] = RepairSet(
+            frozenset(a for a in found.shared if a.pred in own),
+            tuple(_restricted(states, own) for states in found.parts),
+            own, found.budget)
+    return memo[p]
 
 
 # ------------------------------------------------ peer-consistent answers
@@ -427,15 +432,14 @@ class PcaResult(NamedTuple):
 
 
 def peer_consistent_answers(system: PdesSchema, p: str, d: PdesInstance,
-                            q: Query,
-                            cap: int = DEFAULT_CAP) -> PcaResult:
+                            q: Query) -> PcaResult:
     """Tuples that answer q in every solution instance of p; a Boolean
     query certainly holds iff its empty tuple survives."""
-    return _certain_answers(system, p, d, q, _neighborhood_repairs, cap)
+    return _certain_answers(system, p, d, q, _neighborhood_repairs)
 
 
 def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
-                     local: LocalSolver, cap: int) -> PcaResult:
+                     local: LocalSolver) -> PcaResult:
     """Certain answers to q over p's solutions through ``local``, or p's
     marker when it has none; q's atoms must fit p's schema.
 
@@ -453,7 +457,7 @@ def _certain_answers(system: PdesSchema, p: str, d: PdesInstance, q: Query,
     own, where = system.schemas[p], "query %s : %s" % (p, q)
     for a in q.atoms:
         own.check(a.pred, len(a.terms), where)
-    sols = _factored(system, p, d, local, cap, {})
+    sols = _factored(system, p, d, local, {})
     if not all(sols.parts):
         return PcaResult(p, frozenset(), True)
     eval_q = n_answers if system.preorder == NULL_BASED else classical_answers

@@ -16,8 +16,8 @@ from pdes.asp import asp_parts, asp_solutions, build_solution_program, \
     ground, pca_via_asp, stable_models
 from pdes.chase import r_chase
 from pdes.cli import main
-from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, Schema,
-                       SchemaError, atom)
+from pdes.core import (NULL, Atom, Instance, Schema, SchemaError, atom,
+                       capped)
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                              restricted_import_solve)
 from pdes.deffile import parse_definition
@@ -463,7 +463,7 @@ def test_10_checks_read_no_universe(fam, want, monkeypatch):
         monkeypatch.setattr(mod, "working_universe", counted)
     defn = parse_definition(fam.text)
     res = _certain_answers(defn.system, "P1", defn.instance,
-                           defn.queries["P1"], _search_repairs, DEFAULT_CAP)
+                           defn.queries["P1"], _search_repairs)
     assert {t for (t,) in res.answers} == fam.answers
     assert len(calls) == want
 
@@ -484,7 +484,7 @@ def test_10_search_chases_only_to_read_the_bound(fam, want, monkeypatch):
     monkeypatch.setattr(repair, "r_chase", counted)
     defn = parse_definition(fam.text)
     res = _certain_answers(defn.system, "P1", defn.instance,
-                           defn.queries["P1"], _search_repairs, DEFAULT_CAP)
+                           defn.queries["P1"], _search_repairs)
     assert {t for (t,) in res.answers} == fam.answers
     assert len(calls) == want
 
@@ -518,7 +518,7 @@ def test_10_copy_chain_grounds_each_forced_move_once(monkeypatch):
     monkeypatch.setattr(repair._Search, "moves", counted)
     defn = parse_definition(families.copy_chain(1).text)
     _certain_answers(defn.system, "P1", defn.instance, defn.queries["P1"],
-                     _search_repairs, DEFAULT_CAP)
+                     _search_repairs)
     assert len(calls) == 2 * families.COPY_CHAIN_N == 96
 
 
@@ -580,7 +580,8 @@ def test_10_copy_chain_fits_a_small_cap():
     # each peer's search holds its start state and one batched child; the
     # search is called on its own, as solutions runs none here
     sysm, inst = _chain_system(160, n_peers=3)
-    res = _solve(sysm, "P1", inst, _search_repairs, 8, {})
+    with capped(8):
+        res = _solve(sysm, "P1", inst, _search_repairs, {})
     assert len(res.solutions) == 1 and len(res.core) == 160
 
 
@@ -654,7 +655,7 @@ _ASP_UNSUPPORTED = {("ex_5_2.pdes", "P"), ("ex_5_4.pdes", "P"),
 
 
 def _asp_route(system, p, inst):
-    return _solve(system, p, inst, asp_parts, DEFAULT_CAP, {})
+    return _solve(system, p, inst, asp_parts, {})
 
 
 def test_11_programs_agree_with_direct_solver():

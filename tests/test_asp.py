@@ -13,8 +13,8 @@ from pdes.asp import (TA, GroundRule, Lit, Rule, asp_parts, asp_solutions,
                       build_solution_program, emit_text, ground, pca_via_asp,
                       stable_models)
 from pdes.cli import main
-from pdes.core import (DEFAULT_CAP, NULL, Atom, Budget, CapExceeded,
-                       Instance, Schema, SchemaError, atom, atom_sort_key)
+from pdes.core import (NULL, Atom, Budget, CapExceeded, Instance, Schema,
+                       SchemaError, atom, atom_sort_key, capped)
 from pdes.deffile import parse_definition
 from pdes.importmode import import_solve
 from pdes.lang import Builtin, Cst, Var, parse_constraint, parse_query
@@ -98,8 +98,9 @@ class TestFunctionalDependencyProgram:
             solution_sets(asp_solutions(self.defn.system, "P1", self.dbar))
 
     def test_cap_respected(self):
-        with pytest.raises(CapExceeded):
-            stable_models(ground(self.prog), cap=1)
+        rules = ground(self.prog)
+        with capped(1), pytest.raises(CapExceeded):
+            stable_models(rules)
 
 
 class TestUnsupportedShapes:
@@ -211,7 +212,7 @@ class TestRuleConstants:
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
         assert solution_sets([import_solve(sysm, "P1", d)]) == want
         assert solution_sets(_solve(sysm, "P1", d, asp_parts,
-                                    DEFAULT_CAP, {}).solutions) == want
+                                    {}).solutions) == want
 
 
 def _fixture_programs():
@@ -425,7 +426,8 @@ class TestSearchScale:
         rules = ground(build_solution_program(sysm, "P1", dbar))
         n = len({a for r in rules for a in r.head})
         assert n == 13
-        assert len(stable_models(rules, cap=2 ** (n - 1))) == 32
+        with capped(2 ** (n - 1)):
+            assert len(stable_models(rules)) == 32
         res = pca_via_asp(sysm, "P1", d, defn.queries["P1"])
         assert res.answers == {(a,) for a in fam.answers}
 
@@ -447,8 +449,9 @@ class TestSearchScale:
         monkeypatch.setattr(asp_mod, "_component_models", recorded)
         assert len(stable_models(rules)) == 2
         assert len(used) == 1
-        assert set(stable_models(rules, cap=used[0])) == {
-            frozenset({a}), frozenset({b})}
+        with capped(used[0]):
+            assert set(stable_models(rules)) == {
+                frozenset({a}), frozenset({b})}
 
     def test_grounding_charges_unbound_variables(self):
         # y and z occur only in the head: each S fact leaves a product
@@ -462,8 +465,8 @@ class TestSearchScale:
         dbar = Instance({atom("S", "c%d" % i) for i in range(40)},
                         sysm.neighborhood_schema("P"))
         prog = build_solution_program(sysm, "P", dbar)
-        with pytest.raises(CapExceeded):
-            ground(prog, cap=1000)
+        with capped(1000), pytest.raises(CapExceeded):
+            ground(prog)
 
 
 class TestRecords:

@@ -217,6 +217,35 @@ class TestExitCodes:
         assert capsys.readouterr() == (families.answers_text(fam.answers), "")
         assert len(fam.answers) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["repairs", "ex_5_5.pdes", "--peer", "P"],
+        ["ns", "ex_5_5.pdes", "--peer", "P"],
+        ["solutions", "ex_5_5.pdes", "--peer", "P"],
+        ["core", "ex_5_5.pdes", "--peer", "P"],
+        ["import-solve", "ex_5_5.pdes", "--peer", "P"],
+        ["asp", "solve", "ex_5_5.pdes", "--peer", "P"],
+        ["pca", "ex_3_6.pdes", "--peer", "P1"],
+    ], ids=lambda argv: "-".join(argv[:-3]))
+    def test_cap_reaches_every_search_and_ends_with_the_call(self, argv,
+                                                             capsys):
+        # each search reaches 2 candidates; the next call, in the same
+        # process and without --cap, runs under the default cap again
+        argv = [fixture_path(a) if a.endswith(".pdes") else a for a in argv]
+        assert (main(["--cap", "1"] + argv), *capsys.readouterr()) == (
+            3, "", "cap exceeded: search space of 2 candidates exceeds "
+            "cap 1\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_import_solve_by_least_model_fits_a_cap_of_one(self, capsys):
+        with open(os.path.join(GOLDEN, "import_6_1.txt"),
+                  encoding="utf-8") as fh:
+            expected = fh.read()
+        code, out = run_inprocess(
+            ["--cap", "1", "import-solve", "ex_6_1.pdes", "--peer", "P1"],
+            capsys)
+        assert (code, out) == (0, expected)
+
     def test_cap_from_environment(self):
         res = run_cli(["asp", "solve", "ex_6_2.pdes", "--peer", "P1"],
                       env_extra={"PDES_CAP": "2"})
@@ -564,6 +593,33 @@ def test_no_traceback_on_any_fixture(capsys):
             if code not in (0, 1, 2, 3):
                 bad.append((name, argv, code))
     assert bad == []
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory) -> str:
+    """A less copy chain of 1,000 peers: P_i copies R_{i+1} into R_i, and
+    only the last peer holds data."""
+    n = 1000
+    lines = ["peer P%d : R%d/1" % (i, i) for i in range(1, n + 1)]
+    lines += ["trust P%d less P%d" % (i, i + 1) for i in range(1, n)]
+    lines += ["dec P%d P%d : forall x : R%d(x) -> R%d(x)"
+              % (i, i + 1, i + 1, i) for i in range(1, n)]
+    lines += ["instance P%d : R%d(a)" % (n, n), "query P1 : R1(x)"]
+    path = tmp_path_factory.mktemp("chain") / "chain.pdes"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd,last", [
+    (["pca"], "<a>"), (["solutions"], "R1(a)"), (["core"], "R1(a)"),
+    (["import-solve"], "R1(a)"), (["asp", "solve"], "R1(a)"),
+], ids=["pca", "solutions", "core", "import-solve", "asp-solve"])
+def test_a_long_chain_of_peers_is_solved(long_chain, cmd, last, capsys):
+    # the peers are solved from an explicit stack, not by recursion, so
+    # the chain's length is not bounded by the interpreter's stack
+    code = main(cmd + [long_chain, "--peer", "P1"])
+    out, err = capsys.readouterr()
+    assert (code, out.splitlines()[-1].strip(), err) == (0, last, "")
 
 
 FUZZ_COMMANDS = (["check"], ["pca"], ["solutions"], ["chase"],

@@ -4,12 +4,18 @@ from itertools import product
 
 import pytest
 
-from pdes.core import (NULL, Budget, CapExceeded, Instance, Partition, Schema,
-                       SchemaError, active_domain, atom, atom_sort_key,
-                       const_leq, restrict)
+from pdes.core import (DEFAULT_CAP, NULL, Budget, CapExceeded, Instance,
+                       Partition, Schema, SchemaError, active_domain, atom,
+                       atom_sort_key, capped, const_leq, restrict)
 from pdes.deffile import parse_definition
 from pdes.repair import RepairSet
 from pdes.system import PcaResult, PdesSchema, SolutionResult
+
+
+def budget_of(cap: int) -> Budget:
+    """A budget as a search starting under capped(cap) builds it."""
+    with capped(cap):
+        return Budget()
 
 
 class TestAtom:
@@ -158,15 +164,15 @@ class TestRecords:
 
     def test_repair_set_caches_repairs_and_leaves_budget_out(self):
         states = (frozenset({atom("R", "a", "b")}), frozenset())
-        r, s = (RepairSet(frozenset(), (states,), self.SCHEMA, Budget(cap))
-                for cap in (1, 99))
+        r, s = (RepairSet(frozenset(), (states,), self.SCHEMA, budget_of(n))
+                for n in (1, 99))
         assert r == s and repr(r) == repr(s)
         assert "budget" not in repr(r)
         assert r.repairs is r.repairs
         assert [set(d.atoms) for d in r.repairs] == [
             {atom("R", "a", "b")}, set()]
         assert r != RepairSet(frozenset(), (states[:1],), self.SCHEMA,
-                              Budget(1))
+                              budget_of(1))
 
     def test_pdes_schema_indexes_are_outside_equality(self):
         text = ("peer P : R/1\npeer Q : S/1\ntrust P less Q\n"
@@ -198,6 +204,17 @@ def test_cap_exceeded_carries_numbers():
     assert "10" in str(e)
 
 
+def test_capped_sets_the_cap_for_its_block_only():
+    assert Budget().cap == DEFAULT_CAP
+    with capped(5):
+        with capped(3):
+            assert Budget().cap == 3
+        assert Budget().cap == 5
+    with pytest.raises(CapExceeded), capped(7):
+        Budget().charge(8)
+    assert Budget().cap == DEFAULT_CAP
+
+
 class TestPartition:
     def test_item_never_joined_is_its_own_group(self):
         assert Partition().find("x") == "x"
@@ -220,30 +237,30 @@ class TestChoices:
     def test_first_part_varies_slowest(self):
         parts = [(frozenset("a"), frozenset("b")),
                  (frozenset("c"), frozenset("d"))]
-        assert list(Budget(4).choices(parts, frozenset("s"))) == [
+        assert list(budget_of(4).choices(parts, frozenset("s"))) == [
             frozenset("sac"), frozenset("sad"), frozenset("sbc"),
             frozenset("sbd")]
 
     def test_no_part_is_the_base_alone(self):
-        budget = Budget(0)
+        budget = budget_of(0)
         assert list(budget.choices([], frozenset("s"))) == [frozenset("s")]
         assert budget.used == 0
 
     def test_one_part_charges_nothing(self):
-        budget = Budget(0)
+        budget = budget_of(0)
         states = (frozenset("a"), frozenset("b"), frozenset("c"))
         assert list(budget.choices([states])) == list(states)
         assert budget.used == 0
 
     def test_two_parts_charge_their_product_once(self):
-        budget = Budget(6)
+        budget = budget_of(6)
         parts = [(frozenset("a"), frozenset("b")),
                  (frozenset("c"), frozenset("d"), frozenset("e"))]
         assert len(list(budget.choices(parts))) == 6
         assert budget.used == 6
 
     def test_cap_is_exceeded_before_the_first_choice(self):
-        budget = Budget(5)
+        budget = budget_of(5)
         parts = [(frozenset("a"), frozenset("b")),
                  (frozenset("c"), frozenset("d"), frozenset("e"))]
         with pytest.raises(CapExceeded) as e:

@@ -11,7 +11,7 @@ import pytest
 from pdes import system as system_mod
 from pdes.asp import asp_parts
 from pdes.cli import main
-from pdes.core import DEFAULT_CAP, Instance, SchemaError
+from pdes.core import Instance, SchemaError
 from pdes.deffile import parse_definition
 from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
                              import_solve, least_model,
@@ -144,7 +144,7 @@ class TestExistentialImport:
         want = {frozenset({"R1(a,b)", "R1(c,null)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
-        assert solution_sets(_solve(sysm, "P1", d, asp_parts, DEFAULT_CAP,
+        assert solution_sets(_solve(sysm, "P1", d, asp_parts,
                                     {}).solutions) == want
 
     def test_more_informative_null_atom_witnesses_first(self):
@@ -398,10 +398,9 @@ class TestInconsistentNeighbor:
             restricted = restricted_import_solve(sysm, "P0", d)
             assert solution_sets(restricted.solutions) == want
         if preorder == "null":
-            via_asp = _solve(sysm, "P0", d, asp_parts, DEFAULT_CAP, {})
+            via_asp = _solve(sysm, "P0", d, asp_parts, {})
             assert solution_sets(via_asp.solutions) == want
-            assert _solve(sysm, "P1", d, asp_parts, DEFAULT_CAP,
-                          {}).inconsistent
+            assert _solve(sysm, "P1", d, asp_parts, {}).inconsistent
 
 
 class TestConsistentAnswersThroughImports:

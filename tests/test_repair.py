@@ -6,7 +6,7 @@ import pytest
 
 from pdes import repair
 from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema, SchemaError,
-                       atom)
+                       atom, capped)
 from pdes.chase import r_chase
 from pdes.lang import parse_constraint
 from pdes.nullsem import n_holds, working_universe
@@ -362,16 +362,17 @@ class TestSearchCap:
                     Schema({"T": 2}))
 
     def test_fd_over_four_keys_exceeds_a_small_cap(self):
-        with pytest.raises(CapExceeded):
-            null_repairs(self.BASE, self.SIGMA, cap=8)
+        with capped(8), pytest.raises(CapExceeded):
+            null_repairs(self.BASE, self.SIGMA)
         assert len(null_repairs(self.BASE, self.SIGMA).repairs) == 16
 
     def test_oracle_refuses_more_subsets_than_the_cap(self):
         # eight free atoms, so 2^8 subsets
-        with pytest.raises(CapExceeded) as err:
-            exhaustive_null_repairs(self.BASE, self.SIGMA, cap=255)
+        with capped(255), pytest.raises(CapExceeded) as err:
+            exhaustive_null_repairs(self.BASE, self.SIGMA)
         assert (err.value.cap, err.value.needed) == (255, 256)
-        rs = exhaustive_null_repairs(self.BASE, self.SIGMA, cap=256)
+        with capped(256):
+            rs = exhaustive_null_repairs(self.BASE, self.SIGMA)
         assert len(rs.repairs) == 16
 
     def test_one_part_search_charges_each_state_once(self):
@@ -381,9 +382,10 @@ class TestSearchCap:
                          atom("S", "b", "c")}, Schema({"T": 2, "S": 2}))
         sigma = self.SIGMA + (
             parse_constraint("forall x,y : S(x,y) -> exists z : T(x,z)"),)
-        assert len(delta_repairs(base, sigma, cap=13).repairs) == 10
-        with pytest.raises(CapExceeded):
-            delta_repairs(base, sigma, cap=12)
+        with capped(13):
+            assert len(delta_repairs(base, sigma).repairs) == 10
+        with capped(12), pytest.raises(CapExceeded):
+            delta_repairs(base, sigma)
 
 
 class TestClosenessPreorder:

@@ -1,6 +1,7 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
 module-level private names, no public name that only tests read, no
-imports inside functions, and every module importable on its own."""
+candidate cap passed by hand, no imports inside functions, and every
+module importable on its own."""
 
 import ast
 import os
@@ -139,6 +140,67 @@ def test_every_public_name_has_a_reader():
             with open(path, encoding="utf-8") as fh:
                 others.append(fh.read())
     assert unread_public_names(_sources(), others) == UNREAD_PUBLIC
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) of every function and lambda under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            yield name, child
+            yield from _functions(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+#: the functions that may take the candidate cap: the one that sets it for
+#: a block, and the error that reports it
+CAP_OWNERS = ("core.capped", "core.CapExceeded.__init__")
+
+
+def cap_threading(sources: dict[str, str]) -> list[str]:
+    """Where sources (module name -> text) pass the candidate cap by hand:
+    each function but CAP_OWNERS that takes a parameter named cap, as
+    module.qualname, and each module but core and cli that names
+    DEFAULT_CAP, as `module: DEFAULT_CAP`."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for name, f in _functions(tree, module + "."):
+            a = f.args
+            params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p}
+            if "cap" in params and name not in CAP_OWNERS:
+                found.append(name)
+        names = {getattr(n, k, None) for n in ast.walk(tree)
+                 for k in ("id", "attr", "name")}
+        if module not in ("core", "cli") and "DEFAULT_CAP" in names:
+            found.append(module + ": DEFAULT_CAP")
+    return sorted(found)
+
+
+def test_the_check_sees_a_threaded_cap():
+    assert cap_threading({
+        "core": "DEFAULT_CAP = 1\ndef capped(cap):\n    pass\n"
+                "class CapExceeded:\n"
+                "    def __init__(self, cap, needed):\n        pass\n",
+        "cli": "from .core import DEFAULT_CAP\n",
+        "m": "from .core import DEFAULT_CAP\n"
+             "def f(x, *, cap=DEFAULT_CAP):\n    g = lambda cap: cap\n"
+             "class C:\n    def m(self, cap):\n        pass\n"
+             "def capped(n):\n    pass\n",
+        "n": "import core\nx = core.DEFAULT_CAP\n",
+    }) == ["m.C.m", "m.f", "m.f.<lambda>", "m: DEFAULT_CAP", "n: DEFAULT_CAP"]
+
+
+def test_the_cap_is_set_once_per_request():
+    # `core.capped` sets it and each search's Budget reads it; no other
+    # function takes it
+    assert cap_threading(dict(zip((m[:-3] for m in MODULES),
+                                  _sources()))) == []
 
 
 def function_local_imports(source: str) -> list[int]:
