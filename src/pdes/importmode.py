@@ -56,4 +56,4 @@ def restricted_import_solve(system: PdesSchema, p: str,
     for q in sorted(system.accessible(p)):
         if system._flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)
-    return _solve(system, p, d, _fixpoint_repaired, {})
+    return _solve(system, p, d, _fixpoint_repaired)

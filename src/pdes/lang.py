@@ -5,7 +5,10 @@ null-aware rewriting of constraints.
 One grammar reads every definition-file line and --query: a token is a
 mark of `_PUNCT` or a word of letters, digits and _ . ' -; every name,
 variable and constant is a word; an atom is P(w1,...,wn) with n >= 0;
-lists are comma-separated, with no trailing comma."""
+lists are comma-separated, with no trailing comma. A text is tokenized
+in one regular-expression pass, and an atom's argument list is read in
+one loop over the tokens; both fall back on the general rules only to
+word the error of a malformed text, so every message is theirs."""
 
 from __future__ import annotations
 
@@ -126,6 +129,19 @@ class Constraint(Record):
     @cached_property
     def relevant(self) -> frozenset[str]:
         return relevant_vars(self)
+
+    @cached_property
+    def relevant_universals(self) -> tuple[str, ...]:
+        """The relevant universal variables, in declaration order: under
+        the null semantics a null in one satisfies the instantiation."""
+        return tuple(v for v in self.univ_vars if v in self.relevant)
+
+    @cached_property
+    def escape_builtins(self) -> tuple[tuple[Builtin, ...], ...]:
+        """The builtins of each head disjunct with neither atoms nor
+        existentials: an instantiation grounds it, whatever the instance."""
+        return tuple(d.builtins for d in self.head
+                     if not d.atoms and not d.exist_vars)
 
     @cached_property
     def anchored(self) -> bool:
@@ -271,11 +287,16 @@ _TOKEN_RUN_RE = re.compile(r"(?:\s*(?:%s))*\s*" % _TOKEN)
 
 
 def _tokenize(text: str, where: str) -> list[str]:
-    end = _TOKEN_RUN_RE.match(text).end()
-    if end < len(text):
+    """The tokens of text in one pass. Tokens hold no whitespace and
+    never overlap, so they cover every other character iff, joined, they
+    are as long as text without whitespace; only when they are not is
+    the first skipped character sought, for its column."""
+    toks = _TOKEN_RE.findall(text)
+    if len("".join(toks)) != len("".join(text.split())):
+        end = _TOKEN_RUN_RE.match(text).end()
         raise ParseError("bad character at column %d%s: %r"
                          % (end + 1, where, text[end]))
-    return _TOKEN_RE.findall(text)
+    return toks
 
 
 class _Cursor:
@@ -327,10 +348,28 @@ class _Cursor:
 
 
 def _atom_args(cur: _Cursor) -> list[str]:
-    """The atom rule after the predicate word: `( [word {, word}] )`."""
-    cur.expect("(")
-    args = [cur.word() for _ in cur.items(")")]
-    cur.expect(")")
+    """The atom rule after the predicate word: `( [word {, word}] )`,
+    its tokens read in one loop. At an irregular token the cursor moves
+    there and its own rule reads it, which raises the error the list
+    rule (`_Cursor.items`) would."""
+    toks, i, args = cur.toks, cur.i + 1, []
+    if toks[cur.i] != "(":
+        cur.expect("(")
+    if toks[i] != ")":
+        while True:
+            w = toks[i]
+            if w is None or w in _PUNCT:
+                cur.i = i
+                cur.word()
+            args.append(w)
+            if toks[i + 1] != ",":
+                break
+            i += 2
+        i += 1
+        if toks[i] != ")":
+            cur.i = i
+            cur.expect(",")
+    cur.i = i + 1
     return args
 
 

@@ -18,7 +18,10 @@ constraint checks here rest on these. A check reads its own ranges:
 `holds_instantiation` reads the relevant variables off the constraint
 and builds the working universe only for an unanchored one, the one kind
 whose witness join leaves an existential variable unbound; it tests a
-disjunct without existentials by membership, with no join.
+disjunct without existentials by membership, with no join. Whether an
+instantiation holds whatever the instance (a null relevant universal, a
+builtin-only disjunct that holds) is `escapes`, which it asks first and
+the import fixpoint asks alone of a head without existentials.
 
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986) through `delta_join`: it yields only the
@@ -209,19 +212,36 @@ def instantiations(d: Instance, c: Constraint, universe: list[str],
             for full in extensions(None, (), s, c.univ_vars, universe))
 
 
+def escapes(c: Constraint, s: dict[str, str], classical: bool) -> bool:
+    """Whether the instantiation s of c holds whatever the instance: in
+    non-classical mode a relevant universal variable is null (which
+    satisfies vacuously), or the builtins of a disjunct with neither
+    atoms nor existentials all hold on s."""
+    if not classical:
+        for v in c.relevant_universals:
+            if s[v] == NULL:
+                return True
+    for builtins in c.escape_builtins:
+        if all(eval_builtin(b, s, classical) for b in builtins):
+            return True
+    return False
+
+
 def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
                         classical: bool) -> bool:
     """Truth of one instantiation s of c drawn from `instantiations` over
-    d (so its body is in d): some head disjunct extends s into d, its
-    existential variables ranging over the working universe of (d, c),
-    which only an unanchored c reads. Non-classical mode restricts c's
-    relevant existential variables away from null and, for its relevant
-    universal variables, a null value satisfies vacuously."""
-    rel = frozenset() if classical else c.relevant
-    if any(s[v] == NULL for v in c.univ_vars if v in rel):
+    d (so its body is in d): it `escapes`, or some disjunct with atoms or
+    existentials extends s into d, its existential variables ranging
+    over the working universe of (d, c), which only an unanchored c
+    reads. Non-classical mode restricts c's relevant existential
+    variables away from null."""
+    if escapes(c, s, classical):
         return True
+    rel = frozenset() if classical else c.relevant
     universe = [] if c.anchored else _universe(d, c)
     for disj in c.head:
+        if not disj.atoms and not disj.exist_vars:  # read by escapes
+            continue
         if not disj.exist_vars:  # s grounds it: membership, then builtins
             if all(ground_atom(a, s) in d.atoms for a in disj.atoms) \
                     and all(eval_builtin(b, s, classical)

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .core import (NULL, Atom, Budget, Instance, Record, Schema, SchemaError,
                    reach)
 from .lang import Constraint, Query
-from .nullsem import (classical_answers, ground_atom, holds_instantiation,
-                      join, n_answers)
+from .nullsem import (classical_answers, escapes, ground_atom,
+                      holds_instantiation, join, n_answers)
 from .repair import NULL_BASED, SYMMETRIC_DELTA, RepairSet, preorder_repairs
 
 LESS = "less"
@@ -58,8 +58,11 @@ class PdesSchema(Record):
         self.trust = frozenset(trust).union(
             (p, SAME, p) for (p, q) in self.sigma if p == q)
         self.preorder = preorder
-        self._succ = {p: frozenset(q for (a, q) in self.sigma if a == p != q)
-                      for p in self.peers}
+        succ: dict[str, set[str]] = {p: set() for p in self.peers}
+        for (p, q) in self.sigma:
+            if p in succ and p != q:
+                succ[p].add(q)
+        self._succ = {p: frozenset(qs) for p, qs in succ.items()}
         self._kind = {(p, q): t for (p, t, q) in sorted(self.trust)}
         self._validate()
         self._flags = {p: _import_flag(self, p) for p in sorted(self.peers)}
@@ -101,7 +104,9 @@ class PdesSchema(Record):
                 raise SchemaError("a peer must trust itself as 'same'")
             if self._kind[p, q] != t:
                 raise SchemaError("two trust kinds for (%r, %r)" % (p, q))
-        for (p, q, _) in self.graph():  # a cycle through p -> q returns to p
+        if _acyclic(self._succ):
+            return
+        for (p, q, _) in self.graph():  # name a cycle: p -> q returns to p
             path = reach(self._succ.__getitem__, q, p)
             if path:
                 raise SchemaError("accessibility graph has a cycle: "
@@ -170,6 +175,23 @@ class PdesSchema(Record):
         return sch.union(Schema(markers))
 
 
+def _acyclic(succ: Mapping[str, frozenset[str]]) -> bool:
+    """Whether the graph with successor sets succ has no cycle, in time
+    linear in its size (Kahn's algorithm): taking away nodes with no
+    edge left into them takes every node iff no cycle holds one back."""
+    into = dict.fromkeys(succ, 0)
+    for qs in succ.values():
+        for q in qs:
+            into[q] += 1
+    free = [p for p, n in into.items() if not n]
+    for p in free:  # grows as nodes are freed
+        for q in succ[p]:
+            into[q] -= 1
+            if not into[q]:
+                free.append(q)
+    return len(free) == len(succ)
+
+
 class PdesInstance(Record):
     """One database instance per peer, over that peer's schema."""
 
@@ -232,14 +254,22 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     instance dbar, those that `PdesSchema.live_sigma` keeps; SchemaError
     on a constraint not of the import kind.
 
-    Each body is joined once against dbar, and each binding ranks its
-    head atom, existentials null, by its number of nulls; heads without
-    existentials come first. Each rank, fewest nulls first, adds the
-    heads whose instantiation does not hold over the atoms so far under
-    the system's preorder (`holds_instantiation`: a builtin-only escape
-    or an earlier witness satisfies it, and under the null-based
-    preorder a null relevant universal too), as a witness is never less
-    informative than the null atom it makes unnecessary.
+    Each body is joined once against dbar. A head without existentials
+    (rank -1) is grounded once per binding and added unless the
+    instantiation `escapes`: a builtin-only disjunct holds, or under the
+    null-based preorder a relevant universal is null. Its disjunct with
+    atoms is that one atom a, with no builtins, and its other disjuncts
+    are builtin-only, so the instantiation holds over any atoms iff it
+    escapes or a is among them; adding an atom already there changes
+    nothing, so atoms plus the heads that do not hold are atoms plus the
+    heads that do not escape, with no witness check.
+
+    A head with existentials grounds them null and is ranked by its
+    number of nulls. Each rank, fewest nulls first, adds the heads whose
+    instantiation does not hold over the atoms so far under the
+    system's preorder (`holds_instantiation`: an escape or an earlier
+    witness satisfies it), as a witness is never less informative than
+    the null atom it makes unnecessary.
 
     This is the round loop that re-joins every body and adds the lowest
     rank of new heads, in one pass. Bodies read only the neighbors'
@@ -252,21 +282,26 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     adding its heads one by one. So every import constraint holds in the
     result, read as the repairs under the preorder read it."""
     classical = system.preorder != NULL_BASED
-    ranked: dict[int, list] = {}  # -1 for heads without existentials
+    copied: list[Atom] = []  # the heads of rank -1
+    ranked: dict[int, list] = {}
     for q, c in system.live_sigma(p, dbar):
         if q == p:
             continue
         if not _is_import(system, p, q, c):
             raise SchemaError("constraint %s is not of the import kind" % c)
         target = next(d for d in c.head if d.atoms)
+        head = target.atoms[0]
+        if not target.exist_vars:
+            copied.extend(ground_atom(head, s) for s in join(dbar, c.body, {})
+                          if not escapes(c, s, classical))
+            continue
         nulls = dict.fromkeys(target.exist_vars, NULL)
         for s in join(dbar, c.body, {}):
-            a = ground_atom(target.atoms[0], {**s, **nulls})
-            ranked.setdefault(a.args.count(NULL) if nulls else -1,
-                              []).append((c, s, a))
-    atoms = dbar.atoms
+            a = ground_atom(head, {**s, **nulls})
+            ranked.setdefault(a.args.count(NULL), []).append((c, s, a))
+    # heads of constraints that PdesSchema checked against the schema
+    atoms = dbar.atoms.union(copied)
     for rank in sorted(ranked):
-        # heads of constraints that PdesSchema checked against the schema
         cur = Instance._trusted(atoms, dbar.schema)
         atoms = atoms.union(a for c, s, a in ranked[rank]
                             if not holds_instantiation(cur, c, s, classical))
@@ -338,7 +373,7 @@ def solutions(system: PdesSchema, p: str, d: PdesInstance) -> SolutionResult:
     cores, in the order of their sorted atom texts (perfbench reads it),
     rendered only when there are two solutions or more to order."""
     system._check_peer(p)
-    res = _solve(system, p, d, _neighborhood_repairs, {})
+    res = _solve(system, p, d, _neighborhood_repairs)
     if len(res.solutions) < 2:
         return res
     return res._replace(solutions=tuple(sorted(
@@ -380,13 +415,13 @@ def _core(p: str, sols: RepairSet) -> Instance:
         sols.schema)
 
 
-def _solve(system: PdesSchema, p: str, d: PdesInstance, local: LocalSolver,
-           memo: dict[str, RepairSet]) -> SolutionResult:
+def _solve(system: PdesSchema, p: str, d: PdesInstance,
+           local: LocalSolver) -> SolutionResult:
     """p's solutions through ``local``, listed: the product of their
     factored form, charged to the cap of p's own search when it
     multiplies two parts or more. The neighbors contribute their cores
     and are never listed."""
-    sols = _factored(system, p, d, local, memo)
+    sols = _factored(system, p, d, local, {})
     return SolutionResult(p, sols.repairs, _core(p, sols),
                           not all(sols.parts))
 

@@ -36,7 +36,7 @@ def search_route(system, p, inst):
     """p's solutions through the repair search alone: the general route,
     which never takes the import fixpoint, for the import routes to be
     checked against."""
-    return _solve(system, p, inst, _search_repairs, {})
+    return _solve(system, p, inst, _search_repairs)
 
 
 def solution_sets(insts) -> set[frozenset[str]]:

@@ -10,6 +10,11 @@ route calls them; each decides the same question a second way.
   each predicate's sorted atoms, with no index, against `nullsem.join`;
   `holds_by_enumeration` tries every witness of the working universe,
   with no join, against `nullsem.holds_instantiation`.
+- The import fixpoint: `least_model_by_checks` ranks every import
+  head, with or without existentials, and adds it only where
+  `nullsem.holds_instantiation` finds its instantiation violated,
+  against `system.least_model`, which adds a head without existentials
+  unless it `nullsem.escapes`.
 - Solution programs: `reference_ground` grounds every rule over the
   whole universe, and `reference_stable_models` tries every subset of
   the derivable atoms with an all-subsets minimality check, against
@@ -25,11 +30,12 @@ checks import it from there.
 from itertools import product
 
 from pdes.asp import GroundRule, _extract_neighborhood, _ground_rule
-from pdes.core import NULL, atom_sort_key, restrict
+from pdes.core import NULL, Instance, atom_sort_key, restrict
 from pdes.lang import Builtin, Cst, Var, relevant_vars, term_vars
 from pdes.nullsem import (_universe, eval_builtin, ground_atom,
                           holds_instantiation, instantiations,
                           working_universe)
+from pdes.repair import NULL_BASED
 
 
 # ------------------------------------------------------------ null semantics
@@ -107,6 +113,33 @@ def sql_safe(q) -> bool:
     """False when some conjunct of q compares a term with null directly."""
     return not any(b.op in ("eq", "neq") and Cst(NULL) in b.terms
                    for b in q.builtins)
+
+
+# -------------------------------------------------------- the import fixpoint
+
+def least_model_by_checks(system, p, dbar):
+    """`system.least_model` with a witness check for every head: each
+    binding of each import body (`naive_join`) ranks its head atom,
+    existentials null, by its nulls, heads without existentials first
+    (-1); each rank in turn adds the heads whose instantiation does not
+    hold over the atoms so far."""
+    classical = system.preorder != NULL_BASED
+    ranked = {}
+    for q, c in system.live_sigma(p, dbar):
+        if q == p:
+            continue
+        target = next(d for d in c.head if d.atoms)
+        nulls = dict.fromkeys(target.exist_vars, NULL)
+        for s in naive_join(dbar, c.body, {}):
+            a = ground_atom(target.atoms[0], {**s, **nulls})
+            ranked.setdefault(a.args.count(NULL) if nulls else -1,
+                              []).append((c, s, a))
+    atoms = dbar.atoms
+    for rank in sorted(ranked):
+        cur = Instance(atoms, dbar.schema)
+        atoms = atoms.union(a for c, s, a in ranked[rank]
+                            if not holds_instantiation(cur, c, s, classical))
+    return Instance(atoms, dbar.schema)
 
 
 # --------------------------------------------------------- solution programs

@@ -581,7 +581,7 @@ def test_10_copy_chain_fits_a_small_cap():
     # search is called on its own, as solutions runs none here
     sysm, inst = _chain_system(160, n_peers=3)
     with capped(8):
-        res = _solve(sysm, "P1", inst, _search_repairs, {})
+        res = _solve(sysm, "P1", inst, _search_repairs)
     assert len(res.solutions) == 1 and len(res.core) == 160
 
 
@@ -655,7 +655,7 @@ _ASP_UNSUPPORTED = {("ex_5_2.pdes", "P"), ("ex_5_4.pdes", "P"),
 
 
 def _asp_route(system, p, inst):
-    return _solve(system, p, inst, asp_parts, {})
+    return _solve(system, p, inst, asp_parts)
 
 
 def test_11_programs_agree_with_direct_solver():

@@ -211,8 +211,8 @@ class TestRuleConstants:
         want = {frozenset({"R1(a,null,b)"})}
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
         assert solution_sets([import_solve(sysm, "P1", d)]) == want
-        assert solution_sets(_solve(sysm, "P1", d, asp_parts,
-                                    {}).solutions) == want
+        assert solution_sets(
+            _solve(sysm, "P1", d, asp_parts).solutions) == want
 
 
 def _fixture_programs():

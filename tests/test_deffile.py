@@ -114,6 +114,36 @@ class TestErrors:
     def test_malformed_line_is_refused_with_its_number(self, line):
         assert self.error("peer P : R/1\n%s\n" % line).startswith("line 2: ")
 
+    # The full texts, column included, that the tokenizer and the atom
+    # rule give for malformed lists and atoms.
+    @pytest.mark.parametrize("line,msg", [
+        ("instance P : R(a b)", "expected ',', found 'b'"),
+        ("instance P : R(a,)", "expected a word, found ')'"),
+        ("instance P : R(,a)", "expected a word, found ','"),
+        ("instance P : R(a", "unexpected end of input"),
+        ("instance P : R(a))", "expected ',', found ')'"),
+        ("instance P : R a", "expected '(', found 'a'"),
+        ("instance P : R(", "unexpected end of input"),
+        ("instance P : R", "unexpected end of input"),
+        ("instance P : R(a)R(b)", "expected ',', found 'R'"),
+        ("instance P : (a)", "expected a word, found '('"),
+        ("instance P : R(a),", "unexpected end of input"),
+        ("query P : R(a,->)", "expected a word, found '->'"),
+        ("query P : R(x), S(y z)", "expected ',', found 'z'"),
+        ("dec P P : forall x : R(x) -> R(x,)", "expected a word, found ')'"),
+        ("instance P : R(a;b)", "bad character at column 17 in %r: ';'"),
+        ("instance P : R(é)", "bad character at column 16 in %r: 'é'"),
+        ("instance P : R(aé)", "bad character at column 17 in %r: 'é'"),
+        ("instance P : R(a​b)",
+         "bad character at column 17 in %r: '\\u200b'"),
+        ("instance P : R(a\xa0b)", "expected ',', found 'b'"),
+        ("instance P :\tR(a)  ;", "bad character at column 20 in %r: ';'"),
+    ])
+    def test_malformed_line_gives_its_exact_error(self, line, msg):
+        where = " in %r" % line
+        text = msg % line if "%r" in msg else msg + where
+        assert self.error("peer P : R/1\n%s\n" % line) == "line 2: " + text
+
     def test_builtin_in_an_instance_is_refused(self):
         # the peer line already refuses the name, so no instance reaches it
         assert self.error("peer P : isnull/1\ninstance P : isnull(a)\n") \

@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdes import system as system_mod
 from pdes.asp import asp_parts
@@ -21,6 +23,7 @@ from pdes.system import (_solve, core_instance, peer_consistent_answers,
                          solution_core, solutions)
 
 from conftest import FIXTURES, HERE, load, search_route, solution_sets
+from reference import least_model_by_checks
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -133,6 +136,35 @@ class TestUnrestrictedImport:
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
 
 
+    @pytest.mark.parametrize("n", [6, 48])
+    def test_copy_heads_need_no_witness_check(self, monkeypatch, n):
+        # a head without existentials is added unless it escapes: one
+        # grounding per body binding, and no holds_instantiation call
+        fam = families.copy_chain(1, n=n)
+        defn = parse_definition(fam.text)
+        bindings, grounded, checks = [], [], []
+        join, ground = system_mod.join, system_mod.ground_atom
+
+        def joined(d, atoms, *starts):
+            out = join(d, atoms, *starts)
+            bindings.extend(out)
+            return out
+
+        def grounding(a, s):
+            grounded.append(s)
+            return ground(a, s)
+
+        monkeypatch.setattr(system_mod, "join", joined)
+        monkeypatch.setattr(system_mod, "ground_atom", grounding)
+        monkeypatch.setattr(system_mod, "holds_instantiation",
+                            lambda *args: checks.append(args))
+        res = peer_consistent_answers(defn.system, "P1", defn.instance,
+                                      defn.queries["P1"])
+        assert res.answers == {(k,) for k in fam.answers}
+        assert checks == []
+        assert grounded == bindings and len(bindings) == 2 * n
+
+
 class TestExistentialImport:
     def test_null_witness_only_where_no_atom_witnesses(self):
         # R1(a,b) already witnesses the head for a; only c needs a null
@@ -144,8 +176,8 @@ class TestExistentialImport:
         want = {frozenset({"R1(a,b)", "R1(c,null)"})}
         assert {frozenset(atoms_of(import_solve(sysm, "P1", d)))} == want
         assert solution_sets(solutions(sysm, "P1", d).solutions) == want
-        assert solution_sets(_solve(sysm, "P1", d, asp_parts,
-                                    {}).solutions) == want
+        assert solution_sets(
+            _solve(sysm, "P1", d, asp_parts).solutions) == want
 
     def test_more_informative_null_atom_witnesses_first(self):
         # R1(a,null,b) witnesses both heads, R1(a,null,null) only one
@@ -398,9 +430,9 @@ class TestInconsistentNeighbor:
             restricted = restricted_import_solve(sysm, "P0", d)
             assert solution_sets(restricted.solutions) == want
         if preorder == "null":
-            via_asp = _solve(sysm, "P0", d, asp_parts, {})
+            via_asp = _solve(sysm, "P0", d, asp_parts)
             assert solution_sets(via_asp.solutions) == want
-            assert _solve(sysm, "P1", d, asp_parts, {}).inconsistent
+            assert _solve(sysm, "P1", d, asp_parts).inconsistent
 
 
 class TestConsistentAnswersThroughImports:
@@ -520,3 +552,55 @@ def test_import_routes_agree_on_drawn_delta_import_systems():
     compared, disagree, inconsistent = _drawn_agreement("delta")
     assert (compared, disagree) == (1212, 0)
     assert inconsistent
+
+
+# Unrestricted imports P1 -less-> P2 whose heads are added by the import
+# fixpoint's escape test alone (no existential) or by its witness checks:
+# builtin-only escapes, relevant universals that P2's nulls fill, and
+# existential heads under the null-based preorder only (under delta they
+# are of the general kind).
+_BODIES = ("S(x,y)", "S(x,y), S(y,z)", "S(x,a)")
+_COPY_HEADS = ("R(x,y)", "R(y,x)", "R(x,x)", "R(x,b)")
+_NULL_HEADS = ("exists w : R(x,w)", "exists w : R(w,y)",
+               "exists v,w : R(v,w)")
+_ESCAPES = ("x = a", "x != y", "y = b, x != a", "isnull(x)", "x < y")
+_VALUES = ("a", "b", "1", "null")
+
+
+@st.composite
+def _unrestricted_import(draw):
+    preorder = draw(st.sampled_from(("null", "delta")))
+    heads = _COPY_HEADS + (_NULL_HEADS if preorder == "null" else ())
+    lines = ["preorder " + preorder, "peer P1 : R/2", "peer P2 : S/2",
+             "trust P1 less P2"]
+    for _ in range(draw(st.integers(1, 3))):
+        body = draw(st.sampled_from(_BODIES))
+        disjuncts = [draw(st.sampled_from(heads))] + draw(st.lists(
+            st.sampled_from(_ESCAPES), max_size=2, unique=True))
+        head = " or ".join(draw(st.permutations(disjuncts)))
+        if "y" not in body:  # a head-only universal would make it general
+            head = head.replace("y", "a")
+        lines.append("dec P1 P2 : forall x : %s -> %s" % (body, head))
+    for p, r, most in (("P1", "R", 2), ("P2", "S", 4)):
+        facts = draw(st.lists(st.tuples(st.sampled_from(_VALUES),
+                                        st.sampled_from(_VALUES)),
+                              max_size=most, unique=True))
+        if facts:
+            lines.append("instance %s : %s" % (p, ", ".join(
+                "%s(%s,%s)" % (r, *f) for f in facts)))
+    return "\n".join(lines) + "\n"
+
+
+@given(_unrestricted_import())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_least_model_agrees_with_the_search_and_the_checked_fixpoint(text):
+    defn = parse_definition(text)
+    sysm, d = defn.system, defn.instance
+    assert classify(sysm)["P1"] == UNRESTRICTED
+    dbar = core_instance(sysm, "P1", d)
+    fixpoint = least_model(sysm, "P1", dbar)
+    assert fixpoint.atoms == least_model_by_checks(sysm, "P1", dbar).atoms
+    want = search_route(sysm, "P1", d)
+    assert not want.inconsistent
+    assert {frozenset(str(a) for a in fixpoint.atoms if a.pred == "R")} \
+        == solution_sets(want.solutions)

@@ -226,11 +226,14 @@ class TestRecords:
         text = "forall x,y : R(x,y) -> S(y,c) or x = d"
         c = parse_constraint(text)
         for name in ("relevant", "anchored", "problematic", "head_only",
-                     "full", "constants"):
+                     "full", "constants", "relevant_universals",
+                     "escape_builtins"):
             assert name not in vars(c)
             assert getattr(c, name) is getattr(c, name)
             assert name in vars(c)
         assert c.constants == {"c", "d"}
+        assert c.relevant_universals == ("x", "y")
+        assert c.escape_builtins == ((Builtin("eq", (Var("x"), Cst("d"))),),)
         assert c == parse_constraint(text)
         assert hash(c) == hash(parse_constraint(text))
 

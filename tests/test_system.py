@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from pdes import system as system_mod
 from pdes.core import Instance, Schema, SchemaError, atom
+from pdes.deffile import parse_definition
 from pdes.lang import parse_constraint, parse_query
 from pdes.system import (PdesInstance, PdesSchema, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
@@ -22,6 +24,33 @@ class TestSchemaValidation:
     def test_accessibility_cycle_rejected(self):
         with pytest.raises(SchemaError):
             load("cyclic_graph.pdes")
+
+    @staticmethod
+    def chain(n: int, back: str = "") -> str:
+        """P0 -less-> P1 -less-> ... -> P(n-1) with copy rules, and the
+        constraint line back, if any."""
+        lines = ["peer P%d : R%d/1" % (i, i) for i in range(n)]
+        for i in range(n - 1):
+            lines += ["trust P%d less P%d" % (i, i + 1),
+                      "dec P%d P%d : forall x : R%d(x) -> R%d(x)"
+                      % (i, i + 1, i + 1, i)]
+        return "\n".join(lines + [back]) + "\n"
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_acyclic_chain_loads_without_a_path_search(self, monkeypatch, n):
+        # one linear pass finds no cycle, so no edge's path is sought
+        calls, real = [], system_mod.reach
+        monkeypatch.setattr(system_mod, "reach",
+                            lambda *args: calls.append(args) or real(*args))
+        assert len(parse_definition(self.chain(n)).system.graph()) == n - 1
+        assert calls == []
+
+    def test_a_long_cycle_is_named(self):
+        back = "trust P4 less P0\ndec P4 P0 : forall x : R0(x) -> R4(x)"
+        with pytest.raises(SchemaError) as e:
+            parse_definition(self.chain(7, back))
+        assert str(e.value) == ("accessibility graph has a cycle: "
+                                "P0 -> P1 -> P2 -> P3 -> P4 -> P0")
 
     def test_missing_peer_schema_rejected(self):
         with pytest.raises(SchemaError):
