@@ -5,7 +5,9 @@ role of the SQL NULL. Atoms and instances are immutable values.
 `Instance.lookup`, an index per (predicate, bound positions), is the
 access path of the one body join, `nullsem.join`. `Partition` splits work
 into independent parts, and `Budget.choices` multiplies parts out; each
-search's `Budget` reads the candidate cap that `capped` sets.
+search's `Budget` reads the candidate cap that `capped` sets. `reach`
+walks a graph and `cycle_through` finds an edge on a cycle, for the
+peer graph and for constraints' dependency graphs.
 """
 
 from __future__ import annotations
@@ -257,3 +259,52 @@ def reach(succ: Callable[[str], Iterable[str]], src: str,
                 parent[v] = u
                 queue.append(v)
     return list(parent) if dst is None else None
+
+
+def cycle_through(succ: Callable[[str], Iterable[str]],
+                  edges: Iterable[tuple[str, str]]) -> list[str] | None:
+    """The first of edges, pairs (u, v) of the graph with successor
+    function succ, that lies on a cycle, as a shortest path [v, ..., u]
+    back from v to u; None when no edge does. (u, v) lies on a cycle iff
+    u and v share a strongly connected component, so one pass of
+    Tarjan's algorithm (SIAM J. Comput. 1972) from the edges' sources
+    decides every edge in time linear in the graph, and `reach` walks
+    once, to name the cycle."""
+    edges = list(edges)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    comp: dict[str, str] = {}
+    stack: list[str] = []
+    work: list[tuple[str, Iterator[str]]] = []  # the depth-first path
+
+    def enter(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        work.append((v, iter(succ(v))))
+
+    for root in (u for u, _ in edges):
+        if root not in index:
+            enter(root)
+        while work:
+            u, it = work[-1]
+            for v in it:
+                if v not in index:
+                    enter(v)
+                    break
+                if v not in comp:  # on the stack: in u's component
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    w = work[-1][0]
+                    low[w] = min(low[w], low[u])
+                if low[u] == index[u]:  # u roots a component
+                    while True:
+                        x = stack.pop()
+                        comp[x] = u
+                        if x == u:
+                            break
+    for u, v in edges:
+        if comp[u] == comp[v]:
+            return reach(succ, v, u)
+    return None

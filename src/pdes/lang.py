@@ -17,7 +17,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import NULL, Atom, Record, reach
+from .core import NULL, Atom, Record, cycle_through
 
 
 class ParseError(ValueError):
@@ -259,7 +259,8 @@ def n_rewrite_constraint(c: Constraint) -> Constraint:
 def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
     """True iff no cycle of the dependency graph (edges body-pred ->
     head-pred, marked when they stem from an existential constraint) goes
-    through a marked edge; otherwise returns one witness cycle."""
+    through a marked edge; otherwise returns one witness cycle, through
+    the least marked edge on a cycle (`core.cycle_through`, linear)."""
     succ: dict[str, set[str]] = {}
     marked: set[tuple[str, str]] = set()
     for c in sigma:
@@ -269,10 +270,9 @@ def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
                     succ.setdefault(b.pred, set()).add(h.pred)
                     if c.is_existential:
                         marked.add((b.pred, h.pred))
-    for (u, v) in sorted(marked):  # (u, v) is on a cycle iff v reaches u
-        path = reach(lambda n: succ.get(n, ()), v, u)
-        if path:
-            return False, path + [v]
+    path = cycle_through(lambda n: succ.get(n, ()), sorted(marked))
+    if path:
+        return False, path + [path[0]]
     return True, None
 
 

@@ -10,8 +10,9 @@ is the one enumerator behind every quantifier: it joins atoms against
 an instance from a partial assignment and ranges the variables the join
 leaves unbound over a sorted universe.
 `instantiations` is its use on a constraint's body (the ground
-instantiations), `holds_instantiation` its use on each existential
-head disjunct (the witnesses), and the chase's insert options
+instantiations), `_witness_extensions` its use on each head disjunct
+(the witnesses: `holds_instantiation` asks for one, `pool_witnesses`
+lists them over a pool), and the chase's insert options
 (:mod:`pdes.chase`) its use on a head against a pool instance. The
 restricted chase, the repair search (:mod:`pdes.repair`) and both
 constraint checks here rest on these. A check reads its own ranges:
@@ -21,7 +22,10 @@ whose witness join leaves an existential variable unbound; it tests a
 disjunct without existentials by membership, with no join. Whether an
 instantiation holds whatever the instance (a null relevant universal, a
 builtin-only disjunct that holds) is `escapes`, which it asks first and
-the import fixpoint asks alone of a head without existentials.
+the import fixpoint asks alone of a head without existentials. Over
+states inside a pool instance, an instantiation of an anchored
+constraint holds iff it escapes or one of its pool witnesses lies in the
+state (`pool_witnesses`): the split repair search decides its states so.
 
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986) through `delta_join`: it yields only the
@@ -180,9 +184,14 @@ def extensions(d: Instance | None, atoms, s: dict[str, str], free,
                universe: list[str]) -> Iterator[dict[str, str]]:
     """Every extension of assignment s that puts all atoms in d (joined
     in order), with the free variables the join leaves unbound ranging
-    over the sorted universe. With no atoms, d is not read."""
+    over the sorted universe. With no atoms, d is not read. An
+    extension the join completes is yielded as the join gives it, which
+    may be s itself: callers only read what they are given."""
     for t in join(d, atoms, s):
         missing = [v for v in free if v not in t]
+        if not missing:
+            yield t
+            continue
         for combo in product(universe, repeat=len(missing)):
             yield {**t, **dict(zip(missing, combo))}
 
@@ -227,33 +236,63 @@ def escapes(c: Constraint, s: dict[str, str], classical: bool) -> bool:
     return False
 
 
-def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
-                        classical: bool) -> bool:
-    """Truth of one instantiation s of c drawn from `instantiations` over
-    d (so its body is in d): it `escapes`, or some disjunct with atoms or
-    existentials extends s into d, its existential variables ranging
-    over the working universe of (d, c), which only an unanchored c
-    reads. Non-classical mode restricts c's relevant existential
-    variables away from null."""
-    if escapes(c, s, classical):
-        return True
+def _witness_extensions(d: Instance, c: Constraint, s: dict[str, str],
+                        classical: bool) -> Iterator[tuple]:
+    """The witnesses of the instantiation s of c in d, lazily, as (head
+    disjunct, its assignment): every extension of s putting the atoms of
+    a disjunct with atoms or existentials into d, its existential
+    variables ranging over the working universe of (d, c), which only an
+    unanchored c reads, whose builtins hold and, in non-classical mode,
+    whose relevant existential variables are not null. A disjunct
+    without existentials is its one grounding by s, tested by
+    membership; one with neither atoms nor existentials is left to
+    `escapes`."""
     rel = frozenset() if classical else c.relevant
     universe = [] if c.anchored else _universe(d, c)
     for disj in c.head:
-        if not disj.atoms and not disj.exist_vars:  # read by escapes
-            continue
-        if not disj.exist_vars:  # s grounds it: membership, then builtins
-            if all(ground_atom(a, s) in d.atoms for a in disj.atoms) \
-                    and all(eval_builtin(b, s, classical)
-                            for b in disj.builtins):
-                return True
-            continue
-        for full in extensions(d, disj.atoms, s, disj.exist_vars, universe):
-            if all(full[v] != NULL for v in disj.exist_vars if v in rel) \
-                    and all(eval_builtin(b, full, classical)
-                            for b in disj.builtins):
-                return True
-    return False
+        exist_vars, atoms, builtins = disj
+        if not exist_vars:  # s grounds it: membership, then builtins
+            if atoms and all(ground_atom(a, s) in d.atoms for a in atoms) \
+                    and (not builtins or all(eval_builtin(b, s, classical)
+                                             for b in builtins)):
+                yield disj, s
+            continue  # one without atoms is read by escapes
+        for full in extensions(d, atoms, s, exist_vars, universe):
+            if all(full[v] != NULL for v in exist_vars if v in rel) \
+                    and (not builtins or all(eval_builtin(b, full, classical)
+                                             for b in builtins)):
+                yield disj, full
+
+
+def holds_instantiation(d: Instance, c: Constraint, s: dict[str, str],
+                        classical: bool) -> bool:
+    """Truth of one instantiation s of c drawn from `instantiations` over
+    d (so its body is in d): it `escapes`, or it has a witness in d
+    (`_witness_extensions`)."""
+    return escapes(c, s, classical) or \
+        any(_witness_extensions(d, c, s, classical))
+
+
+def pool_witnesses(pool: Instance, c: Constraint, s: dict[str, str],
+                   classical: bool) -> tuple[frozenset[Atom], ...] | None:
+    """How the instantiation s of an anchored c holds in any instance d
+    inside pool, decided without a join: None when s `escapes`, which
+    reads s alone and so holds in every d; otherwise the atom sets of
+    its witnesses in pool, and `holds_instantiation(d, c, s)` is true
+    iff one of them lies in d.
+
+    A witness in d is an extension of s that puts a disjunct's atoms in
+    d and passes tests that read the extension alone (builtins, nulls of
+    relevant existentials). c being anchored, the join binds every
+    existential and no universe is read, so d and pool offer the same
+    extensions up to where their atoms lie: one into d is one into pool,
+    as d is inside pool, and one into pool whose atoms d holds is one
+    into d. A disjunct without existentials is the case where the
+    extension is s."""
+    if escapes(c, s, classical):
+        return None
+    return tuple(frozenset(ground_atom(a, full) for a in disj.atoms)
+                 for disj, full in _witness_extensions(pool, c, s, classical))
 
 
 # ---------------------------------------------------------- query answers

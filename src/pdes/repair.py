@@ -13,15 +13,19 @@ At its first state that is not forced, the search splits into the
 conflict parts of the restricted chase (pool atoms that some ground
 instantiation joins, through its body or a grounding of its head, or
 that lie in violated parts with one below the other in the information
-order) and searches each violated part alone. Each part's satisfying
-states are minimised alone, and the minimal repairs come back factored
-(`RepairSet`): the unsplit atoms plus one minimal state of every part.
-The product is built only where `RepairSet.repairs` is read, which lists
-the repairs; certain answers and cores (:mod:`pdes.system`) work on the
-parts. The delta preorder's inserts range over the universe, so its
-search keeps one part. A check reads its own ranges (`nullsem`), and the
-null search chases only when it reads the pool: a full constraint's
-insert needs none.
+order) and searches each violated part alone. Splitting grounds the pool
+once: per instantiation, its body, its head's groundings and its
+witnesses (`nullsem.pool_witnesses`). From there every state is decided
+by containment in those rows, with no join (Gebser, Kaufmann & Schaub,
+IJCAI 2007, ground once and then search by set operations). Each part's
+satisfying states are minimised alone, and the minimal repairs come back
+factored (`RepairSet`): the unsplit atoms plus one minimal state of
+every part. The product is built only where `RepairSet.repairs` is read,
+which lists the repairs; certain answers and cores (:mod:`pdes.system`)
+work on the parts. The delta preorder's inserts range over the universe,
+so its search keeps one part and the join. A check reads its own ranges
+(`nullsem`), and the null search chases only when it reads the pool: a
+full constraint's insert needs none.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from .core import (NULL, Atom, Budget, Instance, Partition, Record, Schema,
                    atom_sort_key)
 from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
-                      instantiations, n_holds, working_universe)
+                      instantiations, n_holds, pool_witnesses,
+                      working_universe)
 from .chase import check_fit, head_options, r_chase
 
 NULL_BASED = "null"
@@ -153,12 +158,32 @@ class _Search:
             return None
         return r_chase(self.bounded_by, self.sigma)
 
-    def violations(self, state: frozenset[Atom], batch=None, carried=None):
+    def violations(self, state: frozenset[Atom], rows=None, batch=None,
+                   carried=None):
         """The violated ground instantiations (c, s) of state, in search
-        order. With batch, the atoms state adds to a parent state, only
-        the instantiations touching batch and the parent's violations in
+        order, each as (c, s, options): options, with rows, are the
+        head's groundings against the pool, and None otherwise (`moves`
+        grounds the head).
+
+        With rows, from `parts` for a state inside the pool, they are
+        the rows whose body state holds and none of whose witnesses it
+        holds (`nullsem.pool_witnesses`), with no join. The rows list
+        the pool's join in its order. The join over state is the same
+        join with each lookup narrowed to state's atoms, which keeps the
+        order of what is left, so the two lists agree in content and
+        order, and with them the search order, the cap's charges and
+        the order of found states.
+
+        Without rows, each constraint's body is joined over state. With
+        batch, the atoms state adds to a parent state, only the
+        instantiations touching batch and the parent's violations in
         carried (constraint -> instantiations) are checked: the parent's
         other instantiations held there and still hold."""
+        if rows is not None:
+            for c, s, body, options, witnesses in rows:
+                if body <= state and not any(w <= state for w in witnesses):
+                    yield c, s, options
+            return
         d = Instance._trusted(state, self.schema)
         for c in self.sigma:
             found = instantiations(d, c, self.universe, batch)
@@ -167,63 +192,66 @@ class _Search:
                                key=lambda s, c=c: instantiation_key(c, s))
             for s in found:
                 if not holds_instantiation(d, c, s, self.classical):
-                    yield c, s
+                    yield c, s, None
 
-    def moves(self, state: frozenset[Atom], c: Constraint, s):
+    def moves(self, state: frozenset[Atom], c: Constraint, s, options=None):
         """The moves that may repair the violated instantiation s of c in
         state, as deltas: its deletable body atoms, all in state, and the
-        nonempty atom sets head options add, none of a frozen predicate.
-        A full constraint's head is grounded without the pool, which
-        would hold its one insert (`null_repairs`)."""
+        nonempty atom sets its head options add, none of a frozen
+        predicate. Without options, the head is grounded here, a full
+        constraint's without the pool, which would hold its one insert
+        (`null_repairs`)."""
         dels = [ga for ga in (ground_atom(a, s) for a in c.body)
                 if ga.pred not in self.frozen_preds
                 and ga not in self.frozen_atoms]
-        pool = None if c.full else self.pool
-        adds = [new for new in (atoms - state for atoms in head_options(
-                    c, s, self.universe, pool, self.classical))
+        if options is None:
+            options = head_options(c, s, self.universe,
+                                   None if c.full else self.pool,
+                                   self.classical)
+        adds = [new for new in (atoms - state for atoms in options)
                 if new and not any(a.pred in self.frozen_preds for a in new)]
         return dels, adds
 
-    def step(self, state: frozenset[Atom], viols=None):
+    def step(self, state: frozenset[Atom], viols=None, rows=None):
         """None when state satisfies every constraint; viols, when given,
-        are its violations. Otherwise its children, each paired with its
-        violations (None: enumerate them), and a rest. When the first
-        violation branches, the children are its moves and the rest is
-        state's violations from the first on, not yet read. When it is
-        forced (no deletion, one distinct insert), the one child adds the
-        inserts of every forced violation of state, and the rest is
-        None."""
-        viols = self.violations(state) if viols is None else viols
+        are its violations, and rows, when given, decide them. Otherwise
+        its children, each paired with its violations (None: enumerate
+        them), and whether they branch. When the first violation
+        branches, the children are its moves. When it is forced (no
+        deletion, one distinct insert), the one child adds the inserts
+        of every forced violation of state."""
+        viols = self.violations(state, rows) if viols is None else viols
         first = next(viols, None)
         if first is None:
             return None
         dels, adds = self.moves(state, *first)
         if dels or len(set(adds)) != 1:
             return ([(state - {a}, None) for a in dels]
-                    + [(state | a, None) for a in adds], chain([first], viols))
+                    + [(state | a, None) for a in adds], True)
         batch, carried = set(), {}
         rest = ((v, self.moves(state, *v)) for v in viols)
-        for (c, s), (dels, adds) in chain([(first, (dels, adds))], rest):
+        for (c, s, _), (dels, adds) in chain([(first, (dels, adds))], rest):
             if not dels and len(set(adds)) == 1:
                 batch |= adds[0]
                 if c in self.settled:
                     continue
             carried.setdefault(c, []).append(s)
         child = state | batch
-        return [(child, self.violations(child, batch, carried))], None
+        return [(child, self.violations(child, rows, batch, carried))], False
 
     def explore(self, start: frozenset[Atom], nexts=None,
-                seen: Iterable[frozenset[Atom]] = ()):
+                seen: Iterable[frozenset[Atom]] = (), rows=None):
         """Every satisfying state reachable from start, depth first,
         charging each state reached but start and the states seen before;
-        nexts, when given, are start's children as `step` gives them."""
+        nexts, when given, are start's children as `step` gives them, and
+        rows, when given, decide every state's violations."""
         seen = {start, *seen}
         stack = [(start, None, nexts)]
         found = []
         while stack:
             state, viols, nexts = stack.pop()
             if nexts is None:
-                got = self.step(state, viols)
+                got = self.step(state, viols, rows)
                 if got is None:
                     found.append(state)
                     continue
@@ -235,44 +263,70 @@ class _Search:
                     stack.append((n, n_viols, None))
         return found
 
-    def parts(self, state: frozenset[Atom], viols) -> list[frozenset[Atom]]:
-        """The parts of the pool that hold one of viols, the violations
-        of state, ordered by their least atom. Two pool atoms share a part
-        when one ground instantiation over the pool holds both, in its
-        body or in any grounding of its head against the pool, or when
-        both lie in such parts and the first is below the second in the
-        information order. One part, all of state, when there is no pool,
-        when some constraint has an empty body (no atom anchors its
+    def parts(self, state: frozenset[Atom]) -> list[tuple]:
+        """The parts of the pool that hold a violation of state, ordered
+        by their least atom, each with its rows. Two pool atoms share a
+        part when one ground instantiation over the pool holds both, in
+        its body or in any grounding of its head against the pool, or
+        when both lie in such parts and the first is below the second in
+        the information order.
+
+        A row is what grounding the pool keeps of one instantiation s of
+        a constraint c that does not escape, in the pool's join order:
+        (c, s, its body atoms, its head's groundings against the pool,
+        its witnesses in the pool). The rows decide which parts hold a
+        violation of state, and every later state's violations
+        (`violations`). A part's rows are those whose body lies in it.
+
+        The information-order union reads one index per null pattern: an
+        atom a with nulls is below exactly the atoms of its predicate
+        that agree with a off its nulls, which `Instance.lookup` finds
+        over the atoms of the violated parts by a's other positions. The
+        union-find's choice of a group's name moves nothing, since the
+        parts are listed by their least atom, their atoms in pool order
+        and their rows in row order, whatever atom names them.
+
+        One part, all of state with every row, when the pool is one part
+        or one part holds every violation. One part, all of state with no
+        rows (the join decides), when there is no pool or when some
+        constraint has an empty body (no atom anchors its
         instantiations) or is not anchored (it reads values outside its
-        atoms), or when the pool is one part or one part holds every
-        violation."""
+        atoms)."""
         if not all(c.body and c.anchored for c in self.sigma) \
                 or self.pool is None:
-            return [state]
-        part = Partition()
+            return [(state, None)]
+        part, rows = Partition(), []
         for c in self.sigma:
             for s in instantiations(self.pool, c, self.universe):
-                part.union(chain(
-                    (ground_atom(a, s) for a in c.body),
-                    *head_options(c, s, self.universe, self.pool,
-                                  self.classical)))
-        if len({part.find(a) for a in self.pool}) == 1:
-            return [state]  # no violation to list
-        violated = {part.find(ground_atom(c.body[0], s)) for c, s in viols}
+                body = frozenset(ground_atom(a, s) for a in c.body)
+                options = tuple(head_options(c, s, self.universe, self.pool,
+                                             self.classical))
+                part.union(chain(body, *options))
+                witnesses = pool_witnesses(self.pool, c, s, self.classical)
+                if witnesses is not None:
+                    rows.append((c, s, body, options, witnesses))
+        if len({part.find(a) for a in self.pool.atoms}) == 1:
+            return [(state, rows)]  # no violation to list
+        violated = {part.find(ground_atom(c.body[0], s))
+                    for c, s, _ in self.violations(state, rows)}
         hot = [a for a in self.pool if part.find(a) in violated]  # sorted
-        groups: dict[tuple[str, int], list[Atom]] = {}
+        among = Instance._trusted(frozenset(hot), self.schema)
         for a in hot:
-            groups.setdefault((a.pred, len(a.args)), []).append(a)
-        for group in groups.values():
-            for a in group:
-                if NULL in a.args:  # only then below another atom
-                    part.union(b for b in group if info_leq(a.args, b.args))
+            if NULL in a.args:  # only then below another atom
+                known = tuple(i for i, v in enumerate(a.args) if v != NULL)
+                part.union(among.lookup(a.pred, known,
+                                        tuple(a.args[i] for i in known)))
         members: dict[Atom, list[Atom]] = {}
         for a in hot:
             members.setdefault(part.find(a), []).append(a)
         if len(members) == 1:
-            return [state]
-        return [frozenset(m) for m in members.values()]
+            return [(state, rows)]
+        grouped: dict[Atom, list] = {root: [] for root in members}
+        for row in rows:  # a row's body atoms share one part
+            root = part.find(next(iter(row[2])))
+            if root in grouped:
+                grouped[root].append(row)
+        return [(frozenset(m), grouped[root]) for root, m in members.items()]
 
 
 def _branch_search(search: _Search, start: frozenset[Atom]):
@@ -298,14 +352,18 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     child's universe, and no null witness is relevant. Branch children,
     deletions among them, are enumerated in full.
 
-    Forced batches run on the whole state. At the first state that is
-    not forced, the search splits it into the parts of `_Search.parts`
-    and searches each violated part alone. A move inserts or deletes
-    atoms of its violation's part, and whether an instantiation holds
-    depends only on the atoms of its part, so the reachable satisfying
-    states are the products of each part's, and parts without a
-    violation stay as they are. With one part the search goes on from
-    the moves already found, over the whole state."""
+    Forced batches run on the whole state, checked by the join. At the
+    first state that is not forced, the search splits it into the parts
+    of `_Search.parts` and searches each violated part alone. A move
+    inserts or deletes atoms of its violation's part, and whether an
+    instantiation holds depends only on the atoms of its part, so the
+    reachable satisfying states are the products of each part's, and
+    parts without a violation stay as they are. With one part the search
+    goes on from the moves already found, over the whole state. After
+    the split, every state lies in the pool (`null_repairs`), so the
+    rows grounded while splitting decide its violations by containment
+    (`_Search.violations`); where the split keeps the join (no pool, or
+    a constraint with an empty body or not anchored), the join does."""
     state, viols = start, None
     seen = {start}
     search.budget.charge()
@@ -313,17 +371,19 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
         got = search.step(state, viols)
         if got is None:
             return state, []
-        nexts, rest = got
-        if rest is not None:
+        nexts, branched = got
+        if branched:
             break
         [(state, viols)] = nexts
         seen.add(state)
         search.budget.charge()
-    parts = search.parts(state, rest)
+    parts = search.parts(state)
     if len(parts) == 1:
-        return frozenset(), [(state, search.explore(state, nexts, seen))]
-    return (state.difference(*parts),
-            [(part, search.explore(state & part)) for part in parts])
+        [(_, rows)] = parts
+        return frozenset(), [(state, search.explore(state, nexts, seen, rows))]
+    return (state.difference(*(part for part, _ in parts)),
+            [(part, search.explore(state & part, rows=rows))
+             for part, rows in parts])
 
 
 def _minimal(candidates, profile: Callable, beats: Callable) -> list:
@@ -369,17 +429,23 @@ def null_repairs(base: Instance, sigma,
 
     The chase runs only when the search reads its pool: to split into
     parts, to profile candidates against the bound, or to ground the head
-    of a constraint that is not full (`Constraint.full`). A full
-    constraint's insert is the pool join of its head. Every state lies
-    in the pool, so a violation's body does too. The chase is a fixpoint
-    of the constraints that are not problematic, a full one among them,
-    and the body binds every variable the head reads, so the
-    instantiation holds in the pool. It holds there only through the
-    grounding of its one disjunct with atoms, which is then in the pool,
-    or through a builtin or a null universal: those read the
-    instantiation alone, so they would hold in the state as well. The
-    universe is base's: every value the chase adds is null, of base's
-    domain or a constant of the constraints."""
+    of a constraint that is not full (`Constraint.full`). Every state
+    lies in the pool: base does, a deletion keeps a state there, and an
+    insert is a grounding of a head against the pool or the insert of a
+    full constraint, which is the pool join of its head. For the last,
+    take a violation of a full constraint in a state inside the pool:
+    its body is in the pool. The chase is a fixpoint of the constraints
+    that are not problematic, a full one among them, and the body binds
+    every variable the head reads, so the instantiation holds in the
+    pool. It holds there only through the grounding of its one disjunct
+    with atoms, which is then in the pool, or through a builtin or a
+    null universal: those read the instantiation alone, so they would
+    hold in the state as well. So the rows that splitting grounds over
+    the pool decide the violations of every later state by containment
+    (`nullsem.pool_witnesses`), and their head groundings are its moves,
+    a full constraint's among them. The universe is base's: every value
+    the chase adds is null, of base's domain or a constant of the
+    constraints."""
     sigma = tuple(sigma)
     search = _Search(base.schema, sigma, working_universe(base, *sigma),
                      base, frozenset(frozen_preds), frozenset(frozen_atoms),

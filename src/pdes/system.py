@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .core import (NULL, Atom, Budget, Instance, Record, Schema, SchemaError,
-                   reach)
+                   cycle_through, reach)
 from .lang import Constraint, Query
 from .nullsem import (classical_answers, escapes, ground_atom,
                       holds_instantiation, join, n_answers)
@@ -104,13 +104,11 @@ class PdesSchema(Record):
                 raise SchemaError("a peer must trust itself as 'same'")
             if self._kind[p, q] != t:
                 raise SchemaError("two trust kinds for (%r, %r)" % (p, q))
-        if _acyclic(self._succ):
-            return
-        for (p, q, _) in self.graph():  # name a cycle: p -> q returns to p
-            path = reach(self._succ.__getitem__, q, p)
-            if path:
-                raise SchemaError("accessibility graph has a cycle: "
-                                  + " -> ".join([p] + path))
+        path = cycle_through(self._succ.__getitem__,
+                             [(p, q) for (p, q, _) in self.graph()])
+        if path:  # [q, ..., p] closes the least edge p -> q on a cycle
+            raise SchemaError("accessibility graph has a cycle: "
+                              + " -> ".join([path[-1]] + path))
 
     # ------------------------------------------------------- graph views
 
@@ -173,23 +171,6 @@ class PdesSchema(Record):
                      (self.schemas[q] for q in sorted(self.neighbors(p))))
         markers = {INC_PREFIX + q: 0 for q in self.strict_neighbors(p)}
         return sch.union(Schema(markers))
-
-
-def _acyclic(succ: Mapping[str, frozenset[str]]) -> bool:
-    """Whether the graph with successor sets succ has no cycle, in time
-    linear in its size (Kahn's algorithm): taking away nodes with no
-    edge left into them takes every node iff no cycle holds one back."""
-    into = dict.fromkeys(succ, 0)
-    for qs in succ.values():
-        for q in qs:
-            into[q] += 1
-    free = [p for p, n in into.items() if not n]
-    for p in free:  # grows as nodes are freed
-        for q in succ[p]:
-            into[q] -= 1
-            if not into[q]:
-                free.append(q)
-    return len(free) == len(succ)
 
 
 class PdesInstance(Record):

@@ -610,6 +610,138 @@ def test_10_fd_checks_read_facts_linearly(monkeypatch):
     assert counts[2000] <= 8.8 * counts[250], counts
 
 
+def test_10_split_search_checks_do_not_grow_with_conflicts(monkeypatch):
+    """The join checks the start state up to its first violation, which
+    branches; from there the search decides every state by containment
+    in the rows grounded while splitting, so more conflict keys add no
+    check."""
+    checks = []
+    real = repair.holds_instantiation
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "holds_instantiation", counted)
+    counts = {}
+    for k in (3, 12):
+        fam = families.conflicts(1, k, 3, 4)
+        defn = parse_definition(fam.text)
+        checks.clear()
+        res = _certain_answers(defn.system, "P1", defn.instance,
+                               defn.queries["P1"], _search_repairs)
+        assert {t for (t,) in res.answers} == fam.answers
+        counts[k] = len(checks)
+    assert counts[12] <= counts[3] <= 4, counts
+
+
+def test_10_information_order_union_grows_linearly(monkeypatch):
+    """Each null witness of the conflicts is looked up by its non-null
+    positions, not compared with every atom of its predicate, so doubling
+    the witnesses at most doubles the information-order comparisons (the
+    minimality filter's, within each part)."""
+    calls = []
+    real = repair.info_leq
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "info_leq", counted)
+    counts = {}
+    for m in (125, 250):
+        fam = families.conflicts(1, 4, m, 0)
+        defn = parse_definition(fam.text)
+        calls.clear()
+        res = _certain_answers(defn.system, "P1", defn.instance,
+                               defn.queries["P1"], _search_repairs)
+        assert {t for (t,) in res.answers} == fam.answers
+        counts[m] = len(calls)
+    assert counts[250] <= 2.2 * counts[125], counts
+
+
+# P1's denial and P2's witnesses, with nulls, split into four parts
+_FOUR_PARTS = """peer P1 : R1/2, S1/1
+peer P2 : R2/2
+trust P1 same P2
+dec P1 P1 : forall x,y : R1(x,y), S1(y) -> false
+dec P1 P2 : forall x,y : R2(x,y) -> exists z : R1(x,z)
+instance P1 : R1(a,b), S1(b), R1(c,null), S1(d), R1(e,d)
+instance P2 : R2(c,1), R2(f,2), R2(g,null)
+query P1 : exists y : R1(x,y)
+"""
+
+
+def test_10_split_search_checks_agree_with_the_join(monkeypatch):
+    """Every state the split search decides by its rows gets the same
+    violations, in the same order, from the join over the state, on the
+    multi-part and the one-part path, on drawn systems with nulls and on
+    small conflicts."""
+    real_viols, real_parts = repair._Search.violations, repair._Search.parts
+    compared, splits = [0], []
+
+    def viols(self, state, rows=None, batch=None, carried=None):
+        got = list(real_viols(self, state, rows, batch, carried))
+        if rows is not None:
+            assert [(c, s) for c, s, _ in got] == \
+                [(c, s) for c, s, _ in real_viols(self, state)]
+            compared[0] += 1
+        return iter(got)
+
+    def parts(self, state):
+        got = real_parts(self, state)
+        if got[0][1] is not None:
+            splits.append(len(got))
+        return got
+
+    monkeypatch.setattr(repair._Search, "violations", viols)
+    monkeypatch.setattr(repair._Search, "parts", parts)
+    cases = [_random_system(random.Random(seed)) for seed in range(150)]
+    for seed, (k, m, c) in enumerate([(1, 1, 0), (2, 1, 1), (3, 2, 1)]):
+        defn = parse_definition(families.conflicts(seed, k, m, c).text)
+        cases.append((defn.system, defn.instance))
+    defn = parse_definition(_FOUR_PARTS)
+    cases.append((defn.system, defn.instance))
+    for sysm, inst in cases:
+        for p in sorted(sysm.peers):
+            search_route(sysm, p, inst)
+    assert compared[0] >= 200, compared
+    assert splits.count(1) >= 20 and sum(n >= 2 for n in splits) >= 15, \
+        splits
+
+
+_PRINT_PARTS = """import sys
+from pdes.core import Instance
+from pdes.deffile import parse_definition
+from pdes.system import _search_repairs
+defn = parse_definition(sys.stdin.read())
+sysm, inst = defn.system, defn.instance
+dbar = Instance(inst.of("P1").atoms | inst.of("P2").atoms,
+                sysm.neighborhood_schema("P1"))
+rs = _search_repairs(sysm, "P1", dbar)
+print(sorted(map(str, rs.shared)))
+for part in rs.parts:
+    print([sorted(map(str, state)) for state in part])
+"""
+
+
+@pytest.mark.parametrize("text", [families.conflicts(1).text, _FOUR_PARTS],
+                         ids=["conflicts", "four_parts"])
+def test_10_null_search_parts_keep_one_order_under_any_hash_seed(text):
+    """The parts of the null search and each part's states come in search
+    order, the same under every hash seed; only the atoms of a state are
+    sorted here, to print them."""
+    outs = set()
+    for seed in ("0", "1", "2"):
+        res = subprocess.run([sys.executable, "-c", _PRINT_PARTS],
+                             input=text, capture_output=True, text=True,
+                             env=child_env(PYTHONHASHSEED=seed))
+        assert res.returncode == 0, res.stderr
+        outs.add(res.stdout)
+    [out] = outs
+    assert len(out.splitlines()) >= 3  # the shared atoms and two parts
+
+
 # 11 --------------------------------------------------------------------
 
 _DEC_SHAPES = [

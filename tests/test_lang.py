@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdes import core, lang
 from pdes.core import Atom
 from pdes.lang import (Builtin, Constraint, Cst, Disjunct, ParseError,
                        PredAtom, SafetyError, Var, n_rewrite_constraint,
@@ -314,6 +315,35 @@ class TestRefAcyclic:
                  parse_constraint("forall x,y : S(x,y) -> T(x,y)"))
         ok, _ = ref_acyclic(sigma)
         assert ok
+
+    @staticmethod
+    def chain(n: int, closed: bool) -> tuple:
+        """R0 -> R1 -> ... -> Rn through existential constraints, and
+        back to R0 through a copy when closed."""
+        texts = ["forall x,y : R%d(x,y) -> exists z : R%d(x,z)" % (i, i + 1)
+                 for i in range(n)]
+        if closed:
+            texts.append("forall x,y : R%d(x,y) -> R0(x,y)" % n)
+        return tuple(map(parse_constraint, texts))
+
+    def test_paths_are_sought_only_to_name_the_witness(self, monkeypatch):
+        # one pass over the graph decides every marked edge; the one path
+        # search names the cycle through the least marked edge on it
+        calls, real = [], core.reach
+        for mod in (core, lang):  # wherever ref_acyclic finds it
+            if hasattr(mod, "reach"):
+                monkeypatch.setattr(mod, "reach", lambda *args: calls.append(
+                    args) or real(*args))
+        counts = {}
+        for n in (300, 600):
+            calls.clear()
+            assert ref_acyclic(self.chain(n, closed=False)) == (True, None)
+            ok, witness = ref_acyclic(self.chain(n, closed=True))
+            assert not ok
+            assert witness == ["R%d" % i for i in range(1, n + 1)] \
+                + ["R0", "R1"]
+            counts[n] = len(calls)
+        assert counts == {300: 1, 600: 1}
 
 
 _PRED = st.sampled_from(["R", "S", "T"])

@@ -267,8 +267,8 @@ def _spy_parts(monkeypatch):
     seen = []
     real = repair._Search.parts
 
-    def spy(self, state, viols):
-        parts = real(self, state, viols)
+    def spy(self, state):
+        parts = real(self, state)
         seen.append(len(parts))
         return parts
     monkeypatch.setattr(repair._Search, "parts", spy)
