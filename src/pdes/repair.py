@@ -20,9 +20,11 @@ by containment in those rows, with no join (Gebser, Kaufmann & Schaub,
 IJCAI 2007, ground once and then search by set operations). Each part's
 satisfying states are minimised alone, and the minimal repairs come back
 factored (`RepairSet`): the unsplit atoms plus one minimal state of
-every part. The product is built only where `RepairSet.repairs` is read,
-which lists the repairs; certain answers and cores (:mod:`pdes.system`)
-work on the parts. The delta preorder's inserts range over the universe,
+every part, whether one part is violated or several. Each part's search
+charges the cap with every state it reaches but its start. The product
+is built only where `RepairSet.repairs` is read, which lists the
+repairs; certain answers and cores (:mod:`pdes.system`) work on the
+parts. The delta preorder's inserts range over the universe,
 so its search keeps one part and the join. A check reads its own ranges
 (`nullsem`), and the null search chases only when it reads the pool: a
 full constraint's insert needs none.
@@ -239,28 +241,24 @@ class _Search:
         child = state | batch
         return [(child, self.violations(child, rows, batch, carried))], False
 
-    def explore(self, start: frozenset[Atom], nexts=None,
-                seen: Iterable[frozenset[Atom]] = (), rows=None):
+    def explore(self, start: frozenset[Atom], rows=None):
         """Every satisfying state reachable from start, depth first,
-        charging each state reached but start and the states seen before;
-        nexts, when given, are start's children as `step` gives them, and
-        rows, when given, decide every state's violations."""
-        seen = {start, *seen}
-        stack = [(start, None, nexts)]
+        charging each state reached but start; rows, when given, decide
+        every state's violations."""
+        seen = {start}
+        stack = [(start, None)]
         found = []
         while stack:
-            state, viols, nexts = stack.pop()
-            if nexts is None:
-                got = self.step(state, viols, rows)
-                if got is None:
-                    found.append(state)
-                    continue
-                nexts = got[0]
-            for n, n_viols in nexts:
+            state, viols = stack.pop()
+            got = self.step(state, viols, rows)
+            if got is None:
+                found.append(state)
+                continue
+            for n, n_viols in got[0]:
                 if n not in seen:
                     self.budget.charge()
                     seen.add(n)
-                    stack.append((n, n_viols, None))
+                    stack.append((n, n_viols))
         return found
 
     def parts(self, state: frozenset[Atom]) -> list[tuple]:
@@ -286,12 +284,10 @@ class _Search:
         parts are listed by their least atom, their atoms in pool order
         and their rows in row order, whatever atom names them.
 
-        One part, all of state with every row, when the pool is one part
-        or one part holds every violation. One part, all of state with no
-        rows (the join decides), when there is no pool or when some
-        constraint has an empty body (no atom anchors its
-        instantiations) or is not anchored (it reads values outside its
-        atoms)."""
+        One part, all of state with no rows (the join decides), when
+        there is no pool or when some constraint has an empty body (no
+        atom anchors its instantiations) or is not anchored (it reads
+        values outside its atoms)."""
         if not all(c.body and c.anchored for c in self.sigma) \
                 or self.pool is None:
             return [(state, None)]
@@ -305,8 +301,6 @@ class _Search:
                 witnesses = pool_witnesses(self.pool, c, s, self.classical)
                 if witnesses is not None:
                     rows.append((c, s, body, options, witnesses))
-        if len({part.find(a) for a in self.pool.atoms}) == 1:
-            return [(state, rows)]  # no violation to list
         violated = {part.find(ground_atom(c.body[0], s))
                     for c, s, _ in self.violations(state, rows)}
         hot = [a for a in self.pool if part.find(a) in violated]  # sorted
@@ -319,8 +313,6 @@ class _Search:
         members: dict[Atom, list[Atom]] = {}
         for a in hot:
             members.setdefault(part.find(a), []).append(a)
-        if len(members) == 1:
-            return [(state, rows)]
         grouped: dict[Atom, list] = {root: [] for root in members}
         for row in rows:  # a row's body atoms share one part
             root = part.find(next(iter(row[2])))
@@ -354,18 +346,19 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
 
     Forced batches run on the whole state, checked by the join. At the
     first state that is not forced, the search splits it into the parts
-    of `_Search.parts` and searches each violated part alone. A move
-    inserts or deletes atoms of its violation's part, and whether an
-    instantiation holds depends only on the atoms of its part, so the
-    reachable satisfying states are the products of each part's, and
-    parts without a violation stay as they are. With one part the search
-    goes on from the moves already found, over the whole state. After
-    the split, every state lies in the pool (`null_repairs`), so the
-    rows grounded while splitting decide its violations by containment
+    of `_Search.parts` and searches each violated part alone, one part
+    as several: a move inserts or deletes atoms of its violation's part,
+    and whether an instantiation holds depends only on the atoms of its
+    part, so the reachable satisfying states are the products of each
+    part's, and the atoms outside the violated parts stay as they are.
+    Each part's search charges every state it reaches but its start, a
+    state the forced batches reached among them. After the split, every
+    state lies in the pool (`null_repairs`), so the rows grounded while
+    splitting decide its violations by containment
     (`_Search.violations`); where the split keeps the join (no pool, or
-    a constraint with an empty body or not anchored), the join does."""
+    a constraint with an empty body or not anchored), the one part is
+    the whole state and the join decides."""
     state, viols = start, None
-    seen = {start}
     search.budget.charge()
     while True:
         got = search.step(state, viols)
@@ -375,14 +368,10 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
         if branched:
             break
         [(state, viols)] = nexts
-        seen.add(state)
         search.budget.charge()
     parts = search.parts(state)
-    if len(parts) == 1:
-        [(_, rows)] = parts
-        return frozenset(), [(state, search.explore(state, nexts, seen, rows))]
     return (state.difference(*(part for part, _ in parts)),
-            [(part, search.explore(state & part, rows=rows))
+            [(part, search.explore(state & part, rows))
              for part, rows in parts])
 
 

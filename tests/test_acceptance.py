@@ -1,5 +1,6 @@
 """End-to-end acceptance checks over the bundled example systems."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -16,8 +17,8 @@ from pdes.asp import asp_parts, asp_solutions, build_solution_program, \
     ground, pca_via_asp, stable_models
 from pdes.chase import r_chase
 from pdes.cli import main
-from pdes.core import (NULL, Atom, Instance, Schema, SchemaError, atom,
-                       capped)
+from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema,
+                       SchemaError, atom, capped)
 from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
                              restricted_import_solve)
 from pdes.deffile import parse_definition
@@ -672,10 +673,42 @@ query P1 : exists y : R1(x,y)
 """
 
 
+def test_10_one_violated_part_among_clean_keys_is_searched_alone(
+        monkeypatch):
+    """One conflict key among c clean keys is one violated part: its
+    search reads the part's atoms alone, so its states keep their size
+    as c doubles, and every clean atom is shared by all solutions."""
+    sizes = []
+    real = repair._Search.step
+
+    def step(self, state, viols=None, rows=None):
+        if rows is not None:  # a state of a part, after the split
+            sizes.append(len(state))
+        return real(self, state, viols, rows)
+
+    monkeypatch.setattr(repair._Search, "step", step)
+    seen = {}
+    for c in (200, 400):
+        fam = families.conflicts(1, k=1, m=0, c=c)
+        defn = parse_definition(fam.text)
+        p1 = defn.instance.of("P1").atoms
+        keys = collections.Counter(a.args[0] for a in p1)
+        clean = {a for a in p1 if keys[a.args[0]] == 1}
+        assert len(clean) == c
+        sizes.clear()
+        rs = _search_repairs(defn.system, "P1", neighborhood(defn, "P1"))
+        assert clean <= rs.shared and len(rs.parts) == 1
+        res = peer_consistent_answers(defn.system, "P1", defn.instance,
+                                      defn.queries["P1"])
+        assert {t for (t,) in res.answers} == fam.answers
+        seen[c] = list(sizes)
+    assert seen[200] and seen[200] == seen[400], seen
+
+
 def test_10_split_search_checks_agree_with_the_join(monkeypatch):
     """Every state the split search decides by its rows gets the same
-    violations, in the same order, from the join over the state, on the
-    multi-part and the one-part path, on drawn systems with nulls and on
+    violations, in the same order, from the join over the state, with one
+    violated part and with several, on drawn systems with nulls and on
     small conflicts."""
     real_viols, real_parts = repair._Search.violations, repair._Search.parts
     compared, splits = [0], []
@@ -725,9 +758,13 @@ for part in rs.parts:
 """
 
 
-@pytest.mark.parametrize("text", [families.conflicts(1).text, _FOUR_PARTS],
-                         ids=["conflicts", "four_parts"])
-def test_10_null_search_parts_keep_one_order_under_any_hash_seed(text):
+@pytest.mark.parametrize(
+    "text,n_parts",
+    [(families.conflicts(1).text, 6), (_FOUR_PARTS, 4),
+     (families.conflicts(1, k=1, m=0, c=4).text, 1)],
+    ids=["conflicts", "four_parts", "one_part_among_clean_keys"])
+def test_10_null_search_parts_keep_one_order_under_any_hash_seed(text,
+                                                                 n_parts):
     """The parts of the null search and each part's states come in search
     order, the same under every hash seed; only the atoms of a state are
     sorted here, to print them."""
@@ -739,7 +776,22 @@ def test_10_null_search_parts_keep_one_order_under_any_hash_seed(text):
         assert res.returncode == 0, res.stderr
         outs.add(res.stdout)
     [out] = outs
-    assert len(out.splitlines()) >= 3  # the shared atoms and two parts
+    shared, *parts = out.splitlines()
+    assert shared != "[]" and len(parts) == n_parts
+
+
+@pytest.mark.parametrize("name,cap", [("ex_3_4.pdes", 3),
+                                      ("ex_5_13.pdes", 5)])
+def test_10_each_part_search_charges_every_state_but_its_start(name, cap):
+    """The forced import's state branches, and its part search reaches
+    the start again by deleting the import: that state is charged twice,
+    once before the split and once by the part's search, so the search
+    fits a cap of one state more than it holds distinct states."""
+    defn = load(name)
+    with capped(cap):
+        solutions(defn.system, "P", defn.instance)
+    with capped(cap - 1), pytest.raises(CapExceeded):
+        solutions(defn.system, "P", defn.instance)
 
 
 # 11 --------------------------------------------------------------------

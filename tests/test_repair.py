@@ -8,7 +8,7 @@ from pdes import repair
 from pdes.core import (NULL, Atom, CapExceeded, Instance, Schema, SchemaError,
                        atom, capped)
 from pdes.chase import r_chase
-from pdes.lang import parse_constraint
+from pdes.lang import Constraint, parse_constraint
 from pdes.nullsem import n_holds, working_universe
 from pdes.repair import (closeness_profile, closer_leq, closer_lt, delta_lt,
                          delta_repairs, exhaustive_null_repairs, info_leq,
@@ -149,6 +149,16 @@ _PROBLEMATIC_CONSTANT = (
      parse_constraint("forall x : T(x) -> exists z : W(z,z) or x != k")))
 
 
+# each keeps the null search on the join: an existential in no atom (not
+# anchored), and two constraints with an empty body, which the parser
+# does not write
+_FALLBACK_SHAPES = (
+    parse_constraint("forall x,y : T(x,y) -> exists z : S(x,y)"),
+    Constraint((), (), parse_constraint("forall x : S(x,x) -> S(a,b)").head),
+    Constraint((), (), parse_constraint(
+        "forall x : S(x,x) -> exists z : T(a,z)").head))
+
+
 class TestOracleCrossCheck:
     def test_branch_search_matches_exhaustive_enumeration(self):
         rng = random.Random(4242)
@@ -173,6 +183,30 @@ class TestOracleCrossCheck:
                 {r.atoms for r in want.repairs}, \
                 (sorted(map(str, base)), [str(c) for c in sigma], preds,
                  list(map(str, pinned)))
+
+    def test_join_fallback_matches_frozen_aware_oracle(self, monkeypatch):
+        joined = []
+        real = repair._Search.parts
+
+        def parts(self, state):
+            got = real(self, state)
+            joined.extend(rows is None for _, rows in got)
+            return got
+        monkeypatch.setattr(repair._Search, "parts", parts)
+        rng = random.Random(3232)
+        for _ in range(150):
+            base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
+            sigma += (rng.choice(_FALLBACK_SHAPES),)
+            preds = [p for p in "TSU" if rng.random() < 0.3]
+            pinned = [a for a in base if rng.random() < 0.3]
+            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
+            want = exhaustive_null_repairs(base, sigma, preds,
+                                           frozen_atoms=pinned)
+            assert {r.atoms for r in got.repairs} == \
+                {r.atoms for r in want.repairs}, \
+                (sorted(map(str, base)), [str(c) for c in sigma], preds,
+                 list(map(str, pinned)))
+        assert len(joined) >= 30 and all(joined), joined
 
     @pytest.mark.xfail(
         strict=True,
