@@ -3,36 +3,26 @@
 A peer whose constraints toward its neighbors are all import rules
 (`classify`) and that has no local constraints has the least model
 of those rules (`system.least_model`) as its one solution, and
-`system._neighborhood_repairs` answers it so in every route. With local
-constraints the fixpoint is repaired as a neighborhood instance, with
-the imported atoms frozen.
+`system._neighborhood_repairs` answers it so in every route. A peer
+with local constraints beside its import rules is searched as every
+route searches it: freezing the imported atoms would keep a null
+witness that a later insert makes unnecessary.
 """
 
 from __future__ import annotations
 
+from . import system as _system
 from .core import Instance, SchemaError
-from .repair import RepairSet
-from .system import (GENERAL, RESTRICTED, UNRESTRICTED, PdesInstance,
-                     PdesSchema, SolutionResult, _factored,
-                     _neighborhood_repairs, _search_repairs, _solve,
-                     least_model)
+from .system import (GENERAL, UNRESTRICTED, PdesInstance, PdesSchema,
+                     SolutionResult, _factored, _neighborhood_repairs, _solve)
+
+# perfbench traces the import fixpoint under this module's name
+least_model = _system.least_model
 
 
 def classify(system: PdesSchema) -> dict[str, str]:
     """Each peer's import flag, computed once, when the system is built."""
     return dict(system._flags)
-
-
-def _fixpoint_repaired(system: PdesSchema, p: str,
-                       dbar: Instance) -> RepairSet:
-    """A restricted peer's import fixpoint repaired as a neighborhood
-    instance, keeping the neighbors' relations and every imported atom
-    fixed; any other peer through `_neighborhood_repairs`, which answers
-    an unrestricted one by its least model."""
-    if system._flags[p] != RESTRICTED:
-        return _neighborhood_repairs(system, p, dbar)
-    fix = least_model(system, p, dbar)
-    return _search_repairs(system, p, fix, frozen_atoms=fix.atoms - dbar.atoms)
 
 
 def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
@@ -49,11 +39,11 @@ def import_solve(system: PdesSchema, p: str, d: PdesInstance) -> Instance:
 
 def restricted_import_solve(system: PdesSchema, p: str,
                             d: PdesInstance) -> SolutionResult:
-    """Import case with local constraints: run the import fixpoint, then
-    repair it with respect to all of p's constraints, keeping the
-    neighbors' relations and every imported atom fixed. Every peer that
-    p reaches must be of the import kind."""
+    """The solutions of a peer in the import case with local constraints,
+    by the one peer recursion that `solutions` runs: an unrestricted peer
+    takes its least model, a restricted one the repair search. Every peer
+    that p reaches must be of the import kind."""
     for q in sorted(system.accessible(p)):
         if system._flags[q] == GENERAL:
             raise SchemaError("peer %r is not of the import kind" % q)
-    return _solve(system, p, d, _fixpoint_repaired)
+    return _solve(system, p, d, _neighborhood_repairs)

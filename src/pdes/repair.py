@@ -139,8 +139,7 @@ class _Search:
     when first read."""
 
     def __init__(self, schema, sigma, universe, bounded_by: Instance | None,
-                 frozen_preds: frozenset[str], frozen_atoms: frozenset[Atom],
-                 classical: bool):
+                 frozen_preds: frozenset[str], classical: bool):
         check_fit(schema, sigma)
         self.schema, self.universe = schema, universe
         self.bounded_by = bounded_by
@@ -150,7 +149,7 @@ class _Search:
         self.settled = {c for c in self.sigma if c.anchored and (
             classical or not any(v in c.relevant
                                  for d in c.head for v in d.exist_vars))}
-        self.frozen_preds, self.frozen_atoms = frozen_preds, frozen_atoms
+        self.frozen_preds = frozen_preds
         self.classical, self.budget = classical, Budget()
 
     @cached_property
@@ -204,8 +203,7 @@ class _Search:
         constraint's without the pool, which would hold its one insert
         (`null_repairs`)."""
         dels = [ga for ga in (ground_atom(a, s) for a in c.body)
-                if ga.pred not in self.frozen_preds
-                and ga not in self.frozen_atoms]
+                if ga.pred not in self.frozen_preds]
         if options is None:
             options = head_options(c, s, self.universe,
                                    None if c.full else self.pool,
@@ -400,8 +398,7 @@ def _minimal_repairs(search: _Search, base: frozenset[Atom],
 # --------------------------------------------------------- entry points
 
 def null_repairs(base: Instance, sigma,
-                 frozen_preds: Iterable[str] = (),
-                 frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
+                 frozen_preds: Iterable[str] = ()) -> RepairSet:
     """Null-semantics repairs minimal under the chase-bounded closeness
     preorder; insertions are confined to restricted-chase atoms.
 
@@ -437,53 +434,46 @@ def null_repairs(base: Instance, sigma,
     constraints."""
     sigma = tuple(sigma)
     search = _Search(base.schema, sigma, working_universe(base, *sigma),
-                     base, frozenset(frozen_preds), frozenset(frozen_atoms),
-                     False)
+                     base, frozenset(frozen_preds), False)
     return _minimal_repairs(
         search, base.atoms,
         lambda d, b: closeness_profile(d, b, search.pool.atoms), closer_lt)
 
 
 def delta_repairs(base: Instance, sigma,
-                  frozen_preds: Iterable[str] = (),
-                  frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
+                  frozen_preds: Iterable[str] = ()) -> RepairSet:
     """Repairs minimal under set inclusion of the symmetric difference;
     insertions range over the working universe, so the search has no
     pool to split and keeps one part."""
     sigma = tuple(sigma)
     universe = working_universe(base, *sigma)
     search = _Search(base.schema, sigma, universe, None,
-                     frozenset(frozen_preds), frozenset(frozen_atoms),
-                     True)
+                     frozenset(frozen_preds), True)
     return _minimal_repairs(search, base.atoms, lambda d, b: b ^ d,
                             delta_lt)
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,
-                     frozen_preds: Iterable[str] = (),
-                     frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
+                     frozen_preds: Iterable[str] = ()) -> RepairSet:
     """The repairs of base under the named preorder: `null_repairs` for
     the null-based one, `delta_repairs` otherwise."""
     route = null_repairs if preorder == NULL_BASED else delta_repairs
-    return route(base, sigma, frozen_preds, frozen_atoms)
+    return route(base, sigma, frozen_preds)
 
 
 # ------------------------------------------------- exhaustive oracle
 
 def exhaustive_null_repairs(base: Instance, sigma,
-                            frozen_preds: Iterable[str] = (),
-                            frozen_atoms: Iterable[Atom] = ()) -> RepairSet:
+                            frozen_preds: Iterable[str] = ()) -> RepairSet:
     """Reference enumeration over every subset of the chase instance that
-    keeps base's frozen atoms and atoms of frozen predicates and adds no
-    other atom of a frozen predicate, all charged to the cap up front;
-    exponential, for cross-checking only."""
+    keeps base's atoms of frozen predicates and adds no other atom of a
+    frozen predicate, all charged to the cap up front; exponential, for
+    cross-checking only."""
     sigma = tuple(sigma)
     chased = r_chase(base, sigma)
-    frozen, pinned = frozenset(frozen_preds), frozenset(frozen_atoms)
-    kept = frozenset(a for a in base.atoms
-                     if a.pred in frozen or a in pinned)
-    free = sorted((a for a in chased.atoms
-                   if a.pred not in frozen and a not in kept),
+    frozen = frozenset(frozen_preds)
+    kept = frozenset(a for a in base.atoms if a.pred in frozen)
+    free = sorted((a for a in chased.atoms if a.pred not in frozen),
                   key=atom_sort_key)
     budget = Budget()
     budget.charge(2 ** len(free))

@@ -307,14 +307,12 @@ def _neighborhood_repairs(system: PdesSchema, p: str,
     return _search_repairs(system, p, dbar)
 
 
-def _search_repairs(system: PdesSchema, p: str, dbar: Instance,
-                    frozen_atoms: frozenset[Atom] = frozenset()) -> RepairSet:
+def _search_repairs(system: PdesSchema, p: str, dbar: Instance) -> RepairSet:
     """`neighborhood_solutions` in factored form by the repair search
-    alone, whatever p's import flag, frozen_atoms fixed."""
+    alone, whatever p's import flag."""
     sigma = [c for _, c in system.live_sigma(p, dbar)]
     return preorder_repairs(system.preorder, dbar, sigma,
-                            frozen_preds=system.frozen_preds(p),
-                            frozen_atoms=frozen_atoms)
+                            frozen_preds=system.frozen_preds(p))
 
 
 def neighborhood_solutions(system: PdesSchema, p: str,

@@ -1,5 +1,6 @@
 """The import case: classification, least-model solving, local repair."""
 
+import json
 import os
 import random
 import sys
@@ -15,14 +16,14 @@ from pdes.asp import asp_parts
 from pdes.cli import main
 from pdes.core import Instance, SchemaError
 from pdes.deffile import parse_definition
-from pdes.importmode import (GENERAL, RESTRICTED, UNRESTRICTED, classify,
-                             import_solve, least_model,
-                             restricted_import_solve)
+from pdes.importmode import (GENERAL, UNRESTRICTED, classify, import_solve,
+                             least_model, restricted_import_solve)
 from pdes.repair import preorder_repairs
-from pdes.system import (_solve, core_instance, peer_consistent_answers,
-                         solution_core, solutions)
+from pdes.system import (RESTRICTED, _solve, core_instance,
+                         peer_consistent_answers, solution_core, solutions)
 
-from conftest import FIXTURES, HERE, load, search_route, solution_sets
+from conftest import (FIXTURES, HERE, fixture_path, load, search_route,
+                      solution_sets)
 from reference import least_model_by_checks
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
@@ -227,6 +228,20 @@ class TestExistentialImport:
         assert len(checks) == 4
 
 
+# P imports a witness R1(a,z), and its local rule inserts R1(a,c), which
+# witnesses it: no solution keeps R1(a,null) beside R1(a,c)
+_LOCAL_WITNESS = ("peer P : R1/2, U/1\npeer Q : S/1\ntrust P less Q\n"
+                  "dec P Q : forall x : S(x) -> exists z : R1(x,z)\n"
+                  "dec P P : forall x : U(x) -> R1(x,c)\n"
+                  "instance P : U(a)\ninstance Q : S(a)\n")
+# the same over one relation: R(1,a) forces R(a,b), which witnesses S(a,2)
+_LOCAL_WITNESS_ONE_REL = (
+    "peer P1 : R/2\npeer P2 : S/2\ntrust P1 less P2\n"
+    "dec P1 P2 : forall x,y : S(x,y) -> exists z : R(x,z)\n"
+    "dec P1 P1 : forall x,y : R(y,x) -> R(x,b)\n"
+    "instance P1 : R(1,a)\ninstance P2 : S(a,2)\n")
+
+
 class TestRestrictedImport:
     def test_conflicting_imports_leave_no_solution(self):
         defn = load("ex_5_12.pdes")
@@ -273,11 +288,27 @@ class TestRestrictedImport:
         assert main(["import-solve", str(path), "--peer", "P1"]) == 0
         assert capsys.readouterr().out == "inconsistent: inc_P1()\n"
 
-    def test_agrees_with_general_solver(self):
-        defn = load("ex_5_13.pdes")
-        res = restricted_import_solve(defn.system, "P", defn.instance)
-        general = search_route(defn.system, "P", defn.instance)
-        assert solution_sets(res.solutions) == solution_sets(general.solutions)
+    def test_agrees_with_general_solver(self, tmp_path, capsys):
+        # in the inline systems a local rule inserts into the import
+        # target: an imported null witness that stayed fixed would be
+        # kept beside the atom that makes it unnecessary
+        cases = [(Path(FIXTURES, "ex_5_13.pdes").read_text(encoding="utf-8"),
+                  "P"), (_LOCAL_WITNESS, "P"), (_LOCAL_WITNESS_ONE_REL, "P1")]
+        for text, p in cases:
+            defn = parse_definition(text)
+            sysm, d = defn.system, defn.instance
+            want = solution_sets(search_route(sysm, p, d).solutions)
+            assert solution_sets(
+                restricted_import_solve(sysm, p, d).solutions) == want, p
+            assert solution_sets(solutions(sysm, p, d).solutions) == want, p
+            assert solution_sets(
+                _solve(sysm, p, d, asp_parts).solutions) == want, p
+            path = tmp_path / "restricted.pdes"
+            path.write_text(text, encoding="utf-8")
+            assert main(["import-solve", str(path), "--peer", p,
+                         "--format", "json"]) == 0
+            got = json.loads(capsys.readouterr().out)["solutions"]
+            assert set(map(frozenset, got)) == want, p
 
 
 # under delta a null satisfies no copy vacuously: R1(a,null) is owed
@@ -468,6 +499,27 @@ def test_import_routes_agree_with_general_solver(name):
     assert checked
 
 
+def test_import_solve_charges_the_cap_as_solutions_does(capsys):
+    """Wherever every accessible peer is of the import kind, `import-solve`
+    and `solutions` run the one recursion, so under any cap they succeed
+    or exceed it alike."""
+    checked = 0
+    for name in LOADABLE:
+        defn = load(name)
+        sysm, flags = defn.system, classify(defn.system)
+        for p in sorted(sysm.peers):
+            if GENERAL in {flags[q] for q in sysm.accessible(p)}:
+                continue
+            checked += 1
+            for n in range(1, 9):
+                codes = [main(["--cap", str(n), cmd, fixture_path(name),
+                               "--peer", p])
+                         for cmd in ("import-solve", "solutions")]
+                capsys.readouterr()
+                assert codes[0] == codes[1], (name, p, n, codes)
+    assert checked
+
+
 # exchange shapes from the source's S toward the importer's R: copies,
 # existentials, a join, escapes, a database disjunct with a builtin
 # (general) and constants
@@ -484,7 +536,8 @@ _SHAPES = (
     "forall x : S(x,a) -> R(b,x)",
 )
 _IMPORTER_LOCAL = ("forall x,y,z : R(x,y), R(x,z) -> y = z",
-                   "forall x,y : R(x,y) -> x != 1")
+                   "forall x,y : R(x,y) -> x != 1",
+                   "forall x,y : R(x,y) -> R(y,a)")
 _DOM = ("a", "b", "1", "2", "null")
 
 
@@ -550,7 +603,7 @@ def test_import_routes_agree_on_drawn_import_systems():
 
 def test_import_routes_agree_on_drawn_delta_import_systems():
     compared, disagree, inconsistent = _drawn_agreement("delta")
-    assert (compared, disagree) == (1212, 0)
+    assert (compared, disagree) == (1217, 0)
     assert inconsistent
 
 

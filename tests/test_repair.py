@@ -103,14 +103,6 @@ class TestDeltaRepairs:
         assert {r.atoms for r in rs.repairs} == {
             frozenset({atom("R2", "a", "b"), atom("R1", "a", "b")})}
 
-    def test_frozen_atoms_cannot_be_deleted(self):
-        schema = Schema({"T": 2})
-        base = Instance({atom("T", "a", "b"), atom("T", "a", "c")}, schema)
-        sigma = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),)
-        keep = atom("T", "a", "c")
-        rs = delta_repairs(base, sigma, frozen_atoms=[keep])
-        assert all(keep in r.atoms for r in rs.repairs)
-
 
 # null_repairs and r_chase widened the schema by R, delta_repairs refused
 # it through the per-state instance check
@@ -175,14 +167,11 @@ class TestOracleCrossCheck:
         for _ in range(200):
             base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
             preds = [p for p in "TSU" if rng.random() < 0.4]
-            pinned = [a for a in base if rng.random() < 0.3]
-            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
-            want = exhaustive_null_repairs(base, sigma, preds,
-                                           frozen_atoms=pinned)
+            got = null_repairs(base, sigma, preds)
+            want = exhaustive_null_repairs(base, sigma, preds)
             assert {r.atoms for r in got.repairs} == \
                 {r.atoms for r in want.repairs}, \
-                (sorted(map(str, base)), [str(c) for c in sigma], preds,
-                 list(map(str, pinned)))
+                (sorted(map(str, base)), [str(c) for c in sigma], preds)
 
     def test_join_fallback_matches_frozen_aware_oracle(self, monkeypatch):
         joined = []
@@ -198,14 +187,11 @@ class TestOracleCrossCheck:
             base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
             sigma += (rng.choice(_FALLBACK_SHAPES),)
             preds = [p for p in "TSU" if rng.random() < 0.3]
-            pinned = [a for a in base if rng.random() < 0.3]
-            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
-            want = exhaustive_null_repairs(base, sigma, preds,
-                                           frozen_atoms=pinned)
+            got = null_repairs(base, sigma, preds)
+            want = exhaustive_null_repairs(base, sigma, preds)
             assert {r.atoms for r in got.repairs} == \
                 {r.atoms for r in want.repairs}, \
-                (sorted(map(str, base)), [str(c) for c in sigma], preds,
-                 list(map(str, pinned)))
+                (sorted(map(str, base)), [str(c) for c in sigma], preds)
         assert len(joined) >= 30 and all(joined), joined
 
     @pytest.mark.xfail(
@@ -242,17 +228,6 @@ class TestOracleCrossCheck:
                                    atom("U", "a", NULL)})}
         assert got == want
 
-    def test_oracle_keeps_frozen_atoms(self):
-        schema = Schema({"T": 2, "U": 2})
-        base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),
-                         atom("U", "b", "c")}, schema)
-        sigma = (parse_constraint("forall x,y,z : T(x,y), T(x,z) -> y = z"),
-                 parse_constraint("forall x,y : U(x,y) -> T(x,y)"))
-        keep = atom("T", "a", "c")
-        rs = exhaustive_null_repairs(base, sigma, ["U"], frozen_atoms=[keep])
-        assert [r.atoms for r in rs.repairs] == [frozenset({
-            keep, atom("U", "b", "c"), atom("T", "b", "c")})]
-
 
 class TestChaseBound:
     """The search chases only when it reads the pool, yet every repair it
@@ -260,13 +235,12 @@ class TestChaseBound:
     universe the search ranges over."""
 
     @staticmethod
-    def _check(base, sigma, preds=(), pinned=()):
+    def _check(base, sigma, preds=()):
         bound = r_chase(base, sigma)
-        for r in null_repairs(base, sigma, preds,
-                              frozen_atoms=pinned).repairs:
+        for r in null_repairs(base, sigma, preds).repairs:
             assert r.atoms <= bound.atoms, \
                 (sorted(map(str, base)), [str(c) for c in sigma], preds,
-                 list(map(str, pinned)), sorted(map(str, r)))
+                 sorted(map(str, r)))
         assert working_universe(bound, *sigma) == \
             working_universe(base, *sigma)
 
@@ -275,8 +249,7 @@ class TestChaseBound:
         for _ in range(300):
             base, sigma = _random_case(rng, "TSU", _SHAPES + _COPY_SHAPES)
             preds = [p for p in "TSU" if rng.random() < 0.4]
-            pinned = [a for a in base if rng.random() < 0.3]
-            self._check(base, sigma, preds, pinned)
+            self._check(base, sigma, preds)
 
     def test_a_head_only_universal_is_not_grounded_unbounded(self):
         # the copy rule's y ranges over k, which the chase never reaches
@@ -316,14 +289,11 @@ class TestConflictParts:
         for _ in range(150):
             base, sigma = _multi_part_case(rng)
             preds = [p for p in "TSU" if rng.random() < 0.3]
-            pinned = [a for a in base if rng.random() < 0.3]
-            got = null_repairs(base, sigma, preds, frozen_atoms=pinned)
-            want = exhaustive_null_repairs(base, sigma, preds,
-                                           frozen_atoms=pinned)
+            got = null_repairs(base, sigma, preds)
+            want = exhaustive_null_repairs(base, sigma, preds)
             assert {r.atoms for r in got.repairs} == \
                 {r.atoms for r in want.repairs}, \
-                (sorted(map(str, base)), [str(c) for c in sigma], preds,
-                 list(map(str, pinned)))
+                (sorted(map(str, base)), [str(c) for c in sigma], preds)
         assert sum(n >= 2 for n in seen) >= 30, seen
         assert any(n >= 3 for n in seen), seen
 
