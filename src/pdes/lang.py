@@ -391,17 +391,17 @@ def _varlist(cur: _Cursor) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _parse_atomic(cur: _Cursor, variables: set[str], body_mode: bool,
+def _parse_atomic(cur: _Cursor, variables: set[str],
                   implicit: list[str] | None):
-    """One atom or builtin. In body_mode, undeclared identifiers become
-    implicitly universal variables (collected into `implicit`)."""
+    """One atom or builtin. In a body (implicit is a list), undeclared
+    identifiers become implicitly universal variables, added to variables
+    and, in order of first appearance, to implicit."""
 
     def term(tok: str) -> Term:
-        if body_mode and tok not in variables and "a" <= tok[0] <= "z" \
-                and tok != NULL:
+        if implicit is not None and tok not in variables \
+                and "a" <= tok[0] <= "z" and tok != NULL:
             variables.add(tok)
-            if implicit is not None and tok not in implicit:
-                implicit.append(tok)
+            implicit.append(tok)
         return Var(tok) if tok in variables else Cst(tok)
 
     tok = cur.word()
@@ -421,11 +421,11 @@ def _parse_atomic(cur: _Cursor, variables: set[str], body_mode: bool,
     return Builtin(TEXT_OP[op], (term(tok), term(cur.word())))
 
 
-def _parse_conjunction(cur: _Cursor, variables: set[str], body_mode: bool,
-                       implicit=None, stop=("->", "or")):
+def _parse_conjunction(cur: _Cursor, variables: set[str], implicit=None,
+                       stop=("->", "or")):
     atoms, builtins = [], []
     while True:
-        item = _parse_atomic(cur, variables, body_mode, implicit)
+        item = _parse_atomic(cur, variables, implicit)
         (atoms if isinstance(item, PredAtom) else builtins).append(item)
         if cur.peek() == ",":
             cur.next()
@@ -452,7 +452,7 @@ def _constraint(cur: _Cursor,
     cur.expect(":")
     variables = set(univ)
     implicit: list[str] = []
-    body_atoms, body_builtins = _parse_conjunction(cur, variables, True, implicit)
+    body_atoms, body_builtins = _parse_conjunction(cur, variables, implicit)
     if body_builtins:
         raise ParseError("builtins are not allowed in the antecedent"
                          + cur.where)
@@ -470,7 +470,7 @@ def _constraint(cur: _Cursor,
                 raise ParseError("existential variables %s already in scope%s"
                                  % (sorted(clash), cur.where))
         local_vars = variables | set(evars)
-        atoms, builtins = _parse_conjunction(cur, local_vars, False)
+        atoms, builtins = _parse_conjunction(cur, local_vars)
         head.append(Disjunct(evars, atoms, builtins))
         if cur.peek() == "or":
             cur.next()
@@ -524,8 +524,7 @@ def _query(cur: _Cursor, peer: str | None = None) -> Query:
         cur.expect(":")
     variables = set(evars)
     implicit: list[str] = []
-    atoms, builtins = _parse_conjunction(cur, variables, True, implicit,
-                                         stop=())
+    atoms, builtins = _parse_conjunction(cur, variables, implicit, stop=())
     q = Query(tuple(implicit), evars, atoms, builtins, peer)
     validate_query(q)
     return q

@@ -131,33 +131,32 @@ class RepairSet(Record):
 # ----------------------------------------------------- branch search core
 
 class _Search:
-    """One repair search over states (atom sets read over schema, which
-    every constraint must fit): the moves they allow and the one budget
-    charged with every state of every part and with every product of
-    parts later built from its result. With bounded_by, an instance, its
-    restricted chase is the pool that bounds the inserts; it is computed
-    when first read."""
+    """One repair search from base over states (atom sets read over
+    base's schema, which every constraint must fit): the moves they allow
+    and the one budget charged with every state of every part and with
+    every product of parts later built from its result. Its universe is
+    base's working universe. Under the null-based preorder (not
+    classical) base's restricted chase is the pool that bounds the
+    inserts, computed when first read; under delta there is none."""
 
-    def __init__(self, schema, sigma, universe, bounded_by: Instance | None,
-                 frozen_preds: frozenset[str], classical: bool):
-        check_fit(schema, sigma)
-        self.schema, self.universe = schema, universe
-        self.bounded_by = bounded_by
+    def __init__(self, base: Instance, sigma, frozen_preds: Iterable[str],
+                 classical: bool):
+        self.base, self.schema = base, base.schema
         self.sigma = tuple(dict.fromkeys(sigma))  # each once, in order
+        check_fit(self.schema, self.sigma)
+        self.universe = working_universe(base, *self.sigma)
         # the constraints whose forced insert makes their instantiation
         # hold: the insert grounds every existential, none relevant
         self.settled = {c for c in self.sigma if c.anchored and (
             classical or not any(v in c.relevant
                                  for d in c.head for v in d.exist_vars))}
-        self.frozen_preds = frozen_preds
+        self.frozen_preds = frozenset(frozen_preds)
         self.classical, self.budget = classical, Budget()
 
     @cached_property
     def pool(self) -> Instance | None:
-        """The restricted chase of bounded_by, or None without a bound."""
-        if self.bounded_by is None:
-            return None
-        return r_chase(self.bounded_by, self.sigma)
+        """The restricted chase of base, or None under delta."""
+        return None if self.classical else r_chase(self.base, self.sigma)
 
     def violations(self, state: frozenset[Atom], rows=None, batch=None,
                    carried=None):
@@ -319,11 +318,11 @@ class _Search:
         return [(frozenset(m), grouped[root]) for root, m in members.items()]
 
 
-def _branch_search(search: _Search, start: frozenset[Atom]):
-    """The satisfying states reachable from start by repairing moves, as
-    the atoms they all share and, for each searched part, the part and
-    its satisfying states. Every candidate is the shared atoms plus one
-    state of each part.
+def _branch_search(search: _Search):
+    """The satisfying states reachable from the search's base by
+    repairing moves, as the atoms they all share and, for each searched
+    part, the part and its satisfying states. Every candidate is the
+    shared atoms plus one state of each part.
 
     A state whose first violation has several moves branches on them. A
     state whose first violation is forced (no deletion, one distinct
@@ -356,7 +355,7 @@ def _branch_search(search: _Search, start: frozenset[Atom]):
     (`_Search.violations`); where the split keeps the join (no pool, or
     a constraint with an empty body or not anchored), the one part is
     the whole state and the join decides."""
-    state, viols = start, None
+    state, viols = search.base.atoms, None
     search.budget.charge()
     while True:
         got = search.step(state, viols)
@@ -382,13 +381,14 @@ def _minimal(candidates, profile: Callable, beats: Callable) -> list:
                        for j, pc in enumerate(profiles))]
 
 
-def _minimal_repairs(search: _Search, base: frozenset[Atom],
-                     profile: Callable, beats: Callable) -> RepairSet:
-    """The minimal satisfying states reachable from base, factored: the
-    shared atoms, and each part's states that no other state of the part
-    beats, profile(d, b) reading a state d against b, the atoms of base
-    in the part."""
-    shared, parts = _branch_search(search, base)
+def _minimal_repairs(search: _Search, profile: Callable,
+                     beats: Callable) -> RepairSet:
+    """The minimal satisfying states reachable from the search's base,
+    factored: the shared atoms, and each part's states that no other
+    state of the part beats, profile(d, b) reading a state d against b,
+    the atoms of base in the part."""
+    shared, parts = _branch_search(search)
+    base = search.base.atoms
     return RepairSet(shared, tuple(
         tuple(_minimal(states, lambda d, b=base & part: profile(d, b),
                        beats)) for part, states in parts),
@@ -429,15 +429,13 @@ def null_repairs(base: Instance, sigma,
     hold in the state as well. So the rows that splitting grounds over
     the pool decide the violations of every later state by containment
     (`nullsem.pool_witnesses`), and their head groundings are its moves,
-    a full constraint's among them. The universe is base's: every value
-    the chase adds is null, of base's domain or a constant of the
-    constraints."""
-    sigma = tuple(sigma)
-    search = _Search(base.schema, sigma, working_universe(base, *sigma),
-                     base, frozenset(frozen_preds), False)
+    a full constraint's among them. The search's universe is base's
+    (`_Search`): every value the chase adds is null, of base's domain or
+    a constant of the constraints."""
+    search = _Search(base, sigma, frozen_preds, False)
     return _minimal_repairs(
-        search, base.atoms,
-        lambda d, b: closeness_profile(d, b, search.pool.atoms), closer_lt)
+        search, lambda d, b: closeness_profile(d, b, search.pool.atoms),
+        closer_lt)
 
 
 def delta_repairs(base: Instance, sigma,
@@ -445,12 +443,8 @@ def delta_repairs(base: Instance, sigma,
     """Repairs minimal under set inclusion of the symmetric difference;
     insertions range over the working universe, so the search has no
     pool to split and keeps one part."""
-    sigma = tuple(sigma)
-    universe = working_universe(base, *sigma)
-    search = _Search(base.schema, sigma, universe, None,
-                     frozenset(frozen_preds), True)
-    return _minimal_repairs(search, base.atoms, lambda d, b: b ^ d,
-                            delta_lt)
+    return _minimal_repairs(_Search(base, sigma, frozen_preds, True),
+                            lambda d, b: b ^ d, delta_lt)
 
 
 def preorder_repairs(preorder: str, base: Instance, sigma,

@@ -233,7 +233,10 @@ def _import_flag(system: PdesSchema, p: str) -> str:
 def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     """The least model of p's import constraints over its neighborhood
     instance dbar, those that `PdesSchema.live_sigma` keeps; SchemaError
-    on a constraint not of the import kind.
+    unless p is a peer whose import flag (`PdesSchema._flags`, set when
+    the system is built) is unrestricted: every constraint of p is then
+    an import toward a strict neighbor (`_is_import`), and p has none of
+    its own.
 
     Each body is joined once against dbar. A head without existentials
     (rank -1) is grounded once per binding and added unless the
@@ -262,14 +265,15 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     many nulls it is null on all of them): adding a rank at once is
     adding its heads one by one. So every import constraint holds in the
     result, read as the repairs under the preorder read it."""
+    system._check_peer(p)
+    flag = system._flags[p]
+    if flag != UNRESTRICTED:
+        raise SchemaError("peer %r is not of the unrestricted import kind "
+                          "(%s)" % (p, flag))
     classical = system.preorder != NULL_BASED
     copied: list[Atom] = []  # the heads of rank -1
     ranked: dict[int, list] = {}
-    for q, c in system.live_sigma(p, dbar):
-        if q == p:
-            continue
-        if not _is_import(system, p, q, c):
-            raise SchemaError("constraint %s is not of the import kind" % c)
+    for _, c in system.live_sigma(p, dbar):
         target = next(d for d in c.head if d.atoms)
         head = target.atoms[0]
         if not target.exist_vars:

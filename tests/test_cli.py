@@ -406,8 +406,15 @@ class TestExitCodes:
         (["pca", "FILE", "--peer", "P", "--query", ""],
          "peer P : R/1\ninstance P : R(a)\nquery P : R(x)\n", 1,
          "error: bad query: unexpected end of input in 'query P :'\n"),
+        (["check", "FILE"], "peer 1P : R/1\n", 2,
+         "parse error: line 1: bad peer name '1P'\n"),
+        (["check", "FILE"], "peer P : R/x\n", 2,
+         "parse error: line 1: expected Pred/arity, got R/x\n"),
+        (["check", "FILE"], "peer P : R/1\npeer Q : R/1\n", 1,
+         "error: predicate 'R' owned by both 'P' and 'Q'\n"),
     ], ids=["unknown-peer", "cap-0", "missing-file", "no-trust",
-            "self-less", "empty-query"])
+            "self-less", "empty-query", "bad-peer-name", "bad-arity",
+            "shared-predicate"])
     def test_documented_refusal(self, tmp_path, capsys, argv, text, code,
                                 err):
         path = tmp_path / "refused.pdes"

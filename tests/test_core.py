@@ -87,6 +87,9 @@ class TestSchema:
     def test_restrict(self):
         s = Schema({"R": 2, "S": 1}).restrict(["R"])
         assert s.preds() == ["R"]
+        with pytest.raises(SchemaError) as e:
+            Schema({"R": 2, "S": 1}).restrict(["T"])
+        assert str(e.value) == "unknown predicates ['T']"
 
 
 class TestInstance:

@@ -100,8 +100,21 @@ class TestClassification:
         assert main(["import-solve", str(path), "--peer", "P1"]) == 1
         assert capsys.readouterr().err == \
             "error: system is not of the import kind for peer 'P1'\n"
-        with pytest.raises(SchemaError):
-            least_model(defn.system, "P1", defn.instance.of("P2"))
+        # a restricted peer has no least model either: ex_5_12's P1
+        # imports R1(a,b) and R1(a,c), which violate its own FD, and its
+        # only answer is inc_P1
+        restricted = load("ex_5_12.pdes")
+        for sysm, dbar, flag in [
+                (defn.system, defn.instance.of("P2"), GENERAL),
+                (restricted.system, core_instance(
+                    restricted.system, "P1", restricted.instance),
+                 RESTRICTED)]:
+            with pytest.raises(SchemaError) as e:
+                least_model(sysm, "P1", dbar)
+            assert str(e.value) == "peer 'P1' is not of the unrestricted " \
+                "import kind (%s)" % flag
+        with pytest.raises(SchemaError, match="unknown peer 'Nope'"):
+            least_model(defn.system, "Nope", defn.instance.of("P2"))
 
 
 class TestUnrestrictedImport:
@@ -428,6 +441,19 @@ class TestDispatch:
         assert main([cmd, str(path), "--peer", "P1"]) == 0
         capsys.readouterr()
         assert peers == ["P1", "P2", "P3"]
+
+    def test_the_fixpoint_reads_the_flag_not_each_constraint(self,
+                                                             monkeypatch):
+        # the flags checked every constraint's import shape when the
+        # system was built; the least models of P2 and P1 check none again
+        defn = parse_definition(families.copy_chain(1).text)
+        calls = []
+        real = system_mod._is_import
+        monkeypatch.setattr(system_mod, "_is_import",
+                            lambda *args: calls.append(args) or real(*args))
+        peer_consistent_answers(defn.system, "P1", defn.instance,
+                                defn.queries["P1"])
+        assert calls == []
 
 
 class TestInconsistentNeighbor:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from pdes import core, lang
 from pdes.core import Atom
 from pdes.lang import (Builtin, Constraint, Cst, Disjunct, ParseError,
-                       PredAtom, SafetyError, Var, n_rewrite_constraint,
+                       PredAtom, Query, SafetyError, Var, n_rewrite_constraint,
                        parse_constraint, parse_query, ref_acyclic,
-                       relevant_vars)
+                       relevant_vars, validate_constraint, validate_query)
 
 from reference import n_rewrite_query, sql_safe
 
@@ -66,11 +66,20 @@ class TestParseConstraint:
         assert c.head[0].atoms[0].terms[1] == Cst("w")
 
     def test_unsafe_head_variable_rejected(self):
-        from pdes.lang import Disjunct, validate_constraint
         c = Constraint(("x",), (PredAtom("R", (Var("x"),)),),
                        (Disjunct((), (PredAtom("S", (Var("w"),)),), ()),))
         with pytest.raises(SafetyError):
             validate_constraint(c)
+
+    def test_undeclared_body_variable_rejected(self):
+        # the parser declares every body identifier, so only a hand-built
+        # constraint reaches this check
+        c = Constraint(("x",), (PredAtom("R", (Var("x"), Var("y"))),),
+                       (Disjunct((), (PredAtom("S", (Var("x"),)),), ()),))
+        with pytest.raises(SafetyError) as e:
+            validate_constraint(c)
+        assert str(e.value) == \
+            "undeclared body variable 'y' in forall x: R(x,y) -> S(x)"
 
     def test_existential_shadowing_rejected(self):
         with pytest.raises(ParseError):
@@ -123,6 +132,15 @@ class TestParseQuery:
     def test_existential_declared_twice_rejected(self):
         with pytest.raises(ParseError, match="variable 'y' declared twice"):
             parse_query("exists y,y : R(x,y), S(y)")
+
+    def test_builtin_variable_no_atom_binds_rejected(self):
+        # the parser makes w free, which the atom check refuses first, so
+        # only a hand-built query reaches the builtin check
+        q = Query(("x",), (), (PredAtom("R", (Var("x"),)),),
+                  (Builtin("gt", (Var("w"), Cst("5"))),), None)
+        with pytest.raises(SafetyError) as e:
+            validate_query(q)
+        assert str(e.value) == "unsafe builtin variable 'w' in R(x), w>5"
 
     def test_sql_safe_flags_null_comparisons(self):
         assert sql_safe(parse_query("R(x,y)"))

@@ -1,13 +1,15 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
 module-level private names, no public name that only tests read, no
-candidate cap passed by hand, no imports inside functions, and every
-module importable on its own."""
+candidate cap passed by hand, no imports inside functions, every module
+importable on its own, and no dotted name in the docs that names nothing."""
 
 import ast
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -233,3 +235,112 @@ def test_module_imports_alone(module):
     res = subprocess.run([sys.executable, "-c", "import " + name], env=env,
                          capture_output=True, text=True)
     assert (res.returncode, res.stderr) == (0, "")
+
+
+def _defined_names(sources: dict[str, str]):
+    """The top-level names of each module of sources (module name ->
+    text), and of the package `pdes`; and each class's members: its
+    methods and properties, the names its body assigns (a NamedTuple's
+    fields among them), its `_fields` entries and the attributes its
+    methods assign on self."""
+    modules = {"pdes": set(sources)}
+    members: dict[str, set[str]] = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        names = modules[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {(a.asname or a.name).split(".")[0]
+                          for a in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            else:
+                names |= {n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name)
+                          and isinstance(n.ctx, ast.Store)}
+            if not isinstance(node, ast.ClassDef):
+                continue
+            own = members[node.name] = {
+                n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"}
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    own.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = {n.id for n in ast.walk(stmt)
+                               if isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Store)}
+                    own |= targets
+                    if "_fields" in targets:
+                        own |= {e.value for e in ast.walk(stmt.value)
+                                if isinstance(e, ast.Constant)}
+    return modules, members
+
+
+def _doc_texts(source: str) -> list[str]:
+    """The docstrings and comments of a module's source."""
+    tree = ast.parse(source)
+    out = [ast.get_docstring(n, clean=False) for n in ast.walk(tree)
+           if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))]
+    out += [t.string for t in tokenize.generate_tokens(
+        io.StringIO(source).readline) if t.type == tokenize.COMMENT]
+    return [t for t in out if t]
+
+
+#: the extensions after which a backticked dotted name is a file name
+FILE_SUFFIXES = ("py", "md", "json", "toml", "pdes", "txt", "sha256")
+
+
+def dangling_names(sources: dict[str, str], docs: list[str]) -> list[str]:
+    """The backticked dotted names in docs that start at a module of
+    sources (module name -> text), at the package `pdes` or at one of
+    their classes, and then name something that does not exist: a
+    module's top-level name or a class's member (`_defined_names`). A
+    name after a class member, or after a name that is not a class, is
+    not checked, nor a file name such as `repair.py`."""
+    modules, members = _defined_names(sources)
+    found = set()
+    for text in docs:
+        for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text):
+            parts = ref.split(".")
+            if parts[-1] in FILE_SUFFIXES:
+                continue
+            if parts[0] == "pdes" and len(parts) > 2:
+                parts = parts[1:]
+            scope = modules.get(parts[0], members.get(parts[0]))
+            for i, name in enumerate(parts[1:], 1):
+                if scope is None:
+                    break
+                if name not in scope:
+                    found.add(ref)
+                    break
+                # a module's name may be a class, whose members follow
+                scope = members.get(name) \
+                    if parts[i - 1] in modules else None
+    return sorted(found)
+
+
+def test_the_check_sees_a_dangling_name():
+    sources = {
+        "m": "from .n import f\nX = 1\nclass C:\n"
+             "    _fields = ('a',)\n    k: int = 2\n"
+             "    def g(self):\n        self.h = 3\n        j = 4\n",
+        "n": "class B:\n    def i(self):\n        pass\n"
+             "def f():\n    pass\n",
+    }
+    docs = ["`m.X`, `m.f`, `m.C.g`, `pdes.m.C.a`, `C.h`, `B.i`, `C.k`,",
+            "`pdes.n`, `n.py`, `c.gone`, `typing.Any`, `C.g.gone`",
+            "`m.Y`, `pdes.m.g`, `C.gone`, `C.j`, `n.B.a`, `pdes.o`"]
+    assert dangling_names(sources, docs) == [
+        "C.gone", "C.j", "m.Y", "n.B.a", "pdes.m.g", "pdes.o"]
+
+
+def test_no_dotted_name_in_the_docs_dangles():
+    sources = dict(zip((m[:-3] for m in MODULES), _sources()))
+    docs = [t for s in sources.values() for t in _doc_texts(s)]
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        docs.append(fh.read())
+    assert dangling_names(sources, docs) == []

@@ -77,6 +77,27 @@ class TestSchemaValidation:
                        schemas={"P": Schema({"R": 2, "S": 1})},
                        sigma={("P", "P"): (c,)}, trust=frozenset())
 
+    @pytest.mark.parametrize("kwargs,msg", [
+        ({"preorder": "nulls"}, "unknown preorder kind 'nulls'"),
+        ({"trust": frozenset({("P", "more", "Q")})},
+         "unknown trust kind 'more'"),
+    ], ids=["preorder", "trust"])
+    def test_unknown_kind_rejected(self, kwargs, msg):
+        with pytest.raises(SchemaError) as e:
+            PdesSchema(**{"peers": frozenset({"P", "Q"}),
+                          "schemas": {"P": Schema({"R": 1}),
+                                      "Q": Schema({"S": 1})},
+                          "sigma": {}, "trust": frozenset(), **kwargs})
+        assert str(e.value) == msg
+
+    def test_every_peer_needs_an_instance(self):
+        sysm = PdesSchema(peers=frozenset({"P"}),
+                          schemas={"P": Schema({"R": 2})}, sigma={},
+                          trust=frozenset())
+        with pytest.raises(SchemaError) as e:
+            PdesInstance(sysm, {})
+        assert str(e.value) == "missing instance for peer 'P'"
+
     def test_instance_atoms_must_fit_the_peer_schema(self):
         sysm = PdesSchema(peers=frozenset({"P"}),
                           schemas={"P": Schema({"R": 2})}, sigma={},
