@@ -47,7 +47,7 @@ from .core import (NULL, Atom, Budget, Instance, Partition, Schema,
                    SchemaError)
 from .lang import (OP_TEXT, Builtin, Constraint, Cst, PredAtom, Query, Var,
                    ref_acyclic, term_vars)
-from .nullsem import delta_join, eval_builtin, ground_atom
+from .nullsem import delta_join, eval_builtin, ground_atom, in_order
 from .repair import (NULL_BASED, RepairSet, _minimal, closeness_profile,
                      closer_lt)
 from .chase import r_chase
@@ -251,9 +251,12 @@ def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
 
     The join is semi-naive (`nullsem.delta_join`): each round joins only
     the bindings that use a row the previous round derived, so every
-    binding is found once. A rule ground before all its positive atoms
-    are derived (an ``fs`` literal over a fact reads an ``fa`` atom that
-    no join supplies) waits for the atom it lacks. A variable that no
+    binding is found once. A rule's bindings come in groups, those joined
+    from one body position, each put in `nullsem.in_order`, so the rules
+    come out in one order, which the stable-model search's charges read.
+    A rule ground before all its positive atoms are derived (an ``fs``
+    literal over a fact reads an ``fa`` atom that no join supplies) waits
+    for the atom it lacks. A variable that no
     positive literal binds ranges over the facts' active domain, null and
     the constants of the rules; that product is charged to the candidate
     cap once per binding."""
@@ -309,17 +312,18 @@ def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
         fresh = set()
         for r, lits, vs in rules:
             # a rule with no positive literal binds once, in the first round
-            binds = delta_join(every, lits, new) if lits else \
-                [{}] if first else []
-            for s in binds:
-                free = [v for v in vs if v not in s]
-                if free:
-                    budget.charge(len(uni) ** len(free))
-                for combo in product(uni, repeat=len(free)):
-                    g = _ground_rule(r, {**s, **dict(zip(free, combo))},
-                                     prog.facts)
-                    if g is not None:
-                        settle(r, g, fresh)
+            groups = delta_join(every, lits, new) if lits else \
+                [((), [{}])] if first else []
+            for order, binds in groups:
+                for s in in_order(binds, order):
+                    free = [v for v in vs if v not in s]
+                    if free:
+                        budget.charge(len(uni) ** len(free))
+                    for combo in product(uni, repeat=len(free)):
+                        g = _ground_rule(r, {**s, **dict(zip(free, combo))},
+                                         prog.facts)
+                        if g is not None:
+                            settle(r, g, fresh)
         first = False
 
 

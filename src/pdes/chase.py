@@ -10,11 +10,13 @@ repairs. Rounds after the first check only the instantiations touching
 the atoms the round before added: any other held then and still holds,
 or already fired its atoms, which depend on the instantiation alone.
 Each check reads its own ranges (`nullsem.holds_instantiation`), so a
-round computes none. `head_options` grounds the consequent of one
-instantiation through `nullsem.extensions`: against a pool instance when
-one is given, every existential over the universe otherwise; the repair
-search shares it. The null-based repair search chases only when it reads
-the bound, and grounds a full constraint's insert without it.
+round computes none. A round collects its inserts as a set, so it reads
+no order. `head_options` grounds the consequent of one instantiation
+through `nullsem.extensions`: against a pool instance when one is given,
+in `nullsem.in_order`, every existential over the universe otherwise;
+the repair search shares it and reads that order. The null-based repair
+search chases only when it reads the bound, and grounds a full
+constraint's insert without it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 from .core import NULL, Atom, Instance, Schema
 from .lang import Constraint
 from .nullsem import (eval_builtin, extensions, ground_atom,
-                      holds_instantiation, instantiations, working_universe)
+                      holds_instantiation, in_order, instantiations,
+                      working_universe)
 
 
 def check_fit(schema: Schema, sigma) -> None:
@@ -36,14 +39,20 @@ def head_options(c: Constraint, s: dict[str, str], universe: list[str],
                  pool: Instance | None = None,
                  classical: bool = False):
     """Atom sets that satisfy one consequent disjunct of the ground
-    instantiation s: with a pool, the disjunct's atoms are joined against
-    it; without one, every existential ranges over the sorted universe.
-    Builtin-failing and builtin-only disjuncts are skipped."""
+    instantiation s, disjunct by disjunct: with a pool, the disjunct's
+    atoms are joined against it, their extensions put in
+    `nullsem.in_order` (the repair search's moves take this order);
+    without one, every existential ranges over the sorted universe, in
+    its order. Builtin-failing and builtin-only disjuncts are skipped."""
     for disj in c.head:
         if not disj.atoms:
             continue
-        atoms = disj.atoms if pool is not None else ()
-        for full in extensions(pool, atoms, s, disj.exist_vars, universe):
+        if pool is None:
+            fulls = extensions(None, (), s, disj.exist_vars, universe)
+        else:
+            fulls = in_order(extensions(pool, disj.atoms, s, disj.exist_vars,
+                                        universe), disj.atoms, disj.exist_vars)
+        for full in fulls:
             if all(eval_builtin(b, full, classical) for b in disj.builtins):
                 yield frozenset(ground_atom(a, full) for a in disj.atoms)
 

@@ -3,7 +3,9 @@
 Constants are plain strings; the single reserved token ``null`` plays the
 role of the SQL NULL. Atoms and instances are immutable values.
 `Instance.lookup`, an index per (predicate, bound positions), is the
-access path of the one body join, `nullsem.join`. `Partition` splits work
+access path of the one body join, `nullsem.join`; its buckets keep the
+atoms' set order, and the readers of an order sort what they read
+(`nullsem.in_order`, by `_const_sort_key`). `Partition` splits work
 into independent parts, and `Budget.choices` multiplies parts out; each
 search's `Budget` reads the candidate cap that `capped` sets. `reach`
 walks a graph and `cycle_through` finds an edge on a cycle, for the
@@ -219,13 +221,14 @@ class Instance(Record):
     def lookup(self, pred: str, bound: tuple[int, ...] = (),
                values: tuple[str, ...] = ()) -> list[Atom]:
         """The atoms of pred whose arguments at the positions bound are
-        values, sorted; the index on bound is built on first use."""
+        values, in no promised order (a reader of order sorts what it
+        reads, `nullsem.in_order`); the index on bound is built on first
+        use."""
         ix = self._index.get((pred, bound))
         if ix is None:
             ix = self._index[pred, bound] = {}
-            for a in self.lookup(pred) if bound else sorted(
-                    (a for a in self.atoms if a.pred == pred),
-                    key=atom_sort_key):
+            for a in self.lookup(pred) if bound else [
+                    a for a in self.atoms if a.pred == pred]:
                 ix.setdefault(tuple([a.args[i] for i in bound]), []).append(a)
         return ix.get(values, [])
 

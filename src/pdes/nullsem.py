@@ -27,11 +27,16 @@ states inside a pool instance, an instantiation of an anchored
 constraint holds iff it escapes or one of its pool witnesses lies in the
 state (`pool_witnesses`): the split repair search decides its states so.
 
+The joins and enumerators promise no order, as their lookups keep set
+order. `in_order` is the one order, for its readers alone: the repair
+search's violations and rows, the chase's insert options over a pool,
+which the search's moves take, and the grounder's bindings
+(:mod:`pdes.asp`).
+
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986) through `delta_join`: it yields only the
 instantiations with a body atom in the delta, each joined once from its
-first such atom, sorted into the order of the full enumeration. This is
-sound wherever atoms are only added:
+first such atom. This is sound wherever atoms are only added:
 `holds_instantiation` is monotone under insertion (more atoms offer more
 witnesses over a larger universe; builtins and null tests read the
 assignment alone), so an instantiation that held still holds, and one
@@ -49,9 +54,9 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import NULL, Atom, Instance, atom_sort_key, const_leq
+from .core import NULL, Atom, Instance, _const_sort_key, const_leq
 from .lang import (Builtin, Constraint, Cst, Query, n_rewrite_constraint,
-                   relevant_vars)
+                   relevant_vars, term_vars)
 
 
 def _term_value(t, s: dict[str, str]) -> str:
@@ -139,10 +144,10 @@ def _steps(atoms: tuple, bound: tuple[str, ...]) -> tuple:
 def join(d: Instance, atoms: tuple, *starts: dict[str, str]
          ) -> list[dict[str, str]]:
     """All extensions of the assignments starts, which bind the same
-    variables, matching every database atom in d: by start, then in the
-    order of d's sorted atoms. Each atom is looked up by the values the
-    assignment gives its bound positions (`_steps`); one it grounds costs
-    one membership test."""
+    variables, matching every database atom in d: by start, and within a
+    start in no promised order (`in_order` sorts them). Each atom is
+    looked up by the values the assignment gives its bound positions
+    (`_steps`); one it grounds costs one membership test."""
     frontier = list(starts)
     bound = tuple(starts[0]) if starts else ()
     for pred, pos, slots, free, same, ground in _steps(atoms, bound):
@@ -166,25 +171,27 @@ def join(d: Instance, atoms: tuple, *starts: dict[str, str]
 
 
 def delta_join(d: Instance, atoms, new: Instance
-               ) -> Iterator[dict[str, str]]:
+               ) -> Iterator[tuple[tuple, list[dict[str, str]]]]:
     """The extensions of the empty assignment matching every atom in d
     with some atom in new, atoms of d, each once: joined from its first
-    atom in new (semi-naive evaluation)."""
+    atom in new (semi-naive evaluation). They come in groups, one per
+    atom they are joined from, as (atoms with that one first, the
+    group's extensions); `in_order` over those atoms orders a group."""
     if atoms and len(new) == len(d):  # new is all of d: one plain join
-        yield from join(d, atoms, {})
+        yield atoms, join(d, atoms, {})
         return
     for i, a in enumerate(atoms):
-        starts = join(new, (a,), {})
-        for s in join(d, (*atoms[:i], *atoms[i + 1:]), *starts):
-            if not any(ground_atom(b, s) in new for b in atoms[:i]):
-                yield s
+        rest = (*atoms[:i], *atoms[i + 1:])
+        yield (a, *rest), [
+            s for s in join(d, rest, *join(new, (a,), {}))
+            if not any(ground_atom(b, s) in new for b in atoms[:i])]
 
 
 def extensions(d: Instance | None, atoms, s: dict[str, str], free,
                universe: list[str]) -> Iterator[dict[str, str]]:
     """Every extension of assignment s that puts all atoms in d (joined
     in order), with the free variables the join leaves unbound ranging
-    over the sorted universe. With no atoms, d is not read. An
+    over the universe. With no atoms, d is not read. An
     extension the join completes is yielded as the join gives it, which
     may be s itself: callers only read what they are given."""
     for t in join(d, atoms, s):
@@ -196,12 +203,29 @@ def extensions(d: Instance | None, atoms, s: dict[str, str], free,
             yield {**t, **dict(zip(missing, combo))}
 
 
-def instantiation_key(c: Constraint, s: dict[str, str]):
-    """Where s, an instantiation of c or the body part of one, comes in
-    `instantiations`: its body atoms' sort keys, then the values of the
-    universal variables it binds (the universe is sorted)."""
-    return ([atom_sort_key(ground_atom(a, s)) for a in c.body],
-            [s[v] for v in c.univ_vars if v in s])
+@lru_cache(maxsize=1024)  # keyed on the formula, so bounded per request
+def _order_vars(atoms: tuple, tail: tuple) -> tuple:
+    """`in_order`'s keys: the variables of atoms in first-occurrence
+    order, and those of tail that atoms lack."""
+    first = tuple(dict.fromkeys(v for a in atoms for v in term_vars(a.terms)))
+    return first, tuple(v for v in tail if v not in first)
+
+
+def in_order(assignments, atoms: tuple, tail: tuple = ()
+             ) -> list[dict[str, str]]:
+    """The assignments, each binding the variables of atoms and tail, in
+    the one order that search and grounding read: by the constant order
+    (`core._const_sort_key`) of atoms' variables in first-occurrence
+    order, then by the values of tail's other variables, as text.
+
+    It is the order of `join` from one start over atoms sorted by
+    `core.atom_sort_key`, extended over a universe sorted as text
+    (`working_universe`): a bucket's atoms agree on its bound positions
+    and repeated variables, so their keys compare their first-occurring
+    free variables, and `_const_sort_key` tells constants apart."""
+    first, rest = _order_vars(atoms, tail)
+    return sorted(assignments, key=lambda s: (
+        [_const_sort_key(s[v]) for v in first], [s[v] for v in rest]))
 
 
 def instantiations(d: Instance, c: Constraint, universe: list[str],
@@ -209,15 +233,13 @@ def instantiations(d: Instance, c: Constraint, universe: list[str],
                    ) -> Iterator[dict[str, str]]:
     """Every assignment of c's universal variables whose body atoms are
     all in d: the extensions of the empty assignment by c's body over
-    universe, which callers pass sorted. With delta, atoms of d, only
-    those with a body atom in delta, in the same order (`delta_join`,
-    sorted)."""
+    universe, in no promised order (`in_order(_, c.body, c.univ_vars)`
+    sorts them). With delta, atoms of d, only those with a body atom in
+    delta (`delta_join`)."""
     if delta is None:
         return extensions(d, c.body, {}, c.univ_vars, universe)
     new = Instance._trusted(frozenset(delta), d.schema)
-    hits = sorted(delta_join(d, c.body, new),
-                  key=lambda s: instantiation_key(c, s))
-    return (full for s in hits
+    return (full for _, hits in delta_join(d, c.body, new) for s in hits
             for full in extensions(None, (), s, c.univ_vars, universe))
 
 

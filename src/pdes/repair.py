@@ -24,7 +24,9 @@ every part, whether one part is violated or several. Each part's search
 charges the cap with every state it reaches but its start. The product
 is built only where `RepairSet.repairs` is read, which lists the
 repairs; certain answers and cores (:mod:`pdes.system`) work on the
-parts. The delta preorder's inserts range over the universe,
+parts. Its violations, rows and head groundings against the pool
+(`chase.head_options`) come in `nullsem.in_order`, whatever order the
+joins give. The delta preorder's inserts range over the universe,
 so its search keeps one part and the join. A check reads its own ranges
 (`nullsem`), and the null search chases only when it reads the pool: a
 full constraint's insert needs none.
@@ -39,7 +41,7 @@ from typing import Callable, Iterable
 from .core import (NULL, Atom, Budget, Instance, Partition, Record, Schema,
                    atom_sort_key)
 from .lang import Constraint
-from .nullsem import (ground_atom, holds_instantiation, instantiation_key,
+from .nullsem import (ground_atom, holds_instantiation, in_order,
                       instantiations, n_holds, pool_witnesses,
                       working_universe)
 from .chase import check_fit, head_options, r_chase
@@ -168,17 +170,19 @@ class _Search:
         With rows, from `parts` for a state inside the pool, they are
         the rows whose body state holds and none of whose witnesses it
         holds (`nullsem.pool_witnesses`), with no join. The rows list
-        the pool's join in its order. The join over state is the same
-        join with each lookup narrowed to state's atoms, which keeps the
-        order of what is left, so the two lists agree in content and
-        order, and with them the search order, the cap's charges and
-        the order of found states.
+        the pool's instantiations per constraint in `nullsem.in_order`.
+        So do the violations found by the join over state, which finds
+        the pool's instantiations whose body state holds, so the two
+        lists agree in content and order, and with them the search
+        order, the cap's charges and the order of found states.
 
-        Without rows, each constraint's body is joined over state. With
-        batch, the atoms state adds to a parent state, only the
-        instantiations touching batch and the parent's violations in
-        carried (constraint -> instantiations) are checked: the parent's
-        other instantiations held there and still hold."""
+        Without rows, each constraint's body is joined over state and
+        its instantiations put in `nullsem.in_order`. With batch, the
+        atoms state adds to a parent state, only the instantiations
+        touching batch and the parent's violations in carried
+        (constraint -> instantiations) are checked, merged into that
+        order: the parent's other instantiations held there and still
+        hold."""
         if rows is not None:
             for c, s, body, options, witnesses in rows:
                 if body <= state and not any(w <= state for w in witnesses):
@@ -188,9 +192,8 @@ class _Search:
         for c in self.sigma:
             found = instantiations(d, c, self.universe, batch)
             if carried and c in carried:
-                found = sorted(chain(carried[c], found),
-                               key=lambda s, c=c: instantiation_key(c, s))
-            for s in found:
+                found = chain(carried[c], found)
+            for s in in_order(found, c.body, c.univ_vars):
                 if not holds_instantiation(d, c, s, self.classical):
                     yield c, s, None
 
@@ -267,7 +270,8 @@ class _Search:
         the information order.
 
         A row is what grounding the pool keeps of one instantiation s of
-        a constraint c that does not escape, in the pool's join order:
+        a constraint c that does not escape, in `nullsem.in_order` per
+        constraint:
         (c, s, its body atoms, its head's groundings against the pool,
         its witnesses in the pool). The rows decide which parts hold a
         violation of state, and every later state's violations
@@ -290,7 +294,8 @@ class _Search:
             return [(state, None)]
         part, rows = Partition(), []
         for c in self.sigma:
-            for s in instantiations(self.pool, c, self.universe):
+            for s in in_order(instantiations(self.pool, c, self.universe),
+                              c.body, c.univ_vars):
                 body = frozenset(ground_atom(a, s) for a in c.body)
                 options = tuple(head_options(c, s, self.universe, self.pool,
                                              self.classical))

@@ -10,6 +10,9 @@ route calls them; each decides the same question a second way.
   each predicate's sorted atoms, with no index, against `nullsem.join`;
   `holds_by_enumeration` tries every witness of the working universe,
   with no join, against `nullsem.holds_instantiation`.
+- The one order: `reference_order` sorts assignments by their ground
+  atoms' `atom_sort_key`s, then by their values of the variables that
+  range over the sorted universe, against `nullsem.in_order`.
 - The import fixpoint: `least_model_by_checks` ranks every import
   head, with or without existentials, and adds it only where
   `nullsem.holds_instantiation` finds its instantiation violated,
@@ -76,6 +79,16 @@ def naive_join(d, atoms, *starts):
                 yield from extend(t, rest[1:])
 
     return [t for s in starts for t in extend(s, tuple(atoms))]
+
+
+def reference_order(assignments, atoms, tail=()):
+    """`nullsem.in_order` by its definition: the order of a join over
+    sorted atoms, extended over the sorted universe. The assignments are
+    sorted by the `atom_sort_key` of each of atoms grounded, then by the
+    values of tail's variables."""
+    return sorted(assignments, key=lambda s: (
+        [atom_sort_key(ground_atom(a, s)) for a in atoms],
+        [s[v] for v in tail]))
 
 
 def holds_by_enumeration(d, c, s, classical) -> bool:

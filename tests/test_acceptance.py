@@ -546,6 +546,31 @@ def test_10_copy_chain_dispatch_runs_no_search(monkeypatch):
     assert calls == {"checks": [], "chase": [], "moves": []}
 
 
+def test_10_copy_chain_request_sorts_nothing(monkeypatch, tmp_path, capsys):
+    """A `pca --peer P1` request on the copy chain reads no order: each
+    peer takes its least model and the answers are a set, so neither key
+    of the one order is called, at n or 2n (the lookup index once sorted
+    each predicate's atoms: 144 `atom_sort_key` calls at n = 48)."""
+    calls = collections.Counter()
+    mods = [m for name, m in sys.modules.items()
+            if name == "pdes" or name.startswith("pdes.")]
+    for key in ("atom_sort_key", "_const_sort_key"):
+        for mod in mods:
+            if key in vars(mod):
+                def counted(*args, real=vars(mod)[key], key=key):
+                    calls[key] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(mod, key, counted)
+    for n in (48, 96):
+        path = tmp_path / ("copy_chain_%d.pdes" % n)
+        path.write_text(families.copy_chain(1, n).text)
+        calls.clear()
+        assert main(["pca", str(path), "--peer", "P1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == n
+        assert calls == {}, (n, calls)
+
+
 def test_10_one_solution_renders_no_atom(monkeypatch):
     # solutions orders its list by the sorted atom texts; one solution
     # has nothing to order, so no atom of the copy chain is rendered

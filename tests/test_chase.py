@@ -5,8 +5,10 @@ import random
 from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.chase import head_options, r_chase
 from pdes.lang import parse_constraint
-from pdes.nullsem import (holds_instantiation, instantiations, n_holds,
-                          working_universe)
+from pdes.nullsem import (ground_atom, holds_instantiation, instantiations,
+                          n_holds, working_universe)
+
+from reference import reference_order
 
 SIGMA_TEXT = [
     "forall x,y : T(x,y) -> R(x,y)",
@@ -108,6 +110,23 @@ class TestChaseLaws:
             d = random_instance(rng)
             assert r_chase(d, SIGMA).atoms == naive_chase(d, SIGMA), \
                 sorted(map(str, d))
+
+
+class TestHeadOptions:
+    def test_pool_options_come_in_the_reference_order(self):
+        # the repair search's moves take this order, and the pool's lookups
+        # keep set order, so head_options sorts what it joins
+        c = parse_constraint(
+            "forall x : T(x,x) -> exists z,w : R(x,z), S(z,w)")
+        values = ["b", "10", "9", NULL, "a", "01", "1", "c"]
+        pool = Instance({atom("R", "k", v) for v in values}
+                        | {atom("S", v, w) for v in values for w in "yx"},
+                        SCHEMA)
+        disj = c.head[0]
+        fulls = [{"x": "k", "z": v, "w": w} for v in values for w in "yx"]
+        want = [frozenset(ground_atom(a, s) for a in disj.atoms)
+                for s in reference_order(fulls, disj.atoms, disj.exist_vars)]
+        assert list(head_options(c, {"x": "k"}, [], pool)) == want
 
 
 def naive_chase(d, sigma):

@@ -1,5 +1,6 @@
 """Query answering and constraint satisfaction under SQL-style nulls."""
 
+import collections
 import glob
 import itertools
 import random
@@ -13,12 +14,17 @@ from pdes.core import NULL, Atom, Instance, Schema, atom
 from pdes.lang import (Builtin, Constraint, Cst, PredAtom, Var,
                        n_rewrite_constraint, parse_constraint, parse_query)
 from pdes.nullsem import (classical_answers, eval_builtin, ground_atom,
-                          instantiations, n_answers, n_holds,
+                          in_order, instantiations, n_answers, n_holds,
                           working_universe)
 
 from conftest import FIXTURES
 from reference import (holds_by_enumeration, n_holds_direct, n_rewrite_query,
-                       naive_join, sql_safe)
+                       naive_join, reference_order, sql_safe)
+
+
+def _multiset(assignments) -> collections.Counter:
+    """The assignments, each as often as it comes, in no order."""
+    return collections.Counter(frozenset(s.items()) for s in assignments)
 
 
 def inst(schema: dict, atoms) -> Instance:
@@ -317,15 +323,19 @@ def _join_inputs(draw):
 
 
 class TestReferenceRoutes:
-    """The one body join and the one check against their brute-force
-    references in `reference`, which neither index nor join."""
+    """The one body join, its one order and the one check against their
+    brute-force references in `reference`, which neither index nor
+    join."""
 
     @given(_join_inputs())
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_join_matches_nested_loops(self, inputs):
         d, atoms, starts = inputs
-        assert nullsem.join(d, atoms, *starts) == \
-            naive_join(d, atoms, *starts), (atoms, starts, sorted(map(str, d)))
+        got = nullsem.join(d, atoms, *starts)
+        want = naive_join(d, atoms, *starts)
+        why = (atoms, starts, sorted(map(str, d)))
+        assert _multiset(got) == _multiset(want), why
+        assert in_order(got, atoms) == reference_order(want, atoms), why
 
     @given(_route_constraints(), _route_instances())
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -352,8 +362,8 @@ class TestReferenceRoutes:
                 return real(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        assert [nullsem.holds_instantiation(d, c, s, False)
-                for s in found] == [False, True]
+        assert {(s["x"], s["y"]): nullsem.holds_instantiation(d, c, s, False)
+                for s in found} == {("a", "a"): False, ("a", "b"): True}
         assert calls == []
 
 
@@ -453,17 +463,23 @@ def _random_split(rng, schema, consts):
 
 
 def _delta_agrees(c, d, delta):
+    """The delta enumeration in `in_order`, after checking it against the
+    full one filtered and against the reference order."""
     universe = working_universe(d, c)
     want = [s for s in instantiations(d, c, universe)
             if any(ground_atom(a, s) in delta for a in c.body)]
-    assert list(instantiations(d, c, universe, delta)) == want, (
-        str(c), sorted(map(str, d)), sorted(map(str, delta)))
-    return want
+    got = list(instantiations(d, c, universe, delta))
+    why = (str(c), sorted(map(str, d)), sorted(map(str, delta)))
+    assert _multiset(got) == _multiset(want), why
+    ordered = in_order(got, c.body, c.univ_vars)
+    assert ordered == reference_order(want, c.body, c.univ_vars), why
+    return ordered
 
 
 class TestDeltaInstantiations:
     """With a delta, the enumerator yields the full enumeration filtered
-    to the instantiations with a body atom in the delta, in its order."""
+    to the instantiations with a body atom in the delta, each once, and
+    `in_order` puts them in the reference order."""
 
     def test_fixture_constraints_on_random_splits(self):
         rng = random.Random(20261018)

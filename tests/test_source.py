@@ -1,7 +1,8 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
 module-level private names, no public name that only tests read, no
-candidate cap passed by hand, no imports inside functions, every module
-importable on its own, and no dotted name in the docs that names nothing."""
+candidate cap passed by hand, the keys of the one order read only where
+it is owned, no imports inside functions, every module importable on its
+own, and no dotted name in the docs that names nothing."""
 
 import ast
 import io
@@ -203,6 +204,68 @@ def test_the_cap_is_set_once_per_request():
     # function takes it
     assert cap_threading(dict(zip((m[:-3] for m in MODULES),
                                   _sources()))) == []
+
+
+#: the keys of the one order, with the places that may read each: core
+#: defines them and sorts an instance's atoms (`Instance.__iter__`),
+#: `nullsem.in_order` puts the readers of order in order, cli orders what
+#: it lists, and the exhaustive oracle orders its subsets
+ORDER_KEYS = {
+    "_const_sort_key": ("core", "nullsem.in_order"),
+    "atom_sort_key": ("core", "cli", "repair.exhaustive_null_repairs"),
+}
+
+
+def order_key_reads(sources: dict[str, str]) -> list[str]:
+    """Where sources (module name -> text) read a key of ORDER_KEYS, as a
+    name or an attribute, outside the places it allows, each as `key:
+    place`: the innermost function or class around the read, as
+    module.qualname, or the module at its top level. A place allows
+    whatever lies inside it."""
+    found = set()
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                visit(child, "%s.%s" % (where,
+                                        getattr(child, "name", "<lambda>")))
+                continue
+            key = getattr(child, "id", getattr(child, "attr", None))
+            if key in ORDER_KEYS and not any(
+                    where == place or where.startswith(place + ".")
+                    for place in ORDER_KEYS[key]):
+                found.add("%s: %s" % (key, where))
+            visit(child, where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return sorted(found)
+
+
+def test_the_check_sees_an_order_read_elsewhere():
+    assert order_key_reads({
+        "core": "def atom_sort_key(a):\n    return _const_sort_key(a)\n",
+        "cli": "from .core import atom_sort_key\nKEY = atom_sort_key\n",
+        "nullsem": "from . import core\n"
+                   "def in_order(xs):\n"
+                   "    return sorted(xs, key=core._const_sort_key)\n"
+                   "def join(xs):\n"
+                   "    return sorted(xs, key=core.atom_sort_key)\n",
+        "repair": "def exhaustive_null_repairs(xs):\n"
+                  "    return sorted(xs, key=atom_sort_key)\n"
+                  "class _Search:\n    def parts(self, xs):\n"
+                  "        return min(xs, key=lambda a: _const_sort_key(a))\n",
+        "system": "from .core import atom_sort_key\nKEY = atom_sort_key\n",
+    }) == ["_const_sort_key: repair._Search.parts.<lambda>",
+           "atom_sort_key: nullsem.join", "atom_sort_key: system"]
+
+
+def test_the_order_is_read_only_where_it_is_owned():
+    # a join and its lookups promise no order; the search, the chase's
+    # options over a pool and the grounder sort through nullsem.in_order
+    assert order_key_reads(dict(zip((m[:-3] for m in MODULES),
+                                    _sources()))) == []
 
 
 def function_local_imports(source: str) -> list[int]:

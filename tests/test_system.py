@@ -13,7 +13,7 @@ from pdes.system import (PdesInstance, PdesSchema, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solutions)
 
-from conftest import child_env, load, solution_sets
+from conftest import FIXTURES, child_env, load, solution_sets
 
 
 def atoms_of(inst: Instance) -> set[str]:
@@ -282,3 +282,67 @@ def test_library_order_is_the_same_under_any_hash_seed(tmp_path):
         for seed in ("1", "2", "3")}
     assert len(outs) == 1
     assert outs.pop().count("R1(k4,g)") == 2 * 2 ** 5
+
+
+# every library output that reads an order, rendered in the order given
+# (each atom set sorted, as a set has no order of its own), over every
+# fixture peer at several caps; an exception is an output too
+_ORDER_DIGEST = """
+import glob, hashlib, sys
+from pdes.asp import asp_solutions, build_solution_program, ground, \\
+    stable_models
+from pdes.core import DEFAULT_CAP, capped
+from pdes.deffile import load_definition
+from pdes.system import _factored, _neighborhood_repairs, core_instance, \\
+    solutions
+
+def atoms(xs):
+    return sorted(map(str, xs))
+
+def factored(d, p):
+    rs = _factored(d.system, p, d.instance, _neighborhood_repairs, {})
+    return (atoms(rs.shared), [[atoms(s) for s in part] for part in rs.parts],
+            rs.budget.used)
+
+def program(d, p):
+    return ground(build_solution_program(
+        d.system, p, core_instance(d.system, p, d.instance)))
+
+OUTPUTS = [
+    factored,
+    lambda d, p: [atoms(s.atoms) for s in solutions(
+        d.system, p, d.instance).solutions],
+    program,
+    lambda d, p: [atoms(m) for m in stable_models(program(d, p))],
+    lambda d, p: [atoms(s.atoms) for s in asp_solutions(
+        d.system, p, core_instance(d.system, p, d.instance))],
+]
+out = []
+for path in sorted(glob.glob(sys.argv[1] + "/*.pdes")):
+    try:
+        d = load_definition(path)
+    except Exception as e:
+        out.append(repr(e))
+        continue
+    for p in sorted(d.system.peers):
+        for cap in (1, 2, 3, 5, 8, DEFAULT_CAP):
+            for f in OUTPUTS:
+                with capped(cap):
+                    try:
+                        out.append(repr(f(d, p)))
+                    except Exception as e:
+                        out.append(repr(e))
+print(len(out), hashlib.sha256("\\n".join(out).encode()).hexdigest())
+"""
+
+
+def test_every_order_reader_is_the_same_under_any_hash_seed():
+    # lookups keep set order, so each reader of order sorts what it reads:
+    # the search's violations, rows and moves, the grounder's bindings
+    outs = {subprocess.run(
+        [sys.executable, "-c", _ORDER_DIGEST, FIXTURES], capture_output=True,
+        text=True, check=True,
+        env=child_env(PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1", "2")}
+    [out] = outs
+    assert int(out.split()[0]) > 1000  # outputs digested
