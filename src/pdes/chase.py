@@ -1,4 +1,4 @@
-"""Restricted null-propagating chase.
+"""Restricted null-propagating chase, and the round loop it shares.
 
 Enforces the constraints it can (universal ones and existential ones
 whose existential variables appear in no join or builtin; the others,
@@ -6,17 +6,17 @@ whose existential variables appear in no join or builtin; the others,
 its own schema, which every constraint must fit, by firing violated
 ground instantiations in parallel rounds, substituting null for
 existential variables. The result bounds the insertions admissible in
-repairs. Rounds after the first check only the instantiations touching
-the atoms the round before added: any other held then and still holds,
-or already fired its atoms, which depend on the instantiation alone.
-Each check reads its own ranges (`nullsem.holds_instantiation`), so a
-round computes none. A round collects its inserts as a set, so it reads
-no order. `head_options` grounds the consequent of one instantiation
-through `nullsem.extensions`: against a pool instance when one is given,
-in `nullsem.in_order`, every existential over the universe otherwise;
-the repair search shares it and reads that order. The null-based repair
-search chases only when it reads the bound, and grounds a full
-constraint's insert without it.
+null-based repairs. `saturate` is the round loop, which the delta repair
+search's closure shares (:mod:`pdes.repair`). Rounds after the first
+check only the instantiations touching the atoms the round before added:
+any other gave its atoms then, which depend on the instantiation alone,
+or held then and still holds. Each check reads its own ranges
+(`nullsem.holds_instantiation`), so a round computes none. A round
+collects its inserts as a set, so it reads no order. `head_options`
+grounds the consequent of one instantiation through `nullsem.extensions`:
+against a pool instance when one is given, in `nullsem.in_order`, every
+existential over the universe otherwise; the repair search shares it and
+reads that order.
 """
 
 from __future__ import annotations
@@ -57,21 +57,28 @@ def head_options(c: Constraint, s: dict[str, str], universe: list[str],
                 yield frozenset(ground_atom(a, full) for a in disj.atoms)
 
 
+def saturate(d: Instance, sigma, universe: list[str], fire) -> Instance:
+    """The fixpoint of rounds from d, each adding, for every instantiation
+    s over cur (the atoms so far) of each constraint c of sigma, the
+    atoms of the sets fire(cur, c, s) gives: atoms that read s alone, or
+    none for an s that holds in cur and so in every superset."""
+    cur, added = d, None
+    while True:
+        new: set[Atom] = set()
+        for c in sigma:
+            for s in instantiations(cur, c, universe, added):
+                new.update(*fire(cur, c, s))
+        new -= cur.atoms
+        if not new:
+            return cur
+        cur, added = Instance._trusted(cur.atoms | new, d.schema), new
+
+
 def r_chase(d: Instance, sigma) -> Instance:
     """The restricted chase of d over its schema, which every constraint
     of sigma must fit, under those without a problematic existential."""
     check_fit(d.schema, sigma)
     sigma = [c for c in sigma if not c.problematic]
-    cur, added = d, None
-    universe = working_universe(d, *sigma)
-    while True:
-        new: set[Atom] = set()
-        for c in sigma:
-            for s in instantiations(cur, c, universe, added):
-                if not holds_instantiation(cur, c, s, False):
-                    for atoms in head_options(c, s, [NULL]):
-                        new |= atoms
-        new -= cur.atoms
-        if not new:
-            return cur
-        cur, added = Instance._trusted(cur.atoms | new, d.schema), new
+    return saturate(d, sigma, working_universe(d, *sigma), lambda cur, c, s: (
+        () if holds_instantiation(cur, c, s, False)
+        else head_options(c, s, [NULL])))

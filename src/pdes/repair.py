@@ -9,27 +9,26 @@ it is forced (its body frozen, one insert its only move): then the
 inserts of every forced violation of the state are applied as one batch,
 as the restricted chase fires a round; the batched child re-examines
 only its parent's violations and the instantiations the batch touches.
-At its first state that is not forced, the search splits into the
-conflict parts of the restricted chase (pool atoms that some ground
-instantiation joins, through its body or a grounding of its head, or
-that lie in violated parts with one below the other in the information
-order) and searches each violated part alone. Splitting grounds the pool
-once: per instantiation, its body, its head's groundings and its
-witnesses (`nullsem.pool_witnesses`). From there every state is decided
-by containment in those rows, with no join (Gebser, Kaufmann & Schaub,
-IJCAI 2007, ground once and then search by set operations). Each part's
-satisfying states are minimised alone, and the minimal repairs come back
-factored (`RepairSet`): the unsplit atoms plus one minimal state of
-every part, whether one part is violated or several. Each part's search
-charges the cap with every state it reaches but its start. The product
-is built only where `RepairSet.repairs` is read, which lists the
-repairs; certain answers and cores (:mod:`pdes.system`) work on the
-parts. Its violations, rows and head groundings against the pool
-(`chase.head_options`) come in `nullsem.in_order`, whatever order the
-joins give. The delta preorder's inserts range over the universe,
-so its search keeps one part and the join. A check reads its own ranges
-(`nullsem`), and the null search chases only when it reads the pool: a
-full constraint's insert needs none.
+Every state lies in the search's closure (`_Search.closure`), built only
+when read. At its first state that is not forced, the search splits into
+the conflict parts of the closure (atoms that some ground instantiation
+joins, through its body or a grounding of its head, or that lie in
+violated parts with one below the other in the information order) and
+searches each violated part alone, under either preorder. Splitting
+grounds the closure once: per instantiation, its body, its head's
+groundings and its witnesses (`nullsem.pool_witnesses`). From there
+every state is decided by containment in those rows, with no join
+(Gebser, Kaufmann & Schaub, IJCAI 2007, ground once and then search by
+set operations). Each part's satisfying states are minimised alone, and
+the minimal repairs come back factored (`RepairSet`): the unsplit atoms
+plus one minimal state of every part, whether one part is violated or
+several. Each part's search charges the cap with every state it reaches
+but its start. The product is built only where `RepairSet.repairs` is
+read, which lists the repairs; certain answers and cores
+(:mod:`pdes.system`) work on the parts. Its violations, rows and head
+groundings against the closure (`chase.head_options`) come in
+`nullsem.in_order`, whatever order the joins give. A check reads its own
+ranges (`nullsem`), and a full constraint's insert needs no closure.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .lang import Constraint
 from .nullsem import (ground_atom, holds_instantiation, in_order,
                       instantiations, n_holds, pool_witnesses,
                       working_universe)
-from .chase import check_fit, head_options, r_chase
+from .chase import check_fit, head_options, r_chase, saturate
 
 NULL_BASED = "null"
 SYMMETRIC_DELTA = "delta"
@@ -137,9 +136,7 @@ class _Search:
     base's schema, which every constraint must fit): the moves they allow
     and the one budget charged with every state of every part and with
     every product of parts later built from its result. Its universe is
-    base's working universe. Under the null-based preorder (not
-    classical) base's restricted chase is the pool that bounds the
-    inserts, computed when first read; under delta there is none."""
+    base's working universe, and its closure holds every state."""
 
     def __init__(self, base: Instance, sigma, frozen_preds: Iterable[str],
                  classical: bool):
@@ -156,23 +153,31 @@ class _Search:
         self.classical, self.budget = classical, Budget()
 
     @cached_property
-    def pool(self) -> Instance | None:
-        """The restricted chase of base, or None under delta."""
-        return None if self.classical else r_chase(self.base, self.sigma)
+    def closure(self) -> Instance:
+        """Every atom a state can hold, built when first read: base's
+        restricted chase (null-based), or under delta the least superset
+        of base holding every grounding over the universe of the head of
+        each instantiation over it. Uncharged like the chase: it holds at
+        most sum(|universe| ** arity) atoms over the schema, a polynomial,
+        where the cap bounds the states, exponential in it."""
+        if not self.classical:
+            return r_chase(self.base, self.sigma)
+        return saturate(self.base, self.sigma, self.universe, lambda _, c, s:
+                        head_options(c, s, self.universe, None, True))
 
     def violations(self, state: frozenset[Atom], rows=None, batch=None,
                    carried=None):
         """The violated ground instantiations (c, s) of state, in search
         order, each as (c, s, options): options, with rows, are the
-        head's groundings against the pool, and None otherwise (`moves`
-        grounds the head).
+        head's groundings against the closure, and None otherwise
+        (`moves` grounds the head).
 
-        With rows, from `parts` for a state inside the pool, they are
+        With rows, from `parts` for a state inside the closure, they are
         the rows whose body state holds and none of whose witnesses it
         holds (`nullsem.pool_witnesses`), with no join. The rows list
-        the pool's instantiations per constraint in `nullsem.in_order`.
+        the closure's instantiations per constraint in `nullsem.in_order`.
         So do the violations found by the join over state, which finds
-        the pool's instantiations whose body state holds, so the two
+        the closure's instantiations whose body state holds, so the two
         lists agree in content and order, and with them the search
         order, the cap's charges and the order of found states.
 
@@ -201,14 +206,14 @@ class _Search:
         """The moves that may repair the violated instantiation s of c in
         state, as deltas: its deletable body atoms, all in state, and the
         nonempty atom sets its head options add, none of a frozen
-        predicate. Without options, the head is grounded here, a full
-        constraint's without the pool, which would hold its one insert
-        (`null_repairs`)."""
+        predicate. Without options, the head is grounded here against the
+        closure, a full constraint's without it, as the closure would
+        hold its one insert (`null_repairs`)."""
         dels = [ga for ga in (ground_atom(a, s) for a in c.body)
                 if ga.pred not in self.frozen_preds]
         if options is None:
             options = head_options(c, s, self.universe,
-                                   None if c.full else self.pool,
+                                   None if c.full else self.closure,
                                    self.classical)
         adds = [new for new in (atoms - state for atoms in options)
                 if new and not any(a.pred in self.frozen_preds for a in new)]
@@ -262,50 +267,48 @@ class _Search:
         return found
 
     def parts(self, state: frozenset[Atom]) -> list[tuple]:
-        """The parts of the pool that hold a violation of state, ordered
-        by their least atom, each with its rows. Two pool atoms share a
-        part when one ground instantiation over the pool holds both, in
-        its body or in any grounding of its head against the pool, or
-        when both lie in such parts and the first is below the second in
-        the information order.
+        """The parts of the closure that hold a violation of state,
+        ordered by their least atom, each with its rows. Two closure atoms
+        share a part when one ground instantiation over the closure holds
+        both, in its body or in any grounding of its head against the
+        closure, or when both lie in such parts and the first is below
+        the second in the information order.
 
-        A row is what grounding the pool keeps of one instantiation s of
-        a constraint c that does not escape, in `nullsem.in_order` per
-        constraint:
-        (c, s, its body atoms, its head's groundings against the pool,
-        its witnesses in the pool). The rows decide which parts hold a
-        violation of state, and every later state's violations
-        (`violations`). A part's rows are those whose body lies in it.
+        A row is what grounding the closure keeps of one instantiation s
+        of a constraint c that does not escape, in `nullsem.in_order` per
+        constraint: (c, s, its body atoms, its head's groundings against
+        the closure, its witnesses in the closure). The rows decide which
+        parts hold a violation of state, and every later state's
+        violations (`violations`). A part's rows are those whose body
+        lies in it.
 
         The information-order union reads one index per null pattern: an
         atom a with nulls is below exactly the atoms of its predicate
         that agree with a off its nulls, which `Instance.lookup` finds
         over the atoms of the violated parts by a's other positions. The
         union-find's choice of a group's name moves nothing, since the
-        parts are listed by their least atom, their atoms in pool order
-        and their rows in row order, whatever atom names them.
+        parts are listed by their least atom, their atoms in closure
+        order and their rows in row order, whatever atom names them.
 
-        One part, all of state with no rows (the join decides), when
-        there is no pool or when some constraint has an empty body (no
-        atom anchors its instantiations) or is not anchored (it reads
-        values outside its atoms)."""
-        if not all(c.body and c.anchored for c in self.sigma) \
-                or self.pool is None:
+        One part, all of state with no rows (the join decides), when some
+        constraint has an empty body (no atom anchors its instantiations)
+        or is not anchored (it reads values outside its atoms)."""
+        if not all(c.body and c.anchored for c in self.sigma):
             return [(state, None)]
         part, rows = Partition(), []
         for c in self.sigma:
-            for s in in_order(instantiations(self.pool, c, self.universe),
+            for s in in_order(instantiations(self.closure, c, self.universe),
                               c.body, c.univ_vars):
                 body = frozenset(ground_atom(a, s) for a in c.body)
-                options = tuple(head_options(c, s, self.universe, self.pool,
-                                             self.classical))
+                options = tuple(head_options(c, s, self.universe,
+                                             self.closure, self.classical))
                 part.union(chain(body, *options))
-                witnesses = pool_witnesses(self.pool, c, s, self.classical)
+                witnesses = pool_witnesses(self.closure, c, s, self.classical)
                 if witnesses is not None:
                     rows.append((c, s, body, options, witnesses))
         violated = {part.find(ground_atom(c.body[0], s))
                     for c, s, _ in self.violations(state, rows)}
-        hot = [a for a in self.pool if part.find(a) in violated]  # sorted
+        hot = [a for a in self.closure if part.find(a) in violated]  # sorted
         among = Instance._trusted(frozenset(hot), self.schema)
         for a in hot:
             if NULL in a.args:  # only then below another atom
@@ -335,7 +338,7 @@ def _branch_search(search: _Search):
     forced violation it has. This loses no satisfying leaf. A forced
     violation's body is frozen, so it stays in every descendant and must
     be satisfied by its head there. Its head can only become true through
-    a pool grounding whose missing atoms some move inserts, and its one
+    a closure grounding whose missing atoms some move inserts, and its one
     insert is the only such grounding. So every satisfying leaf below the
     state contains that insert.
 
@@ -349,17 +352,17 @@ def _branch_search(search: _Search):
     Forced batches run on the whole state, checked by the join. At the
     first state that is not forced, the search splits it into the parts
     of `_Search.parts` and searches each violated part alone, one part
-    as several: a move inserts or deletes atoms of its violation's part,
-    and whether an instantiation holds depends only on the atoms of its
-    part, so the reachable satisfying states are the products of each
-    part's, and the atoms outside the violated parts stay as they are.
+    as several. Every state lies in the closure (`null_repairs`,
+    `delta_repairs`), so a move inserts or deletes atoms of its
+    violation's part, and whether an instantiation holds depends only on
+    the atoms of its part: the reachable satisfying states are the
+    products of each part's, the atoms outside the violated parts stay
+    as they are, and the rows grounded while splitting decide every
+    later state's violations by containment (`_Search.violations`).
     Each part's search charges every state it reaches but its start, a
-    state the forced batches reached among them. After the split, every
-    state lies in the pool (`null_repairs`), so the rows grounded while
-    splitting decide its violations by containment
-    (`_Search.violations`); where the split keeps the join (no pool, or
-    a constraint with an empty body or not anchored), the one part is
-    the whole state and the join decides."""
+    state the forced batches reached among them. Where the split keeps
+    the join (a constraint with an empty body or not anchored), the one
+    part is the whole state."""
     state, viols = search.base.atoms, None
     search.budget.charge()
     while True:
@@ -418,36 +421,40 @@ def null_repairs(base: Instance, sigma,
     states is minimal in its part, and the minimal candidates are the
     products of each part's minimal states: the factored form returned.
 
-    The chase runs only when the search reads its pool: to split into
-    parts, to profile candidates against the bound, or to ground the head
-    of a constraint that is not full (`Constraint.full`). Every state
-    lies in the pool: base does, a deletion keeps a state there, and an
-    insert is a grounding of a head against the pool or the insert of a
-    full constraint, which is the pool join of its head. For the last,
-    take a violation of a full constraint in a state inside the pool:
-    its body is in the pool. The chase is a fixpoint of the constraints
-    that are not problematic, a full one among them, and the body binds
-    every variable the head reads, so the instantiation holds in the
-    pool. It holds there only through the grounding of its one disjunct
-    with atoms, which is then in the pool, or through a builtin or a
-    null universal: those read the instantiation alone, so they would
-    hold in the state as well. So the rows that splitting grounds over
-    the pool decide the violations of every later state by containment
+    The chase, the search's closure, runs only when the search reads it:
+    to split into parts, to profile candidates against the bound, or to
+    ground the head of a constraint that is not full (`Constraint.full`).
+    Every state lies in the chase: base does, a deletion keeps a state
+    there, and an insert is a grounding of a head against the chase or
+    the insert of a full constraint, which is the chase join of its head.
+    For the last, take a violation of a full constraint in a state inside
+    the chase: its body is in the chase. The chase is a fixpoint of the
+    constraints that are not problematic, a full one among them, and the
+    body binds every variable the head reads, so the instantiation holds
+    in the chase. It holds there only through the grounding of its one
+    disjunct with atoms, which is then in the chase, or through a builtin
+    or a null universal: those read the instantiation alone, so they
+    would hold in the state as well. So the rows that splitting grounds
+    over the chase decide every later state's violations by containment
     (`nullsem.pool_witnesses`), and their head groundings are its moves,
     a full constraint's among them. The search's universe is base's
     (`_Search`): every value the chase adds is null, of base's domain or
     a constant of the constraints."""
     search = _Search(base, sigma, frozen_preds, False)
     return _minimal_repairs(
-        search, lambda d, b: closeness_profile(d, b, search.pool.atoms),
+        search, lambda d, b: closeness_profile(d, b, search.closure.atoms),
         closer_lt)
 
 
 def delta_repairs(base: Instance, sigma,
                   frozen_preds: Iterable[str] = ()) -> RepairSet:
-    """Repairs minimal under set inclusion of the symmetric difference;
-    insertions range over the working universe, so the search has no
-    pool to split and keeps one part."""
+    """Repairs minimal under set inclusion of the symmetric difference.
+    A move inserts a grounding over the universe of a violated head,
+    which the closure holds, so every state lies in it and grounding a
+    head against it gives the same inserts. A candidate's difference with
+    base is the shared one plus each part's, disjointly, so e's is
+    strictly inside d's iff each part's is inside and one strictly: d is
+    minimal iff each of its part states is minimal in its part."""
     return _minimal_repairs(_Search(base, sigma, frozen_preds, True),
                             lambda d, b: b ^ d, delta_lt)
 

@@ -13,6 +13,10 @@ route calls them; each decides the same question a second way.
 - The one order: `reference_order` sorts assignments by their ground
   atoms' `atom_sort_key`s, then by their values of the variables that
   range over the sorted universe, against `nullsem.in_order`.
+- Delta repairs: `exhaustive_delta_repairs` grounds each constraint over
+  the Herbrand base by brute force and checks every subset of it
+  classically, with no move and no closure, against
+  `repair.delta_repairs`.
 - The import fixpoint: `least_model_by_checks` ranks every import
   head, with or without existentials, and adds it only where
   `nullsem.holds_instantiation` finds its instantiation violated,
@@ -30,10 +34,10 @@ The exhaustive null-repair oracle stays in `pdes.repair`
 checks import it from there.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from pdes.asp import GroundRule, _extract_neighborhood, _ground_rule
-from pdes.core import NULL, Instance, atom_sort_key, restrict
+from pdes.core import NULL, Atom, Instance, atom_sort_key, restrict
 from pdes.lang import Builtin, Cst, Var, relevant_vars, term_vars
 from pdes.nullsem import (_universe, eval_builtin, ground_atom,
                           holds_instantiation, instantiations,
@@ -126,6 +130,55 @@ def sql_safe(q) -> bool:
     """False when some conjunct of q compares a term with null directly."""
     return not any(b.op in ("eq", "neq") and Cst(NULL) in b.terms
                    for b in q.builtins)
+
+
+# ------------------------------------------------------------ delta repairs
+
+def exhaustive_delta_repairs(base, sigma, frozen_preds=()):
+    """The atom sets of the repairs of base under the delta preorder, by
+    enumeration over the Herbrand base of base's working universe: every
+    subset of its atoms of predicates not frozen, beside base's atoms of
+    the frozen ones, that satisfies sigma classically (null an ordinary
+    value) and whose symmetric difference with base holds no other's
+    strictly. Each constraint is grounded once, every variable over the
+    universe, into its body and its witnesses (the atoms of a head
+    disjunct grounded where its builtins hold), as bit masks over the
+    Herbrand base. Differences are tried by size, and one that holds a
+    kept difference is not checked. No move and no closure is read;
+    exponential, for cross-checking only."""
+    universe = working_universe(base, *sigma)
+    herbrand = [Atom(p, args) for p, n in sorted(base.schema.arities.items())
+                for args in product(universe, repeat=n)]
+    bit = {a: 1 << i for i, a in enumerate(herbrand)}
+
+    def mask(atoms):
+        return sum(bit[a] for a in set(atoms))
+
+    grounded = []
+    for c in sigma:
+        for combo in product(universe, repeat=len(c.univ_vars)):
+            s = dict(zip(c.univ_vars, combo))
+            fulls = ((disj, {**s, **dict(zip(disj.exist_vars, e))})
+                     for disj in c.head
+                     for e in product(universe, repeat=len(disj.exist_vars)))
+            grounded.append((mask(ground_atom(a, s) for a in c.body), [
+                mask(ground_atom(a, full) for a in disj.atoms)
+                for disj, full in fulls
+                if all(eval_builtin(b, full, True) for b in disj.builtins)]))
+    start = mask(base.atoms)
+    free = [i for i, a in enumerate(herbrand) if a.pred not in frozen_preds]
+    kept, found = [], set()
+    for size in range(len(free) + 1):
+        for flips in combinations(free, size):
+            delta = sum(1 << i for i in flips)
+            if any(k & delta == k for k in kept):
+                continue
+            m = start ^ delta
+            if all(body & ~m or any(not w & ~m for w in witnesses)
+                   for body, witnesses in grounded):
+                kept.append(delta)
+                found.add(frozenset(a for a in herbrand if bit[a] & m))
+    return found
 
 
 # -------------------------------------------------------- the import fixpoint

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -734,21 +735,21 @@ def test_10_split_search_checks_agree_with_the_join(monkeypatch):
     """Every state the split search decides by its rows gets the same
     violations, in the same order, from the join over the state, with one
     violated part and with several, on drawn systems with nulls and on
-    small conflicts."""
+    small conflicts, each also under the delta preorder."""
     real_viols, real_parts = repair._Search.violations, repair._Search.parts
-    compared, splits = [0], []
+    compared, splits = collections.Counter(), []
 
     def viols(self, state, rows=None, batch=None, carried=None):
         got = list(real_viols(self, state, rows, batch, carried))
         if rows is not None:
             assert [(c, s) for c, s, _ in got] == \
                 [(c, s) for c, s, _ in real_viols(self, state)]
-            compared[0] += 1
+            compared[self.classical] += 1
         return iter(got)
 
     def parts(self, state):
         got = real_parts(self, state)
-        if got[0][1] is not None:
+        if got[0][1] is not None and not self.classical:
             splits.append(len(got))
         return got
 
@@ -761,9 +762,12 @@ def test_10_split_search_checks_agree_with_the_join(monkeypatch):
     defn = parse_definition(_FOUR_PARTS)
     cases.append((defn.system, defn.instance))
     for sysm, inst in cases:
-        for p in sorted(sysm.peers):
-            search_route(sysm, p, inst)
-    assert compared[0] >= 200, compared
+        delta = PdesSchema(sysm.peers, sysm.schemas, sysm.sigma, sysm.trust,
+                           "delta")
+        for s, d in ((sysm, inst), (delta, PdesInstance(delta, inst.data))):
+            for p in sorted(s.peers):
+                search_route(s, p, d)
+    assert compared[False] >= 200 and compared[True] >= 700, compared
     assert splits.count(1) >= 20 and sum(n >= 2 for n in splits) >= 15, \
         splits
 
@@ -786,8 +790,10 @@ for part in rs.parts:
 @pytest.mark.parametrize(
     "text,n_parts",
     [(families.conflicts(1).text, 6), (_FOUR_PARTS, 4),
-     (families.conflicts(1, k=1, m=0, c=4).text, 1)],
-    ids=["conflicts", "four_parts", "one_part_among_clean_keys"])
+     (families.conflicts(1, k=1, m=0, c=4).text, 1),
+     ("preorder delta\n" + families.conflicts(1, k=3, m=3, c=4).text, 6)],
+    ids=["conflicts", "four_parts", "one_part_among_clean_keys",
+         "delta_conflicts"])
 def test_10_null_search_parts_keep_one_order_under_any_hash_seed(text,
                                                                  n_parts):
     """The parts of the null search and each part's states come in search
@@ -1261,6 +1267,38 @@ def _family_pca(fam, tmp_path, *extra):
 def test_15_conflicts_closed_form_at_2_to_the_24(tmp_path):
     fam = families.conflicts(1, k=24, m=0, c=4)
     assert fam.n_solutions == 2 ** 24
+    assert _family_pca(fam, tmp_path) == (0, families.answers_text(
+        fam.answers))
+
+
+def test_15_delta_conflicts_compare_each_part_alone(monkeypatch):
+    """Under the delta preorder each conflict key is a part of its own:
+    its two states are compared with each other, so the comparisons are
+    2k, where one part would compare 2^k candidates pairwise."""
+    calls = []
+    real = repair.delta_lt
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "delta_lt", counted)
+    counts = {}
+    for k in (8, 16, 64):
+        fam = families.conflicts(1, k=k, m=0, c=4)
+        defn = parse_definition("preorder delta\n" + fam.text)
+        calls.clear()
+        with capped(10_000):
+            res = peer_consistent_answers(defn.system, "P1", defn.instance,
+                                          defn.queries["P1"])
+        assert {t for (t,) in res.answers} == fam.answers
+        counts[k] = len(calls)
+    assert counts == {8: 16, 16: 32, 64: 128}, counts
+
+
+def test_15_delta_conflicts_closed_form_at_2_to_the_64(tmp_path):
+    fam = families.conflicts(1, k=64, m=0, c=4)
+    fam = dataclasses.replace(fam, text="preorder delta\n" + fam.text)
     assert _family_pca(fam, tmp_path) == (0, families.answers_text(
         fam.answers))
 

@@ -13,6 +13,7 @@ from pdes.nullsem import n_holds, working_universe
 from pdes.repair import (closeness_profile, closer_leq, closer_lt, delta_lt,
                          delta_repairs, exhaustive_null_repairs, info_leq,
                          null_repairs)
+from reference import exhaustive_delta_repairs
 
 
 class TestInformationOrder:
@@ -102,6 +103,23 @@ class TestDeltaRepairs:
         rs = delta_repairs(base, sigma, frozen_preds=["R2"])
         assert {r.atoms for r in rs.repairs} == {
             frozenset({atom("R2", "a", "b"), atom("R1", "a", "b")})}
+
+
+    def test_six_atom_input_has_its_one_repair(self):
+        # no T atom can stand beside the S atom that T(x,y) -> S(x,y)
+        # demands, so the one repair deletes the four U atoms
+        base = Instance({atom("S", "2", "a"), atom("S", "3", "b"),
+                         atom("U", "1", NULL), atom("U", "2", "b"),
+                         atom("U", "2", NULL), atom("U", "3", "b")},
+                        Schema({"S": 2, "T": 2, "U": 2}))
+        sigma = tuple(parse_constraint(t) for t in (
+            "forall x,y : T(x,y), S(x,y) -> false",
+            "forall x,y : U(x,y) -> exists z : T(x,z)",
+            "forall x,y : T(x,y) -> S(x,y)"))
+        with capped(4_000):
+            rs = delta_repairs(base, sigma)
+            assert [r.atoms for r in rs.repairs] == [
+                frozenset({atom("S", "2", "a"), atom("S", "3", "b")})]
 
 
 # null_repairs and r_chase widened the schema by R, delta_repairs refused
@@ -227,6 +245,38 @@ class TestOracleCrossCheck:
         assert want == {frozenset({atom("T", "a"), atom("U", "a", "a"),
                                    atom("U", "a", NULL)})}
         assert got == want
+
+
+_DELTA_SHAPES = tuple(parse_constraint(t) for t in (
+    "forall x,y,z : T(x,y), T(x,z) -> y = z",
+    "forall x,y : T(x,y) -> T(y,x)",
+    "forall x,y : T(x,y) -> exists z : T(y,z)",
+    "forall x : T(x,x) -> false",
+    "forall x,y : T(x,y) -> S(x)",
+    "forall x,y : T(x,y) -> S(x) or S(y)"))
+
+
+class TestDeltaOracleCrossCheck:
+    def test_drawn_tiny_cases_match_the_enumeration(self, monkeypatch):
+        # a universe of at most three values, null among them, so the
+        # Herbrand base of T/2 and S/1 holds at most 12 atoms
+        seen = _spy_parts(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(400):
+            vals = rng.sample(["1", "2", NULL], rng.randint(1, 3))
+            atoms = {Atom("T", (rng.choice(vals), rng.choice(vals)))
+                     for _ in range(rng.randint(1, 5))}
+            atoms |= {Atom("S", (rng.choice(vals),))
+                      for _ in range(rng.randint(0, 2))}
+            base = Instance(atoms, Schema({"T": 2, "S": 1}))
+            sigma = tuple(rng.sample(_DELTA_SHAPES, rng.randint(1, 3)))
+            preds = [p for p in "TS" if rng.random() < 0.2]
+            with capped(5_000):
+                got = {r.atoms for r in delta_repairs(base, sigma,
+                                                      preds).repairs}
+            assert got == exhaustive_delta_repairs(base, sigma, preds), \
+                (sorted(map(str, base)), [str(c) for c in sigma], preds)
+        assert sum(n >= 2 for n in seen) >= 5, seen
 
 
 class TestChaseBound:
@@ -379,17 +429,20 @@ class TestSearchCap:
             rs = exhaustive_null_repairs(self.BASE, self.SIGMA)
         assert len(rs.repairs) == 16
 
-    def test_one_part_search_charges_each_state_once(self):
-        # the delta search keeps one part: its 13 states fit a cap of 13,
-        # with no charge for a split state or for the candidates
+    def test_split_delta_search_charges_states_then_product(self):
+        # the delta search splits through its closure: its parts reach 8
+        # states, and listing the 10 repairs charges their product, so
+        # they fit a cap of 18 and not 17
         base = Instance({atom("T", "a", "b"), atom("T", "a", "c"),
                          atom("S", "b", "c")}, Schema({"T": 2, "S": 2}))
         sigma = self.SIGMA + (
             parse_constraint("forall x,y : S(x,y) -> exists z : T(x,z)"),)
-        with capped(13):
-            assert len(delta_repairs(base, sigma).repairs) == 10
-        with capped(12), pytest.raises(CapExceeded):
-            delta_repairs(base, sigma)
+        with capped(18):
+            rs = delta_repairs(base, sigma)
+            assert rs.budget.used == 8 and list(map(len, rs.parts)) == [5, 2]
+            assert len(rs.repairs) == 10
+        with capped(17), pytest.raises(CapExceeded):
+            delta_repairs(base, sigma).repairs
 
 
 class TestClosenessPreorder:
