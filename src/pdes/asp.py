@@ -303,9 +303,10 @@ def ground(prog: LogicProgram) -> tuple[GroundRule, ...]:
     every = Instance._trusted(frozenset(), schema)
     first = True
     while True:
-        # the rows the last round found that a rule reads and none joined
-        new = Instance({a for a in fresh if a.pred in schema} - every.atoms,
-                       schema)
+        # the rows the last round found that a rule reads and none joined,
+        # each a checked fact or a ground head of a rule that fits: unchecked
+        new = Instance._trusted(frozenset(
+            a for a in fresh if a.pred in schema) - every.atoms, schema)
         if not (new or first):
             return tuple(out)
         every = Instance._trusted(every.atoms | new.atoms, schema)
@@ -516,7 +517,8 @@ def _extract_neighborhood(prog: LogicProgram,
     for a in m:
         if a.pred.endswith("_") and a.args[-1] == TA:
             atoms.add(Atom(a.pred[:-1], a.args[:-1]))
-    return Instance(atoms, prog.schema)
+    # checked facts, and ground heads of rules over the schema: unchecked
+    return Instance._trusted(frozenset(atoms), prog.schema)
 
 
 def asp_solutions(system: PdesSchema, p: str,

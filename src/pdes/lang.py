@@ -465,10 +465,6 @@ def _constraint(cur: _Cursor,
             cur.next()
             evars = _varlist(cur)
             cur.expect(":")
-            clash = set(evars) & variables
-            if clash:
-                raise ParseError("existential variables %s already in scope%s"
-                                 % (sorted(clash), cur.where))
         local_vars = variables | set(evars)
         atoms, builtins = _parse_conjunction(cur, local_vars)
         head.append(Disjunct(evars, atoms, builtins))

@@ -36,11 +36,11 @@ which the search's moves take, and the grounder's bindings
 Given a delta, `instantiations` evaluates semi-naively (Bancilhon &
 Ramakrishnan, 1986) through `delta_join`: it yields only the
 instantiations with a body atom in the delta, each joined once from its
-first such atom. This is sound wherever atoms are only added:
-`holds_instantiation` is monotone under insertion (more atoms offer more
-witnesses over a larger universe; builtins and null tests read the
-assignment alone), so an instantiation that held still holds, and one
-that touches no added atom is not new.
+first such atom, for the chase's rounds (`chase.saturate`). This is
+sound wherever atoms are only added: `holds_instantiation` is monotone
+under insertion (more atoms offer more witnesses over a larger universe;
+builtins and null tests read the assignment alone), so an instantiation
+that held still holds, and one that touches no added atom is not new.
 
 `n_holds` is the exhaustive repair oracle's check: it evaluates the
 rewritten constraint of :mod:`pdes.lang` classically (null an ordinary

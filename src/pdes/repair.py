@@ -7,8 +7,8 @@ instance, a state's first violated ground instantiation branches into
 deleting one antecedent atom or inserting one consequent disjunct, unless
 it is forced (its body frozen, one insert its only move): then the
 inserts of every forced violation of the state are applied as one batch,
-as the restricted chase fires a round; the batched child re-examines
-only its parent's violations and the instantiations the batch touches.
+as the restricted chase fires a round; the join over the whole state
+checks the batched child, as it checks every state before the split.
 Every state lies in the search's closure (`_Search.closure`), built only
 when read. At its first state that is not forced, the search splits into
 the conflict parts of the closure (atoms that some ground instantiation
@@ -144,11 +144,6 @@ class _Search:
         self.sigma = tuple(dict.fromkeys(sigma))  # each once, in order
         check_fit(self.schema, self.sigma)
         self.universe = working_universe(base, *self.sigma)
-        # the constraints whose forced insert makes their instantiation
-        # hold: the insert grounds every existential, none relevant
-        self.settled = {c for c in self.sigma if c.anchored and (
-            classical or not any(v in c.relevant
-                                 for d in c.head for v in d.exist_vars))}
         self.frozen_preds = frozenset(frozen_preds)
         self.classical, self.budget = classical, Budget()
 
@@ -165,8 +160,7 @@ class _Search:
         return saturate(self.base, self.sigma, self.universe, lambda _, c, s:
                         head_options(c, s, self.universe, None, True))
 
-    def violations(self, state: frozenset[Atom], rows=None, batch=None,
-                   carried=None):
+    def violations(self, state: frozenset[Atom], rows=None):
         """The violated ground instantiations (c, s) of state, in search
         order, each as (c, s, options): options, with rows, are the
         head's groundings against the closure, and None otherwise
@@ -182,12 +176,7 @@ class _Search:
         order, the cap's charges and the order of found states.
 
         Without rows, each constraint's body is joined over state and
-        its instantiations put in `nullsem.in_order`. With batch, the
-        atoms state adds to a parent state, only the instantiations
-        touching batch and the parent's violations in carried
-        (constraint -> instantiations) are checked, merged into that
-        order: the parent's other instantiations held there and still
-        hold."""
+        its instantiations put in `nullsem.in_order`."""
         if rows is not None:
             for c, s, body, options, witnesses in rows:
                 if body <= state and not any(w <= state for w in witnesses):
@@ -195,10 +184,8 @@ class _Search:
             return
         d = Instance._trusted(state, self.schema)
         for c in self.sigma:
-            found = instantiations(d, c, self.universe, batch)
-            if carried and c in carried:
-                found = chain(carried[c], found)
-            for s in in_order(found, c.body, c.univ_vars):
+            for s in in_order(instantiations(d, c, self.universe), c.body,
+                              c.univ_vars):
                 if not holds_instantiation(d, c, s, self.classical):
                     yield c, s, None
 
@@ -219,51 +206,45 @@ class _Search:
                 if new and not any(a.pred in self.frozen_preds for a in new)]
         return dels, adds
 
-    def step(self, state: frozenset[Atom], viols=None, rows=None):
-        """None when state satisfies every constraint; viols, when given,
-        are its violations, and rows, when given, decide them. Otherwise
-        its children, each paired with its violations (None: enumerate
-        them), and whether they branch. When the first violation
-        branches, the children are its moves. When it is forced (no
-        deletion, one distinct insert), the one child adds the inserts
-        of every forced violation of state."""
-        viols = self.violations(state, rows) if viols is None else viols
+    def step(self, state: frozenset[Atom], rows=None):
+        """None when state satisfies every constraint; rows, when given,
+        decide its violations. Otherwise its children and whether they
+        branch. When the first violation branches, the children are its
+        moves. When it is forced (no deletion, one distinct insert), the
+        one child adds the inserts of every forced violation of state."""
+        viols = self.violations(state, rows)
         first = next(viols, None)
         if first is None:
             return None
         dels, adds = self.moves(state, *first)
         if dels or len(set(adds)) != 1:
-            return ([(state - {a}, None) for a in dels]
-                    + [(state | a, None) for a in adds], True)
-        batch, carried = set(), {}
-        rest = ((v, self.moves(state, *v)) for v in viols)
-        for (c, s, _), (dels, adds) in chain([(first, (dels, adds))], rest):
+            return ([state - {a} for a in dels]
+                    + [state | a for a in adds], True)
+        batch = set(adds[0])
+        for v in viols:
+            dels, adds = self.moves(state, *v)
             if not dels and len(set(adds)) == 1:
                 batch |= adds[0]
-                if c in self.settled:
-                    continue
-            carried.setdefault(c, []).append(s)
-        child = state | batch
-        return [(child, self.violations(child, rows, batch, carried))], False
+        return [state | batch], False
 
     def explore(self, start: frozenset[Atom], rows=None):
         """Every satisfying state reachable from start, depth first,
         charging each state reached but start; rows, when given, decide
         every state's violations."""
         seen = {start}
-        stack = [(start, None)]
+        stack = [start]
         found = []
         while stack:
-            state, viols = stack.pop()
-            got = self.step(state, viols, rows)
+            state = stack.pop()
+            got = self.step(state, rows)
             if got is None:
                 found.append(state)
                 continue
-            for n, n_viols in got[0]:
+            for n in got[0]:
                 if n not in seen:
                     self.budget.charge()
                     seen.add(n)
-                    stack.append((n, n_viols))
+                    stack.append(n)
         return found
 
     def parts(self, state: frozenset[Atom]) -> list[tuple]:
@@ -342,12 +323,8 @@ def _branch_search(search: _Search):
     insert is the only such grounding. So every satisfying leaf below the
     state contains that insert.
 
-    A batch only inserts, so the child checks just the instantiations
-    touching it and its parent's violations (the parent's other
-    instantiations held and still hold), but not a forced violation of
-    a settled constraint: its insert grounds every existential, in the
-    child's universe, and no null witness is relevant. Branch children,
-    deletions among them, are enumerated in full.
+    A batch adds no atom of a frozen predicate, so every violation it
+    creates has a deletable body atom and branches.
 
     Forced batches run on the whole state, checked by the join. At the
     first state that is not forced, the search splits it into the parts
@@ -363,16 +340,16 @@ def _branch_search(search: _Search):
     state the forced batches reached among them. Where the split keeps
     the join (a constraint with an empty body or not anchored), the one
     part is the whole state."""
-    state, viols = search.base.atoms, None
+    state = search.base.atoms
     search.budget.charge()
     while True:
-        got = search.step(state, viols)
+        got = search.step(state)
         if got is None:
             return state, []
         nexts, branched = got
         if branched:
             break
-        [(state, viols)] = nexts
+        [state] = nexts
         search.budget.charge()
     parts = search.parts(state)
     return (state.difference(*(part for part, _ in parts)),

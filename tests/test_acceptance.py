@@ -26,8 +26,8 @@ from pdes.deffile import parse_definition
 from pdes.lang import Constraint, Cst, parse_constraint, parse_query
 from pdes.nullsem import classical_answers, n_answers, n_holds
 from pdes.repair import exhaustive_null_repairs, null_repairs
-from pdes.system import (PdesInstance, PdesSchema, _certain_answers,
-                         _search_repairs, _solve, inc_atom,
+from pdes.system import (RESTRICTED, PdesInstance, PdesSchema,
+                         _certain_answers, _search_repairs, _solve, inc_atom,
                          neighborhood_solutions, peer_consistent_answers,
                          solution_core, solutions)
 
@@ -425,13 +425,46 @@ def test_10_copy_chain_checks_grow_linearly(monkeypatch):
     assert counts[160] / counts[40] <= 5, counts
 
 
-def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
+def test_10_restricted_import_prelude_checks_grow_linearly(monkeypatch):
+    """P1 imports n copies from P0 under a local denial, so it is a
+    restricted import peer and takes the repair search. The copies are
+    forced and lead its constraints: the search checks each at its start
+    state and again at the batched child, which violates nothing, so the
+    checks grow with n alone."""
+    checks = []
+    real = repair.holds_instantiation
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(repair, "holds_instantiation", counted)
+    counts = {}
+    for n in (40, 160):
+        defn = parse_definition(
+            "peer P1 : R1/2\n"
+            "peer P0 : R2/2\n"
+            "trust P1 less P0\n"
+            "dec P1 P0 : forall x,y : R2(x,y) -> R1(x,y)\n"
+            "dec P1 P1 : forall x,y : R1(x,y), R1(y,x) -> false\n"
+            + "".join("instance P0 : R2(a%d,b%d)\n" % (i, i)
+                      for i in range(n)))
+        assert classify(defn.system)["P1"] == RESTRICTED
+        checks.clear()
+        res = solutions(defn.system, "P1", defn.instance)
+        assert len(res.solutions) == 1 and len(res.core) == n
+        counts[n] = len(checks)
+    assert counts == {40: 80, 160: 320}
+
+
+def test_10_copy_chain_checks_each_copy_twice_never_by_the_chase(
+        monkeypatch):
     """P1 and P2 copy n tuples each. Each copy instantiation is checked
-    once, by the repair search (its batched child checks only the
-    instantiations the batch touches), and never by the chase: a copy
-    rule is full, so the search grounds its insert without the pool and
-    never runs the chase. The search is called on its own, as
-    `solutions` takes the least model here."""
+    twice by the repair search, at its start state and at its batched
+    child, and never by the chase: a copy rule is full, so the search
+    grounds its insert without the pool and never runs the chase. The
+    search is called on its own, as `solutions` takes the least model
+    here."""
     checks = {chase_module: [], repair: []}
     for mod, seen in checks.items():
         def counted(*args, real=mod.holds_instantiation, seen=seen):
@@ -444,7 +477,7 @@ def test_10_copy_chain_checks_each_copy_once_per_layer(monkeypatch):
         for seen in checks.values():
             seen.clear()
         assert len(search_route(sysm, "P1", inst).core) == n
-        assert [len(c) for c in checks.values()] == [0, 2 * n]
+        assert [len(c) for c in checks.values()] == [0, 4 * n]
 
 
 @pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 2),
@@ -603,6 +636,26 @@ def test_10_copy_chain_checks_each_atom_once(monkeypatch):
     assert len(calls) == families.COPY_CHAIN_N + 4 == 52
 
 
+def test_10_asp_solve_checks_each_atom_once(tmp_path, capsys,
+                                             monkeypatch):
+    # 5 instance atoms and 4 constraint atoms at parse, and the constraint
+    # atoms again where r_chase fits them for the closeness bound; the
+    # grounder's rows and the extracted models are not checked again
+    calls = []
+    real = Schema.check
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    path = tmp_path / "asp_conflicts.pdes"
+    path.write_text(families.asp_conflicts(1).text)
+    monkeypatch.setattr(Schema, "check", counted)
+    assert main(["asp", "solve", str(path), "--peer", "P1"]) == 0
+    assert len(calls) == 13
+    capsys.readouterr()
+
+
 def test_10_copy_chain_fits_a_small_cap():
     # each peer's search holds its start state and one batched child; the
     # search is called on its own, as solutions runs none here
@@ -707,10 +760,10 @@ def test_10_one_violated_part_among_clean_keys_is_searched_alone(
     sizes = []
     real = repair._Search.step
 
-    def step(self, state, viols=None, rows=None):
+    def step(self, state, rows=None):
         if rows is not None:  # a state of a part, after the split
             sizes.append(len(state))
-        return real(self, state, viols, rows)
+        return real(self, state, rows)
 
     monkeypatch.setattr(repair._Search, "step", step)
     seen = {}
@@ -739,8 +792,8 @@ def test_10_split_search_checks_agree_with_the_join(monkeypatch):
     real_viols, real_parts = repair._Search.violations, repair._Search.parts
     compared, splits = collections.Counter(), []
 
-    def viols(self, state, rows=None, batch=None, carried=None):
-        got = list(real_viols(self, state, rows, batch, carried))
+    def viols(self, state, rows=None):
+        got = list(real_viols(self, state, rows))
         if rows is not None:
             assert [(c, s) for c, s, _ in got] == \
                 [(c, s) for c, s, _ in real_viols(self, state)]
@@ -912,18 +965,29 @@ def test_11_programs_agree_with_direct_solver():
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: the chase bound misses the null witness that a "
     "deletion reopens; solutions gives inc_P, the program R(b,null)"))
-def test_11_routes_agree_when_a_deletion_reopens_an_obligation():
-    defn = parse_definition(
-        "peer P : R/2\n"
-        "peer Q : S/2, T/2\n"
-        "trust P less Q\n"
-        "dec P Q : forall x,y : R(x,y), T(x,y) -> false\n"
-        "dec P Q : forall x,y : S(x,y) -> exists z : R(x,z)\n"
-        "instance P : R(b,c)\n"
-        "instance Q : S(b,a), T(b,c)\n")
+@pytest.mark.parametrize("text,p", [
+    ("peer P : R/2\n"
+     "peer Q : S/2, T/2\n"
+     "trust P less Q\n"
+     "dec P Q : forall x,y : R(x,y), T(x,y) -> false\n"
+     "dec P Q : forall x,y : S(x,y) -> exists z : R(x,z)\n"
+     "instance P : R(b,c)\n"
+     "instance Q : S(b,a), T(b,c)\n", "P"),
+    # the smaller form: a local rule does the deletion; solutions gives
+    # inc_P2, the program R2(null,b)
+    ("peer P2 : R2/2\n"
+     "peer P4 : R4/2\n"
+     "trust P2 less P4\n"
+     "dec P2 P2 : forall x,y : R2(x,y) -> x != y\n"
+     "dec P2 P4 : forall x,y : R4(x,y) -> exists z : R2(z,y)\n"
+     "instance P2 : R2(b,b)\n"
+     "instance P4 : R4(a,b)\n", "P2"),
+], ids=["frozen-denial", "local-rule"])
+def test_11_routes_agree_when_a_deletion_reopens_an_obligation(text, p):
+    defn = parse_definition(text)
     sysm, inst = defn.system, defn.instance
-    assert solution_sets(solutions(sysm, "P", inst).solutions) == \
-        solution_sets(_asp_route(sysm, "P", inst).solutions)
+    assert solution_sets(solutions(sysm, p, inst).solutions) == \
+        solution_sets(_asp_route(sysm, p, inst).solutions)
 
 
 # Z has no solutions, so P's rule toward Z is dropped. The closeness

@@ -281,11 +281,14 @@ class TestExitCodes:
         ("forall x : R(x) -> exists z : S(z) or exists z : T(z)",
          "existential variable reuse in "
          "forall x: R(x) -> exists z: S(z) or exists z: T(z)"),
+        ("forall x : R(x) -> exists x : S(x)",
+         "existential variable reuse in forall x: R(x) -> exists x: S(x)"),
         ("forall x : R(x) -> U(x,null)",
          "explicit null in constraint forall x: R(x) -> U(x,null)"),
         ("forall : R(x) -> false",
          "expected a variable in 'dec P P : forall : R(x) -> false'"),
-    ], ids=["reused-existential", "explicit-null", "empty-quantifier"])
+    ], ids=["reused-existential", "shadowing-existential", "explicit-null",
+            "empty-quantifier"])
     def test_constraint_shape_is_a_parse_error(self, tmp_path, capsys, dec,
                                                err):
         bad = tmp_path / "shape.pdes"

@@ -82,7 +82,7 @@ class TestParseConstraint:
             "undeclared body variable 'y' in forall x: R(x,y) -> S(x)"
 
     def test_existential_shadowing_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(SafetyError):
             parse_constraint("forall x : R(x) -> exists x : S(x)")
 
     def test_garbage_rejected(self):
