@@ -39,6 +39,7 @@ every peer it reaches through that peer's own program.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
@@ -556,10 +557,21 @@ def pca_via_asp(system: PdesSchema, p: str, d: PdesInstance,
 
 # ----------------------------------------------------------------- emitter
 
+_BARE_RE = re.compile(r"[a-z][A-Za-z0-9_]*|0|-?[1-9][0-9]*")
+
+
+def _emit_const(v: str) -> str:
+    """v bare where ASP reads it as itself, a lowercase identifier (not
+    the keyword ``not``) or a canonical integer; double-quoted otherwise,
+    so that distinct constants stay distinct and none reads as a
+    variable or as arithmetic."""
+    return v if _BARE_RE.fullmatch(v) and v != "not" else '"%s"' % v
+
+
 def _emit_term(t) -> str:
     if isinstance(t, Var):
         return t.name.upper()
-    return t.value.lower()
+    return _emit_const(t.value)
 
 
 def _emit_lit(lit: Lit | Builtin) -> str:
@@ -583,7 +595,7 @@ def emit_text(prog: LogicProgram) -> str:
     for a in sorted(prog.facts, key=lambda a: (a.pred, a.args)):
         if a.args:
             lines.append("%s(%s)." % (a.pred.lower(),
-                                      ",".join(c.lower() for c in a.args)))
+                                      ",".join(map(_emit_const, a.args))))
         else:
             lines.append("%s." % a.pred.lower())
     for r in prog.rules:

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
 a bad --query or cap, non-import systems passed to import-solve, systems
-or constraints that no solution program encodes), 2 parse error in the
-definition file, 3 candidate cap exceeded. The candidate cap comes from
---cap or the PDES_CAP environment variable. The library returns search
-order; this module alone orders what it lists, canonically.
+or constraints that no solution program encodes) or stdout closed before
+the output was written, 2 parse error in the definition file, 3
+candidate cap exceeded. The candidate cap comes from --cap or the
+PDES_CAP environment variable. The library returns search order; this
+module alone orders what it lists, canonically.
 """
 
 from __future__ import annotations
@@ -59,11 +60,13 @@ def _numbered(label: str, groups: list[list[str]]) -> list[str]:
 
 
 def _neighborhood_instance(defn: Definition, p: str) -> Instance:
+    # each atom was checked against its peer's schema at parse, and
+    # peers own disjoint predicates, so the neighbourhood schema fits it
     sysm = defn.system
     atoms = set(defn.instance.of(p).atoms)
     for q in sorted(sysm.strict_neighbors(p)):
         atoms |= defn.instance.of(q).atoms
-    return Instance(atoms, sysm.neighborhood_schema(p))
+    return Instance._trusted(frozenset(atoms), sysm.neighborhood_schema(p))
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -285,7 +288,16 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as e:
         print("cap exceeded: %s" % e, file=sys.stderr)
         return EXIT_CAP
-    _emit(payload, lines, args.format)
+    try:
+        _emit(payload, lines, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: stdout points at devnull from here, so
+        # that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_REFUSED
     return EXIT_OK
 
 

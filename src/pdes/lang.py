@@ -170,14 +170,6 @@ class Constraint(Record):
                 *(d.exist_vars for d in self.head))
 
     @cached_property
-    def full(self) -> bool:
-        """Whether it has no existential, no head-only universal and at
-        most one head disjunct with atoms: the body's join then grounds
-        its one insert, whatever bounds it."""
-        return (not self.is_existential and not self.head_only
-                and sum(bool(d.atoms) for d in self.head) <= 1)
-
-    @cached_property
     def constants(self) -> frozenset[str]:
         """The constants of its atoms and of its head builtins."""
         return frozenset(t.value for item in (

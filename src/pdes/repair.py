@@ -26,9 +26,9 @@ several. Each part's search charges the cap with every state it reaches
 but its start. The product is built only where `RepairSet.repairs` is
 read, which lists the repairs; certain answers and cores
 (:mod:`pdes.system`) work on the parts. Its violations, rows and head
-groundings against the closure (`chase.head_options`) come in
+groundings against the closure (`_Search.groundings`) come in
 `nullsem.in_order`, whatever order the joins give. A check reads its own
-ranges (`nullsem`), and a full constraint's insert needs no closure.
+ranges (`nullsem`).
 """
 
 from __future__ import annotations
@@ -160,11 +160,17 @@ class _Search:
         return saturate(self.base, self.sigma, self.universe, lambda _, c, s:
                         head_options(c, s, self.universe, None, True))
 
+    def groundings(self, c: Constraint, s) -> tuple[frozenset[Atom], ...]:
+        """The groundings of the head of c's instantiation s against the
+        closure, in `nullsem.in_order` (`chase.head_options`): the atom
+        sets its inserts may add."""
+        return tuple(head_options(c, s, self.universe, self.closure,
+                                  self.classical))
+
     def violations(self, state: frozenset[Atom], rows=None):
         """The violated ground instantiations (c, s) of state, in search
-        order, each as (c, s, options): options, with rows, are the
-        head's groundings against the closure, and None otherwise
-        (`moves` grounds the head).
+        order, each as (c, s, options), options the head's groundings
+        against the closure (`groundings`).
 
         With rows, from `parts` for a state inside the closure, they are
         the rows whose body state holds and none of whose witnesses it
@@ -187,21 +193,15 @@ class _Search:
             for s in in_order(instantiations(d, c, self.universe), c.body,
                               c.univ_vars):
                 if not holds_instantiation(d, c, s, self.classical):
-                    yield c, s, None
+                    yield c, s, self.groundings(c, s)
 
-    def moves(self, state: frozenset[Atom], c: Constraint, s, options=None):
+    def moves(self, state: frozenset[Atom], c: Constraint, s, options):
         """The moves that may repair the violated instantiation s of c in
         state, as deltas: its deletable body atoms, all in state, and the
         nonempty atom sets its head options add, none of a frozen
-        predicate. Without options, the head is grounded here against the
-        closure, a full constraint's without it, as the closure would
-        hold its one insert (`null_repairs`)."""
+        predicate."""
         dels = [ga for ga in (ground_atom(a, s) for a in c.body)
                 if ga.pred not in self.frozen_preds]
-        if options is None:
-            options = head_options(c, s, self.universe,
-                                   None if c.full else self.closure,
-                                   self.classical)
         adds = [new for new in (atoms - state for atoms in options)
                 if new and not any(a.pred in self.frozen_preds for a in new)]
         return dels, adds
@@ -281,8 +281,7 @@ class _Search:
             for s in in_order(instantiations(self.closure, c, self.universe),
                               c.body, c.univ_vars):
                 body = frozenset(ground_atom(a, s) for a in c.body)
-                options = tuple(head_options(c, s, self.universe,
-                                             self.closure, self.classical))
+                options = self.groundings(c, s)
                 part.union(chain(body, *options))
                 witnesses = pool_witnesses(self.closure, c, s, self.classical)
                 if witnesses is not None:
@@ -399,24 +398,14 @@ def null_repairs(base: Instance, sigma,
     products of each part's minimal states: the factored form returned.
 
     The chase, the search's closure, runs only when the search reads it:
-    to split into parts, to profile candidates against the bound, or to
-    ground the head of a constraint that is not full (`Constraint.full`).
-    Every state lies in the chase: base does, a deletion keeps a state
-    there, and an insert is a grounding of a head against the chase or
-    the insert of a full constraint, which is the chase join of its head.
-    For the last, take a violation of a full constraint in a state inside
-    the chase: its body is in the chase. The chase is a fixpoint of the
-    constraints that are not problematic, a full one among them, and the
-    body binds every variable the head reads, so the instantiation holds
-    in the chase. It holds there only through the grounding of its one
-    disjunct with atoms, which is then in the chase, or through a builtin
-    or a null universal: those read the instantiation alone, so they
-    would hold in the state as well. So the rows that splitting grounds
-    over the chase decide every later state's violations by containment
-    (`nullsem.pool_witnesses`), and their head groundings are its moves,
-    a full constraint's among them. The search's universe is base's
-    (`_Search`): every value the chase adds is null, of base's domain or
-    a constant of the constraints."""
+    to ground a violated head, to split into parts, or to profile
+    candidates against the bound. Every state lies in the chase: base
+    does, a deletion keeps a state there, and an insert is a grounding of
+    a head against the chase. So the rows that splitting grounds over the
+    chase decide every later state's violations by containment
+    (`nullsem.pool_witnesses`), and their head groundings are its moves.
+    The search's universe is base's (`_Search`): every value the chase
+    adds is null, of base's domain or a constant of the constraints."""
     search = _Search(base, sigma, frozen_preds, False)
     return _minimal_repairs(
         search, lambda d, b: closeness_profile(d, b, search.closure.atoms),

@@ -430,15 +430,18 @@ def test_10_restricted_import_prelude_checks_grow_linearly(monkeypatch):
     restricted import peer and takes the repair search. The copies are
     forced and lead its constraints: the search checks each at its start
     state and again at the batched child, which violates nothing, so the
-    checks grow with n alone."""
-    checks = []
-    real = repair.holds_instantiation
+    checks grow with n alone. Grounding the first copy's insert chases
+    once, and the chase checks each copy once."""
+    checks, chase_checks, chases = [], [], []
+    for mod, name, seen in [(repair, "holds_instantiation", checks),
+                            (chase_module, "holds_instantiation",
+                             chase_checks),
+                            (repair, "r_chase", chases)]:
+        def counted(*args, real=getattr(mod, name), seen=seen):
+            seen.append(1)
+            return real(*args)
 
-    def counted(*args):
-        checks.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(repair, "holds_instantiation", counted)
+        monkeypatch.setattr(mod, name, counted)
     counts = {}
     for n in (40, 160):
         defn = parse_definition(
@@ -450,21 +453,21 @@ def test_10_restricted_import_prelude_checks_grow_linearly(monkeypatch):
             + "".join("instance P0 : R2(a%d,b%d)\n" % (i, i)
                       for i in range(n)))
         assert classify(defn.system)["P1"] == RESTRICTED
-        checks.clear()
+        for seen in (checks, chase_checks, chases):
+            seen.clear()
         res = solutions(defn.system, "P1", defn.instance)
         assert len(res.solutions) == 1 and len(res.core) == n
-        counts[n] = len(checks)
-    assert counts == {40: 80, 160: 320}
+        counts[n] = len(checks), len(chase_checks), len(chases)
+    assert counts == {40: (80, 40, 1), 160: (320, 160, 1)}
 
 
-def test_10_copy_chain_checks_each_copy_twice_never_by_the_chase(
+def test_10_copy_chain_checks_each_copy_twice_and_chases_it_once(
         monkeypatch):
     """P1 and P2 copy n tuples each. Each copy instantiation is checked
     twice by the repair search, at its start state and at its batched
-    child, and never by the chase: a copy rule is full, so the search
-    grounds its insert without the pool and never runs the chase. The
-    search is called on its own, as `solutions` takes the least model
-    here."""
+    child, and once by the chase, which each peer's search runs to ground
+    its first insert. The search is called on its own, as `solutions`
+    takes the least model here."""
     checks = {chase_module: [], repair: []}
     for mod, seen in checks.items():
         def counted(*args, real=mod.holds_instantiation, seen=seen):
@@ -477,18 +480,18 @@ def test_10_copy_chain_checks_each_copy_twice_never_by_the_chase(
         for seen in checks.values():
             seen.clear()
         assert len(search_route(sysm, "P1", inst).core) == n
-        assert [len(c) for c in checks.values()] == [0, 4 * n]
+        assert [len(c) for c in checks.values()] == [2 * n, 4 * n]
 
 
-@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 2),
+@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 4),
                                       (families.conflicts(1), 2)])
 def test_10_checks_read_no_universe(fam, want, monkeypatch):
     """Each check builds the working universe only for a constraint that
     reads it, and no family constraint does: a request computes it once
-    per search and once per restricted chase (P1 and P2 each search on
-    the copy chain and never chase; P1 alone searches and chases on the
-    conflicts). The answers come through the search alone, which
-    `peer_consistent_answers` skips for the copy chain's import peers."""
+    per search and once per restricted chase (P1 and P2 each search and
+    chase on the copy chain; P1 alone does on the conflicts). The answers
+    come through the search alone, which `peer_consistent_answers` skips
+    for the copy chain's import peers."""
     calls = []
     for mod in (chase_module, repair, nullsem):
         def counted(*args, real=mod.working_universe):
@@ -503,13 +506,14 @@ def test_10_checks_read_no_universe(fam, want, monkeypatch):
     assert len(calls) == want
 
 
-@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 0),
+@pytest.mark.parametrize("fam,want", [(families.copy_chain(1), 2),
                                       (families.conflicts(1), 1)])
-def test_10_search_chases_only_to_read_the_bound(fam, want, monkeypatch):
-    """The copy chain's searches are forced batches of full copy rules,
-    which never read the pool; the conflicts split into parts, which
-    does, once. The answers come through the search alone, which
-    `peer_consistent_answers` skips for the copy chain's import peers."""
+def test_10_search_chases_once_per_searched_peer(fam, want, monkeypatch):
+    """A search chases when it first grounds a head, and then reads that
+    one chase to split and to profile: P1 and P2 each search on the copy
+    chain, P1 alone on the conflicts. The answers come through the search
+    alone, which `peer_consistent_answers` skips for the copy chain's
+    import peers."""
     calls = []
 
     def counted(*args, real=repair.r_chase):
@@ -653,6 +657,26 @@ def test_10_asp_solve_checks_each_atom_once(tmp_path, capsys,
     monkeypatch.setattr(Schema, "check", counted)
     assert main(["asp", "solve", str(path), "--peer", "P1"]) == 0
     assert len(calls) == 13
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["ns", "ex_3_2.pdes", "--peer", "P1"], 18),
+    (["chase", "ex_5_2.pdes", "--peer", "P"], 39)])
+def test_10_neighborhood_instance_is_not_checked_again(argv, want, capsys,
+                                                       monkeypatch):
+    # every atom is checked at parse against its peer's schema; the CLI's
+    # neighbourhood instance joins them unchecked
+    calls = []
+    real = Schema.check
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(Schema, "check", counted)
+    assert main([argv[0], fixture_path(argv[1]), *argv[2:]]) == 0
+    assert len(calls) == want
     capsys.readouterr()
 
 

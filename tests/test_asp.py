@@ -157,6 +157,23 @@ class TestEmitAndParse:
         _, _, p2 = program_for("ex_6_2.pdes", "P1")
         assert emit_text(p1) == emit_text(p2)
 
+    def test_constants_the_solver_would_misread_are_quoted(self):
+        # A and a stay distinct, and b-1 is a name, not arithmetic
+        defn = parse_definition("peer P : R/1, S/1, T/1\n"
+                                "instance P : R(A), S(a), T(b-1)\n")
+        prog = build_solution_program(defn.system, "P",
+                                      defn.instance.of("P"))
+        assert emit_text(prog).splitlines()[:7] == [
+            'r("A").', "s(a).", 't("b-1").',
+            'dom("A").', "dom(a).", 'dom("b-1").', "dom(null)."]
+        # a keyword and a non-canonical integer are names too
+        defn = parse_definition("peer P : R/1\n"
+                                "instance P : R(not), R(007), R(-3)\n")
+        prog = build_solution_program(defn.system, "P",
+                                      defn.instance.of("P"))
+        assert emit_text(prog).splitlines()[:3] == [
+            "r(-3).", 'r("007").', 'r("not").']
+
 
 class TestAnswersThroughPrograms:
     def test_three_peer_chain(self):

@@ -428,6 +428,21 @@ class TestExitCodes:
             (code, "", err.format(path=path))
 
 
+    def test_stdout_closed_early_ends_without_a_traceback(self, tmp_path):
+        # the output (about 110 KB) outgrows the pipe's 64 KB buffer, so
+        # writing must go on after the reader has closed its end
+        path = tmp_path / "copy_chain.pdes"
+        path.write_text(families.copy_chain(1, 5000).text)
+        with subprocess.Popen(
+                [sys.executable, "-m", "pdes.cli", "solutions", str(path),
+                 "--peer", "P1"], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=child_env()) as proc:
+            assert proc.stdout.readline() == b"solution 1:\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(), err) == (1, b"")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("golden,args", GOLDEN_CASES[:6],
                              ids=[g for g, _ in GOLDEN_CASES[:6]])

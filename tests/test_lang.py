@@ -199,20 +199,18 @@ class TestCachedAnalysis:
                             c.head, c.owner)
         assert joined.relevant == {"x", "y"} != c.relevant
 
-    @pytest.mark.parametrize("text,head_only,full", [
-        ("forall x,y : R(x,y) -> S(y,x)", set(), True),
-        ("forall x,y,z : R(x,y), R(x,z) -> y = z", set(), True),
-        ("forall x : R(x,x) -> false", set(), True),
-        ("forall x,y : R(x,y) -> S(x,y) or x = y", set(), True),
-        ("forall x,y : R(x,y) -> exists z : S(x,z)", set(), False),
-        ("forall x,y : R(x,y) -> S(x,y) or S(y,x)", set(), False),
-        ("forall x,y : R(x,x) -> S(x,y)", {"y"}, False),
-        ("forall x,y : R(x,x) -> S(x,x) or x != y", {"y"}, False),
-        ("forall x,y : R(x) -> exists z : S(z,y)", {"y"}, False)])
-    def test_full_means_the_body_grounds_one_insert(self, text, head_only,
-                                                    full):
-        c = parse_constraint(text)
-        assert (c.head_only, c.full) == (head_only, full)
+    @pytest.mark.parametrize("text,head_only", [
+        ("forall x,y : R(x,y) -> S(y,x)", set()),
+        ("forall x,y,z : R(x,y), R(x,z) -> y = z", set()),
+        ("forall x : R(x,x) -> false", set()),
+        ("forall x,y : R(x,y) -> S(x,y) or x = y", set()),
+        ("forall x,y : R(x,y) -> exists z : S(x,z)", set()),
+        ("forall x,y : R(x,y) -> S(x,y) or S(y,x)", set()),
+        ("forall x,y : R(x,x) -> S(x,y)", {"y"}),
+        ("forall x,y : R(x,x) -> S(x,x) or x != y", {"y"}),
+        ("forall x,y : R(x) -> exists z : S(z,y)", {"y"})])
+    def test_head_only_is_what_the_body_cannot_bind(self, text, head_only):
+        assert parse_constraint(text).head_only == head_only
 
 
 class TestRecords:
@@ -245,8 +243,7 @@ class TestRecords:
         text = "forall x,y : R(x,y) -> S(y,c) or x = d"
         c = parse_constraint(text)
         for name in ("relevant", "anchored", "problematic", "head_only",
-                     "full", "constants", "relevant_universals",
-                     "escape_builtins"):
+                     "constants", "relevant_universals", "escape_builtins"):
             assert name not in vars(c)
             assert getattr(c, name) is getattr(c, name)
             assert name in vars(c)

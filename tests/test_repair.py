@@ -280,9 +280,10 @@ class TestDeltaOracleCrossCheck:
 
 
 class TestChaseBound:
-    """The search chases only when it reads the pool, yet every repair it
-    finds lies inside the chase, and the chase adds no value to the
-    universe the search ranges over."""
+    """The search chases only when it reads the chase: to ground a
+    violated head, to split or to profile. Every repair it finds lies
+    inside the chase, and the chase adds no value to the universe the
+    search ranges over."""
 
     @staticmethod
     def _check(base, sigma, preds=()):
