@@ -53,7 +53,7 @@ from .repair import (NULL_BASED, RepairSet, _minimal, closeness_profile,
                      closer_lt)
 from .chase import r_chase
 from .system import (PdesInstance, PdesSchema, PcaResult, _certain_answers,
-                     inc_atom, solution_form, INC_PREFIX)
+                     solution_form)
 
 TA, FA, TS, FS, TSS = "ta", "fa", "ts", "fs", "tss"
 
@@ -64,7 +64,7 @@ _FLIP = {"eq": "neq", "neq": "eq", "lt": "geq", "geq": "lt",
 
 class Lit(NamedTuple):
     """A (possibly negated) program atom: annotated nickname when ``ann``
-    is set, plain database/dom/aux/marker atom otherwise."""
+    is set, plain database/dom/aux atom otherwise."""
 
     pred: str
     terms: tuple
@@ -108,7 +108,8 @@ def _guards(vars_: Iterable[str]) -> list[Builtin]:
 def build_solution_program(system: PdesSchema, p: str,
                            dbar: Instance) -> LogicProgram:
     """The solution program for p over an instance of p's neighborhood
-    schema whose restriction to p's schema is p's local data. Its ``!= null``
+    schema whose restriction to p's schema is p's local data, over the
+    constraints that `PdesSchema.live_sigma` keeps. Its ``!= null``
     guards encode the null-based preorder, so delta systems are refused."""
     system._check_peer(p)
     if system.preorder != NULL_BASED:
@@ -117,7 +118,7 @@ def build_solution_program(system: PdesSchema, p: str,
     changeable = {r for q in system.neighbors(p)
                   for r in system.schemas[q].preds()} - system.frozen_preds(p)
     warnings: list[str] = []
-    sigma = system.sigma_of(p)
+    sigma = system.live_sigma(p, dbar)
     ok, witness = ref_acyclic(sigma)
     if not ok:
         warnings.append(
@@ -126,21 +127,16 @@ def build_solution_program(system: PdesSchema, p: str,
             " -> ".join(witness))
     rules: list[Rule] = []
     aux_n = 0
-    for q in sorted(system.neighbors(p)):
-        inc_guard: list[Lit] = []
-        if q != p and inc_atom(q) in dbar:
-            inc_guard = [Lit(INC_PREFIX + q, (), neg=True)]
-        for c in system.sigma.get((p, q), ()):
-            if c.is_existential:
-                if not _simple_rdec(c):
-                    raise SchemaError(
-                        "existential constraint %s is not of the supported "
-                        "single-atom form" % c)
-                aux_n += 1
-                rules += _rdec_rules(c, changeable, "aux%d" % aux_n,
-                                     inc_guard)
-            else:
-                rules.append(_udec_rule(c, changeable, inc_guard))
+    for c in sigma:
+        if c.is_existential:
+            if not _simple_rdec(c):
+                raise SchemaError(
+                    "existential constraint %s is not of the supported "
+                    "single-atom form" % c)
+            aux_n += 1
+            rules += _rdec_rules(c, changeable, "aux%d" % aux_n)
+        else:
+            rules.append(_udec_rule(c, changeable))
     for r in sorted(changeable):
         arity = dbar.schema.arity(r)
         xs = tuple(Var("x%d" % i) for i in range(1, arity + 1))
@@ -170,8 +166,7 @@ def _body_lit(a: PredAtom, changeable: frozenset[str], ann: str) -> Lit:
     return Lit(a.pred, a.terms, neg=(ann == FS))
 
 
-def _udec_rule(c: Constraint, changeable: frozenset[str],
-               inc_guard: list[Lit]) -> Rule:
+def _udec_rule(c: Constraint, changeable: frozenset[str]) -> Rule:
     for d in c.head:
         if len(d.atoms) > 1:
             raise SchemaError(
@@ -192,13 +187,12 @@ def _udec_rule(c: Constraint, changeable: frozenset[str],
             if b.op == "false":
                 continue  # negation of false always holds
             body.append(Builtin(_FLIP[b.op], b.terms))
-    body += inc_guard
     body += _guards(v for v in c.univ_vars if v in c.relevant)
     return Rule(tuple(head), tuple(body))
 
 
-def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
-                inc_guard: list[Lit]) -> list[Rule]:
+def _rdec_rules(c: Constraint, changeable: frozenset[str],
+                aux: str) -> list[Rule]:
     body_atom = c.body[0]
     disj = c.head[0]
     target = disj.atoms[0]
@@ -210,8 +204,7 @@ def _rdec_rules(c: Constraint, changeable: frozenset[str], aux: str,
     xp_vars = [t.name for t in xprime]
     main_body: tuple[Lit | Builtin, ...] = (
         _body_lit(body_atom, changeable, TS),
-        Lit(aux, xprime, neg=True),
-        *inc_guard, *_guards(xp_vars))
+        Lit(aux, xprime, neg=True), *_guards(xp_vars))
     head: list[Lit] = []
     if body_atom.pred in changeable:
         head.append(Lit(body_atom.pred, body_atom.terms, FA))
@@ -351,7 +344,7 @@ def _ground_rule(r: Rule, s: Mapping[str, str],
                 pos.append(_nick(base, FA))
         elif item.ann in (TA, FA):
             (neg if item.neg else pos).append(_nick(base, item.ann))
-        else:  # plain / dom / aux / marker
+        else:  # plain / dom / aux
             if item.pred.startswith("aux"):
                 (neg if item.neg else pos).append(base)
                 continue
@@ -511,9 +504,7 @@ def _extract_neighborhood(prog: LogicProgram,
     does not delete plus the atoms it inserts."""
     atoms = set()
     for a in prog.facts:
-        if a.pred == "dom" or a.pred.startswith(INC_PREFIX):
-            continue
-        if _nick(a, FA) not in m:
+        if a.pred != "dom" and _nick(a, FA) not in m:
             atoms.add(a)
     for a in m:
         if a.pred.endswith("_") and a.args[-1] == TA:
@@ -535,7 +526,7 @@ def asp_solutions(system: PdesSchema, p: str,
     for m in stable_models(ground(prog)):
         inst = _extract_neighborhood(prog, m)
         full.setdefault(inst.atoms, inst)
-    bound = r_chase(dbar, [c for _, c in system.live_sigma(p, dbar)]).atoms
+    bound = r_chase(dbar, system.live_sigma(p, dbar)).atoms
     return solution_form(system, p, _minimal(
         list(full.values()),
         lambda d: closeness_profile(d.atoms, dbar.atoms, bound), closer_lt))
@@ -576,8 +567,9 @@ def _emit_term(t) -> str:
 
 def _emit_lit(lit: Lit | Builtin) -> str:
     if isinstance(lit, Builtin):
-        if len(lit.terms) == 1:
-            return "%s(%s)" % (lit.op, _emit_term(lit.terms[0]))
+        if len(lit.terms) == 1:  # isnull / isnotnull: a comparison with null
+            lit = Builtin("eq" if lit.op == "isnull" else "neq",
+                          (lit.terms[0], Cst(NULL)))
         lhs, rhs = (_emit_term(t) for t in lit.terms)
         return "%s %s %s" % (lhs, OP_TEXT[lit.op], rhs)
     args = [_emit_term(t) for t in lit.terms]
@@ -590,7 +582,18 @@ def _emit_lit(lit: Lit | Builtin) -> str:
 
 def emit_text(prog: LogicProgram) -> str:
     """Deterministic solver-ready text: facts first, then rules in
-    generation order; `|` disjunction, `:-` arrows, `not` negation."""
+    generation order; `|` disjunction, `:-` arrows, `not` negation.
+    Predicate names are written in lowercase, so SchemaError when two
+    names of the program would be written alike."""
+    written: dict[str, str] = {}
+    for name in sorted({a.pred for a in prog.facts}
+                       | {lit.pred for r in prog.rules
+                          for lit in (*r.head, *r.body)
+                          if isinstance(lit, Lit)}):
+        other = written.setdefault(name.lower(), name)
+        if other != name:
+            raise SchemaError("predicates %r and %r are both written %s"
+                              % (other, name, name.lower()))
     lines = []
     for a in sorted(prog.facts, key=lambda a: (a.pred, a.args)):
         if a.args:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
 a bad --query or cap, non-import systems passed to import-solve, systems
-or constraints that no solution program encodes) or stdout closed before
-the output was written, 2 parse error in the definition file, 3
+or constraints that no solution program encodes, two predicate names
+that asp emit would write alike) or stdout closed before the output was
+written, 2 parse error in the definition file, 3
 candidate cap exceeded. The candidate cap comes from --cap or the
 PDES_CAP environment variable. The library returns search order; this
 module alone orders what it lists, canonically.

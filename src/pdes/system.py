@@ -143,12 +143,11 @@ class PdesSchema(Record):
             out.extend(self.sigma.get((p, q), ()))
         return tuple(out)
 
-    def live_sigma(self, p: str,
-                   dbar: Instance) -> tuple[tuple[str, Constraint], ...]:
+    def live_sigma(self, p: str, dbar: Instance) -> tuple[Constraint, ...]:
         """p's constraints that apply over its neighborhood instance dbar,
-        each with the peer it points to: all but the sets toward a strict
-        neighbor whose inconsistency marker dbar holds."""
-        return tuple((q, c) for q in sorted(self.neighbors(p))
+        in `sigma_of`'s order: all but the sets toward a strict neighbor
+        whose inconsistency marker dbar holds."""
+        return tuple(c for q in sorted(self.neighbors(p))
                      if q == p or inc_atom(q) not in dbar
                      for c in self.sigma.get((p, q), ()))
 
@@ -273,7 +272,7 @@ def least_model(system: PdesSchema, p: str, dbar: Instance) -> Instance:
     classical = system.preorder != NULL_BASED
     copied: list[Atom] = []  # the heads of rank -1
     ranked: dict[int, list] = {}
-    for _, c in system.live_sigma(p, dbar):
+    for c in system.live_sigma(p, dbar):
         target = next(d for d in c.head if d.atoms)
         head = target.atoms[0]
         if not target.exist_vars:
@@ -314,8 +313,7 @@ def _neighborhood_repairs(system: PdesSchema, p: str,
 def _search_repairs(system: PdesSchema, p: str, dbar: Instance) -> RepairSet:
     """`neighborhood_solutions` in factored form by the repair search
     alone, whatever p's import flag."""
-    sigma = [c for _, c in system.live_sigma(p, dbar)]
-    return preorder_repairs(system.preorder, dbar, sigma,
+    return preorder_repairs(system.preorder, dbar, system.live_sigma(p, dbar),
                             frozen_preds=system.frozen_preds(p))
 
 

@@ -191,9 +191,7 @@ def least_model_by_checks(system, p, dbar):
     hold over the atoms so far."""
     classical = system.preorder != NULL_BASED
     ranked = {}
-    for q, c in system.live_sigma(p, dbar):
-        if q == p:
-            continue
+    for c in system.live_sigma(p, dbar):
         target = next(d for d in c.head if d.atoms)
         nulls = dict.fromkeys(target.exist_vars, NULL)
         for s in naive_join(dbar, c.body, {}):

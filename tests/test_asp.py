@@ -64,18 +64,59 @@ class TestCopyConstraintProgram:
 
 
 class TestInconsistencyMarker:
-    def test_marker_guards_the_import_rule(self):
+    def test_marker_drops_the_import_rule(self):
         defn = load("ex_6_1.pdes")
         dbar = Instance(
             defn.instance.of("P1").atoms | {inc_atom("P2")},
             defn.system.neighborhood_schema("P1"))
         prog = build_solution_program(defn.system, "P1", dbar)
-        assert "not inc_p2" in emit_text(prog)
+        assert not any(b.pred == "R2" for r in prog.rules for b in r.body
+                       if isinstance(b, Lit))
         models = stable_models(ground(prog))
         assert len(models) == 1
         inst = extract_instance(prog, models[0],
                                 defn.system.schemas["P1"].preds())
         assert set(map(str, inst.atoms)) == {"R1(a,2)"}
+
+
+class TestDroppedSet:
+    """P2 has no solution, so P1's core neighborhood holds P2's marker and
+    none of P2's atoms, and P1's import from P2 no longer applies."""
+
+    TEXT = ("peer P1 : R1/2\npeer P2 : R2/2\npeer P3 : R3/1\n"
+            "trust P1 less P2\ntrust P2 less P3\n"
+            "dec P1 P2 : forall x,y : R2(x,y) -> exists z : R1(x,z)\n"
+            "dec P2 P3 : forall x : R3(x) -> false\n"
+            "instance P1 : R1(a,null), R1(b,c)\n"
+            "instance P2 : R2(a,e)\ninstance P3 : R3(k)\n")
+
+    def setup_method(self):
+        self.defn = parse_definition(self.TEXT)
+        self.dbar = core_instance(self.defn.system, "P1", self.defn.instance)
+        assert inc_atom("P2") in self.dbar
+        self.prog = build_solution_program(self.defn.system, "P1", self.dbar)
+
+    def test_routes_agree(self):
+        res = solutions(self.defn.system, "P1", self.defn.instance)
+        assert solution_sets(res.solutions) == solution_sets(
+            asp_solutions(self.defn.system, "P1", self.dbar)) == {
+            frozenset({"R1(a,null)", "R1(b,c)"})}
+
+    def test_no_rule_reads_the_dropped_set(self):
+        rules = [line for line in emit_text(self.prog).splitlines()
+                 if ":-" in line]
+        assert rules and not any("r2" in line or "inc_p2" in line
+                                 for line in rules)
+
+    def test_the_one_stable_model_is_empty(self):
+        assert stable_models(ground(self.prog)) == (frozenset(),)
+
+    def test_a_dropped_shape_the_generator_refuses_is_not_read(self):
+        defn = parse_definition(self.TEXT.replace(
+            "R1(x,z)", "R1(x,z), R1(z,x)"))
+        dbar = core_instance(defn.system, "P1", defn.instance)
+        assert solution_sets(asp_solutions(defn.system, "P1", dbar)) == {
+            frozenset({"R1(a,null)", "R1(b,c)"})}
 
 
 class TestFunctionalDependencyProgram:
@@ -173,6 +214,27 @@ class TestEmitAndParse:
                                       defn.instance.of("P"))
         assert emit_text(prog).splitlines()[:3] == [
             "r(-3).", 'r("007").', 'r("not").']
+
+    @pytest.mark.parametrize("head, test", [("isnotnull", "X = null"),
+                                            ("isnull", "X != null")])
+    def test_null_tests_are_written_as_comparisons(self, head, test):
+        # a solver reads isnull(X) as an atom that is never true
+        defn = parse_definition(
+            "peer P1 : S1/1\n"
+            "dec P1 P1 : forall x : S1(x) -> %s(x)\n"
+            "instance P1 : S1(null)\n" % head)
+        prog = build_solution_program(defn.system, "P1",
+                                      defn.instance.of("P1"))
+        assert "s1(X,fa) :- s1(X,ts), %s." % test in \
+            emit_text(prog).splitlines()
+
+    @pytest.mark.parametrize("preds", ["Dom/1, R/1", "R/2, r/3"])
+    def test_names_written_alike_are_refused(self, preds):
+        defn = parse_definition("peer P : %s\n" % preds)
+        prog = build_solution_program(defn.system, "P",
+                                      defn.instance.of("P"))
+        with pytest.raises(SchemaError, match="are both written"):
+            emit_text(prog)
 
 
 class TestAnswersThroughPrograms:

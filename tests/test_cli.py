@@ -148,6 +148,18 @@ class TestExitCodes:
                 assert (code, out) == (1, ""), (name, action)
                 assert err.startswith("error: "), (name, action)
 
+    def test_emit_refuses_names_written_alike(self, tmp_path, capsys):
+        path = tmp_path / "dom.pdes"
+        path.write_text("peer P : Dom/1, R/1\ninstance P : Dom(q), R(a)\n")
+        code = main(["asp", "emit", str(path), "--peer", "P"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("error: predicates 'Dom' and 'dom' are both "
+                       "written dom\n")
+        # the solver keeps the names apart
+        assert main(["asp", "solve", str(path), "--peer", "P"]) == 0
+        assert capsys.readouterr().out.endswith("  Dom(q)\n  R(a)\n")
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.pdes"
         bad.write_text("peer P : R/1\nnonsense\n")

@@ -1,8 +1,9 @@
 """Checks on the source of `pdes` itself: no unused imports, no dead
 module-level private names, no public name that only tests read, no
-candidate cap passed by hand, the keys of the one order read only where
-it is owned, no imports inside functions, every module importable on its
-own, and no dotted name in the docs that names nothing."""
+candidate cap passed by hand, the keys of the one order and the
+inconsistency marker read only where they are owned, no imports inside
+functions, every module importable on its own, and no dotted name in the
+docs that names nothing."""
 
 import ast
 import io
@@ -216,12 +217,14 @@ ORDER_KEYS = {
 }
 
 
-def order_key_reads(sources: dict[str, str]) -> list[str]:
-    """Where sources (module name -> text) read a key of ORDER_KEYS, as a
-    name or an attribute, outside the places it allows, each as `key:
-    place`: the innermost function or class around the read, as
-    module.qualname, or the module at its top level. A place allows
-    whatever lies inside it."""
+def order_key_reads(sources: dict[str, str],
+                    keys: dict[str, tuple[str, ...]] = ORDER_KEYS
+                    ) -> list[str]:
+    """Where sources (module name -> text) read a key of keys, as a name
+    or an attribute, outside the places it allows, each as `key: place`:
+    the innermost function or class around the read, as module.qualname,
+    or the module at its top level. A place allows whatever lies inside
+    it."""
     found = set()
 
     def visit(node, where: str) -> None:
@@ -232,9 +235,9 @@ def order_key_reads(sources: dict[str, str]) -> list[str]:
                                         getattr(child, "name", "<lambda>")))
                 continue
             key = getattr(child, "id", getattr(child, "attr", None))
-            if key in ORDER_KEYS and not any(
+            if key in keys and not any(
                     where == place or where.startswith(place + ".")
-                    for place in ORDER_KEYS[key]):
+                    for place in keys[key]):
                 found.add("%s: %s" % (key, where))
             visit(child, where)
 
@@ -266,6 +269,33 @@ def test_the_order_is_read_only_where_it_is_owned():
     # options over a pool and the grounder sort through nullsem.in_order
     assert order_key_reads(dict(zip((m[:-3] for m in MODULES),
                                     _sources()))) == []
+
+
+#: the inconsistency marker, with the places that may read it: system
+#: owns it and drops the constraint sets it marks (`live_sigma`), and cli
+#: prints it and tests a core for it
+MARKER_KEYS = {"inc_atom": ("system", "cli"),
+               "INC_PREFIX": ("system", "cli")}
+
+
+def test_the_check_sees_a_marker_read_elsewhere():
+    assert order_key_reads({
+        "system": "INC_PREFIX = 'inc_'\n"
+                  "def inc_atom(p):\n    return INC_PREFIX + p\n",
+        "cli": "from .system import inc_atom\n"
+               "def _inconsistent(p):\n    return str(inc_atom(p))\n",
+        "asp": "from .system import INC_PREFIX, inc_atom\n"
+               "def build(q):\n    return inc_atom(q)\n"
+               "def skip(a):\n    return a.pred.startswith(INC_PREFIX)\n",
+        "repair": "from . import system\nM = system.inc_atom\n",
+    }, MARKER_KEYS) == ["INC_PREFIX: asp.skip", "inc_atom: asp.build",
+                        "inc_atom: repair"]
+
+
+def test_the_marker_is_read_only_where_it_is_owned():
+    # every other route reads the constraints that `live_sigma` keeps
+    assert order_key_reads(dict(zip((m[:-3] for m in MODULES),
+                                    _sources())), MARKER_KEYS) == []
 
 
 def function_local_imports(source: str) -> list[int]:
