@@ -4,19 +4,21 @@ Exit codes: 0 success, 1 semantic refusal (cycles, inconsistent usage,
 a bad --query or cap, non-import systems passed to import-solve, systems
 or constraints that no solution program encodes, two predicate names
 that asp emit would write alike) or stdout closed before the output was
-written, 2 parse error in the definition file, 3
-candidate cap exceeded. The candidate cap comes from --cap or the
-PDES_CAP environment variable. The library returns search order; this
-module alone orders what it lists, canonically.
+written, 2 parse error in the definition file or usage error, 3
+candidate cap exceeded. A usage error, such as a missing --peer, prints
+`usage: ...` and `pdes: error: ...` to stderr and nothing to stdout;
+options are spelt out in full, never abbreviated. The candidate cap
+comes from --cap or the PDES_CAP environment variable. The library
+returns search order; this module alone orders what it lists,
+canonically.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from .asp import (asp_solutions, build_solution_program, emit_text, ground,
                   stable_models)
@@ -151,6 +153,8 @@ def _cmd_core(defn: Definition, args):
 
 
 def _get_query(defn: Definition, args):
+    # the peer first, so that an unknown one is named as elsewhere
+    defn.system._check_peer(args.peer)
     if args.query is not None:
         try:
             return parse_query("query %s : %s" % (args.peer, args.query))
@@ -214,50 +218,149 @@ def _cmd_asp(defn: Definition, args):
 
 # ------------------------------------------------------------------ main
 
-@cache  # parse_args leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="pdes",
-        description="Peer data exchange systems with trust and nulls.")
-    ap.add_argument("--cap", type=int, default=None,
-                    help="candidate cap (default: PDES_CAP or %d)"
-                    % DEFAULT_CAP)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, peer=True, query=False):
-        sp.add_argument("file", help="definition file")
-        sp.add_argument("--format", choices=("text", "json"),
-                        default="text")
-        if peer:
-            sp.add_argument("--peer", required=True)
-        if query:
-            sp.add_argument("--query", default=None)
-
-    common(sub.add_parser("check", help="parse and report"), peer=False)
-    common(sub.add_parser("chase", help="restricted chase of a peer's "
-                          "neighborhood instance"))
-    common(sub.add_parser("repairs", help="repairs wrt local constraints"))
-    common(sub.add_parser("ns", help="neighborhood solutions"))
-    common(sub.add_parser("solutions", help="solution instances"))
-    common(sub.add_parser("core", help="intersection of solutions"))
-    common(sub.add_parser("pca", help="peer-consistent answers"),
-           query=True)
-    common(sub.add_parser("import-solve", help="import-case solver"))
-    asp = sub.add_parser("asp", help="solution programs")
-    asp.add_argument("asp_action", choices=("emit", "solve"))
-    common(asp)
-    return ap
-
-
-_HANDLERS = {
-    "check": _cmd_check, "chase": _cmd_chase, "repairs": _cmd_repairs,
-    "ns": _cmd_ns, "solutions": _cmd_solutions, "core": _cmd_core,
-    "pca": _cmd_pca, "import-solve": _cmd_import_solve, "asp": _cmd_asp,
+#: each subcommand: its handler, its help line, and what it takes beside
+#: FILE and --format: the options --peer and --query, and a choice of
+#: action words, such as emit|solve, that comes before FILE
+_COMMANDS = {
+    "check": (_cmd_check, "parse and report", ()),
+    "chase": (_cmd_chase, "restricted chase of P's neighborhood instance",
+              ("--peer",)),
+    "repairs": (_cmd_repairs, "repairs wrt local constraints", ("--peer",)),
+    "ns": (_cmd_ns, "neighborhood solutions", ("--peer",)),
+    "solutions": (_cmd_solutions, "solution instances", ("--peer",)),
+    "core": (_cmd_core, "intersection of solutions", ("--peer",)),
+    "pca": (_cmd_pca, "peer-consistent answers", ("--peer", "--query")),
+    "import-solve": (_cmd_import_solve, "import-case solver", ("--peer",)),
+    "asp": (_cmd_asp, "solution programs", ("emit|solve", "--peer")),
 }
+
+#: each option: the name of its value, and its help line
+_OPTIONS = {
+    "--cap": ("N", "candidate cap (default: PDES_CAP or %d)" % DEFAULT_CAP),
+    "--format": ("text|json", "output format (default: text)"),
+    "--peer": ("P", "the peer to answer for"),
+    "--query": ("Q", "pca's query (default: P's query in FILE)"),
+}
+_HELP = ("-h", "--help")
+
+
+def _form(command: str) -> str:
+    """command with its action words, FILE and the options it takes."""
+    takes = _COMMANDS[command][2]
+    words = [command] + [t for t in takes if t[0] != "-"] + ["FILE"]
+    return " ".join(words + [("%s %s" if t == "--peer" else "[%s %s]")
+                             % (t, _OPTIONS[t][0]) for t in takes
+                             if t[0] == "-"])
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: pdes [-h] [--cap N] SUBCOMMAND ... FILE"
+    return "usage: pdes [--cap N] %s [--format %s]" % (
+        _form(command), _OPTIONS["--format"][0])
+
+
+def _help() -> str:
+    commands = [(_form(c), entry[1]) for c, entry in _COMMANDS.items()]
+    options = [(", ".join(_HELP), "print this help and exit")] + [
+        ("%s %s" % (o, meta), text) for o, (meta, text) in _OPTIONS.items()]
+    width = max(len(form) for form, _ in commands)
+    return "\n".join(
+        [_usage(None), "", "Peer data exchange systems with trust and nulls.",
+         "", "subcommands, each followed by its FILE and options in any "
+         "order:"]
+        + ["  %-*s  %s" % (width, *row) for row in commands]
+        + ["", "options, each as --opt VALUE or --opt=VALUE:"]
+        + ["  %-*s  %s" % (width, *row) for row in options])
+
+
+def _fail(command: str | None, message: str):
+    print(_usage(command), file=sys.stderr)
+    print("pdes: error: " + message, file=sys.stderr)
+    sys.exit(EXIT_PARSE)
+
+
+def _is_option(word: str, known: tuple[str, ...]) -> bool:
+    """Whether word is an option: it starts with '-' and is not '-' or a
+    negative number; a word with a space is one only if a known option
+    comes before its '='."""
+    if word[:1] != "-" or word == "-":
+        return False
+    if word.partition("=")[0] in known:
+        return True
+    digits = word[1:].replace(".", "", 1)
+    return " " not in word and not (digits.isdecimal()
+                                    and not word.endswith("."))
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read in one pass: --cap before the subcommand; after it,
+    FILE, its action word and its options in any order, each option as
+    `--opt VALUE` or `--opt=VALUE` and the last of a repeated one
+    counting. A `--` where a positional is still to come, or just after
+    one, ends the options. No option is abbreviated. Exits 0 after
+    printing the help, and 2 after a usage error."""
+    args = SimpleNamespace(command=None, asp_action=None, file=None,
+                           cap=None, format="text", peer=None, query=None)
+    known = _HELP + ("--cap",)
+    # the positionals still to read: attribute, its choices, its name
+    slots = [("command", _COMMANDS, "SUBCOMMAND")]
+    rest = False  # after --
+    loose = False  # the last word read was a positional
+    words = iter(argv)
+    for word in words:
+        if word == "--" and args.command and not rest and (slots or loose):
+            rest = True
+        elif not rest and _is_option(word, known):
+            loose = False
+            name, eq, value = word.partition("=")
+            if name not in known:
+                _fail(args.command, "unrecognized option %r" % word)
+            if name in _HELP:
+                if eq:
+                    _fail(args.command, "%s takes no value" % name)
+                print(_help())
+                sys.exit(EXIT_OK)
+            if not eq:
+                value = next(words, None)
+                if value is None or _is_option(value, known):
+                    _fail(args.command, "%s needs a value" % name)
+            meta = _OPTIONS[name][0]
+            if name == "--cap":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(args.command, "--cap takes an integer, not %r"
+                          % value)
+            elif "|" in meta and value not in meta.split("|"):
+                _fail(args.command, "%s takes %s, not %r"
+                      % (name, meta, value))
+            setattr(args, name[2:], value)
+        elif not slots:
+            _fail(args.command, "unexpected argument %r" % word)
+        else:
+            attr, choices, what = slots.pop(0)
+            loose = True
+            if choices is not None and word not in choices:
+                _fail(args.command, "%r is not one of %s"
+                      % (word, "|".join(choices)))
+            setattr(args, attr, word)
+            if attr == "command":
+                takes = _COMMANDS[word][2]
+                known = _HELP + ("--format",) + tuple(
+                    t for t in takes if t[0] == "-")
+                slots = [("asp_action", t.split("|"), t) for t in takes
+                         if t[0] != "-"] + [("file", None, "FILE")]
+    missing = [what for _, _, what in slots]
+    if "--peer" in known and args.peer is None:
+        missing.append("--peer P")
+    if missing:
+        _fail(args.command, "missing " + ", ".join(missing))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     cap = args.cap
     if cap is None:
         try:
@@ -282,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_REFUSED
     try:
         with capped(cap):
-            payload, lines = _HANDLERS[args.command](defn, args)
+            payload, lines = _COMMANDS[args.command][0](defn, args)
     except (Refusal, SchemaError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_REFUSED

@@ -272,20 +272,25 @@ def ref_acyclic(sigma) -> tuple[bool, list[str] | None]:
 
 _BUILTIN_WORDS = ("false", "isnull", "isnotnull")
 _PUNCT = frozenset("<= >= != -> ( ) , : = < > /".split())
-_TOKEN = "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True))) \
-    + r"|[A-Za-z0-9_.'-]+"
-_TOKEN_RE = re.compile(_TOKEN)
-_TOKEN_RUN_RE = re.compile(r"(?:\s*(?:%s))*\s*" % _TOKEN)
+_TOKEN_RE = re.compile(
+    "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))
+    + r"|[A-Za-z0-9_.'-]+")
 
 
 def _tokenize(text: str, where: str) -> list[str]:
     """The tokens of text in one pass. Tokens hold no whitespace and
     never overlap, so they cover every other character iff, joined, they
     are as long as text without whitespace; only when they are not is
-    the first skipped character sought, for its column."""
+    the first skipped character sought, for its column: the first one
+    that is not whitespace in a gap between tokens, or after the last."""
     toks = _TOKEN_RE.findall(text)
     if len("".join(toks)) != len("".join(text.split())):
-        end = _TOKEN_RUN_RE.match(text).end()
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if text[end:m.start()].strip():
+                break
+            end = m.end()
+        end += len(text[end:]) - len(text[end:].lstrip())
         raise ParseError("bad character at column %d%s: %r"
                          % (end + 1, where, text[end]))
     return toks

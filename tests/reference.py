@@ -27,6 +27,8 @@ route calls them; each decides the same question a second way.
   the derivable atoms with an all-subsets minimality check, against
   `asp.ground` and `asp.stable_models`. `extract_instance` reads a peer's
   instance off a stable model.
+- The command line: `reference_parser` reads the same grammar with
+  argparse, abbreviations of options refused, against `cli._parse_args`.
 
 The exhaustive null-repair oracle stays in `pdes.repair`
 (`exhaustive_null_repairs`, with `nullsem.n_holds` and
@@ -34,10 +36,12 @@ The exhaustive null-repair oracle stays in `pdes.repair`
 checks import it from there.
 """
 
+import argparse
 from itertools import combinations, product
 
 from pdes.asp import GroundRule, _extract_neighborhood, _ground_rule
-from pdes.core import NULL, Atom, Instance, atom_sort_key, restrict
+from pdes.core import (DEFAULT_CAP, NULL, Atom, Instance, atom_sort_key,
+                       restrict)
 from pdes.lang import Builtin, Cst, Var, relevant_vars, term_vars
 from pdes.nullsem import (_universe, eval_builtin, ground_atom,
                           holds_instantiation, instantiations,
@@ -270,3 +274,40 @@ def reference_stable_models(rules):
     subsets = (frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
                for mask in range(2 ** len(atoms)))
     return {m for m in subsets if _is_stable(trimmed, m)}
+
+
+# ------------------------------------------------------------- command line
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line's grammar as argparse reads it, each option
+    spelt out in full. parse_args leaves the parser as it was."""
+    ap = argparse.ArgumentParser(
+        prog="pdes", allow_abbrev=False,
+        description="Peer data exchange systems with trust and nulls.")
+    ap.add_argument("--cap", type=int, default=None,
+                    help="candidate cap (default: PDES_CAP or %d)"
+                    % DEFAULT_CAP)
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, help, peer=True, query=False):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        if name == "asp":
+            sp.add_argument("asp_action", choices=("emit", "solve"))
+        sp.add_argument("file", help="definition file")
+        sp.add_argument("--format", choices=("text", "json"),
+                        default="text")
+        if peer:
+            sp.add_argument("--peer", required=True)
+        if query:
+            sp.add_argument("--query", default=None)
+
+    add("check", "parse and report", peer=False)
+    add("chase", "restricted chase of a peer's neighborhood instance")
+    add("repairs", "repairs wrt local constraints")
+    add("ns", "neighborhood solutions")
+    add("solutions", "solution instances")
+    add("core", "intersection of solutions")
+    add("pca", "peer-consistent answers", query=True)
+    add("import-solve", "import-case solver")
+    add("asp", "solution programs")
+    return ap

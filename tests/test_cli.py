@@ -14,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdes.cli import _build_parser, main
+from pdes.cli import _COMMANDS, _parse_args, main
 from pdes.core import SchemaError
 from pdes.repair import RepairSet
 
 from conftest import (FIXTURES, GOLDEN, HERE, child_env, fixture_path,
                       load)
+from reference import reference_parser
 
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 import families  # noqa: E402
@@ -558,9 +559,8 @@ def test_import_solve_classifies_once(name, peer, code, capsys, monkeypatch):
 
 
 def test_one_parser_serves_every_call(capsys):
-    # the parser is built once per process: a call refused by it (exit 2)
-    # leaves it as it was for the next one, as in a fresh process
-    assert _build_parser() is _build_parser()
+    # a call refused by the parser (exit 2) leaves nothing behind for the
+    # next one, as in a fresh process
     good = ["pca", fixture_path("ex_1_1.pdes"), "--peer", "P1"]
     bad = good + ["--format", "xml"]
     got = []
@@ -575,6 +575,149 @@ def test_one_parser_serves_every_call(capsys):
             for r in (run_cli(bad), run_cli(good))]
     assert got == want
     assert [code for code, _, _ in got] == [2, 0]
+
+
+REFERENCE_PARSER = reference_parser()
+ARG_FIELDS = ("command", "file", "peer", "format", "query", "cap",
+              "asp_action")
+
+
+def _read_argv(parse, argv):
+    """parse(argv)'s fields, or its exit code, stdout and stderr when it
+    exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as e:
+        return e.code, out.getvalue(), err.getvalue()
+    return {f: getattr(args, f, None) for f in ARG_FIELDS}
+
+
+def _check_against_reference(argv):
+    want = _read_argv(REFERENCE_PARSER.parse_args, argv)
+    got = _read_argv(_parse_args, argv)
+    if isinstance(want, dict):
+        assert got == want, argv
+    else:
+        assert want[:2] == (2, ""), argv
+        code, out, err = got
+        assert (code, out) == (2, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: pdes ") and \
+            error.startswith("pdes: error: "), argv
+
+
+CLI_OPTIONS = ("--peer", "--format", "--query", "--cap", "--pe", "--form",
+               "-p", "--bogus")
+CLI_WORDS = ("P1", "text", "json", "xml", "", "2", "0", "-1", "x", "1.5",
+             "-.5", "-1.", "1_0", "R1(x, y)", "-a b", "emit", "solve",
+             "f.pdes", "check", "pca", "-")
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-formed argv, its pieces after the subcommand in any order
+    and `--` perhaps among them, then with pieces dropped, repeated, or
+    added: a word, an option and a word, or the two as --opt=word."""
+    def option(name, value):
+        return ("%s=%s" % (name, value),) if draw(st.booleans()) \
+            else (name, value)
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    takes = _COMMANDS[command][2]
+    tail = [("f.pdes",)]
+    tail += [(draw(st.sampled_from(t.split("|"))),) for t in takes
+             if t[0] != "-"]
+    if "--peer" in takes:
+        tail.append(option("--peer", draw(st.sampled_from(
+            ("P1", "-1", "-a b", "")))))
+    for name, values in (("--query", ("R1(x, y)", "")),
+                         ("--format", ("text", "json"))):
+        if (name == "--format" or name in takes) and draw(st.booleans()):
+            tail.append(option(name, draw(st.sampled_from(values))))
+    if draw(st.booleans()):
+        tail.append(("--",))
+    pieces = [(command,)] + draw(st.permutations(tail))
+    if draw(st.booleans()):
+        pieces.insert(0, option("--cap", draw(st.sampled_from(
+            ("3", "0", "-1", "x", "")))))
+    # not `--` as an option's value: argparse reads --cap=-- as []
+    extra = st.one_of(
+        st.sampled_from(CLI_OPTIONS + CLI_WORDS + ("--",))
+        .map(lambda w: (w,)),
+        st.tuples(st.sampled_from(CLI_OPTIONS), st.sampled_from(CLI_WORDS))
+        .map(lambda ov: option(*ov)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pieces)))
+        edit = draw(st.sampled_from(("drop", "repeat", "add")))
+        if edit == "add":
+            pieces.insert(i, draw(extra))
+        elif i < len(pieces):
+            pieces[i:i + 1] = [] if edit == "drop" else [pieces[i]] * 2
+    return [w for piece in pieces for w in piece]
+
+
+@given(cli_argv())
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_argv_is_read_as_the_reference_reads_it(argv):
+    # the same fields where both accept; where both refuse, exit 2 with
+    # a usage line and an error on stderr, and nothing on stdout
+    _check_against_reference(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    list(argv) for argv in
+    [a for _, a in families.GOLDEN_CASES] + [a for _, a in families.REFUSALS]])
+def test_benchmark_argv_is_read_as_the_reference_reads_it(argv):
+    _check_against_reference(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pca", "f.pdes", "--pe", "P1"], ["check", "f.pdes", "--form=json"],
+    ["check", "f.pdes", "--help=x"], ["-hx"], ["check", "--", "-f.pdes"],
+    ["--cap", "-1", "check", "f.pdes"], ["chase", "f.pdes", "--peer", "-1."],
+    ["chase", "f.pdes", "--peer", "-a b"], ["check", "-a b"]])
+def test_edge_argv_is_read_as_the_reference_reads_it(argv):
+    # abbreviations are refused; `-a b` and negative numbers are no options
+    _check_against_reference(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--cap", "3", "-h"], ["pca", "-h"],
+    ["asp", "emit", "f.pdes", "--peer", "P1", "--help"]])
+def test_help_goes_to_stdout_and_exits_0(argv):
+    code, out, err = _read_argv(_parse_args, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: pdes [-h] [--cap N] SUBCOMMAND ")
+    assert all(c in out for c in _COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chase"], ["repairs"], ["ns"], ["solutions"], ["core"], ["pca"],
+    ["import-solve"], ["asp", "emit"], ["asp", "solve"]],
+    ids=lambda argv: "-".join(argv))
+def test_unknown_peer_is_named(argv, capsys):
+    # pca once looked up the peer's query first, and said there was none
+    code = main(argv + [fixture_path("ex_2_2.pdes"), "--peer", "NOPE"])
+    assert (code, *capsys.readouterr()) == \
+        (1, "", "error: unknown peer 'NOPE'\n")
+
+
+def test_cli_request_leaves_argparse_gettext_and_locale_unread():
+    # they once cost every request more than its own work; only the
+    # modules the CLI adds count, not those site preloads
+    golden = "pca_1_1.txt"
+    argv = [fixture_path(a) if a.endswith(".pdes") else a
+            for a in dict(GOLDEN_CASES)[golden]]
+    code = ("import sys; before = set(sys.modules); import pdes.cli; "
+            "code = pdes.cli.main(%r); print(code, *sorted("
+            "{'argparse', 'gettext', 'locale'} & (set(sys.modules) - "
+            "before)), file=sys.stderr)" % argv)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert (res.stdout, res.stderr) == (fh.read(), "0\n")
 
 
 def test_cli_imports_only_the_standard_library():

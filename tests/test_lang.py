@@ -1,8 +1,10 @@
 """Parsing, relevant variables, null-aware rewriting, ref-acyclicity."""
 
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdes import core, lang
@@ -394,3 +396,22 @@ class TestRoundTrip:
     def test_query_print_parse_round_trip(self, text):
         q = parse_query(text)
         assert parse_query(str(q)) == q
+
+
+@given(st.text(st.sampled_from(
+    ["R", "a", "1", "_", ".", "'", "-", ">", "<", "=", "!", "(", ")", ",",
+     ":", "/", " ", "\t", "\n", "\xa0", "\x1c", "\u200b", ";", "\xe9",
+     "#", "|"]), max_size=24))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_bad_character_column_ends_the_longest_run_of_tokens(text):
+    # the pattern that once found the column: tokens and whitespace, as
+    # many as match from the start
+    run = re.compile(r"(?:\s*(?:%s))*\s*" % lang._TOKEN_RE.pattern)
+    end = run.match(text).end()
+    try:
+        toks = lang._tokenize(text, "")
+    except ParseError as e:
+        assert str(e) == "bad character at column %d: %r" % (end + 1,
+                                                            text[end])
+    else:
+        assert (end, "".join(toks)) == (len(text), "".join(text.split()))
